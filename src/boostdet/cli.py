@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--population", type=int, default=100)
     p_train.add_argument("--generations", type=int, default=30)
     p_train.add_argument("--stall-limit", type=int, default=8)
-    p_train.add_argument("--workers", type=int, default=1)
+    p_train.add_argument("--workers", type=int, default=1,
+                         help="accepted for compatibility; neither output nor speed "
+                              "depends on the value")
     p_train.add_argument("--literal-zero-update", action="store_true",
                          help="zero misclassified weights in the update (study variant)")
 
@@ -65,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--bias", type=float, default=0.0)
     p_detect.add_argument("--nms-iou", type=float, default=0.5)
     p_detect.add_argument("--workers", type=int, default=1,
-                          help="worker cap (results are worker-independent)")
+                          help="accepted for compatibility; neither output nor speed "
+                               "depends on the value")
 
     p_eval = sub.add_parser("eval", help="score detections against ground truth")
     p_eval.add_argument("--detections", required=True, help="CSV from the detect command")

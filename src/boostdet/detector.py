@@ -2,29 +2,21 @@
 
 The pyramid grows the window instead of shrinking the frame, so a single
 integral image per frame serves every level and feature geometry stays
-integer. Whole levels are evaluated as numpy grids of window origins;
-the arithmetic per window is identical to the scalar ``eval_feature``
-path, so both report the same margins.
+integer. Each level is one ``WindowStack`` of strided views over the
+frame's tables, and every stage runs through ``features.eval_batch``,
+the same evaluator that training and the one-window calls use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boosting import StrongClassifier
-from .features import (
-    CANONICAL_H,
-    CANONICAL_W,
-    ChainFeature,
-    ControlPointsFeature,
-    Feature,
-    HaarFeature,
-    SymmetricHaarFeature,
-    mirror_rect,
-)
-from .imaging import SIGMA_MIN, GrayImage, IntegralImage, Rect, build_integral
+from .features import CANONICAL_H, CANONICAL_W, WindowStack, eval_batch
+from .imaging import GrayImage, IntegralImage, Rect, build_integral
 
 
 @dataclass(frozen=True)
@@ -43,10 +35,14 @@ class ScanConfig:
     bias: float = 0.0
 
     def __post_init__(self):
-        if self.scale_factor <= 1.0:
-            raise ValueError("scale_factor must be > 1")
+        if not (math.isfinite(self.scale_factor) and self.scale_factor > 1.0):
+            raise ValueError(f"scale_factor must be finite and > 1, got {self.scale_factor}")
         if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        if self.min_window_w < 1:
+            raise ValueError(f"min_window_w must be >= 1, got {self.min_window_w}")
+        if math.isnan(self.bias):
+            raise ValueError("bias must not be NaN")
 
 
 def iou(a: Rect, b: Rect) -> float:
@@ -75,75 +71,6 @@ def pyramid_levels(frame_w: int, frame_h: int, cfg: ScanConfig) -> list[tuple[in
     return levels
 
 
-def _rect_grid_sum(table: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                   x: int, y: int, w: int, h: int) -> np.ndarray:
-    return (table[np.ix_(ys + y + h, xs + x + w)]
-            - table[np.ix_(ys + y, xs + x + w)]
-            - table[np.ix_(ys + y + h, xs + x)]
-            + table[np.ix_(ys + y, xs + x)])
-
-
-def _scaled(r: Rect, win_w: int, win_h: int) -> tuple[int, int, int, int]:
-    # floor-scaled offsets, extents clamped to >= 1, same rule as the
-    # scalar path in features.scale_rect_to_window
-    return ((r.x * win_w) // CANONICAL_W,
-            (r.y * win_h) // CANONICAL_H,
-            max(1, (r.w * win_w) // CANONICAL_W),
-            max(1, (r.h * win_h) // CANONICAL_H))
-
-
-class _LevelEvaluator:
-    """Evaluates every stage of a model on a grid of same-size windows."""
-
-    def __init__(self, ii: IntegralImage, pixels16: np.ndarray,
-                 ys: np.ndarray, xs: np.ndarray, win_w: int, win_h: int):
-        self.ii = ii
-        self.pixels = pixels16
-        self.ys, self.xs = ys, xs
-        self.win_w, self.win_h = win_w, win_h
-        area = win_w * win_h
-        mean = _rect_grid_sum(ii.sums, ys, xs, 0, 0, win_w, win_h) / area
-        var = _rect_grid_sum(ii.squared_sums, ys, xs, 0, 0, win_w, win_h) / area - mean * mean
-        self.sigma = np.maximum(SIGMA_MIN, np.sqrt(np.maximum(0.0, var)))
-
-    def _rect_mean(self, r: Rect) -> np.ndarray:
-        x, y, w, h = _scaled(r, self.win_w, self.win_h)
-        return _rect_grid_sum(self.ii.sums, self.ys, self.xs, x, y, w, h) / (w * h)
-
-    def _normed_diff(self, a: Rect, b: Rect) -> np.ndarray:
-        return np.abs(self._rect_mean(a) - self._rect_mean(b)) / self.sigma
-
-    def _point_values(self, points) -> np.ndarray:
-        stacked = [self.pixels[np.ix_(self.ys + (py * self.win_h) // CANONICAL_H,
-                                      self.xs + (px * self.win_w) // CANONICAL_W)]
-                   for px, py in points]
-        return np.stack(stacked)
-
-    def _separated(self, pos_points, neg_points, separation: int) -> np.ndarray:
-        pos = self._point_values(pos_points)
-        neg = self._point_values(neg_points)
-        min_pos, max_pos = pos.min(axis=0), pos.max(axis=0)
-        min_neg, max_neg = neg.min(axis=0), neg.max(axis=0)
-        return (min_pos - max_neg > separation) | (min_neg - max_pos > separation)
-
-    def responses(self, feature: Feature) -> np.ndarray:
-        if isinstance(feature, HaarFeature):
-            return self._normed_diff(feature.rect_a, feature.rect_b) > feature.threshold
-        if isinstance(feature, SymmetricHaarFeature):
-            f = feature
-            d_left = self._normed_diff(f.left_a, f.left_b)
-            d_right = self._normed_diff(mirror_rect(f.left_a, CANONICAL_W),
-                                        mirror_rect(f.left_b, CANONICAL_W))
-            d_mid = self._normed_diff(f.mid_a, f.mid_b)
-            ok = (d_left > f.t_left) & (d_right > f.t_right) & (d_mid > f.t_mid)
-            drift = np.abs(d_left - d_right)
-            return ok & (drift < f.sym_tol) & (d_mid - drift > f.mid_margin)
-        if isinstance(feature, (ControlPointsFeature, ChainFeature)):
-            return self._separated(feature.pos_points, feature.neg_points,
-                                   feature.separation)
-        raise TypeError(f"not a feature: {feature!r}")
-
-
 def scan(model: StrongClassifier, frame: GrayImage, cfg: ScanConfig = ScanConfig(),
          ii: IntegralImage | None = None) -> list[Detection]:
     """All windows whose vote margin exceeds ``cfg.bias``.
@@ -157,16 +84,14 @@ def scan(model: StrongClassifier, frame: GrayImage, cfg: ScanConfig = ScanConfig
     pixels16 = frame.pixels.astype(np.int16)
     out: list[Detection] = []
     for win_w, win_h, stride in pyramid_levels(frame.width, frame.height, cfg):
-        xs = np.arange(0, frame.width - win_w + 1, stride)
-        ys = np.arange(0, frame.height - win_h + 1, stride)
-        level = _LevelEvaluator(ii, pixels16, ys, xs, win_w, win_h)
-        margins = np.zeros((len(ys), len(xs)))
+        level = WindowStack.from_level(ii, pixels16, win_w, win_h, stride)
+        margins = np.zeros(level.sigma.shape)
         for stage in model.stages:
-            fired = level.responses(stage.weak.feature)
+            fired = eval_batch(stage.weak.feature, level)
             margins += stage.alpha * np.where(fired, stage.weak.polarity,
                                               -stage.weak.polarity)
         for iy, ix in zip(*np.nonzero(margins > cfg.bias)):
-            out.append(Detection(box=Rect(int(xs[ix]), int(ys[iy]), win_w, win_h),
+            out.append(Detection(box=Rect(int(ix) * stride, int(iy) * stride, win_w, win_h),
                                  margin=float(margins[iy, ix])))
     return out
 

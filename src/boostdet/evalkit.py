@@ -10,6 +10,7 @@ frame and every sweep point reads off a prefix.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -49,32 +50,34 @@ class PrPoint:
 
 
 def _greedy_claims(dets: Sequence[Detection], boxes: Sequence[Rect],
-                   iou_threshold: float) -> list[bool]:
-    """Whether each margin-ordered detection claims a truth box.
+                   iou_threshold: float) -> tuple[list[int], list[bool]]:
+    """Margin order of the detections, and whether each in turn claims a box.
 
     Detections are processed in descending margin order (ties by input
     order); IoU ties between truth boxes go to the lower index.
     """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].margin, i))
-    unclaimed = set(range(len(boxes)))
-    claimed = [False] * len(dets)
+    taken = [False] * len(boxes)
+    claims = []
     for i in order:
         best_j, best_iou = -1, 0.0
-        for j in sorted(unclaimed):
-            v = iou(dets[i].box, boxes[j])
-            if v > best_iou:
-                best_j, best_iou = j, v
-        if best_j >= 0 and best_iou >= iou_threshold:
-            unclaimed.discard(best_j)
-            claimed[i] = True
-    return claimed
+        for j, box in enumerate(boxes):
+            if not taken[j]:
+                v = iou(dets[i].box, box)
+                if v > best_iou:
+                    best_j, best_iou = j, v
+        claimed = best_j >= 0 and best_iou >= iou_threshold
+        if claimed:
+            taken[best_j] = True
+        claims.append(claimed)
+    return order, claims
 
 
 def match_frame(dets: Sequence[Detection], truth: GroundTruthFrame,
                 iou_threshold: float = 0.5) -> MatchResult:
     """One-to-one greedy match of detections against one frame's truth."""
-    claimed = _greedy_claims(dets, truth.boxes, iou_threshold)
-    tp = sum(claimed)
+    _, claims = _greedy_claims(dets, truth.boxes, iou_threshold)
+    tp = sum(claims)
     return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(truth.boxes) - tp)
 
 
@@ -83,13 +86,10 @@ class _FrameSweep:
 
     def __init__(self, dets: Sequence[Detection], boxes: Sequence[Rect],
                  iou_threshold: float):
-        order = sorted(range(len(dets)), key=lambda i: (-dets[i].margin, i))
-        claimed = _greedy_claims(dets, boxes, iou_threshold)
+        order, claims = _greedy_claims(dets, boxes, iou_threshold)
         # negated margins ascend; detections kept at a bias form a prefix
         self.neg_margins = [-dets[i].margin for i in order]
-        self.cum_tp = [0]
-        for i in order:
-            self.cum_tp.append(self.cum_tp[-1] + (1 if claimed[i] else 0))
+        self.cum_tp = list(itertools.accumulate(claims, initial=0))
         self.n_truth = len(boxes)
 
     def counts(self, bias: float) -> tuple[int, int]:
@@ -99,17 +99,6 @@ class _FrameSweep:
         return tp, kept - tp
 
 
-def _build_sweeps(detections: Mapping[str, Sequence[Detection]],
-                  truths: Sequence[GroundTruthFrame],
-                  iou_threshold: float) -> tuple[list[_FrameSweep], int, int]:
-    truth_by_id = {t.frame_id: t.boxes for t in truths}
-    frame_ids = sorted(set(truth_by_id) | set(detections))
-    sweeps = [_FrameSweep(detections.get(fid, ()), truth_by_id.get(fid, ()),
-                          iou_threshold) for fid in frame_ids]
-    total_truth = sum(s.n_truth for s in sweeps)
-    return sweeps, total_truth, len(frame_ids)
-
-
 def default_bias_sweep(detections: Mapping[str, Sequence[Detection]]) -> list[float]:
     """Descending unique margins wrapped in +/- infinity sentinels."""
     margins = sorted({d.margin for dets in detections.values() for d in dets},
@@ -117,14 +106,21 @@ def default_bias_sweep(detections: Mapping[str, Sequence[Detection]]) -> list[fl
     return [math.inf] + margins + [-math.inf]
 
 
-def roc_curve(detections: Mapping[str, Sequence[Detection]],
-              truths: Sequence[GroundTruthFrame],
-              bias_sweep: Sequence[float] | None = None,
-              iou_threshold: float = 0.5) -> list[RocPoint]:
-    """True-positive rate against false positives per frame, by descending bias."""
-    sweeps, total_truth, n_frames = _build_sweeps(detections, truths, iou_threshold)
-    if n_frames == 0:
-        return []
+def _sweep(detections: Mapping[str, Sequence[Detection]],
+           truths: Sequence[GroundTruthFrame], bias_sweep: Sequence[float] | None,
+           iou_threshold: float) -> tuple[list[tuple[float, int, int]], int, int]:
+    """(bias, tp, fp) per sweep point, the truth-box count and the frame count.
+
+    Frames are the union of annotated frames and frames with detections;
+    without any frame the sweep is empty.
+    """
+    truth_by_id = {t.frame_id: t.boxes for t in truths}
+    frame_ids = sorted(set(truth_by_id) | set(detections))
+    sweeps = [_FrameSweep(detections.get(fid, ()), truth_by_id.get(fid, ()),
+                          iou_threshold) for fid in frame_ids]
+    total_truth = sum(s.n_truth for s in sweeps)
+    if not frame_ids:
+        return [], total_truth, 0
     if bias_sweep is None:
         bias_sweep = default_bias_sweep(detections)
     points = []
@@ -134,9 +130,19 @@ def roc_curve(detections: Mapping[str, Sequence[Detection]],
             t, f = s.counts(bias)
             tp += t
             fp += f
-        tpr = tp / total_truth if total_truth else 0.0
-        points.append(RocPoint(bias=bias, fp_per_frame=fp / n_frames, tpr=tpr))
-    return points
+        points.append((bias, tp, fp))
+    return points, total_truth, len(frame_ids)
+
+
+def roc_curve(detections: Mapping[str, Sequence[Detection]],
+              truths: Sequence[GroundTruthFrame],
+              bias_sweep: Sequence[float] | None = None,
+              iou_threshold: float = 0.5) -> list[RocPoint]:
+    """True-positive rate against false positives per frame, by descending bias."""
+    points, total_truth, n_frames = _sweep(detections, truths, bias_sweep, iou_threshold)
+    return [RocPoint(bias=bias, fp_per_frame=fp / n_frames,
+                     tpr=tp / total_truth if total_truth else 0.0)
+            for bias, tp, fp in points]
 
 
 def pr_curve(detections: Mapping[str, Sequence[Detection]],
@@ -148,22 +154,10 @@ def pr_curve(detections: Mapping[str, Sequence[Detection]],
     Precision of an empty detection set is 1 by convention, which keeps
     the curve total.
     """
-    sweeps, total_truth, n_frames = _build_sweeps(detections, truths, iou_threshold)
-    if n_frames == 0:
-        return []
-    if bias_sweep is None:
-        bias_sweep = default_bias_sweep(detections)
-    points = []
-    for bias in bias_sweep:
-        tp = fp = 0
-        for s in sweeps:
-            t, f = s.counts(bias)
-            tp += t
-            fp += f
-        recall = tp / total_truth if total_truth else 0.0
-        precision = tp / (tp + fp) if tp + fp else 1.0
-        points.append(PrPoint(bias=bias, recall=recall, precision=precision))
-    return points
+    points, total_truth, _ = _sweep(detections, truths, bias_sweep, iou_threshold)
+    return [PrPoint(bias=bias, recall=tp / total_truth if total_truth else 0.0,
+                    precision=tp / (tp + fp) if tp + fp else 1.0)
+            for bias, tp, fp in points]
 
 
 def auc(points: Sequence[RocPoint]) -> float:

@@ -1,37 +1,30 @@
-"""The four weak-feature families and their boolean window tests.
+"""The four weak-feature families and the one evaluator that tests them.
 
 All feature geometry lives in canonical-window coordinates (32 wide by
 24 high). At evaluation time coordinates are scaled to the actual window
 with floor rounding and extents clamped to >= 1, so every pyramid level
 sees integer-only geometry.
 
-Two evaluation routes exist for each family:
-
-* scalar ops (``eval_haar`` etc.) that follow the rules one window at a
-  time, used by the boosting contracts and as the reference path, and
-* ``eval_batch`` over a ``WindowStack`` of canonical windows, the hot
-  path for weak-learner search. Both routes perform the same IEEE
-  operations in the same order, so their booleans agree exactly.
+``eval_batch`` is the only implementation of each family's rule. It runs
+over a ``WindowStack``, any set of same-size windows that each carry a
+view of their own integral tables: training crops stacked along one
+axis, a pyramid level as a strided grid of views over the frame's
+tables, or a single window sliced out of a frame. The scalar entry
+points (``eval_haar``, ``eval_feature`` etc.) are one-window calls into
+it, so every path performs the same IEEE operations in the same order.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .imaging import (
-    SIGMA_MIN,
-    BoundsError,
-    GrayImage,
-    IntegralImage,
-    Rect,
-    build_integral,
-    rect_sum,
-    window_stats,
-)
+from .imaging import SIGMA_MIN, BoundsError, GrayImage, IntegralImage, Rect
 
 CANONICAL_W = 32
 CANONICAL_H = 24
@@ -55,6 +48,12 @@ def _check_canonical_rect(r: Rect, half_width: bool = False) -> None:
         raise ValueError(f"{r} exceeds the {zone} {CANONICAL_W}x{CANONICAL_H} window")
 
 
+def _check_threshold(name: str, value: float) -> None:
+    # NaN fails every comparison, so a plain `< 0` test would let it through
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _check_canonical_point(x: int, y: int) -> None:
     if not (0 <= x < CANONICAL_W and 0 <= y < CANONICAL_H):
         raise ValueError(f"point ({x}, {y}) outside canonical window")
@@ -75,8 +74,7 @@ class HaarFeature:
     def __post_init__(self):
         _check_canonical_rect(self.rect_a)
         _check_canonical_rect(self.rect_b)
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        _check_threshold("threshold", self.threshold)
 
 
 @dataclass(frozen=True)
@@ -131,8 +129,7 @@ class SymmetricHaarFeature:
             if not (CANONICAL_W - 2 <= 2 * r.x + r.w <= CANONICAL_W + 2):
                 raise ValueError(f"middle rect {r} not centered on the window axis")
         for name in ("t_left", "t_right", "t_mid", "sym_tol", "mid_margin"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            _check_threshold(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -211,6 +208,24 @@ def validate_chain(points: Sequence[tuple[int, int]],
 # geometry scaling: canonical coordinates -> a concrete window
 # ---------------------------------------------------------------------------
 
+def _local_rect(r: Rect, win_w: int, win_h: int) -> tuple[int, int, int, int]:
+    # offsets scale with floor rounding, extents clamp to >= 1 (`or 1`
+    # maps the only value below 1, zero, and is cheaper than max())
+    x = (r.x * win_w) // CANONICAL_W
+    y = (r.y * win_h) // CANONICAL_H
+    w = (r.w * win_w) // CANONICAL_W or 1
+    h = (r.h * win_h) // CANONICAL_H or 1
+    if x + w > win_w or y + h > win_h:
+        raise BoundsError(f"{r} scaled to {win_w}x{win_h} window leaks out of bounds")
+    return x, y, w, h
+
+
+def _local_points(points, win_w: int, win_h: int) -> tuple[list[int], list[int]]:
+    # (columns, rows), offsets scale with floor rounding
+    return ([(x * win_w) // CANONICAL_W for x, _ in points],
+            [(y * win_h) // CANONICAL_H for _, y in points])
+
+
 def scale_rect_to_window(r: Rect, win: Rect) -> Rect:
     """Map a canonical-coordinates rect into ``win`` (frame coordinates).
 
@@ -218,35 +233,173 @@ def scale_rect_to_window(r: Rect, win: Rect) -> Rect:
     BoundsError if the result leaks out of the window, which can only
     happen when the window is smaller than the canonical one.
     """
-    x = (r.x * win.w) // CANONICAL_W
-    y = (r.y * win.h) // CANONICAL_H
-    w = max(1, (r.w * win.w) // CANONICAL_W)
-    h = max(1, (r.h * win.h) // CANONICAL_H)
-    if x + w > win.w or y + h > win.h:
-        raise BoundsError(f"{r} scaled to {win.w}x{win.h} window leaks out of bounds")
+    x, y, w, h = _local_rect(r, win.w, win.h)
     return Rect(x=win.x + x, y=win.y + y, w=w, h=h)
 
 
 def scale_point_to_window(x: int, y: int, win: Rect) -> tuple[int, int]:
     """Map a canonical-coordinates point into ``win`` (frame coordinates)."""
-    return win.x + (x * win.w) // CANONICAL_W, win.y + (y * win.h) // CANONICAL_H
+    (px,), (py,) = _local_points([(x, y)], win.w, win.h)
+    return win.x + px, win.y + py
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation
+# window sets
 # ---------------------------------------------------------------------------
 
-def _rect_mean(ii: IntegralImage, r: Rect) -> float:
-    return rect_sum(ii, r) / r.area
+def _corner_sum(table: np.ndarray, x: int, y: int, w: int, h: int) -> np.ndarray:
+    """Exact sum over a window-local rect, for every window of a stack."""
+    return (table[..., y + h, x + w] - table[..., y, x + w]
+            - table[..., y + h, x] + table[..., y, x])
 
 
-def eval_haar(f: HaarFeature, ii: IntegralImage, win: Rect) -> bool:
-    """Normalized mean-difference rule, strict comparison."""
-    sigma = window_stats(ii, win).std_dev
-    ma = _rect_mean(ii, scale_rect_to_window(f.rect_a, win))
-    mb = _rect_mean(ii, scale_rect_to_window(f.rect_b, win))
-    return abs(ma - mb) / sigma > f.threshold
+@dataclass(frozen=True)
+class WindowStack:
+    """Same-size windows, each with views of its own integral tables.
 
+    ``sums`` and ``squared_sums`` are int64 and shaped ``(..., h+1, w+1)``,
+    ``pixels`` is int16 (safe for subtraction) and shaped ``(..., h, w)``.
+    The leading axes index the windows: one axis for stacked crops, (row,
+    column) for a pyramid level, none for a single window. ``sigma`` is
+    the clamped whole-window std dev every feature normalizes by, shaped
+    like the leading axes; the ``from_*`` builders derive it once.
+    """
+
+    pixels: np.ndarray
+    sums: np.ndarray
+    squared_sums: np.ndarray
+    sigma: np.ndarray
+    w: int = field(init=False)
+    h: int = field(init=False)
+
+    def __post_init__(self):
+        lead = np.shape(self.sigma)
+        h, w = self.pixels.shape[-2:]
+        if (self.pixels.shape != lead + (h, w) or self.sums.shape != lead + (h + 1, w + 1)
+                or self.squared_sums.shape != self.sums.shape):
+            raise ValueError(f"window stack shapes disagree: pixels {self.pixels.shape}, "
+                             f"tables {self.sums.shape}, sigma {lead}")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "h", h)
+
+    def __len__(self) -> int:
+        """The number of windows."""
+        return np.size(self.sigma)
+
+    @classmethod
+    def _from_tables(cls, pixels: np.ndarray, sums: np.ndarray,
+                     squared_sums: np.ndarray) -> "WindowStack":
+        h, w = pixels.shape[-2:]
+        mean = _corner_sum(sums, 0, 0, w, h) / (w * h)
+        var = _corner_sum(squared_sums, 0, 0, w, h) / (w * h) - mean * mean
+        sigma = np.maximum(SIGMA_MIN, np.sqrt(np.maximum(0.0, var)))
+        sigma.setflags(write=False)
+        return cls(pixels=pixels, sums=sums, squared_sums=squared_sums, sigma=sigma)
+
+    @classmethod
+    def from_images(cls, windows: Sequence[GrayImage]) -> "WindowStack":
+        """Canonical crops stacked along one axis."""
+        for w in windows:
+            _require_canonical(w)
+        px = np.stack([w.pixels for w in windows]).astype(np.int16)
+        px64 = px.astype(np.int64)
+        sums = np.zeros((len(windows), CANONICAL_H + 1, CANONICAL_W + 1), dtype=np.int64)
+        sq = np.zeros_like(sums)
+        np.cumsum(np.cumsum(px64, axis=1), axis=2, out=sums[:, 1:, 1:])
+        np.cumsum(np.cumsum(px64 * px64, axis=1), axis=2, out=sq[:, 1:, 1:])
+        for arr in (px, sums, sq):
+            arr.setflags(write=False)
+        return cls._from_tables(px, sums, sq)
+
+    @classmethod
+    def from_level(cls, ii: IntegralImage, pixels: np.ndarray,
+                   win_w: int, win_h: int, stride: int) -> "WindowStack":
+        """Every ``win_w`` x ``win_h`` window of a frame on a ``stride`` grid.
+
+        ``pixels`` is the frame as int16. Window (row, column) has its
+        origin at (column * stride, row * stride); nothing is copied.
+        """
+        def grid(table: np.ndarray, h: int, w: int) -> np.ndarray:
+            return sliding_window_view(table, (h, w))[::stride, ::stride]
+
+        return cls._from_tables(grid(pixels, win_h, win_w),
+                                grid(ii.sums, win_h + 1, win_w + 1),
+                                grid(ii.squared_sums, win_h + 1, win_w + 1))
+
+    @classmethod
+    def from_window(cls, ii: IntegralImage, win: Rect,
+                    raw: GrayImage | None = None) -> "WindowStack":
+        """The single window ``win`` of a frame, with no leading axis.
+
+        Pixels come from ``raw`` when given, else from the integral tables.
+        """
+        if not win.fits_in(ii.width, ii.height):
+            raise BoundsError(f"{win} exceeds {ii.width}x{ii.height} image")
+        rows = slice(win.y, win.y + win.h + 1)
+        cols = slice(win.x, win.x + win.w + 1)
+        sums = ii.sums[rows, cols]
+        if raw is None:
+            pixels = np.diff(np.diff(sums, axis=0), axis=1)
+        else:
+            pixels = raw.pixels[win.y:win.y + win.h, win.x:win.x + win.w]
+        return cls._from_tables(pixels.astype(np.int16), sums,
+                                ii.squared_sums[rows, cols])
+
+
+# ---------------------------------------------------------------------------
+# the evaluator
+# ---------------------------------------------------------------------------
+
+def _mean(stack: WindowStack, r: Rect) -> np.ndarray:
+    x, y, w, h = _local_rect(r, stack.w, stack.h)
+    return _corner_sum(stack.sums, x, y, w, h) / (w * h)
+
+
+def _normed_diff(stack: WindowStack, a: Rect, b: Rect) -> np.ndarray:
+    return np.abs(_mean(stack, a) - _mean(stack, b)) / stack.sigma
+
+
+def _symmetric_responses(f: SymmetricHaarFeature,
+                         stack: WindowStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (_normed_diff(stack, f.left_a, f.left_b),
+            _normed_diff(stack, mirror_rect(f.left_a, CANONICAL_W),
+                         mirror_rect(f.left_b, CANONICAL_W)),
+            _normed_diff(stack, f.mid_a, f.mid_b))
+
+
+def _point_values(stack: WindowStack, points) -> np.ndarray:
+    cols, rows = _local_points(points, stack.w, stack.h)
+    return stack.pixels[..., np.array(rows), np.array(cols)]
+
+
+def eval_batch(feature: Feature, stack: WindowStack) -> np.ndarray:
+    """Evaluate ``feature`` on every window of ``stack``.
+
+    The one implementation of each family's rule: returns booleans shaped
+    like the stack's leading axes. Geometry is floor-scaled from the
+    canonical window to the stack's window size.
+    """
+    if isinstance(feature, HaarFeature):
+        return _normed_diff(stack, feature.rect_a, feature.rect_b) > feature.threshold
+    if isinstance(feature, SymmetricHaarFeature):
+        f = feature
+        d_left, d_right, d_mid = _symmetric_responses(f, stack)
+        ok = (d_left > f.t_left) & (d_right > f.t_right) & (d_mid > f.t_mid)
+        drift = np.abs(d_left - d_right)
+        return ok & (drift < f.sym_tol) & (d_mid - drift > f.mid_margin)
+    if isinstance(feature, (ControlPointsFeature, ChainFeature)):
+        pos = _point_values(stack, feature.pos_points)
+        neg = _point_values(stack, feature.neg_points)
+        min_pos, max_pos = pos.min(axis=-1), pos.max(axis=-1)
+        min_neg, max_neg = neg.min(axis=-1), neg.max(axis=-1)
+        return ((min_pos - max_neg > feature.separation)
+                | (min_neg - max_pos > feature.separation))
+    raise TypeError(f"not a feature: {feature!r}")
+
+
+# ---------------------------------------------------------------------------
+# one-window entry points
+# ---------------------------------------------------------------------------
 
 def _require_canonical(window: GrayImage) -> None:
     if window.width != CANONICAL_W or window.height != CANONICAL_H:
@@ -256,190 +409,45 @@ def _require_canonical(window: GrayImage) -> None:
         )
 
 
-def _points_separated(pos_vals: list[int], neg_vals: list[int], separation: int) -> bool:
-    return (min(pos_vals) - max(neg_vals) > separation
-            or min(neg_vals) - max(pos_vals) > separation)
+def eval_haar(f: HaarFeature, ii: IntegralImage, win: Rect) -> bool:
+    """Normalized mean-difference rule, strict comparison."""
+    return bool(eval_batch(f, WindowStack.from_window(ii, win)))
 
 
 def eval_control_points(f: ControlPointsFeature, window: GrayImage) -> bool:
     """True iff one point class sits more than ``separation`` above the other.
 
-    Reads raw pixel values, no normalization.
+    Reads raw pixel values of a canonical window, no normalization.
     """
-    _require_canonical(window)
-    pos = [window.pixel(x, y) for x, y in f.pos_points]
-    neg = [window.pixel(x, y) for x, y in f.neg_points]
-    return _points_separated(pos, neg, f.separation)
+    return bool(eval_batch(f, WindowStack.from_images([window]))[0])
 
 
 def eval_chain(f: ChainFeature, window: GrayImage) -> bool:
     """Control-points rule applied to the chain's pos/neg tagged points."""
-    _require_canonical(window)
-    pos = [window.pixel(x, y) for x, y in f.pos_points]
-    neg = [window.pixel(x, y) for x, y in f.neg_points]
-    return _points_separated(pos, neg, f.separation)
+    return bool(eval_batch(f, WindowStack.from_images([window]))[0])
 
 
 def symmetric_diffs(f: SymmetricHaarFeature, ii: IntegralImage,
                     win: Rect) -> tuple[float, float, float]:
     """Normalized responses of the left, mirrored-right and middle pairs."""
-    sigma = window_stats(ii, win).std_dev
-    right_a = mirror_rect(f.left_a, CANONICAL_W)
-    right_b = mirror_rect(f.left_b, CANONICAL_W)
-
-    def diff(a: Rect, b: Rect) -> float:
-        ma = _rect_mean(ii, scale_rect_to_window(a, win))
-        mb = _rect_mean(ii, scale_rect_to_window(b, win))
-        return abs(ma - mb) / sigma
-
-    return diff(f.left_a, f.left_b), diff(right_a, right_b), diff(f.mid_a, f.mid_b)
+    stack = WindowStack.from_window(ii, win)
+    return tuple(float(d) for d in _symmetric_responses(f, stack))
 
 
-def eval_symmetric_haar(f: SymmetricHaarFeature, ii: IntegralImage, win: Rect,
-                        condition5_literal: bool = False) -> bool:
+def eval_symmetric_haar(f: SymmetricHaarFeature, ii: IntegralImage, win: Rect) -> bool:
     """All five conditions of the symmetric three-pair test.
 
     The left, right and middle responses must each clear their threshold,
     left and right must agree within ``sym_tol``, and the middle response
-    must exceed the left/right drift by more than ``mid_margin``. With
-    ``condition5_literal`` the last test flips to drift - middle >
-    ``mid_margin`` (near-unsatisfiable together with the drift bound;
-    kept for experimentation).
+    must exceed the left/right drift by more than ``mid_margin``.
     """
-    d_left, d_right, d_mid = symmetric_diffs(f, ii, win)
-    if not (d_left > f.t_left and d_right > f.t_right and d_mid > f.t_mid):
-        return False
-    drift = abs(d_left - d_right)
-    if not drift < f.sym_tol:
-        return False
-    if condition5_literal:
-        return drift - d_mid > f.mid_margin
-    return d_mid - drift > f.mid_margin
+    return bool(eval_batch(f, WindowStack.from_window(ii, win)))
 
 
-def _eval_points_scaled(pos_points, neg_points, separation: int,
-                        raw: GrayImage, win: Rect) -> bool:
-    pos = [raw.pixel(*scale_point_to_window(x, y, win)) for x, y in pos_points]
-    neg = [raw.pixel(*scale_point_to_window(x, y, win)) for x, y in neg_points]
-    return _points_separated(pos, neg, separation)
-
-
-def eval_feature(feature: Feature, ii: IntegralImage, raw: GrayImage, win: Rect,
-                 condition5_literal: bool = False) -> bool:
+def eval_feature(feature: Feature, ii: IntegralImage, raw: GrayImage, win: Rect) -> bool:
     """Family dispatch over one window of a frame.
 
     Area-based families read the integral image; point-based families
-    read raw pixels at scaled point positions. For a canonical window
-    this reduces exactly to the family-specific ops.
+    read ``raw`` pixels at scaled point positions.
     """
-    if isinstance(feature, HaarFeature):
-        return eval_haar(feature, ii, win)
-    if isinstance(feature, SymmetricHaarFeature):
-        return eval_symmetric_haar(feature, ii, win, condition5_literal)
-    if isinstance(feature, ControlPointsFeature):
-        return _eval_points_scaled(feature.pos_points, feature.neg_points,
-                                   feature.separation, raw, win)
-    if isinstance(feature, ChainFeature):
-        return _eval_points_scaled(feature.pos_points, feature.neg_points,
-                                   feature.separation, raw, win)
-    raise TypeError(f"not a feature: {feature!r}")
-
-
-# ---------------------------------------------------------------------------
-# batch evaluation over stacked canonical windows
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WindowStack:
-    """Canonical windows stacked for vectorized feature evaluation.
-
-    Holds pixels as int16 (safe for subtraction), both integral tables,
-    and the per-window clamped std dev, precomputed once since every
-    feature normalizes by the same whole-window sigma.
-    """
-
-    pixels: np.ndarray        # (n, H, W) int16
-    sums: np.ndarray          # (n, H+1, W+1) int64
-    squared_sums: np.ndarray  # (n, H+1, W+1) int64
-    sigma: np.ndarray         # (n,) float64
-
-    def __len__(self) -> int:
-        return self.pixels.shape[0]
-
-    @classmethod
-    def from_images(cls, windows: Sequence[GrayImage]) -> "WindowStack":
-        for w in windows:
-            _require_canonical(w)
-        px = np.stack([w.pixels for w in windows]).astype(np.int16)
-        px64 = px.astype(np.int64)
-        sums = np.zeros((len(windows), CANONICAL_H + 1, CANONICAL_W + 1), dtype=np.int64)
-        sq = np.zeros_like(sums)
-        np.cumsum(np.cumsum(px64, axis=1), axis=2, out=sums[:, 1:, 1:])
-        np.cumsum(np.cumsum(px64 * px64, axis=1), axis=2, out=sq[:, 1:, 1:])
-        area = CANONICAL_W * CANONICAL_H
-        total = sums[:, CANONICAL_H, CANONICAL_W]
-        total_sq = sq[:, CANONICAL_H, CANONICAL_W]
-        mean = total / area
-        var = total_sq / area - mean * mean
-        sigma = np.maximum(SIGMA_MIN, np.sqrt(np.maximum(0.0, var)))
-        for arr in (px, sums, sq, sigma):
-            arr.setflags(write=False)
-        return cls(pixels=px, sums=sums, squared_sums=sq, sigma=sigma)
-
-
-def _batch_rect_mean(stack: WindowStack, r: Rect) -> np.ndarray:
-    s = stack.sums
-    x0, y0, x1, y1 = r.x, r.y, r.x + r.w, r.y + r.h
-    return (s[:, y1, x1] - s[:, y0, x1] - s[:, y1, x0] + s[:, y0, x0]) / r.area
-
-
-def _batch_points(stack: WindowStack, points) -> np.ndarray:
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    return stack.pixels[:, ys, xs]
-
-
-def _batch_separated(stack: WindowStack, pos_points, neg_points,
-                     separation: int) -> np.ndarray:
-    pos = _batch_points(stack, pos_points)
-    neg = _batch_points(stack, neg_points)
-    min_pos, max_pos = pos.min(axis=1), pos.max(axis=1)
-    min_neg, max_neg = neg.min(axis=1), neg.max(axis=1)
-    return (min_pos - max_neg > separation) | (min_neg - max_pos > separation)
-
-
-def eval_batch(feature: Feature, stack: WindowStack,
-               condition5_literal: bool = False) -> np.ndarray:
-    """Evaluate ``feature`` on every window of ``stack`` at canonical scale.
-
-    Returns a boolean vector identical to looping ``eval_feature`` over
-    the windows.
-    """
-    if isinstance(feature, HaarFeature):
-        ma = _batch_rect_mean(stack, feature.rect_a)
-        mb = _batch_rect_mean(stack, feature.rect_b)
-        return np.abs(ma - mb) / stack.sigma > feature.threshold
-    if isinstance(feature, SymmetricHaarFeature):
-        f = feature
-
-        def diff(a: Rect, b: Rect) -> np.ndarray:
-            return np.abs(_batch_rect_mean(stack, a) - _batch_rect_mean(stack, b)) / stack.sigma
-
-        d_left = diff(f.left_a, f.left_b)
-        d_right = diff(mirror_rect(f.left_a, CANONICAL_W), mirror_rect(f.left_b, CANONICAL_W))
-        d_mid = diff(f.mid_a, f.mid_b)
-        ok = (d_left > f.t_left) & (d_right > f.t_right) & (d_mid > f.t_mid)
-        drift = np.abs(d_left - d_right)
-        ok &= drift < f.sym_tol
-        if condition5_literal:
-            return ok & (drift - d_mid > f.mid_margin)
-        return ok & (d_mid - drift > f.mid_margin)
-    if isinstance(feature, (ControlPointsFeature, ChainFeature)):
-        return _batch_separated(stack, feature.pos_points, feature.neg_points,
-                                feature.separation)
-    raise TypeError(f"not a feature: {feature!r}")
-
-
-def integral_of(window: GrayImage) -> IntegralImage:
-    """Convenience wrapper used by sample construction."""
-    return build_integral(window)
+    return bool(eval_batch(feature, WindowStack.from_window(ii, win, raw)))

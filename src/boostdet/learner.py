@@ -3,14 +3,13 @@
 A mu+lambda loop: keep the best quarter of the population, refill with
 mutated elites plus a trickle of fresh random genomes, stop on stall or
 generation budget. Every genome is drawn from its own RNG stream derived
-from (seed, candidate index), and aggregation order is fixed by candidate
-index, so results do not depend on the worker count.
+from (seed, candidate index), and candidates are scored in index order on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -62,6 +61,8 @@ class LearnerConfig:
     stall_limit: int = 8
     mutations_per_child: tuple[int, int] = (1, 3)
     seed: int = 0
+    # accepted for compatibility: scoring always runs on the calling
+    # thread, so neither output nor speed depends on the value
     parallel_workers: int = 1
 
     def __post_init__(self):
@@ -69,6 +70,8 @@ class LearnerConfig:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
+        if self.parallel_workers < 1:
+            raise ValueError("parallel_workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -305,8 +308,7 @@ def search_best(family: FeatureKind, dist: WeightDistribution,
     labels = np.array([s.label for s in samples])
 
     # every candidate gets a unique id; its RNG stream derives from the id,
-    # and ties in epsilon resolve by id, so the search is reproducible and
-    # independent of the worker count
+    # and ties in epsilon resolve by id, so the search is reproducible
     next_id = 0
 
     def new_id() -> int:
@@ -317,20 +319,12 @@ def search_best(family: FeatureKind, dist: WeightDistribution,
     def stream(candidate_id: int) -> random.Random:
         return random.Random(derive_seed(config.seed, candidate_id))
 
-    def evaluate_all(features: list[Feature]) -> list[Candidate]:
-        if config.parallel_workers > 1 and len(features) > 1:
-            with ThreadPoolExecutor(max_workers=config.parallel_workers) as pool:
-                return list(pool.map(
-                    lambda f: _evaluate(f, stack, weights, labels), features))
-        return [_evaluate(f, stack, weights, labels) for f in features]
-
     genomes: list[tuple[int, Feature]] = [
         (new_id(), f) for f in list(seed_features or [])[:config.population_size]]
     while len(genomes) < config.population_size:
         cid = new_id()
         genomes.append((cid, random_feature(family, stream(cid))))
-    evaluated = evaluate_all([g for _, g in genomes])
-    population = [(cid, cand) for (cid, _), cand in zip(genomes, evaluated)]
+    population = [(cid, _evaluate(g, stack, weights, labels)) for cid, g in genomes]
 
     elite_n = max(1, config.population_size // 4)
     fresh_n = max(1, round(config.population_size * 0.10))
@@ -365,9 +359,8 @@ def search_best(family: FeatureKind, dist: WeightDistribution,
                     child = mutate(child, rng)
                 offspring.append((cid, child))
 
-        evaluated = evaluate_all([g for _, g in offspring])
-        population = elites + [(cid, cand)
-                               for (cid, _), cand in zip(offspring, evaluated)]
+        population = elites + [(cid, _evaluate(g, stack, weights, labels))
+                               for cid, g in offspring]
 
         gen_best = min(population, key=lambda ic: (ic[1].epsilon, ic[0]))[1]
         if gen_best.epsilon < best.epsilon:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,15 +10,22 @@ from boostdet.detector import Detection, ScanConfig, iou, nms, pyramid_levels, s
 from boostdet.features import (
     CANONICAL_H,
     CANONICAL_W,
+    ChainFeature,
+    ControlPointsFeature,
     FeatureKind,
     HaarFeature,
     eval_feature,
+    kind_of,
+    mirror_rect,
+    scale_point_to_window,
+    scale_rect_to_window,
 )
 from boostdet.imaging import GrayImage, Rect, build_integral
 from boostdet.learner import LearnerConfig, random_feature
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples
 from conftest import rand_image
+from oracles import brute_rect_sum, brute_std, points_rule
 
 
 def random_model(py: random.Random, n_stages: int = 5) -> StrongClassifier:
@@ -35,6 +43,14 @@ def test_scan_config_validation():
         ScanConfig(scale_factor=1.0)
     with pytest.raises(ValueError):
         ScanConfig(stride=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale_factor"):
+            ScanConfig(scale_factor=bad)
+    with pytest.raises(ValueError, match="min_window_w"):
+        ScanConfig(min_window_w=0)
+    with pytest.raises(ValueError, match="bias"):
+        ScanConfig(bias=float("nan"))
+    assert ScanConfig(bias=float("-inf")).bias == float("-inf")
 
 
 def test_iou_basics():
@@ -93,6 +109,77 @@ def test_scan_matches_per_window_reference(rng):
     for g, e in zip(got, expected):
         assert g.box == e.box
         assert g.margin == e.margin
+
+
+def _oracle_fires(feature, frame: GrayImage, win: Rect) -> bool:
+    """``feature`` on ``win`` from the pixel-loop oracles, scaled geometry."""
+    if isinstance(feature, (ControlPointsFeature, ChainFeature)):
+        crop = GrayImage.from_array(
+            frame.pixels[win.y:win.y + win.h, win.x:win.x + win.w])
+        local = Rect(0, 0, win.w, win.h)
+        return points_rule(crop,
+                           [scale_point_to_window(x, y, local) for x, y in feature.pos_points],
+                           [scale_point_to_window(x, y, local) for x, y in feature.neg_points],
+                           feature.separation)
+    sigma = brute_std(frame, win)
+
+    def normed_diff(a: Rect, b: Rect) -> float:
+        sa, sb = scale_rect_to_window(a, win), scale_rect_to_window(b, win)
+        return abs(brute_rect_sum(frame, sa) / sa.area
+                   - brute_rect_sum(frame, sb) / sb.area) / sigma
+
+    if isinstance(feature, HaarFeature):
+        return normed_diff(feature.rect_a, feature.rect_b) > feature.threshold
+    f = feature
+    d1 = normed_diff(f.left_a, f.left_b)
+    # the right pair mirrors on the canonical window, then scales
+    d2 = normed_diff(mirror_rect(f.left_a, CANONICAL_W), mirror_rect(f.left_b, CANONICAL_W))
+    d3 = normed_diff(f.mid_a, f.mid_b)
+    return (d1 > f.t_left and d2 > f.t_right and d3 > f.t_mid
+            and abs(d1 - d2) < f.sym_tol and d3 - abs(d1 - d2) > f.mid_margin)
+
+
+def _firing_feature(family: FeatureKind, py: random.Random):
+    """A random feature with thresholds low enough to fire on noise."""
+    f = random_feature(family, py)
+    if family is FeatureKind.HAAR:
+        return replace(f, threshold=py.uniform(0.0, 0.5))
+    if family is FeatureKind.SYMMETRIC_HAAR:
+        return replace(f, t_left=0.0, t_right=0.0, t_mid=0.0,
+                       sym_tol=py.uniform(0.5, 4.0), mid_margin=0.0)
+    return replace(f, separation=py.randint(1, 40))
+
+
+def test_scan_matches_oracle_at_scaled_levels(rng):
+    frame = rand_image(rng, 52, 40)
+    cfg = ScanConfig(scale_factor=1.25, stride=3, bias=float("-inf"))
+    levels = pyramid_levels(frame.width, frame.height, cfg)
+    assert [(w, h) for w, h, _ in levels] == [(32, 24), (40, 30), (50, 38)]
+    py = random.Random(43)
+    stages = [Stage(alpha=py.uniform(0.05, 2.0),
+                    weak=WeakClassifier(_firing_feature(family, py), py.choice((-1, 1))))
+              for family in FeatureKind for _ in range(3)]
+    model = StrongClassifier(stages=tuple(stages))
+
+    expected = []
+    fired_on_scaled = {family: set() for family in FeatureKind}
+    for win_w, win_h, stride in levels:
+        for y in range(0, frame.height - win_h + 1, stride):
+            for x in range(0, frame.width - win_w + 1, stride):
+                win = Rect(x, y, win_w, win_h)
+                margin = 0.0
+                for st_ in model.stages:
+                    fired = _oracle_fires(st_.weak.feature, frame, win)
+                    if win_w != CANONICAL_W:
+                        fired_on_scaled[kind_of(st_.weak.feature)].add(fired)
+                    pol = st_.weak.polarity
+                    margin += st_.alpha * (pol if fired else -pol)
+                expected.append((win, margin))
+    # every family both fires and stays quiet on the scaled levels, so a
+    # wrong rule or wrong geometry shows in the margins
+    assert all(seen == {True, False} for seen in fired_on_scaled.values())
+
+    assert [(d.box, d.margin) for d in scan(model, frame, cfg)] == expected
 
 
 def test_scan_boxes_in_bounds(rng):

@@ -26,7 +26,7 @@ from boostdet.features import (
     symmetric_diffs,
     validate_chain,
 )
-from boostdet.imaging import GrayImage, Rect, build_integral
+from boostdet.imaging import BoundsError, GrayImage, Rect, build_integral
 from boostdet.learner import random_feature
 from conftest import rand_window
 from oracles import haar_rule, points_rule, symmetric_rule
@@ -47,6 +47,20 @@ def test_haar_feature_rejects_out_of_window():
         HaarFeature(rect_a=Rect(30, 0, 4, 4), rect_b=Rect(0, 0, 1, 1), threshold=0.5)
     with pytest.raises(ValueError):
         HaarFeature(rect_a=Rect(0, 0, 1, 1), rect_b=Rect(0, 0, 1, 1), threshold=-0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_thresholds_must_be_finite_and_non_negative(bad):
+    # NaN passes a plain `< 0` check, and a NaN threshold never fires
+    with pytest.raises(ValueError, match="threshold"):
+        HaarFeature(rect_a=Rect(0, 0, 1, 1), rect_b=Rect(0, 0, 1, 1), threshold=bad)
+    good = dict(left_a=Rect(0, 0, 8, 8), left_b=Rect(8, 0, 8, 8),
+                mid_a=Rect(12, 0, 8, 8), mid_b=Rect(12, 8, 8, 8),
+                t_left=1.0, t_right=1.0, t_mid=1.0, sym_tol=1.0, mid_margin=1.0)
+    SymmetricHaarFeature(**good)
+    for name in ("t_left", "t_right", "t_mid", "sym_tol", "mid_margin"):
+        with pytest.raises(ValueError, match=name):
+            SymmetricHaarFeature(**{**good, name: bad})
 
 
 def test_control_points_class_rules():
@@ -331,8 +345,7 @@ def test_symmetric_condition5_literal_flips():
         left_a=probe.left_a, left_b=probe.left_b, mid_a=probe.mid_a, mid_b=probe.mid_b,
         t_left=d1 / 2, t_right=d2 / 2, t_mid=d3 / 2,
         sym_tol=2 * drift + 1, mid_margin=(drift - d3) / 2)
-    assert eval_symmetric_haar(f, ii, FULL, condition5_literal=True) is True
-    assert eval_symmetric_haar(f, ii, FULL, condition5_literal=False) is False
+    assert eval_symmetric_haar(f, ii, FULL) is False
     assert symmetric_rule(img, FULL, f, condition5_literal=True) is True
     assert symmetric_rule(img, FULL, f, condition5_literal=False) is False
 
@@ -389,6 +402,24 @@ def test_batch_matches_scalar_all_families(rng):
             scalar = np.array([eval_feature(f, ii, w, FULL)
                                for ii, w in zip(pairs, windows)])
             assert np.array_equal(batch, scalar)
+
+
+def test_window_outside_image_is_bounds_error(rng):
+    # a slice of the tables would silently truncate such a window
+    img = rand_window(rng)
+    ii = build_integral(img)
+    py = random.Random(37)
+    fh = random_feature(FeatureKind.HAAR, py)
+    fs = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
+    for win in (Rect(1, 0, CANONICAL_W, CANONICAL_H), Rect(0, 0, CANONICAL_W, CANONICAL_H + 1),
+                Rect(CANONICAL_W, 0, 1, 1)):
+        with pytest.raises(BoundsError):
+            eval_haar(fh, ii, win)
+        with pytest.raises(BoundsError):
+            symmetric_diffs(fs, ii, win)
+        for family in FeatureKind:
+            with pytest.raises(BoundsError):
+                eval_feature(random_feature(family, py), ii, img, win)
 
 
 def test_scale_rect_identity_at_canonical():

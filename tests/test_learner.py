@@ -183,6 +183,8 @@ def test_config_validation():
         LearnerConfig(family=FeatureKind.HAAR, population_size=1)
     with pytest.raises(ValueError):
         LearnerConfig(family=FeatureKind.HAAR, generations=0)
+    with pytest.raises(ValueError, match="parallel_workers"):
+        LearnerConfig(family=FeatureKind.HAAR, parallel_workers=0)
 
 
 def test_derive_seed_distinct():

@@ -79,3 +79,15 @@ def test_parse_error_names_line_number():
     lines[5] = lines[5].replace("alpha=", "alpha=oops")
     with pytest.raises(ModelFormatError, match=":6"):
         parse_model("\n".join(lines) + "\n", source="m")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_threshold_names_line(bad):
+    # a NaN threshold would parse into a stage that never fires
+    model = mixed_model(random.Random(15), stages_per_family=1)
+    lines = dump_model(model).splitlines()
+    haar = next(i for i, line in enumerate(lines) if "family=haar" in line)
+    fields = [f"t={bad}" if tok.startswith("t=") else tok for tok in lines[haar].split()]
+    lines[haar] = " ".join(fields)
+    with pytest.raises(ModelFormatError, match=rf"m:{haar + 1}: threshold must be finite"):
+        parse_model("\n".join(lines) + "\n", source="m")
