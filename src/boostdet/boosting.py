@@ -9,6 +9,10 @@ weights instead (a destructive variant kept for study, off by default).
 A weak classifier with zero error is kept with its error floored at
 EPS_MIN before computing its vote weight, then training stops; a round
 whose error reaches 1/2 stops training without keeping the classifier.
+
+``weak_predictions`` (+/-polarity per window of a ``WindowStack``) and
+``vote`` (stage-ordered sum of alpha * prediction) are the one prediction
+and vote path: training, the one-sample calls and ``detector.scan`` use them.
 """
 
 from __future__ import annotations
@@ -19,40 +23,25 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .features import (
-    CANONICAL_H,
-    CANONICAL_W,
-    Feature,
-    WindowStack,
-    eval_batch,
-    eval_feature,
-)
-from .imaging import GrayImage, IntegralImage, Rect, build_integral
+from .features import CANONICAL_H, CANONICAL_W, Feature, WindowStack, eval_batch
+# build_integral is unused here, but boostbench/tracing.py wraps boosting.build_integral
+from .imaging import GrayImage, build_integral  # noqa: F401
 
 EPS_MIN = 1e-6
-
-CANONICAL_WINDOW = Rect(0, 0, CANONICAL_W, CANONICAL_H)
 
 
 @dataclass(frozen=True)
 class LabeledSample:
-    """A canonical training window, its integral image and a -1/+1 label."""
+    """A canonical training window and its -1/+1 label."""
 
     window: GrayImage
-    integral: IntegralImage
     label: int
 
     def __post_init__(self):
         if (self.window.width, self.window.height) != (CANONICAL_W, CANONICAL_H):
             raise ValueError("sample window must be canonical size")
-        if (self.integral.width, self.integral.height) != (CANONICAL_W, CANONICAL_H):
-            raise ValueError("integral does not match the window")
         if self.label not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {self.label}")
-
-    @classmethod
-    def from_window(cls, window: GrayImage, label: int) -> "LabeledSample":
-        return cls(window=window, integral=build_integral(window), label=label)
 
 
 @dataclass(frozen=True)
@@ -65,8 +54,8 @@ class WeightDistribution:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or len(w) == 0:
             raise ValueError("weights must be a non-empty 1-d sequence")
-        if (w < 0).any():
-            raise ValueError("weights must be non-negative")
+        if not np.isfinite(w).all() or (w < 0).any():
+            raise ValueError("weights must be finite and non-negative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", w)
@@ -116,10 +105,23 @@ class StrongClassifier:
             raise ValueError("a trained model holds at least one stage")
 
 
+def weak_predictions(h: WeakClassifier, stack: WindowStack) -> np.ndarray:
+    """polarity where the feature fires, -polarity elsewhere, per window."""
+    fired = eval_batch(h.feature, stack)
+    return np.where(fired, h.polarity, -h.polarity)
+
+
+def vote(model: StrongClassifier, stack: WindowStack) -> np.ndarray:
+    """Vote margin per window: sum of alpha * prediction in stage order."""
+    margins = np.zeros(stack.sigma.shape)
+    for st in model.stages:
+        margins += st.alpha * weak_predictions(st.weak, stack)
+    return margins
+
+
 def weak_predict(h: WeakClassifier, sample: LabeledSample) -> int:
     """polarity when the feature fires, -polarity otherwise."""
-    fired = eval_feature(h.feature, sample.integral, sample.window, CANONICAL_WINDOW)
-    return h.polarity if fired else -h.polarity
+    return int(weak_predictions(h, WindowStack.from_images([sample.window]))[0])
 
 
 def weighted_error(h: WeakClassifier, dist: WeightDistribution,
@@ -127,8 +129,9 @@ def weighted_error(h: WeakClassifier, dist: WeightDistribution,
     """Sum of weights over samples ``h`` misclassifies."""
     if len(dist) != len(samples):
         raise ValueError(f"{len(dist)} weights for {len(samples)} samples")
-    return float(sum(w for w, s in zip(dist.weights, samples)
-                     if weak_predict(h, s) != s.label))
+    stack = WindowStack.from_images([s.window for s in samples])
+    mistakes = weak_predictions(h, stack) != np.array([s.label for s in samples])
+    return float(dist.weights[mistakes].sum())
 
 
 def beta(error: float) -> float:
@@ -169,7 +172,6 @@ def update_weights(dist: WeightDistribution, correct: Sequence[bool], beta_value
 
 @dataclass(frozen=True)
 class TrainConfig:
-    eps_min: float = EPS_MIN
     literal_zero_update: bool = False
 
 
@@ -200,7 +202,7 @@ def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
     Each round asks ``learner`` for a weak classifier under the current
     distribution, re-derives its weighted error, and either keeps it with
     vote weight ln((1-e)/e) or stops: error zero keeps the stage (with the
-    error floored at eps_min) and ends training, error at or above 1/2
+    error floored at EPS_MIN) and ends training, error at or above 1/2
     ends training without keeping the stage. The per-round log carries
     epsilon, beta, alpha, the running product of 2*sqrt(e(1-e)) and the
     empirical training error of the model so far.
@@ -221,8 +223,7 @@ def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
 
     for t in range(1, rounds + 1):
         weak = learner(samples, dist, t)
-        fired = eval_batch(weak.feature, stack)
-        preds = np.where(fired, weak.polarity, -weak.polarity)
+        preds = weak_predictions(weak, stack)
         mistakes = preds != labels
         eps = float(dist.weights[mistakes].sum())
 
@@ -231,10 +232,10 @@ def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
             break
 
         # the floor only matters for a perfect classifier; real errors
-        # below eps_min keep their exact beta so the half-error property
+        # below EPS_MIN keep their exact beta so the half-error property
         # of the updated distribution holds every continuing round
         if eps == 0.0:
-            eps_eff = config.eps_min
+            eps_eff = EPS_MIN
             stop_reason = f"stopped at round {t}: perfect weak classifier"
         else:
             eps_eff = eps
@@ -259,7 +260,7 @@ def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
 
 def score(model: StrongClassifier, sample: LabeledSample) -> float:
     """Margin of the weighted vote over all stages."""
-    return sum(st.alpha * weak_predict(st.weak, sample) for st in model.stages)
+    return float(vote(model, WindowStack.from_images([sample.window]))[0])
 
 
 def classify(model: StrongClassifier, sample: LabeledSample, bias: float = 0.0) -> int:

@@ -6,12 +6,13 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .boosting import LabeledSample, TrainConfig
 from .dataset import AnnotationError, DatasetManifest, list_pgm_files, parse_annotations
-from .detector import Detection, ScanConfig, nms, scan
+from .detector import Detection, ScanConfig, check_iou_threshold, nms, scan
 from .evalkit import auc, pr_curve, roc_curve
 from .features import FeatureKind
 from .imaging import Rect
@@ -92,7 +93,7 @@ def _load_crops(paths, label: int) -> list[LabeledSample]:
     samples = []
     for path in paths:
         try:
-            samples.append(LabeledSample.from_window(load_pgm(path), label))
+            samples.append(LabeledSample(load_pgm(path), label))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return samples
@@ -159,6 +160,7 @@ def cmd_detect(args) -> int:
     model = load_model(args.model)
     cfg = ScanConfig(scale_factor=args.scale_factor, stride=args.stride,
                      min_window_w=args.min_window_w, bias=args.bias)
+    check_iou_threshold("--nms-iou", args.nms_iou)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("frame_id,x,y,w,h,margin\n")
         for path in list_pgm_files(args.frames):
@@ -194,11 +196,14 @@ def parse_detections_csv(path) -> dict[str, list[Detection]]:
                 margin = float(parts[5])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(margin):
+                raise ValueError(f"{path}:{lineno}: margin must be finite, got {parts[5]!r}")
             detections.setdefault(parts[0], []).append(Detection(box=box, margin=margin))
     return detections
 
 
 def cmd_eval(args) -> int:
+    check_iou_threshold("--iou", args.iou)
     detections = parse_detections_csv(args.detections)
     truths = parse_annotations(args.annotations)
     roc = roc_curve(detections, truths, iou_threshold=args.iou)

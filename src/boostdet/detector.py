@@ -3,8 +3,8 @@
 The pyramid grows the window instead of shrinking the frame, so a single
 integral image per frame serves every level and feature geometry stays
 integer. Each level is one ``WindowStack`` of strided views over the
-frame's tables, and every stage runs through ``features.eval_batch``,
-the same evaluator that training and the one-window calls use.
+frame's tables, and its margins come from ``boosting.vote``, the same
+vote that ``score`` and ``classify`` apply to a single crop.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boosting import StrongClassifier
-from .features import CANONICAL_H, CANONICAL_W, WindowStack, eval_batch
+from .boosting import StrongClassifier, vote
+from .features import CANONICAL_H, CANONICAL_W, WindowStack
 from .imaging import GrayImage, IntegralImage, Rect, build_integral
 
 
@@ -84,20 +84,22 @@ def scan(model: StrongClassifier, frame: GrayImage, cfg: ScanConfig = ScanConfig
     pixels16 = frame.pixels.astype(np.int16)
     out: list[Detection] = []
     for win_w, win_h, stride in pyramid_levels(frame.width, frame.height, cfg):
-        level = WindowStack.from_level(ii, pixels16, win_w, win_h, stride)
-        margins = np.zeros(level.sigma.shape)
-        for stage in model.stages:
-            fired = eval_batch(stage.weak.feature, level)
-            margins += stage.alpha * np.where(fired, stage.weak.polarity,
-                                              -stage.weak.polarity)
+        margins = vote(model, WindowStack.from_level(ii, pixels16, win_w, win_h, stride))
         for iy, ix in zip(*np.nonzero(margins > cfg.bias)):
             out.append(Detection(box=Rect(int(ix) * stride, int(iy) * stride, win_w, win_h),
                                  margin=float(margins[iy, ix])))
     return out
 
 
+def check_iou_threshold(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless 0 < value <= 1 (NaN fails)."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+
+
 def nms(detections: list[Detection], overlap_threshold: float = 0.5) -> list[Detection]:
     """Greedy suppression: higher margins win, ties keep input order."""
+    check_iou_threshold("overlap_threshold", overlap_threshold)
     order = sorted(range(len(detections)),
                    key=lambda i: (-detections[i].margin, i))
     kept: list[Detection] = []

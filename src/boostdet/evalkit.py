@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .detector import Detection, iou
+from .detector import Detection, check_iou_threshold, iou
 from .imaging import Rect
 
 
@@ -56,6 +56,7 @@ def _greedy_claims(dets: Sequence[Detection], boxes: Sequence[Rect],
     Detections are processed in descending margin order (ties by input
     order); IoU ties between truth boxes go to the lower index.
     """
+    check_iou_threshold("iou_threshold", iou_threshold)
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].margin, i))
     taken = [False] * len(boxes)
     claims = []
@@ -114,6 +115,7 @@ def _sweep(detections: Mapping[str, Sequence[Detection]],
     Frames are the union of annotated frames and frames with detections;
     without any frame the sweep is empty.
     """
+    check_iou_threshold("iou_threshold", iou_threshold)
     truth_by_id = {t.frame_id: t.boxes for t in truths}
     frame_ids = sorted(set(truth_by_id) | set(detections))
     sweeps = [_FrameSweep(detections.get(fid, ()), truth_by_id.get(fid, ()),

@@ -12,6 +12,7 @@ axis, a pyramid level as a strided grid of views over the frame's
 tables, or a single window sliced out of a frame. The scalar entry
 points (``eval_haar``, ``eval_feature`` etc.) are one-window calls into
 it, so every path performs the same IEEE operations in the same order.
+The tables, rectangle sums and window sigma come from ``imaging``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ from typing import Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .imaging import SIGMA_MIN, BoundsError, GrayImage, IntegralImage, Rect
+from .imaging import (
+    BoundsError,
+    GrayImage,
+    IntegralImage,
+    Rect,
+    corner_sum,
+    mean_and_sigma,
+    summed_area_tables,
+)
 
 CANONICAL_W = 32
 CANONICAL_H = 24
@@ -247,12 +256,6 @@ def scale_point_to_window(x: int, y: int, win: Rect) -> tuple[int, int]:
 # window sets
 # ---------------------------------------------------------------------------
 
-def _corner_sum(table: np.ndarray, x: int, y: int, w: int, h: int) -> np.ndarray:
-    """Exact sum over a window-local rect, for every window of a stack."""
-    return (table[..., y + h, x + w] - table[..., y, x + w]
-            - table[..., y + h, x] + table[..., y, x])
-
-
 @dataclass(frozen=True)
 class WindowStack:
     """Same-size windows, each with views of its own integral tables.
@@ -262,39 +265,31 @@ class WindowStack:
     The leading axes index the windows: one axis for stacked crops, (row,
     column) for a pyramid level, none for a single window. ``sigma`` is
     the clamped whole-window std dev every feature normalizes by, shaped
-    like the leading axes; the ``from_*`` builders derive it once.
+    like the leading axes and derived once, on construction.
     """
 
     pixels: np.ndarray
     sums: np.ndarray
     squared_sums: np.ndarray
-    sigma: np.ndarray
+    sigma: np.ndarray = field(init=False)
     w: int = field(init=False)
     h: int = field(init=False)
 
     def __post_init__(self):
-        lead = np.shape(self.sigma)
-        h, w = self.pixels.shape[-2:]
-        if (self.pixels.shape != lead + (h, w) or self.sums.shape != lead + (h + 1, w + 1)
+        lead, (h, w) = self.pixels.shape[:-2], self.pixels.shape[-2:]
+        if (self.sums.shape != lead + (h + 1, w + 1)
                 or self.squared_sums.shape != self.sums.shape):
             raise ValueError(f"window stack shapes disagree: pixels {self.pixels.shape}, "
-                             f"tables {self.sums.shape}, sigma {lead}")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "h", h)
+                             f"tables {self.sums.shape} and {self.squared_sums.shape}")
+        _, sigma = mean_and_sigma(self.sums, self.squared_sums, 0, 0, w, h)
+        for arr in (self.pixels, self.sums, self.squared_sums, sigma):
+            arr.setflags(write=False)
+        for name, value in (("sigma", sigma), ("w", w), ("h", h)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         """The number of windows."""
         return np.size(self.sigma)
-
-    @classmethod
-    def _from_tables(cls, pixels: np.ndarray, sums: np.ndarray,
-                     squared_sums: np.ndarray) -> "WindowStack":
-        h, w = pixels.shape[-2:]
-        mean = _corner_sum(sums, 0, 0, w, h) / (w * h)
-        var = _corner_sum(squared_sums, 0, 0, w, h) / (w * h) - mean * mean
-        sigma = np.maximum(SIGMA_MIN, np.sqrt(np.maximum(0.0, var)))
-        sigma.setflags(write=False)
-        return cls(pixels=pixels, sums=sums, squared_sums=squared_sums, sigma=sigma)
 
     @classmethod
     def from_images(cls, windows: Sequence[GrayImage]) -> "WindowStack":
@@ -302,14 +297,7 @@ class WindowStack:
         for w in windows:
             _require_canonical(w)
         px = np.stack([w.pixels for w in windows]).astype(np.int16)
-        px64 = px.astype(np.int64)
-        sums = np.zeros((len(windows), CANONICAL_H + 1, CANONICAL_W + 1), dtype=np.int64)
-        sq = np.zeros_like(sums)
-        np.cumsum(np.cumsum(px64, axis=1), axis=2, out=sums[:, 1:, 1:])
-        np.cumsum(np.cumsum(px64 * px64, axis=1), axis=2, out=sq[:, 1:, 1:])
-        for arr in (px, sums, sq):
-            arr.setflags(write=False)
-        return cls._from_tables(px, sums, sq)
+        return cls(px, *summed_area_tables(px))
 
     @classmethod
     def from_level(cls, ii: IntegralImage, pixels: np.ndarray,
@@ -322,9 +310,8 @@ class WindowStack:
         def grid(table: np.ndarray, h: int, w: int) -> np.ndarray:
             return sliding_window_view(table, (h, w))[::stride, ::stride]
 
-        return cls._from_tables(grid(pixels, win_h, win_w),
-                                grid(ii.sums, win_h + 1, win_w + 1),
-                                grid(ii.squared_sums, win_h + 1, win_w + 1))
+        return cls(grid(pixels, win_h, win_w), grid(ii.sums, win_h + 1, win_w + 1),
+                   grid(ii.squared_sums, win_h + 1, win_w + 1))
 
     @classmethod
     def from_window(cls, ii: IntegralImage, win: Rect,
@@ -342,8 +329,7 @@ class WindowStack:
             pixels = np.diff(np.diff(sums, axis=0), axis=1)
         else:
             pixels = raw.pixels[win.y:win.y + win.h, win.x:win.x + win.w]
-        return cls._from_tables(pixels.astype(np.int16), sums,
-                                ii.squared_sums[rows, cols])
+        return cls(pixels.astype(np.int16), sums, ii.squared_sums[rows, cols])
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +338,7 @@ class WindowStack:
 
 def _mean(stack: WindowStack, r: Rect) -> np.ndarray:
     x, y, w, h = _local_rect(r, stack.w, stack.h)
-    return _corner_sum(stack.sums, x, y, w, h) / (w * h)
+    return corner_sum(stack.sums, x, y, w, h) / (w * h)
 
 
 def _normed_diff(stack: WindowStack, a: Rect, b: Rect) -> np.ndarray:

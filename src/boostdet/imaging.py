@@ -4,11 +4,14 @@ Everything here is integer-exact where the contract says so: integral
 tables are int64 (large enough for 4096x4096 frames of squared 8-bit
 values) and rectangle sums are recovered with four lookups, bit-equal
 to a direct pixel loop.
+
+``summed_area_tables``, ``corner_sum`` and ``mean_and_sigma`` are the one
+copy of the table arithmetic; they take any leading axes, so a frame, a
+crop stack and a pyramid level (``features.WindowStack``) share them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,16 +114,41 @@ class WindowStats:
     std_dev: float
 
 
+def summed_area_tables(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plain and squared int64 tables over the last two axes, zero first row/column."""
+    px = pixels.astype(np.int64)
+    shape = px.shape[:-2] + (px.shape[-2] + 1, px.shape[-1] + 1)
+    sums, sq = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    for values, table in ((px, sums), (px * px, sq)):
+        np.cumsum(np.cumsum(values, axis=-2), axis=-1, out=table[..., 1:, 1:])
+    return sums, sq
+
+
+def corner_sum(table: np.ndarray, x: int, y: int, w: int, h: int) -> np.ndarray:
+    """Exact sum over the rect (x, y, w, h) of every table in a stack."""
+    return (table[..., y + h, x + w] - table[..., y, x + w]
+            - table[..., y + h, x] + table[..., y, x])
+
+
+def mean_and_sigma(sums: np.ndarray, squared_sums: np.ndarray, x: int, y: int,
+                   w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and population std dev of the rect, std clamped to SIGMA_MIN.
+
+    Variance is E[p^2] - E[p]^2; the tiny negative residue float division
+    can leave on flat windows is clamped at zero before the square root.
+    """
+    area = w * h
+    mean = corner_sum(sums, x, y, w, h) / area
+    var = corner_sum(squared_sums, x, y, w, h) / area - mean * mean
+    return mean, np.maximum(SIGMA_MIN, np.sqrt(np.maximum(0.0, var)))
+
+
 def build_integral(img: GrayImage) -> IntegralImage:
     """Build plain and squared summed-area tables for ``img``.
 
     Pure: the same image always yields identical tables.
     """
-    px = img.pixels.astype(np.int64)
-    sums = np.zeros((img.height + 1, img.width + 1), dtype=np.int64)
-    sq = np.zeros_like(sums)
-    np.cumsum(np.cumsum(px, axis=0), axis=1, out=sums[1:, 1:])
-    np.cumsum(np.cumsum(px * px, axis=0), axis=1, out=sq[1:, 1:])
+    sums, sq = summed_area_tables(img.pixels)
     return IntegralImage(width=img.width, height=img.height, sums=sums, squared_sums=sq)
 
 
@@ -132,33 +160,20 @@ def _check_rect(ii: IntegralImage, r: Rect) -> None:
 def rect_sum(ii: IntegralImage, r: Rect) -> int:
     """Exact pixel sum inside ``r`` via four table lookups."""
     _check_rect(ii, r)
-    s = ii.sums
-    return int(
-        s[r.y + r.h, r.x + r.w] - s[r.y, r.x + r.w] - s[r.y + r.h, r.x] + s[r.y, r.x]
-    )
+    return int(corner_sum(ii.sums, r.x, r.y, r.w, r.h))
 
 
 def rect_sum_squared(ii: IntegralImage, r: Rect) -> int:
     """Exact sum of squared pixels inside ``r``."""
     _check_rect(ii, r)
-    s = ii.squared_sums
-    return int(
-        s[r.y + r.h, r.x + r.w] - s[r.y, r.x + r.w] - s[r.y + r.h, r.x] + s[r.y, r.x]
-    )
+    return int(corner_sum(ii.squared_sums, r.x, r.y, r.w, r.h))
 
 
 def window_stats(ii: IntegralImage, win: Rect) -> WindowStats:
-    """Mean and population std dev of ``win``, std clamped to SIGMA_MIN.
-
-    Variance is computed as E[p^2] - E[p]^2 from the two tables; the tiny
-    negative residue float division can leave on flat windows is clamped
-    at zero before the square root.
-    """
-    area = win.area
-    mean = rect_sum(ii, win) / area
-    var = rect_sum_squared(ii, win) / area - mean * mean
-    std = math.sqrt(max(0.0, var))
-    return WindowStats(mean=mean, std_dev=max(SIGMA_MIN, std))
+    """Mean and population std dev of ``win``, std clamped to SIGMA_MIN."""
+    _check_rect(ii, win)
+    mean, sigma = mean_and_sigma(ii.sums, ii.squared_sums, win.x, win.y, win.w, win.h)
+    return WindowStats(mean=float(mean), std_dev=float(sigma))
 
 
 def extract_window(img: GrayImage, win: Rect, target_w: int, target_h: int) -> GrayImage:

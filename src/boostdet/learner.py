@@ -44,6 +44,8 @@ MID_MARGIN_MAX = 4.0
 # the symmetric family must clear three thresholds at once, so its
 # per-pair thresholds start low and let mutation push them up
 SYM_THRESHOLD_MAX = 2.0
+# a mutated child takes between lo and hi random moves (inclusive)
+MUTATIONS_PER_CHILD = (1, 3)
 
 _NEIGHBORS = [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]
 
@@ -59,7 +61,6 @@ class LearnerConfig:
     population_size: int = 100
     generations: int = 30
     stall_limit: int = 8
-    mutations_per_child: tuple[int, int] = (1, 3)
     seed: int = 0
     # accepted for compatibility: scoring always runs on the calling
     # thread, so neither output nor speed depends on the value
@@ -70,6 +71,8 @@ class LearnerConfig:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
+        if self.stall_limit < 1:
+            raise ValueError("stall_limit must be >= 1")
         if self.parallel_workers < 1:
             raise ValueError("parallel_workers must be >= 1")
 
@@ -329,7 +332,6 @@ def search_best(family: FeatureKind, dist: WeightDistribution,
     elite_n = max(1, config.population_size // 4)
     fresh_n = max(1, round(config.population_size * 0.10))
     child_n = config.population_size - elite_n
-    lo, hi = config.mutations_per_child
 
     def report(generation: int, best_eps: float) -> None:
         if progress is not None:
@@ -355,7 +357,7 @@ def search_best(family: FeatureKind, dist: WeightDistribution,
                 offspring.append((cid, random_feature(family, rng)))
             else:
                 child = elites[(k - fresh_n) % elite_n][1].weak.feature
-                for _ in range(rng.randint(lo, hi)):
+                for _ in range(rng.randint(*MUTATIONS_PER_CHILD)):
                     child = mutate(child, rng)
                 offspring.append((cid, child))
 

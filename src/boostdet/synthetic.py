@@ -79,8 +79,8 @@ def noise_window(rng: np.random.Generator) -> GrayImage:
 def training_samples(n_pos: int, n_neg: int, seed: int) -> list[LabeledSample]:
     """Positive and negative canonical crops, positives first."""
     rng = np.random.default_rng([seed, 1])
-    samples = [LabeledSample.from_window(target_window(rng), 1) for _ in range(n_pos)]
-    samples += [LabeledSample.from_window(noise_window(rng), -1) for _ in range(n_neg)]
+    samples = [LabeledSample(target_window(rng), 1) for _ in range(n_pos)]
+    samples += [LabeledSample(noise_window(rng), -1) for _ in range(n_neg)]
     return samples
 
 

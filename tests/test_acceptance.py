@@ -284,7 +284,7 @@ def test_criterion_7_cli_determinism(tmp_path):
 def test_criterion_8_model_round_trip():
     rng = np.random.default_rng(1008)
     py = random.Random(2008)
-    windows = [LabeledSample.from_window(rand_window(rng), 1) for _ in range(100)]
+    windows = [LabeledSample(rand_window(rng), 1) for _ in range(100)]
     for family in FeatureKind:
         stages = tuple(Stage(alpha=py.uniform(0.001, 4.0),
                              weak=WeakClassifier(random_feature(family, py),

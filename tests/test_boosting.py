@@ -46,14 +46,14 @@ def probe_window(fires: bool) -> GrayImage:
 
 
 def probe_sample(fires: bool, label: int) -> LabeledSample:
-    return LabeledSample.from_window(probe_window(fires), label)
+    return LabeledSample(probe_window(fires), label)
 
 
 def test_labeled_sample_validation(rng):
     with pytest.raises(ValueError):
-        LabeledSample.from_window(GrayImage.constant(8, 8, 0), 1)
+        LabeledSample(GrayImage.constant(8, 8, 0), 1)
     with pytest.raises(ValueError):
-        LabeledSample.from_window(rand_window(rng), 0)
+        LabeledSample(rand_window(rng), 0)
 
 
 def test_weight_distribution_invariants():
@@ -61,6 +61,10 @@ def test_weight_distribution_invariants():
         WeightDistribution(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         WeightDistribution(np.array([1.5, -0.5]))
+    for bad in (np.nan, np.inf):
+        # NaN fails both the sign and the sum test, so only a finiteness check catches it
+        with pytest.raises(ValueError, match="finite"):
+            WeightDistribution(np.array([bad, 1.0]))
     d = WeightDistribution.uniform(4)
     assert d.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -80,7 +84,7 @@ def test_weak_predict_sign_symmetry(rng):
     py = random.Random(41)
     for _ in range(100):
         f = random_feature(FeatureKind.HAAR, py)
-        s = LabeledSample.from_window(rand_window(rng), 1)
+        s = LabeledSample(rand_window(rng), 1)
         assert (weak_predict(WeakClassifier(f, -1), s)
                 == -weak_predict(WeakClassifier(f, 1), s))
 
@@ -263,14 +267,14 @@ def test_score_matches_direct_sum(rng):
                                 weak=WeakClassifier(random_feature(fam, py),
                                                     py.choice((-1, 1)))))
         model = StrongClassifier(stages=tuple(stages))
-        sample = LabeledSample.from_window(rand_window(rng), 1)
+        sample = LabeledSample(rand_window(rng), 1)
         expected = sum(st.alpha * weak_predict(st.weak, sample) for st in model.stages)
         assert score(model, sample) == expected
 
 
 def test_classify_monotone_in_bias(rng):
     py = random.Random(47)
-    sample = LabeledSample.from_window(rand_window(rng), 1)
+    sample = LabeledSample(rand_window(rng), 1)
     model = StrongClassifier(stages=(
         Stage(1.0, WeakClassifier(random_feature(FeatureKind.HAAR, py), 1)),))
     labels = [classify(model, sample, bias) for bias in (-2.0, -1.0, 0.0, 1.0, 2.0)]
@@ -286,3 +290,16 @@ def test_training_is_deterministic():
     b = train_detector(samples, 4, config)
     assert a.model == b.model
     assert a.rounds == b.rounds
+
+
+def test_train_error_matches_classify():
+    # train keeps its own running margins; every round's train_error must
+    # agree with classify on the model cut to that round, the last included
+    samples = training_samples(20, 30, seed=5)
+    result = train_detector(samples, 6, LearnerConfig(
+        family=FeatureKind.HAAR, population_size=30, generations=6, seed=2))
+    assert len(result.rounds) == len(result.model.stages) > 1
+    for t, row in enumerate(result.rounds, start=1):
+        model = StrongClassifier(stages=result.model.stages[:t])
+        wrong = sum(classify(model, s) != s.label for s in samples)
+        assert row.train_error == wrong / len(samples)

@@ -232,3 +232,46 @@ def test_manifest_validates_files(tmp_path):
     assert len(m.positives) == 1 and len(m.negatives) == 1
     with pytest.raises(FileNotFoundError):
         DatasetManifest(positives=(str(pos / "missing.pgm"),), negatives=())
+
+
+def _one_stage_model(path):
+    from boostdet.boosting import Stage, StrongClassifier, WeakClassifier
+    from boostdet.features import ControlPointsFeature
+    from boostdet.modelio import save_model
+
+    feature = ControlPointsFeature(pos_points=((0, 0),), neg_points=((1, 1),), separation=10)
+    save_model(StrongClassifier(stages=(Stage(1.0, WeakClassifier(feature, 1)),)), path)
+
+
+@pytest.mark.parametrize("value", ["nan", "0", "-0.5", "1.5"])
+def test_bad_iou_flags_are_data_errors(tmp_path, dataset, capsys, value):
+    model = tmp_path / "model.txt"
+    _one_stage_model(model)
+    out = tmp_path / "d.csv"
+    assert main(["detect", "--model", str(model), "--frames", str(dataset / "frames"),
+                 "--out", str(out), "--nms-iou", value]) == 2
+    assert "--nms-iou" in capsys.readouterr().err
+    assert not out.exists()
+
+    ann = tmp_path / "ann.txt"
+    ann.write_text("f0.pgm 10 10 30 20\n")
+    dets = tmp_path / "dets.csv"
+    dets.write_text("frame_id,x,y,w,h,margin\nf0.pgm,10,10,30,20,1.0\n")
+    assert main(["eval", "--detections", str(dets), "--annotations", str(ann),
+                 "--roc-out", str(tmp_path / "roc.csv"),
+                 "--pr-out", str(tmp_path / "pr.csv"), "--iou", value]) == 2
+    assert "--iou" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+def test_non_finite_margin_names_line(tmp_path, capsys, margin):
+    dets = tmp_path / "dets.csv"
+    dets.write_text(f"frame_id,x,y,w,h,margin\nf0.pgm,1,2,3,4,2.0\nf0.pgm,1,2,3,4,{margin}\n")
+    with pytest.raises(ValueError, match=r"dets\.csv:3: margin must be finite"):
+        parse_detections_csv(dets)
+    ann = tmp_path / "ann.txt"
+    ann.write_text("f0.pgm 1 2 3 4\n")
+    assert main(["eval", "--detections", str(dets), "--annotations", str(ann),
+                 "--roc-out", str(tmp_path / "roc.csv"),
+                 "--pr-out", str(tmp_path / "pr.csv")]) == 2
+    assert ":3" in capsys.readouterr().err

@@ -259,3 +259,11 @@ def test_nms_output_properties(seed, thr):
     for d in dets:
         if d not in kept:
             assert any(iou(d.box, k.box) >= thr for k in kept)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.5, 1.5, float("inf")])
+def test_nms_rejects_threshold_outside_unit_interval(bad):
+    disjoint = [Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(50, 50, 10, 10), 0.5)]
+    with pytest.raises(ValueError, match="overlap_threshold"):
+        nms(disjoint, overlap_threshold=bad)
+    assert nms(disjoint, overlap_threshold=1.0) == disjoint

@@ -206,3 +206,14 @@ def test_default_sweep_has_sentinels():
     sweep = default_bias_sweep(detections)
     assert sweep[0] == math.inf and sweep[-1] == -math.inf
     assert sweep[1:-1] == [2.0, 1.0]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.5, 1.5, float("inf")])
+def test_iou_threshold_outside_unit_interval_is_rejected(bad):
+    with pytest.raises(ValueError, match="iou_threshold"):
+        match_frame([det(10, 10, 20, 20)], truth(BOX), iou_threshold=bad)
+    with pytest.raises(ValueError, match="iou_threshold"):
+        roc_curve({"f0": [det(10, 10, 20, 20)]}, [truth(BOX)], iou_threshold=bad)
+    with pytest.raises(ValueError, match="iou_threshold"):
+        pr_curve({}, [], iou_threshold=bad)
+    assert match_frame([det(10, 10, 20, 20)], truth(BOX), iou_threshold=1.0) == MatchResult(1, 0, 0)

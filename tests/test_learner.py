@@ -155,7 +155,7 @@ def test_epsilon_never_exceeds_half(rng):
     windows = [rand_window(rng) for _ in range(40)]
     labels = [1 if rng.random() < 0.5 else -1 for _ in range(40)]
     labels[0], labels[1] = 1, -1
-    samples = [LabeledSample.from_window(w, label) for w, label in zip(windows, labels)]
+    samples = [LabeledSample(w, label) for w, label in zip(windows, labels)]
     for family in FeatureKind:
         config = LearnerConfig(family=family, population_size=20, generations=3,
                                seed=17)
@@ -185,6 +185,9 @@ def test_config_validation():
         LearnerConfig(family=FeatureKind.HAAR, generations=0)
     with pytest.raises(ValueError, match="parallel_workers"):
         LearnerConfig(family=FeatureKind.HAAR, parallel_workers=0)
+    for stall_limit in (0, -1):
+        with pytest.raises(ValueError, match="stall_limit"):
+            LearnerConfig(family=FeatureKind.HAAR, stall_limit=stall_limit)
 
 
 def test_derive_seed_distinct():

@@ -34,7 +34,7 @@ def test_round_trip_preserves_predictions(rng):
     model = mixed_model(random.Random(5))
     back = parse_model(dump_model(model))
     for _ in range(100):
-        sample = LabeledSample.from_window(rand_window(rng), 1)
+        sample = LabeledSample(rand_window(rng), 1)
         assert score(model, sample) == score(back, sample)
 
 
