@@ -10,6 +10,10 @@ A weak classifier with zero error is kept with its error floored at
 EPS_MIN before computing its vote weight, then training stops; a round
 whose error reaches 1/2 stops training without keeping the classifier.
 
+``train`` builds the crop ``WindowStack`` and label vector once and hands
+both, with the current distribution and the round number, to the weak
+learner, so the learner searches the same stack that scores its answer.
+
 ``weak_predictions`` (+/-polarity per window of a ``WindowStack``) and
 ``vote`` (stage-ordered sum of alpha * prediction) are the one prediction
 and vote path: training, the one-sample calls and ``detector.scan`` use them.
@@ -96,8 +100,6 @@ class StrongClassifier:
     """Weighted vote over weak classifiers, all defined on the canonical window."""
 
     stages: tuple[Stage, ...]
-    canonical_w: int = CANONICAL_W
-    canonical_h: int = CANONICAL_H
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -192,18 +194,20 @@ class TrainResult:
     stop_reason: str = "completed"
 
 
-WeakLearner = Callable[[Sequence[LabeledSample], WeightDistribution, int], WeakClassifier]
+# (crop stack, labels, current distribution, round number) -> weak classifier
+WeakLearner = Callable[[WindowStack, np.ndarray, WeightDistribution, int], WeakClassifier]
 
 
 def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
           config: TrainConfig = TrainConfig()) -> TrainResult:
     """Run up to ``rounds`` boosting rounds over ``samples``.
 
-    Each round asks ``learner`` for a weak classifier under the current
-    distribution, re-derives its weighted error, and either keeps it with
-    vote weight ln((1-e)/e) or stops: error zero keeps the stage (with the
-    error floored at EPS_MIN) and ends training, error at or above 1/2
-    ends training without keeping the stage. The per-round log carries
+    Each round asks ``learner`` for a weak classifier on the crop stack
+    and labels under the current distribution, re-derives its weighted
+    error, and either keeps it with vote weight ln((1-e)/e) or stops: error
+    zero keeps the stage (with the error floored at EPS_MIN) and ends
+    training, error at or above 1/2 ends training without keeping the
+    stage. The per-round log carries
     epsilon, beta, alpha, the running product of 2*sqrt(e(1-e)) and the
     empirical training error of the model so far.
     """
@@ -213,6 +217,7 @@ def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
     if not ((labels == 1).any() and (labels == -1).any()):
         raise ValueError("need at least one sample of each class")
 
+    labels.setflags(write=False)  # shared with the learner, like the stack
     stack = WindowStack.from_images([s.window for s in samples])
     dist = WeightDistribution.uniform(len(samples))
     stages: list[Stage] = []
@@ -222,7 +227,7 @@ def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
     stop_reason = "completed"
 
     for t in range(1, rounds + 1):
-        weak = learner(samples, dist, t)
+        weak = learner(stack, labels, dist, t)
         preds = weak_predictions(weak, stack)
         mistakes = preds != labels
         eps = float(dist.weights[mistakes].sum())

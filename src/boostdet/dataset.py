@@ -8,7 +8,7 @@ Annotation grammar, one box per line, '#' starts a comment:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .evalkit import GroundTruthFrame
 from .imaging import Rect
@@ -60,32 +60,19 @@ def list_pgm_files(directory) -> list[str]:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Paths of training crops plus evaluation frames with their truth."""
+    """Paths of positive and negative training crops."""
 
     positives: tuple[str, ...]
     negatives: tuple[str, ...]
-    frames: tuple[tuple[str, GroundTruthFrame], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         object.__setattr__(self, "positives", tuple(self.positives))
         object.__setattr__(self, "negatives", tuple(self.negatives))
-        object.__setattr__(self, "frames", tuple(self.frames))
-        for path in (*self.positives, *self.negatives, *(p for p, _ in self.frames)):
+        for path in (*self.positives, *self.negatives):
             if not os.path.isfile(path):
                 raise FileNotFoundError(f"manifest references missing file {path}")
 
     @classmethod
-    def from_dirs(cls, pos_dir: str, neg_dir: str, frames_dir: str | None = None,
-                  annotations_path: str | None = None) -> "DatasetManifest":
-        frames: list[tuple[str, GroundTruthFrame]] = []
-        if frames_dir is not None:
-            truth_by_id = {}
-            if annotations_path is not None:
-                truth_by_id = {t.frame_id: t for t in parse_annotations(annotations_path)}
-            for path in list_pgm_files(frames_dir):
-                fid = os.path.basename(path)
-                frames.append((path, truth_by_id.get(
-                    fid, GroundTruthFrame(frame_id=fid, boxes=()))))
+    def from_dirs(cls, pos_dir: str, neg_dir: str) -> "DatasetManifest":
         return cls(positives=tuple(list_pgm_files(pos_dir)),
-                   negatives=tuple(list_pgm_files(neg_dir)),
-                   frames=tuple(frames))
+                   negatives=tuple(list_pgm_files(neg_dir)))

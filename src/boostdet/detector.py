@@ -56,7 +56,11 @@ def iou(a: Rect, b: Rect) -> float:
 
 
 def pyramid_levels(frame_w: int, frame_h: int, cfg: ScanConfig) -> list[tuple[int, int, int]]:
-    """(window_w, window_h, stride) per level, largest window still fitting."""
+    """(window_w, window_h, stride) per level, largest window still fitting.
+
+    A factor close to 1 rounds consecutive powers to the same level; it is
+    kept once, so no level is scanned twice.
+    """
     levels = []
     k = 0
     while True:
@@ -65,8 +69,9 @@ def pyramid_levels(frame_w: int, frame_h: int, cfg: ScanConfig) -> list[tuple[in
         h = int(round(CANONICAL_H * factor))
         if w > frame_w or h > frame_h:
             break
-        if w >= cfg.min_window_w:
-            levels.append((w, h, max(1, int(round(cfg.stride * factor)))))
+        level = (w, h, max(1, int(round(cfg.stride * factor))))
+        if w >= cfg.min_window_w and (not levels or level != levels[-1]):
+            levels.append(level)
         k += 1
     return levels
 

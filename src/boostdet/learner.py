@@ -5,6 +5,10 @@ mutated elites plus a trickle of fresh random genomes, stop on stall or
 generation budget. Every genome is drawn from its own RNG stream derived
 from (seed, candidate index), and candidates are scored in index order on
 the calling thread.
+
+``search_best`` takes only what the search reads: the distribution, the
+window stack with its labels (built once by ``boosting.train``) and the
+config, whose ``family`` is the family drawn from.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boosting import LabeledSample, WeakClassifier, WeightDistribution
+from .boosting import WeakClassifier, WeightDistribution
 from .features import (
     CANONICAL_H,
     CANONICAL_W,
@@ -291,24 +295,22 @@ def _evaluate(feature: Feature, stack: WindowStack, weights: np.ndarray,
                      epsilon=eps_plus)
 
 
-def search_best(family: FeatureKind, dist: WeightDistribution,
-                samples: Sequence[LabeledSample], config: LearnerConfig,
-                stack: WindowStack | None = None,
+def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray,
+                config: LearnerConfig,
                 seed_features: Sequence[Feature] | None = None,
                 progress: Callable[[int, float, float], None] | None = None) -> Candidate:
-    """Best weak classifier found for ``family`` under ``dist``.
+    """Best weak classifier of ``config.family`` on ``stack`` under ``dist``.
 
-    Both polarities are scored for every genome, so the returned error
-    never exceeds 0.5. ``seed_features`` are planted into the initial
-    population (ahead of the random draws), ``progress`` receives
-    (generation, best_epsilon, mean_epsilon) once per generation.
+    ``labels`` holds the -1/+1 label of each window of ``stack``. Both
+    polarities are scored for every genome, so the returned error never
+    exceeds 0.5. ``seed_features`` are planted into the initial population
+    (ahead of the random draws), ``progress`` receives (generation,
+    best_epsilon, mean_epsilon) once per generation.
     """
-    if len(dist) != len(samples):
-        raise ValueError(f"{len(dist)} weights for {len(samples)} samples")
-    if stack is None:
-        stack = WindowStack.from_images([s.window for s in samples])
+    if not len(dist) == len(stack) == len(labels):
+        raise ValueError(f"{len(dist)} weights, {len(stack)} windows and "
+                         f"{len(labels)} labels must match")
     weights = dist.weights
-    labels = np.array([s.label for s in samples])
 
     # every candidate gets a unique id; its RNG stream derives from the id,
     # and ties in epsilon resolve by id, so the search is reproducible
@@ -326,7 +328,7 @@ def search_best(family: FeatureKind, dist: WeightDistribution,
         (new_id(), f) for f in list(seed_features or [])[:config.population_size]]
     while len(genomes) < config.population_size:
         cid = new_id()
-        genomes.append((cid, random_feature(family, stream(cid))))
+        genomes.append((cid, random_feature(config.family, stream(cid))))
     population = [(cid, _evaluate(g, stack, weights, labels)) for cid, g in genomes]
 
     elite_n = max(1, config.population_size // 4)
@@ -354,7 +356,7 @@ def search_best(family: FeatureKind, dist: WeightDistribution,
             cid = new_id()
             rng = stream(cid)
             if k < fresh_n:
-                offspring.append((cid, random_feature(family, rng)))
+                offspring.append((cid, random_feature(config.family, rng)))
             else:
                 child = elites[(k - fresh_n) % elite_n][1].weak.feature
                 for _ in range(rng.randint(*MUTATIONS_PER_CHILD)):

@@ -3,6 +3,8 @@
 One stage per line, fields named, floats printed with repr so a
 save/load round trip reproduces predictions exactly. The format is
 line-oriented and human-diffable; parse errors name their line.
+``LAYOUT`` defines each family's stage fields once, for the writer and
+the reader alike, and the reader rejects a missing, unknown or repeated key.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from .features import (
     CANONICAL_W,
     ChainFeature,
     ControlPointsFeature,
-    Feature,
     FeatureKind,
     HaarFeature,
     SymmetricHaarFeature,
@@ -33,29 +34,26 @@ def _rect_str(r: Rect) -> str:
     return f"{r.x},{r.y},{r.w},{r.h}"
 
 
-def _parse_rect(text: str, where: str) -> Rect:
+def _parse_rect(text: str) -> Rect:
     parts = text.split(",")
     if len(parts) != 4:
-        raise ModelFormatError(f"{where}: rect needs 4 comma-separated integers, got {text!r}")
-    try:
-        x, y, w, h = (int(p) for p in parts)
-        return Rect(x=x, y=y, w=w, h=h)
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from None
+        raise ValueError(f"rect needs 4 comma-separated integers, got {text!r}")
+    x, y, w, h = (int(p) for p in parts)
+    return Rect(x=x, y=y, w=w, h=h)
 
 
 def _points_str(points) -> str:
     return ";".join(f"{x}:{y}" for x, y in points)
 
 
-def _parse_points(text: str, where: str) -> tuple[tuple[int, int], ...]:
+def _parse_points(text: str) -> tuple[tuple[int, int], ...]:
     points = []
     for item in text.split(";"):
         try:
             x, y = item.split(":")
             points.append((int(x), int(y)))
         except ValueError:
-            raise ModelFormatError(f"{where}: bad point {item!r}") from None
+            raise ValueError(f"bad point {item!r}") from None
     return tuple(points)
 
 
@@ -63,47 +61,57 @@ def _chain_str(chain) -> str:
     return ";".join(f"{x}:{y}:{'+' if t else '-'}" for x, y, t in chain)
 
 
-def _parse_chain(text: str, where: str) -> tuple[tuple[int, int, bool], ...]:
+def _parse_chain(text: str) -> tuple[tuple[int, int, bool], ...]:
     chain = []
     for item in text.split(";"):
         parts = item.split(":")
         if len(parts) != 3 or parts[2] not in ("+", "-"):
-            raise ModelFormatError(f"{where}: bad chain point {item!r}")
+            raise ValueError(f"bad chain point {item!r}")
         try:
             chain.append((int(parts[0]), int(parts[1]), parts[2] == "+"))
         except ValueError:
-            raise ModelFormatError(f"{where}: bad chain point {item!r}") from None
+            raise ValueError(f"bad chain point {item!r}") from None
     return tuple(chain)
 
 
-def _feature_fields(feature: Feature) -> list[tuple[str, str]]:
-    if isinstance(feature, HaarFeature):
-        return [("a", _rect_str(feature.rect_a)), ("b", _rect_str(feature.rect_b)),
-                ("t", repr(feature.threshold))]
-    if isinstance(feature, ControlPointsFeature):
-        return [("pos", _points_str(feature.pos_points)),
-                ("neg", _points_str(feature.neg_points)),
-                ("v", str(feature.separation))]
-    if isinstance(feature, SymmetricHaarFeature):
-        return [("la", _rect_str(feature.left_a)), ("lb", _rect_str(feature.left_b)),
-                ("ma", _rect_str(feature.mid_a)), ("mb", _rect_str(feature.mid_b)),
-                ("t1", repr(feature.t_left)), ("t2", repr(feature.t_right)),
-                ("t3", repr(feature.t_mid)), ("td1", repr(feature.sym_tol)),
-                ("td2", repr(feature.mid_margin))]
-    if isinstance(feature, ChainFeature):
-        return [("chain", _chain_str(feature.chain)), ("v", str(feature.separation))]
-    raise TypeError(f"not a feature: {feature!r}")
+# (write, read) pair per field type; a reader raises ValueError on bad text
+_RECT = (_rect_str, _parse_rect)
+_FLOAT = (repr, float)
+_INT = (str, int)
+_POINTS = (_points_str, _parse_points)
+_CHAIN = (_chain_str, _parse_chain)
+
+# the model-file layout of each family: feature type and, in file order,
+# (key, attribute, codec) for every field of a stage line after the common
+# family/polarity/alpha keys
+LAYOUT = {
+    FeatureKind.HAAR: (HaarFeature, (
+        ("a", "rect_a", _RECT), ("b", "rect_b", _RECT), ("t", "threshold", _FLOAT))),
+    FeatureKind.CONTROL_POINTS: (ControlPointsFeature, (
+        ("pos", "pos_points", _POINTS), ("neg", "neg_points", _POINTS),
+        ("v", "separation", _INT))),
+    FeatureKind.SYMMETRIC_HAAR: (SymmetricHaarFeature, (
+        ("la", "left_a", _RECT), ("lb", "left_b", _RECT),
+        ("ma", "mid_a", _RECT), ("mb", "mid_b", _RECT),
+        ("t1", "t_left", _FLOAT), ("t2", "t_right", _FLOAT), ("t3", "t_mid", _FLOAT),
+        ("td1", "sym_tol", _FLOAT), ("td2", "mid_margin", _FLOAT))),
+    FeatureKind.CHAIN: (ChainFeature, (
+        ("chain", "chain", _CHAIN), ("v", "separation", _INT))),
+}
+_COMMON_KEYS = ("family", "polarity", "alpha")
 
 
 def dump_model(model: StrongClassifier) -> str:
     lines = [f"{MAGIC} format={FORMAT_VERSION}",
-             f"canonical {model.canonical_w} {model.canonical_h}",
+             f"canonical {CANONICAL_W} {CANONICAL_H}",
              f"stages {len(model.stages)}"]
     for stage in model.stages:
-        fields = [("family", kind_of(stage.weak.feature).value),
-                  ("polarity", str(stage.weak.polarity)),
+        feature = stage.weak.feature
+        kind = kind_of(feature)
+        fields = [("family", kind.value), ("polarity", str(stage.weak.polarity)),
                   ("alpha", repr(stage.alpha))]
-        fields += _feature_fields(stage.weak.feature)
+        fields += [(key, write(getattr(feature, attr)))
+                   for key, attr, (write, _) in LAYOUT[kind][1]]
         lines.append("stage " + " ".join(f"{k}={v}" for k, v in fields))
     return "\n".join(lines) + "\n"
 
@@ -113,61 +121,34 @@ def save_model(model: StrongClassifier, path) -> None:
         fh.write(dump_model(model))
 
 
-def _fields_dict(tokens: list[str], where: str) -> dict[str, str]:
-    out = {}
-    for tok in tokens:
+def _parse_stage(line: str, where: str) -> Stage:
+    fields: dict[str, str] = {}
+    for tok in line.split()[1:]:
         if "=" not in tok:
             raise ModelFormatError(f"{where}: expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        out[k] = v
-    return out
-
-
-def _require(fields: dict[str, str], key: str, where: str) -> str:
-    if key not in fields:
-        raise ModelFormatError(f"{where}: missing field {key!r}")
-    return fields[key]
-
-
-def _parse_stage(line: str, where: str) -> Stage:
-    tokens = line.split()
-    fields = _fields_dict(tokens[1:], where)
-    family = _require(fields, "family", where)
+        key, value = tok.split("=", 1)
+        if key in fields:
+            raise ModelFormatError(f"{where}: repeated key {key!r}")
+        fields[key] = value
+    if "family" not in fields:
+        raise ModelFormatError(f"{where}: missing field 'family'")
     try:
-        kind = FeatureKind(family)
+        kind = FeatureKind(fields["family"])
     except ValueError:
-        raise ModelFormatError(f"{where}: unknown family {family!r}") from None
+        raise ModelFormatError(f"{where}: unknown family {fields['family']!r}") from None
+    feature_type, layout = LAYOUT[kind]
+    keys = _COMMON_KEYS + tuple(key for key, _, _ in layout)
+    for key in keys:
+        if key not in fields:
+            raise ModelFormatError(f"{where}: missing field {key!r}")
+    for key in fields:
+        if key not in keys:
+            raise ModelFormatError(f"{where}: unknown key {key!r} for family {kind.value}")
     try:
-        polarity = int(_require(fields, "polarity", where))
-        alpha = float(_require(fields, "alpha", where))
-        if kind is FeatureKind.HAAR:
-            feature: Feature = HaarFeature(
-                rect_a=_parse_rect(_require(fields, "a", where), where),
-                rect_b=_parse_rect(_require(fields, "b", where), where),
-                threshold=float(_require(fields, "t", where)))
-        elif kind is FeatureKind.CONTROL_POINTS:
-            feature = ControlPointsFeature(
-                pos_points=_parse_points(_require(fields, "pos", where), where),
-                neg_points=_parse_points(_require(fields, "neg", where), where),
-                separation=int(_require(fields, "v", where)))
-        elif kind is FeatureKind.SYMMETRIC_HAAR:
-            feature = SymmetricHaarFeature(
-                left_a=_parse_rect(_require(fields, "la", where), where),
-                left_b=_parse_rect(_require(fields, "lb", where), where),
-                mid_a=_parse_rect(_require(fields, "ma", where), where),
-                mid_b=_parse_rect(_require(fields, "mb", where), where),
-                t_left=float(_require(fields, "t1", where)),
-                t_right=float(_require(fields, "t2", where)),
-                t_mid=float(_require(fields, "t3", where)),
-                sym_tol=float(_require(fields, "td1", where)),
-                mid_margin=float(_require(fields, "td2", where)))
-        else:
-            feature = ChainFeature(
-                chain=_parse_chain(_require(fields, "chain", where), where),
-                separation=int(_require(fields, "v", where)))
-        return Stage(alpha=alpha, weak=WeakClassifier(feature=feature, polarity=polarity))
-    except ModelFormatError:
-        raise
+        feature = feature_type(**{attr: read(fields[key])
+                                  for key, attr, (_, read) in layout})
+        weak = WeakClassifier(feature=feature, polarity=int(fields["polarity"]))
+        return Stage(alpha=float(fields["alpha"]), weak=weak)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
 
@@ -195,6 +176,9 @@ def parse_model(text: str, source: str = "<model>") -> StrongClassifier:
         n_stages = int(count_line[1])
     except ValueError as exc:
         raise ModelFormatError(f"{source}: bad header number: {exc}") from None
+    if n_stages < 1:
+        raise ModelFormatError(
+            f"{source}:3: a model holds at least one stage, header declares {n_stages}")
     if (canonical_w, canonical_h) != (CANONICAL_W, CANONICAL_H):
         raise ModelFormatError(
             f"{source}:2: model uses a {canonical_w}x{canonical_h} window, "
@@ -210,8 +194,7 @@ def parse_model(text: str, source: str = "<model>") -> StrongClassifier:
     if len(stages) != n_stages:
         raise ModelFormatError(
             f"{source}: header declares {n_stages} stages, found {len(stages)}")
-    return StrongClassifier(stages=tuple(stages), canonical_w=canonical_w,
-                            canonical_h=canonical_h)
+    return StrongClassifier(stages=tuple(stages))
 
 
 def load_model(path) -> StrongClassifier:

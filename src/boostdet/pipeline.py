@@ -1,4 +1,9 @@
-"""Glue binding the boosting loop to the evolutionary weak learner."""
+"""Glue binding the boosting loop to the evolutionary weak learner.
+
+``search_best`` and ``train`` are called through this module's names, so
+a wrapper installed on ``pipeline.search_best`` or ``pipeline.train``
+sees every call that ``train_detector`` makes.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ from dataclasses import replace
 from typing import Callable, Sequence
 
 from .boosting import LabeledSample, TrainConfig, TrainResult, train
-from .features import WindowStack
 from .learner import LearnerConfig, derive_seed, search_best
 
 
@@ -17,20 +21,17 @@ def train_detector(samples: Sequence[LabeledSample], rounds: int,
                    ) -> TrainResult:
     """Boost ``rounds`` weak classifiers found by the evolutionary search.
 
-    The sample stack is built once and shared across rounds; each round
-    searches under a seed derived from (base seed, round), so the whole
-    run is reproducible from the config alone. ``progress`` receives
-    (round, generation, best_epsilon, mean_epsilon) ticks from inside
-    the search.
+    ``train`` builds the sample stack once and passes it to every round's
+    search; each round searches under a seed derived from (base seed,
+    round), so the whole run is reproducible from the config alone.
+    ``progress`` receives (round, generation, best_epsilon, mean_epsilon)
+    ticks from inside the search.
     """
-    stack = WindowStack.from_images([s.window for s in samples])
-
-    def learner(smp, dist, t):
+    def learner(stack, labels, dist, t):
         sink = None
         if progress is not None:
             sink = lambda gen, best, mean: progress(t, gen, best, mean)
         cfg = replace(learner_config, seed=derive_seed(learner_config.seed, t))
-        return search_best(cfg.family, dist, smp, cfg, stack=stack,
-                           progress=sink).weak
+        return search_best(dist, stack, labels, cfg, progress=sink).weak
 
     return train(samples, rounds, learner, train_config)

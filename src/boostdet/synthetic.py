@@ -129,6 +129,8 @@ def write_dataset(out_dir: str, n_pos: int, n_neg: int, n_frames: int, seed: int
                   frame_w: int = 128, frame_h: int = 96) -> None:
     """Write pos/, neg/, frames/ PGM crops and annotations.txt under out_dir.
 
+    The crops are the windows of ``training_samples(n_pos, n_neg, seed)``.
+
     Frame ids in the annotation file are the bare .pgm file names, the
     same ids the detect command derives from a frame directory.
     """
@@ -138,11 +140,11 @@ def write_dataset(out_dir: str, n_pos: int, n_neg: int, n_frames: int, seed: int
     for d in (pos_dir, neg_dir, frames_dir):
         os.makedirs(d, exist_ok=True)
 
-    rng = np.random.default_rng([seed, 1])
-    for i in range(n_pos):
-        save_pgm(target_window(rng), os.path.join(pos_dir, f"pos_{i:04d}.pgm"))
-    for i in range(n_neg):
-        save_pgm(noise_window(rng), os.path.join(neg_dir, f"neg_{i:04d}.pgm"))
+    samples = training_samples(n_pos, n_neg, seed)
+    for i, s in enumerate(samples[:n_pos]):
+        save_pgm(s.window, os.path.join(pos_dir, f"pos_{i:04d}.pgm"))
+    for i, s in enumerate(samples[n_pos:]):
+        save_pgm(s.window, os.path.join(neg_dir, f"neg_{i:04d}.pgm"))
 
     truths = []
     for i, (frame, boxes) in enumerate(frame_sequence(n_frames, seed, frame_w, frame_h)):

@@ -131,15 +131,15 @@ def test_criterion_3_adaboost_algebra(family, samples200):
     stack = WindowStack.from_images([s.window for s in samples])
     labels = np.array([s.label for s in samples])
 
-    def learner(smp, dist, t):
+    def learner(stack, labels, dist, t):
         cfg = replace(config, seed=derive_seed(config.seed, t))
-        return search_best(cfg.family, dist, smp, cfg, stack=stack).weak
+        return search_best(dist, stack, labels, cfg).weak
 
     # replay the exact loop to observe every distribution
     dist = WeightDistribution.uniform(len(samples))
     replayed = []
     for t in range(1, len(result.rounds) + 1):
-        weak = learner(samples, dist, t)
+        weak = learner(stack, labels, dist, t)
         fired = eval_batch(weak.feature, stack)
         preds = np.where(fired, weak.polarity, -weak.polarity)
         eps = float(dist.weights[preds != labels].sum())

@@ -164,7 +164,7 @@ def test_update_weights_half_error_property(rng):
 
 
 def _const_learner(weak: WeakClassifier):
-    return lambda samples, dist, t: weak
+    return lambda stack, labels, dist, t: weak
 
 
 def test_train_perfect_learner_stops_with_one_stage():
@@ -196,10 +196,44 @@ def test_train_validates_inputs():
         train([probe_sample(True, 1)], 3, _const_learner(WeakClassifier(PROBE, 1)))
 
 
-def _search_learner(config: LearnerConfig, stack: WindowStack):
-    def learner(samples, dist, t):
+def test_train_hands_learner_its_stack_and_labels():
+    samples = [probe_sample(True, 1), probe_sample(False, 1),
+               probe_sample(True, -1), probe_sample(False, -1)]
+    seen = []
+
+    def learner(stack, labels, dist, t):
+        seen.append((stack, labels, dist, t))
+        return WeakClassifier(PROBE, 1)
+
+    train(samples, 3, learner)
+    assert len(seen) == 1  # epsilon 1/2 ends training after the first call
+    stack, labels, dist, t = seen[0]
+    assert t == 1 and len(stack) == len(samples)
+    assert labels.tolist() == [1, 1, -1, -1]
+    assert eval_batch(PROBE, stack).tolist() == [True, False, True, False]
+    assert dist.weights.tolist() == [0.25] * 4
+
+
+def test_train_detector_builds_the_stack_once(monkeypatch):
+    samples = training_samples(10, 10, seed=3)
+    built = []
+    from_images = WindowStack.from_images.__func__
+
+    def counting(cls, windows):
+        built.append(len(windows))
+        return from_images(cls, windows)
+
+    monkeypatch.setattr(WindowStack, "from_images", classmethod(counting))
+    result = train_detector(samples, 3, LearnerConfig(
+        family=FeatureKind.HAAR, population_size=20, generations=3, seed=2))
+    assert len(result.rounds) > 1
+    assert built == [len(samples)]
+
+
+def _search_learner(config: LearnerConfig):
+    def learner(stack, labels, dist, t):
         cfg = replace(config, seed=derive_seed(config.seed, t))
-        return search_best(cfg.family, dist, samples, cfg, stack=stack).weak
+        return search_best(dist, stack, labels, cfg).weak
     return learner
 
 
@@ -209,7 +243,7 @@ def test_train_replay_matches_and_keeps_invariants():
     labels = np.array([s.label for s in samples])
     config = LearnerConfig(family=FeatureKind.CHAIN, population_size=40,
                            generations=8, seed=2)
-    learner = _search_learner(config, stack)
+    learner = _search_learner(config)
     rounds = 8
     result = train(samples, rounds, learner)
 
@@ -217,7 +251,7 @@ def test_train_replay_matches_and_keeps_invariants():
     dist = WeightDistribution.uniform(len(samples))
     replayed_alphas = []
     for t in range(1, len(result.rounds) + 1):
-        weak = learner(samples, dist, t)
+        weak = learner(stack, labels, dist, t)
         fired = eval_batch(weak.feature, stack)
         preds = np.where(fired, weak.polarity, -weak.polarity)
         eps = float(dist.weights[preds != labels].sum())

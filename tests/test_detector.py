@@ -72,6 +72,15 @@ def test_pyramid_levels_growth():
     assert all(w >= 40 for w, _, _ in filtered)
 
 
+def test_pyramid_levels_are_distinct():
+    # factors near 1 round consecutive powers to the same window size
+    levels = pyramid_levels(128, 96, ScanConfig(scale_factor=1.01))
+    assert len(levels) == 117
+    assert levels == sorted(set(levels))
+    assert levels[:2] == [(32, 24, 2), (33, 24, 2)]
+    assert len(pyramid_levels(128, 96, ScanConfig())) == 7
+
+
 def test_scan_small_frame_is_empty(rng):
     model = random_model(random.Random(3))
     frame = rand_image(rng, CANONICAL_W - 1, CANONICAL_H * 2)

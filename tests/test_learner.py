@@ -12,6 +12,8 @@ from boostdet.features import (
     FeatureKind,
     HaarFeature,
     SymmetricHaarFeature,
+    WindowStack,
+    eval_batch,
     validate_chain,
 )
 from boostdet.learner import (
@@ -88,6 +90,12 @@ def _uniform(samples):
     return WeightDistribution.uniform(len(samples))
 
 
+def _stack_labels(samples):
+    """The crop stack and label vector that ``boosting.train`` hands the learner."""
+    return (WindowStack.from_images([s.window for s in samples]),
+            np.array([s.label for s in samples]))
+
+
 @pytest.fixture(scope="module")
 def small_set():
     return training_samples(30, 60, seed=5)
@@ -99,9 +107,9 @@ def test_planted_perfect_feature_is_kept(small_set):
     # previous search and check elitism preserves a zero-error plant
     config = LearnerConfig(family=FeatureKind.CONTROL_POINTS, population_size=20,
                            generations=4, seed=1)
-    best = search_best(config.family, _uniform(small_set), small_set, config)
+    best = search_best(_uniform(small_set), *_stack_labels(small_set), config)
     planted = best.weak.feature
-    again = search_best(config.family, _uniform(small_set), small_set,
+    again = search_best(_uniform(small_set), *_stack_labels(small_set),
                         replace(config, seed=999), seed_features=[planted])
     assert again.epsilon <= best.epsilon
 
@@ -109,9 +117,9 @@ def test_planted_perfect_feature_is_kept(small_set):
 def test_search_never_beats_planted_zero(small_set):
     config = LearnerConfig(family=FeatureKind.HAAR, population_size=30,
                            generations=10, seed=2)
-    best = search_best(config.family, _uniform(small_set), small_set, config)
+    best = search_best(_uniform(small_set), *_stack_labels(small_set), config)
     if best.epsilon == 0.0:
-        replay = search_best(config.family, _uniform(small_set), small_set,
+        replay = search_best(_uniform(small_set), *_stack_labels(small_set),
                              replace(config, generations=1),
                              seed_features=[best.weak.feature])
         assert replay.epsilon == 0.0
@@ -122,13 +130,11 @@ def test_result_not_worse_than_initial_population(small_set):
     config = LearnerConfig(family=FeatureKind.CHAIN, population_size=50,
                            generations=12, seed=11)
     dist = _uniform(small_set)
-    best = search_best(config.family, dist, small_set, config)
+    best = search_best(dist, *_stack_labels(small_set), config)
     # the initial genomes are reconstructible from the per-candidate streams
     initial = [random_feature(config.family, random.Random(derive_seed(config.seed, i)))
                for i in range(config.population_size)]
-    from boostdet.features import WindowStack, eval_batch
-    stack = WindowStack.from_images([s.window for s in small_set])
-    labels = np.array([s.label for s in small_set])
+    stack, labels = _stack_labels(small_set)
     initial_eps = []
     for f in initial:
         fired = eval_batch(f, stack)
@@ -142,7 +148,7 @@ def test_best_so_far_is_monotone(small_set):
     history = []
     config = LearnerConfig(family=FeatureKind.SYMMETRIC_HAAR, population_size=40,
                            generations=15, seed=13)
-    search_best(config.family, _uniform(small_set), small_set, config,
+    search_best(_uniform(small_set), *_stack_labels(small_set), config,
                 progress=lambda gen, best, mean: history.append((gen, best, mean)))
     bests = [b for _, b, _ in history]
     assert bests == sorted(bests, reverse=True) or all(
@@ -159,18 +165,35 @@ def test_epsilon_never_exceeds_half(rng):
     for family in FeatureKind:
         config = LearnerConfig(family=family, population_size=20, generations=3,
                                seed=17)
-        best = search_best(family, _uniform(samples), samples, config)
+        best = search_best(_uniform(samples), *_stack_labels(samples), config)
         assert best.epsilon <= 0.5 + 1e-12
 
 
 def test_search_is_deterministic_and_worker_independent(small_set):
     base = LearnerConfig(family=FeatureKind.CONTROL_POINTS, population_size=40,
                          generations=8, seed=23)
-    one = search_best(base.family, _uniform(small_set), small_set, base)
-    two = search_best(base.family, _uniform(small_set), small_set, base)
-    eight = search_best(base.family, _uniform(small_set), small_set,
+    one = search_best(_uniform(small_set), *_stack_labels(small_set), base)
+    two = search_best(_uniform(small_set), *_stack_labels(small_set), base)
+    eight = search_best(_uniform(small_set), *_stack_labels(small_set),
                         replace(base, parallel_workers=8))
     assert one == two == eight
+
+
+@pytest.mark.parametrize("family", list(FeatureKind))
+def test_search_draws_from_config_family(small_set, family):
+    # the family comes from the config alone: there is no second copy to disagree
+    config = LearnerConfig(family=family, population_size=8, generations=2, seed=29)
+    best = search_best(_uniform(small_set), *_stack_labels(small_set), config)
+    assert isinstance(best.weak.feature, FAMILY_TYPES[family])
+
+
+def test_search_rejects_mismatched_lengths(small_set):
+    config = LearnerConfig(family=FeatureKind.HAAR, population_size=4, generations=1)
+    stack, labels = _stack_labels(small_set)
+    with pytest.raises(ValueError, match="must match"):
+        search_best(_uniform(small_set[1:]), stack, labels, config)
+    with pytest.raises(ValueError, match="must match"):
+        search_best(_uniform(small_set), stack, labels[1:], config)
 
 
 def test_candidate_validation():

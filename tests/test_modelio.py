@@ -1,11 +1,16 @@
+import dataclasses
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boostdet.boosting import LabeledSample, Stage, StrongClassifier, WeakClassifier, score
 from boostdet.features import FeatureKind
 from boostdet.learner import random_feature
 from boostdet.modelio import (
+    LAYOUT,
     ModelFormatError,
     dump_model,
     load_model,
@@ -91,3 +96,97 @@ def test_non_finite_threshold_names_line(bad):
     lines[haar] = " ".join(fields)
     with pytest.raises(ModelFormatError, match=rf"m:{haar + 1}: threshold must be finite"):
         parse_model("\n".join(lines) + "\n", source="m")
+
+
+def _replace_stage_line(text: str, index: int, line: str) -> str:
+    lines = text.splitlines()
+    lines[3 + index] = line
+    return "\n".join(lines) + "\n"
+
+
+def test_zero_stages_names_line():
+    text = "boostdet-model format=1\ncanonical 32 24\nstages 0\n"
+    with pytest.raises(ModelFormatError, match=r"m:3: .*at least one stage"):
+        parse_model(text, source="m")
+
+
+@pytest.mark.parametrize("family", list(FeatureKind), ids=lambda f: f.value)
+def test_repeated_key_names_line_and_key(family):
+    model = mixed_model(random.Random(17), stages_per_family=1)
+    text = dump_model(model)
+    index = list(FeatureKind).index(family)
+    line = text.splitlines()[3 + index]
+    last = line.split()[-1]
+    broken = _replace_stage_line(text, index, f"{line} {last}")
+    key = last.split("=")[0]
+    with pytest.raises(ModelFormatError, match=rf"m:{4 + index}: repeated key '{key}'"):
+        parse_model(broken, source="m")
+
+
+@pytest.mark.parametrize("extra", ["junk=5", "t1=0.5", "chain=0:0:+"])
+def test_unknown_key_names_line_and_key(extra):
+    # the last two are valid keys of other families, not of haar
+    model = mixed_model(random.Random(19), stages_per_family=1)
+    text = dump_model(model)
+    line = text.splitlines()[3]
+    assert "family=haar" in line
+    broken = _replace_stage_line(text, 0, f"{line} {extra}")
+    key = extra.split("=")[0]
+    with pytest.raises(ModelFormatError, match=rf"m:4: unknown key '{key}'"):
+        parse_model(broken, source="m")
+
+
+def test_layout_matches_feature_fields():
+    # every field of every feature type is written, under a distinct key
+    for kind, (feature_type, layout) in LAYOUT.items():
+        attrs = [attr for _, attr, _ in layout]
+        assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(feature_type))
+        keys = [key for key, _, _ in layout]
+        assert len(set(keys)) == len(keys)
+        assert not set(keys) & {"family", "polarity", "alpha"}
+
+
+_VALID_DUMPS = [dump_model(mixed_model(random.Random(seed), stages_per_family=1))
+                for seed in (21, 23)]
+_HEADER = _VALID_DUMPS[0].splitlines()[:2]
+_STAGE_LINES = [line for text in _VALID_DUMPS for line in text.splitlines()[3:]]
+
+
+@st.composite
+def _mutated_dump(draw):
+    # valid stage lines under a matching count, then up to four edits
+    stages = draw(st.lists(st.sampled_from(_STAGE_LINES), max_size=6))
+    text = "\n".join([*_HEADER, f"stages {len(stages)}", *stages]) + "\n"
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("number", "insert", "delete", "replace", "duplicate")))
+        # a number op picks a line first, so the three header lines are hit often
+        lines = text.split("\n")
+        row = draw(st.integers(0, len(lines) - 1))
+        numbers = list(re.finditer(r"-?\d+(\.\d+)?(e[-+]?\d+)?", lines[row]))
+        if op == "number" and numbers:
+            m = draw(st.sampled_from(numbers))
+            value = draw(st.sampled_from(("0", "-1", "1", "2", "nan", "inf", "1e999", "")))
+            lines[row] = lines[row][:m.start()] + value + lines[row][m.end():]
+            text = "\n".join(lines)
+        elif op == "insert":
+            text = text[:i] + draw(st.text(max_size=8)) + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + draw(st.integers(1, 12)):]
+        elif op == "replace":
+            text = text[:i] + draw(st.sampled_from("0-1.,;:=+ \nxe")) + text[i + 1:]
+        else:
+            j = draw(st.integers(i, min(len(text), i + 40)))
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _mutated_dump()))
+@example("boostdet-model format=1\ncanonical 32 24\nstages 0\n")
+def test_parse_model_fuzz_only_raises_model_format_error(text):
+    try:
+        model = parse_model(text, source="fuzz")
+    except ModelFormatError:
+        return
+    assert isinstance(model, StrongClassifier) and model.stages
