@@ -17,21 +17,34 @@ learner, so the learner searches the same stack that scores its answer.
 ``weak_predictions`` (+/-polarity per window of a ``WindowStack``) and
 ``vote`` (stage-ordered sum of alpha * prediction) are the one prediction
 and vote path: training, the one-sample calls and ``detector.scan`` use them.
+``vote`` evaluates each run of consecutive same-family stages with one
+``features.eval_features`` call per VOTE_CHUNK stages, which bounds the
+gathered arrays of a large pyramid level.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .features import CANONICAL_H, CANONICAL_W, Feature, WindowStack, eval_batch
+from .features import (
+    CANONICAL_H,
+    CANONICAL_W,
+    Feature,
+    WindowStack,
+    eval_batch,
+    eval_features,
+)
 # build_integral is unused here, but boostbench/tracing.py wraps boosting.build_integral
 from .imaging import GrayImage, build_integral  # noqa: F401
 
 EPS_MIN = 1e-6
+# most same-family stages ``vote`` evaluates in one call
+VOTE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -107,17 +120,25 @@ class StrongClassifier:
             raise ValueError("a trained model holds at least one stage")
 
 
+def _signed(fired: np.ndarray, polarity: int) -> np.ndarray:
+    return np.where(fired, polarity, -polarity)
+
+
 def weak_predictions(h: WeakClassifier, stack: WindowStack) -> np.ndarray:
     """polarity where the feature fires, -polarity elsewhere, per window."""
-    fired = eval_batch(h.feature, stack)
-    return np.where(fired, h.polarity, -h.polarity)
+    return _signed(eval_batch(h.feature, stack), h.polarity)
 
 
 def vote(model: StrongClassifier, stack: WindowStack) -> np.ndarray:
     """Vote margin per window: sum of alpha * prediction in stage order."""
     margins = np.zeros(stack.sigma.shape)
-    for st in model.stages:
-        margins += st.alpha * weak_predictions(st.weak, stack)
+    for _, run in itertools.groupby(model.stages, key=lambda st: type(st.weak.feature)):
+        run = list(run)
+        for start in range(0, len(run), VOTE_CHUNK):
+            chunk = run[start:start + VOTE_CHUNK]
+            fired = eval_features([st.weak.feature for st in chunk], stack)
+            for st, row in zip(chunk, fired):
+                margins += st.alpha * _signed(row, st.weak.polarity)
     return margins
 
 

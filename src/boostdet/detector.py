@@ -58,10 +58,13 @@ def iou(a: Rect, b: Rect) -> float:
 def pyramid_levels(frame_w: int, frame_h: int, cfg: ScanConfig) -> list[tuple[int, int, int]]:
     """(window_w, window_h, stride) per level, largest window still fitting.
 
-    A factor close to 1 rounds consecutive powers to the same level; it is
-    kept once, so no level is scanned twice.
+    Level k rounds the sizes scaled by ``scale_factor ** k``. A factor
+    close to 1 rounds consecutive powers to the same level; it is kept
+    once, so no level is scanned twice, and the powers that provably
+    repeat it are skipped, so the walk takes a few steps per level.
     """
     levels = []
+    log_factor = math.log(cfg.scale_factor)
     k = 0
     while True:
         factor = cfg.scale_factor ** k
@@ -69,10 +72,17 @@ def pyramid_levels(frame_w: int, frame_h: int, cfg: ScanConfig) -> list[tuple[in
         h = int(round(CANONICAL_H * factor))
         if w > frame_w or h > frame_h:
             break
-        level = (w, h, max(1, int(round(cfg.stride * factor))))
+        stride = max(1, int(round(cfg.stride * factor)))
+        level = (w, h, stride)
         if w >= cfg.min_window_w and (not levels or level != levels[-1]):
             levels.append(level)
-        k += 1
+        # every factor below ``change`` rounds to this level, so the powers
+        # before ``skip_to`` repeat it: the 1e-13 taken off log(change) is
+        # far wider than the rounding error of log, / and **
+        change = min((w + 0.5) / CANONICAL_W, (h + 0.5) / CANONICAL_H,
+                     (stride + 0.5) / cfg.stride)
+        skip_to = math.floor((math.log(change) - 1e-13) / log_factor)
+        k = max(k + 1, skip_to)
     return levels
 
 

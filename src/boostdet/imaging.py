@@ -114,20 +114,33 @@ class WindowStats:
     std_dev: float
 
 
-def summed_area_tables(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Plain and squared int64 tables over the last two axes, zero first row/column."""
+def summed_area_tables(pixels: np.ndarray, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
+    """Plain and squared int64 tables over the last two axes, zero first row/column.
+
+    ``order`` is the memory layout of the tables, as for ``np.zeros``.
+    """
     px = pixels.astype(np.int64)
     shape = px.shape[:-2] + (px.shape[-2] + 1, px.shape[-1] + 1)
-    sums, sq = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    sums = np.zeros(shape, dtype=np.int64, order=order)
+    sq = np.zeros_like(sums)
     for values, table in ((px, sums), (px * px, sq)):
         np.cumsum(np.cumsum(values, axis=-2), axis=-1, out=table[..., 1:, 1:])
     return sums, sq
 
 
-def corner_sum(table: np.ndarray, x: int, y: int, w: int, h: int) -> np.ndarray:
-    """Exact sum over the rect (x, y, w, h) of every table in a stack."""
-    return (table[..., y + h, x + w] - table[..., y, x + w]
-            - table[..., y + h, x] + table[..., y, x])
+def corner_sum(table: np.ndarray, x: int | np.ndarray, y: int | np.ndarray,
+               w: int | np.ndarray, h: int | np.ndarray) -> np.ndarray:
+    """Exact sum over the rect (x, y, w, h) of every table in a stack.
+
+    ``x``, ``y``, ``w`` and ``h`` are ints or equal-length index arrays;
+    arrays sum every rect in one gather and add their axis last.
+    """
+    # one copy, then updated in place: at most two gathers are alive
+    total = np.array(table[..., y + h, x + w])
+    total -= table[..., y, x + w]
+    total -= table[..., y + h, x]
+    total += table[..., y, x]
+    return total
 
 
 def mean_and_sigma(sums: np.ndarray, squared_sums: np.ndarray, x: int, y: int,

@@ -3,8 +3,10 @@
 A mu+lambda loop: keep the best quarter of the population, refill with
 mutated elites plus a trickle of fresh random genomes, stop on stall or
 generation budget. Every genome is drawn from its own RNG stream derived
-from (seed, candidate index), and candidates are scored in index order on
-the calling thread.
+from (seed, candidate index). The initial population and each
+generation's offspring are scored by one ``features.eval_features`` call
+on the calling thread; each candidate's two errors are then summed from
+its own row, in index order.
 
 ``search_best`` takes only what the search reads: the distribution, the
 window stack with its labels (built once by ``boosting.train``) and the
@@ -14,7 +16,7 @@ config, whose ``family`` is the family drawn from.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +35,9 @@ from .features import (
     HaarFeature,
     SymmetricHaarFeature,
     WindowStack,
-    eval_batch,
+    eval_batch,  # noqa: F401  boostbench/tracing.py wraps learner.eval_batch
+    eval_features,
+    kind_of,
 )
 from .imaging import Rect
 
@@ -176,9 +180,9 @@ _MAX_MUTATE_TRIES = 25
 
 
 def _nudged_rect(r: Rect, rng: random.Random) -> Rect:
-    field = rng.choice(("x", "y", "w", "h"))
-    delta = rng.choice((-1, 1))
-    return replace(r, **{field: getattr(r, field) + delta})
+    coords = [r.x, r.y, r.w, r.h]
+    coords[rng.choice((0, 1, 2, 3))] += rng.choice((-1, 1))
+    return Rect(*coords)
 
 
 def _mutate_haar(f: HaarFeature, rng: random.Random) -> HaarFeature:
@@ -215,11 +219,15 @@ def _mutate_control_points(f: ControlPointsFeature,
 
 def _mutate_symmetric(f: SymmetricHaarFeature,
                       rng: random.Random) -> SymmetricHaarFeature:
+    # constructor order: four rects, then five thresholds
+    fields = [f.left_a, f.left_b, f.mid_a, f.mid_b,
+              f.t_left, f.t_right, f.t_mid, f.sym_tol, f.mid_margin]
     if rng.randrange(2) == 0:
-        which = rng.choice(("left_a", "left_b", "mid_a", "mid_b"))
-        return replace(f, **{which: _nudged_rect(getattr(f, which), rng)})
-    which = rng.choice(("t_left", "t_right", "t_mid", "sym_tol", "mid_margin"))
-    return replace(f, **{which: getattr(f, which) * rng.choice((0.9, 1.1))})
+        which = rng.choice((0, 1, 2, 3))
+        fields[which] = _nudged_rect(fields[which], rng)
+    else:
+        fields[rng.choice((4, 5, 6, 7, 8))] *= rng.choice((0.9, 1.1))
+    return SymmetricHaarFeature(*fields)
 
 
 def _mutate_chain(f: ChainFeature, rng: random.Random) -> ChainFeature:
@@ -282,17 +290,21 @@ def mutate(feature: Feature, rng: random.Random) -> Feature:
 # the search itself
 # ---------------------------------------------------------------------------
 
-def _evaluate(feature: Feature, stack: WindowStack, weights: np.ndarray,
-              labels: np.ndarray) -> Candidate:
-    fired = eval_batch(feature, stack)
-    mistakes_plus = np.where(fired, 1, -1) != labels
-    eps_plus = float(weights[mistakes_plus].sum())
-    eps_minus = float(weights[~mistakes_plus].sum())
-    if eps_minus < eps_plus:
-        return Candidate(weak=WeakClassifier(feature=feature, polarity=-1),
-                         epsilon=eps_minus)
-    return Candidate(weak=WeakClassifier(feature=feature, polarity=1),
-                     epsilon=eps_plus)
+def _score(genomes: Sequence[tuple[int, Feature]], stack: WindowStack,
+           weights: np.ndarray, labels: np.ndarray) -> list[tuple[int, Candidate]]:
+    """(id, candidate) per (id, feature), all features evaluated in one call."""
+    ids, features = zip(*genomes)
+    mistakes_plus = np.where(eval_features(features, stack), 1, -1) != labels
+    scored = []
+    # each error sums the selected weights of its own row, which rounds
+    # as a one-feature evaluation does; a matrix product would not
+    for cid, feature, mistakes in zip(ids, features, mistakes_plus):
+        eps_plus = float(weights[mistakes].sum())
+        eps_minus = float(weights[~mistakes].sum())
+        polarity, eps = (-1, eps_minus) if eps_minus < eps_plus else (1, eps_plus)
+        weak = WeakClassifier(feature=feature, polarity=polarity)
+        scored.append((cid, Candidate(weak=weak, epsilon=eps)))
+    return scored
 
 
 def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray,
@@ -303,13 +315,17 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
 
     ``labels`` holds the -1/+1 label of each window of ``stack``. Both
     polarities are scored for every genome, so the returned error never
-    exceeds 0.5. ``seed_features`` are planted into the initial population
-    (ahead of the random draws), ``progress`` receives (generation,
-    best_epsilon, mean_epsilon) once per generation.
+    exceeds 0.5. ``seed_features``, all of ``config.family``, are planted
+    into the initial population (ahead of the random draws), ``progress``
+    receives (generation, best_epsilon, mean_epsilon) once per generation.
     """
     if not len(dist) == len(stack) == len(labels):
         raise ValueError(f"{len(dist)} weights, {len(stack)} windows and "
                          f"{len(labels)} labels must match")
+    foreign = [f for f in seed_features or () if kind_of(f) is not config.family]
+    if foreign:
+        raise ValueError(f"seed feature {foreign[0]!r} is not of family "
+                         f"{config.family.value}")
     weights = dist.weights
 
     # every candidate gets a unique id; its RNG stream derives from the id,
@@ -329,7 +345,7 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
     while len(genomes) < config.population_size:
         cid = new_id()
         genomes.append((cid, random_feature(config.family, stream(cid))))
-    population = [(cid, _evaluate(g, stack, weights, labels)) for cid, g in genomes]
+    population = _score(genomes, stack, weights, labels)
 
     elite_n = max(1, config.population_size // 4)
     fresh_n = max(1, round(config.population_size * 0.10))
@@ -363,8 +379,7 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
                     child = mutate(child, rng)
                 offspring.append((cid, child))
 
-        population = elites + [(cid, _evaluate(g, stack, weights, labels))
-                               for cid, g in offspring]
+        population = elites + _score(offspring, stack, weights, labels)
 
         gen_best = min(population, key=lambda ic: (ic[1].epsilon, ic[0]))[1]
         if gen_best.epsilon < best.epsilon:

@@ -153,6 +153,13 @@ def _parse_stage(line: str, where: str) -> Stage:
         raise ModelFormatError(f"{where}: {exc}") from None
 
 
+def _header_number(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: bad header number: {exc}") from None
+
+
 def parse_model(text: str, source: str = "<model>") -> StrongClassifier:
     lines = text.splitlines()
     if not lines:
@@ -171,11 +178,8 @@ def parse_model(text: str, source: str = "<model>") -> StrongClassifier:
     count_line = lines[2].split()
     if len(count_line) != 2 or count_line[0] != "stages":
         raise ModelFormatError(f"{source}:3: expected 'stages N'")
-    try:
-        canonical_w, canonical_h = int(canon[1]), int(canon[2])
-        n_stages = int(count_line[1])
-    except ValueError as exc:
-        raise ModelFormatError(f"{source}: bad header number: {exc}") from None
+    canonical_w, canonical_h = (_header_number(v, f"{source}:2") for v in canon[1:])
+    n_stages = _header_number(count_line[1], f"{source}:3")
     if n_stages < 1:
         raise ModelFormatError(
             f"{source}:3: a model holds at least one stage, header declares {n_stages}")
@@ -193,7 +197,7 @@ def parse_model(text: str, source: str = "<model>") -> StrongClassifier:
         stages.append(_parse_stage(line, f"{source}:{offset}"))
     if len(stages) != n_stages:
         raise ModelFormatError(
-            f"{source}: header declares {n_stages} stages, found {len(stages)}")
+            f"{source}:3: header declares {n_stages} stages, found {len(stages)}")
     return StrongClassifier(stages=tuple(stages))
 
 

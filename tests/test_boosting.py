@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from boostdet.boosting import (
+    VOTE_CHUNK,
     LabeledSample,
     Stage,
     StrongClassifier,
@@ -17,7 +18,9 @@ from boostdet.boosting import (
     score,
     train,
     update_weights,
+    vote,
     weak_predict,
+    weak_predictions,
     weighted_error,
 )
 from boostdet.features import (
@@ -28,11 +31,11 @@ from boostdet.features import (
     WindowStack,
     eval_batch,
 )
-from boostdet.imaging import GrayImage
+from boostdet.imaging import GrayImage, build_integral
 from boostdet.learner import LearnerConfig, derive_seed, random_feature, search_best
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import training_samples
-from conftest import rand_window
+from conftest import rand_image, rand_window
 
 PROBE = ControlPointsFeature(pos_points=((0, 0),), neg_points=((1, 1),), separation=100)
 
@@ -337,3 +340,33 @@ def test_train_error_matches_classify():
         model = StrongClassifier(stages=result.model.stages[:t])
         wrong = sum(classify(model, s) != s.label for s in samples)
         assert row.train_error == wrong / len(samples)
+
+
+def _stage_by_stage(model: StrongClassifier, stack: WindowStack) -> np.ndarray:
+    margins = np.zeros(stack.sigma.shape)
+    for st in model.stages:
+        margins += st.alpha * weak_predictions(st.weak, stack)
+    return margins
+
+
+@pytest.mark.parametrize("families", [
+    "mixed",                                       # short runs of every family
+    [FeatureKind.SYMMETRIC_HAAR] * 40,             # three chunks of one family
+    [FeatureKind.HAAR] * 20 + [FeatureKind.CHAIN] * 3 + [FeatureKind.HAAR] * 17,
+], ids=["mixed", "symhaar40", "runs"])
+def test_vote_matches_stage_by_stage_sum(rng, families):
+    py = random.Random(47)
+    if families == "mixed":
+        families = [py.choice(list(FeatureKind)) for _ in range(24)]
+    model = StrongClassifier(stages=tuple(
+        Stage(alpha=py.uniform(0.05, 2.0),
+              weak=WeakClassifier(random_feature(kind, py), py.choice((-1, 1))))
+        for kind in families))
+    assert len(model.stages) > VOTE_CHUNK
+    frame = rand_image(rng, 96, 72)
+    stacks = [WindowStack.from_images([rand_window(rng) for _ in range(30)]),
+              WindowStack.from_level(build_integral(frame), frame.pixels.astype(np.int16),
+                                     40, 30, 2)]
+    for stack in stacks:
+        # bit-for-bit: the same additions in the same order
+        assert np.array_equal(vote(model, stack), _stage_by_stage(model, stack))

@@ -81,6 +81,40 @@ def test_pyramid_levels_are_distinct():
     assert len(pyramid_levels(128, 96, ScanConfig())) == 7
 
 
+def _every_power_levels(frame_w, frame_h, cfg):
+    # the walk over every power of the factor, as it stood before skipping
+    levels = []
+    k = 0
+    while True:
+        factor = cfg.scale_factor ** k
+        w = int(round(CANONICAL_W * factor))
+        h = int(round(CANONICAL_H * factor))
+        if w > frame_w or h > frame_h:
+            break
+        level = (w, h, max(1, int(round(cfg.stride * factor))))
+        if w >= cfg.min_window_w and (not levels or level != levels[-1]):
+            levels.append(level)
+        k += 1
+    return levels
+
+
+@pytest.mark.parametrize("scale_factor", [1.00001, 1.0001, 1.01, 1.1, 1.25, 1.5, 2.0])
+def test_pyramid_levels_match_every_power_walk(scale_factor):
+    for frame_w, frame_h in [(128, 96), (32, 24), (45, 200), (320, 50), (64, 48)]:
+        for stride, min_w in [(2, CANONICAL_W), (1, CANONICAL_W), (5, 40), (3, 1)]:
+            cfg = ScanConfig(scale_factor=scale_factor, stride=stride, min_window_w=min_w)
+            assert (pyramid_levels(frame_w, frame_h, cfg)
+                    == _every_power_levels(frame_w, frame_h, cfg))
+
+
+def test_pyramid_levels_skip_repeated_powers():
+    # the every-power walk takes about a million steps here
+    levels = pyramid_levels(128, 96, ScanConfig(scale_factor=1.000001))
+    assert len(levels) == 175
+    assert levels == sorted(set(levels))
+    assert levels[0] == (32, 24, 2) and levels[-1][0] == 128
+
+
 def test_scan_small_frame_is_empty(rng):
     model = random_model(random.Random(3))
     frame = rand_image(rng, CANONICAL_W - 1, CANONICAL_H * 2)

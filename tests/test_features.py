@@ -17,6 +17,7 @@ from boostdet.features import (
     WindowStack,
     eval_batch,
     eval_chain,
+    eval_features,
     eval_control_points,
     eval_feature,
     eval_haar,
@@ -28,7 +29,7 @@ from boostdet.features import (
 )
 from boostdet.imaging import BoundsError, GrayImage, Rect, build_integral
 from boostdet.learner import random_feature
-from conftest import rand_window
+from conftest import rand_image, rand_window
 from oracles import haar_rule, points_rule, symmetric_rule
 
 FULL = Rect(0, 0, CANONICAL_W, CANONICAL_H)
@@ -402,6 +403,43 @@ def test_batch_matches_scalar_all_families(rng):
             scalar = np.array([eval_feature(f, ii, w, FULL)
                                for ii, w in zip(pairs, windows)])
             assert np.array_equal(batch, scalar)
+
+
+def _stacks(rng):
+    """A crop stack, a scaled pyramid level and a single window."""
+    frame = rand_image(rng, 128, 96)
+    ii = build_integral(frame)
+    return {
+        "crops": WindowStack.from_images([rand_window(rng) for _ in range(40)]),
+        "level": WindowStack.from_level(ii, frame.pixels.astype(np.int16), 45, 34, 3),
+        "window": WindowStack.from_window(ii, Rect(17, 9, 51, 38)),
+    }
+
+
+@pytest.mark.parametrize("family", list(FeatureKind), ids=lambda k: k.value)
+def test_eval_features_rows_match_eval_batch(rng, family):
+    py = random.Random(41)
+    features = [random_feature(family, py) for _ in range(30)]
+    if family in (FeatureKind.CONTROL_POINTS, FeatureKind.CHAIN):
+        # the padding path: classes of several lengths in one call
+        assert len({len(f.pos_points) for f in features}) > 1
+        assert len({len(f.neg_points) for f in features}) > 1
+    for name, stack in _stacks(rng).items():
+        batch = eval_features(features, stack)
+        assert batch.shape == (len(features),) + stack.sigma.shape, name
+        for f, row in zip(features, batch):
+            single = eval_batch(f, stack)
+            assert row.dtype == single.dtype == np.bool_
+            assert np.array_equal(row, single), name
+
+
+def test_eval_features_rejects_mixed_families():
+    py = random.Random(43)
+    mixed = [random_feature(FeatureKind.HAAR, py), random_feature(FeatureKind.CHAIN, py)]
+    stack = WindowStack.from_images([GrayImage.constant(CANONICAL_W, CANONICAL_H, 7)])
+    for features in (mixed, []):
+        with pytest.raises(ValueError, match="one family"):
+            eval_features(features, stack)
 
 
 def test_window_outside_image_is_bounds_error(rng):

@@ -196,6 +196,15 @@ def test_search_rejects_mismatched_lengths(small_set):
         search_best(_uniform(small_set), stack, labels[1:], config)
 
 
+def test_search_rejects_seed_of_another_family(small_set):
+    # a generation is scored in one call, which takes one family only
+    config = LearnerConfig(family=FeatureKind.HAAR, population_size=4, generations=1)
+    chain = random_feature(FeatureKind.CHAIN, random.Random(5))
+    with pytest.raises(ValueError, match="not of family haar"):
+        search_best(_uniform(small_set), *_stack_labels(small_set), config,
+                    seed_features=[chain])
+
+
 def test_candidate_validation():
     with pytest.raises(ValueError):
         Candidate(weak=None, epsilon=1.5)

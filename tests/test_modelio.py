@@ -110,6 +110,23 @@ def test_zero_stages_names_line():
         parse_model(text, source="m")
 
 
+@pytest.mark.parametrize("line, value", [(2, "canonical 3x 24"), (2, "canonical 32 2.5"),
+                                         (3, "stages four")])
+def test_bad_header_number_names_line(line, value):
+    lines = dump_model(mixed_model(random.Random(17), stages_per_family=1)).splitlines()
+    lines[line - 1] = value
+    with pytest.raises(ModelFormatError, match=rf"^m:{line}: bad header number"):
+        parse_model("\n".join(lines) + "\n", source="m")
+
+
+@pytest.mark.parametrize("declared", [3, 7])
+def test_stage_count_mismatch_names_line(declared):
+    text = dump_model(mixed_model(random.Random(19), stages_per_family=1))
+    pattern = rf"^m:3: header declares {declared} stages, found 4"
+    with pytest.raises(ModelFormatError, match=pattern):
+        parse_model(text.replace("stages 4", f"stages {declared}"), source="m")
+
+
 @pytest.mark.parametrize("family", list(FeatureKind), ids=lambda f: f.value)
 def test_repeated_key_names_line_and_key(family):
     model = mixed_model(random.Random(17), stages_per_family=1)
