@@ -36,8 +36,7 @@ def run(args) -> int:
         t0 = time.monotonic()
         result = train_detector(
             samples, args.rounds,
-            LearnerConfig(family=family, seed=args.train_seed,
-                          parallel_workers=args.workers))
+            LearnerConfig(family=family, seed=args.train_seed))
         train_s = time.monotonic() - t0
         if result.model is None:
             print(f"{family.value}: no stages kept ({result.stop_reason})")
@@ -87,7 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("--data-seed", type=int, default=7)
     parser.add_argument("--frame-seed", type=int, default=99)
     parser.add_argument("--train-seed", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=1)
     return run(parser.parse_args(argv))
 
 

@@ -44,7 +44,6 @@ from .features import (
     FeatureKind,
     HaarFeature,
     SymmetricHaarFeature,
-    WindowStack,
     eval_batch,
     eval_chain,
     eval_control_points,
@@ -60,8 +59,8 @@ from .imaging import (
     SIGMA_MIN,
     BoundsError,
     GrayImage,
-    IntegralImage,
     Rect,
+    WindowStack,
     WindowStats,
     build_integral,
     extract_window,

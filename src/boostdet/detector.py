@@ -1,10 +1,11 @@
 """Multi-scale sliding-window detection with greedy overlap suppression.
 
-The pyramid grows the window instead of shrinking the frame, so a single
-integral image per frame serves every level and feature geometry stays
-integer. Each level is one ``WindowStack`` of strided views over the
-frame's tables, and its margins come from ``boosting.vote``, the same
-vote that ``score`` and ``classify`` apply to a single crop.
+The pyramid grows the window instead of shrinking the frame, so one
+``WindowStack`` per frame (``imaging.build_integral``: its pixels and
+integral tables) serves every level and feature geometry stays integer.
+Each level is that stack's strided view ``WindowStack.level``, and its
+margins come from ``boosting.vote``, the same vote that ``score`` and
+``classify`` apply to a single crop.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosting import StrongClassifier, vote
-from .features import CANONICAL_H, CANONICAL_W, WindowStack
-from .imaging import GrayImage, IntegralImage, Rect, build_integral
+from .features import CANONICAL_H, CANONICAL_W
+from .imaging import GrayImage, Rect, WindowStack, build_integral
 
 
 @dataclass(frozen=True)
@@ -87,19 +88,23 @@ def pyramid_levels(frame_w: int, frame_h: int, cfg: ScanConfig) -> list[tuple[in
 
 
 def scan(model: StrongClassifier, frame: GrayImage, cfg: ScanConfig = ScanConfig(),
-         ii: IntegralImage | None = None) -> list[Detection]:
+         ii: WindowStack | None = None) -> list[Detection]:
     """All windows whose vote margin exceeds ``cfg.bias``.
 
     Output order is deterministic: pyramid level, then row, then column.
-    Frames smaller than the canonical window yield nothing. A prebuilt
-    integral image for the frame may be passed to avoid recomputation.
+    Frames smaller than the canonical window yield nothing. The frame's
+    ``build_integral`` stack may be passed as ``ii`` to avoid recomputation;
+    the scan then reads only that stack, and a stack of another size
+    raises ValueError.
     """
     if ii is None:
         ii = build_integral(frame)
-    pixels16 = frame.pixels.astype(np.int16)
+    elif (ii.w, ii.h) != (frame.width, frame.height):
+        raise ValueError(f"integral image is {ii.w}x{ii.h}, "
+                         f"frame is {frame.width}x{frame.height}")
     out: list[Detection] = []
     for win_w, win_h, stride in pyramid_levels(frame.width, frame.height, cfg):
-        margins = vote(model, WindowStack.from_level(ii, pixels16, win_w, win_h, stride))
+        margins = vote(model, ii.level(win_w, win_h, stride))
         for iy, ix in zip(*np.nonzero(margins > cfg.bias)):
             out.append(Detection(box=Rect(int(ix) * stride, int(iy) * stride, win_w, win_h),
                                  margin=float(margins[iy, ix])))

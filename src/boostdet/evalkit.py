@@ -4,7 +4,8 @@ Matching is greedy one-to-one: detections claim truth boxes in descending
 margin order, each taking the unclaimed box of highest IoU at or above
 the threshold. Because a bias sweep only ever removes a suffix of the
 margin-sorted detection list, the greedy claims are computed once per
-frame and every sweep point reads off a prefix.
+frame, every frame's detections are ranked together by margin, and each
+sweep point is one bisection into the cumulative claim counts.
 """
 
 from __future__ import annotations
@@ -82,24 +83,6 @@ def match_frame(dets: Sequence[Detection], truth: GroundTruthFrame,
     return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(truth.boxes) - tp)
 
 
-class _FrameSweep:
-    """Per-frame prefix counts: claims of the margin-sorted detections."""
-
-    def __init__(self, dets: Sequence[Detection], boxes: Sequence[Rect],
-                 iou_threshold: float):
-        order, claims = _greedy_claims(dets, boxes, iou_threshold)
-        # negated margins ascend; detections kept at a bias form a prefix
-        self.neg_margins = [-dets[i].margin for i in order]
-        self.cum_tp = list(itertools.accumulate(claims, initial=0))
-        self.n_truth = len(boxes)
-
-    def counts(self, bias: float) -> tuple[int, int]:
-        """(tp, fp) over detections with margin strictly above ``bias``."""
-        kept = bisect.bisect_left(self.neg_margins, -bias)
-        tp = self.cum_tp[kept]
-        return tp, kept - tp
-
-
 def default_bias_sweep(detections: Mapping[str, Sequence[Detection]]) -> list[float]:
     """Descending unique margins wrapped in +/- infinity sentinels."""
     margins = sorted({d.margin for dets in detections.values() for d in dets},
@@ -118,22 +101,24 @@ def _sweep(detections: Mapping[str, Sequence[Detection]],
     check_iou_threshold("iou_threshold", iou_threshold)
     truth_by_id = {t.frame_id: t.boxes for t in truths}
     frame_ids = sorted(set(truth_by_id) | set(detections))
-    sweeps = [_FrameSweep(detections.get(fid, ()), truth_by_id.get(fid, ()),
-                          iou_threshold) for fid in frame_ids]
-    total_truth = sum(s.n_truth for s in sweeps)
     if not frame_ids:
-        return [], total_truth, 0
+        return [], 0, 0
+    ranked = []
+    for fid in frame_ids:
+        dets = detections.get(fid, ())
+        order, claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
+        ranked += zip((-dets[i].margin for i in order), claims)
+    # negated margins ascend; the detections kept at a bias form a prefix
+    ranked.sort()
+    neg_margins = [m for m, _ in ranked]
+    cum_tp = list(itertools.accumulate((c for _, c in ranked), initial=0))
     if bias_sweep is None:
         bias_sweep = default_bias_sweep(detections)
     points = []
     for bias in bias_sweep:
-        tp = fp = 0
-        for s in sweeps:
-            t, f = s.counts(bias)
-            tp += t
-            fp += f
-        points.append((bias, tp, fp))
-    return points, total_truth, len(frame_ids)
+        kept = bisect.bisect_left(neg_margins, -bias)
+        points.append((bias, cum_tp[kept], kept - cum_tp[kept]))
+    return points, sum(map(len, truth_by_id.values())), len(frame_ids)
 
 
 def roc_curve(detections: Mapping[str, Sequence[Detection]],

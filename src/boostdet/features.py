@@ -6,37 +6,30 @@ with floor rounding and extents clamped to >= 1, so every pyramid level
 sees integer-only geometry.
 
 ``eval_features`` is the only implementation of each family's rule. It
-scores P features of one family on a ``WindowStack``, any set of
-same-size windows that each carry a view of their own integral tables:
-training crops stacked along one axis, a pyramid level as a strided grid
-of views over the frame's tables, or a single window sliced out of a
-frame. The P features' geometry is scaled into index arrays once, and the
-tables are read for all P at a time. ``eval_batch`` is its one-feature
-call, and the scalar entry points (``eval_haar``, ``eval_feature`` etc.)
-are one-window calls into it, so every path performs the same IEEE
-operations in the same order. The tables, rectangle sums and window
-sigma come from ``imaging``.
+scores P features of one family on an ``imaging.WindowStack``, any set
+of same-size windows that each carry their own pixels and integral
+tables: training crops stacked along one axis, a pyramid level as a
+strided grid of views into a frame's stack, or a single window sliced
+out of one. Area families read the tables and point families the pixels
+of the same stack. The P features' geometry is scaled into index arrays
+once, and the stack is read for all P at a time. ``eval_batch`` is its
+one-feature call, and the scalar entry points (``eval_haar``,
+``eval_feature`` etc.) are one-window calls into it, so every path
+performs the same IEEE operations in the same order. The stacks,
+rectangle sums and window sigma come from ``imaging``; ``WindowStack``
+is re-exported here.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .imaging import (
-    BoundsError,
-    GrayImage,
-    IntegralImage,
-    Rect,
-    corner_sum,
-    mean_and_sigma,
-    summed_area_tables,
-)
+from .imaging import BoundsError, GrayImage, Rect, WindowStack, corner_sum
 
 CANONICAL_W = 32
 CANONICAL_H = 24
@@ -264,90 +257,6 @@ def scale_point_to_window(x: int, y: int, win: Rect) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# window sets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WindowStack:
-    """Same-size windows, each with views of its own integral tables.
-
-    ``sums`` and ``squared_sums`` are int64 and shaped ``(..., h+1, w+1)``,
-    ``pixels`` is int16 (safe for subtraction) and shaped ``(..., h, w)``.
-    The leading axes index the windows: one axis for stacked crops, (row,
-    column) for a pyramid level, none for a single window. ``sigma`` is
-    the clamped whole-window std dev every feature normalizes by, shaped
-    like the leading axes and derived once, on construction.
-    """
-
-    pixels: np.ndarray
-    sums: np.ndarray
-    squared_sums: np.ndarray
-    sigma: np.ndarray = field(init=False)
-    w: int = field(init=False)
-    h: int = field(init=False)
-
-    def __post_init__(self):
-        lead, (h, w) = self.pixels.shape[:-2], self.pixels.shape[-2:]
-        if (self.sums.shape != lead + (h + 1, w + 1)
-                or self.squared_sums.shape != self.sums.shape):
-            raise ValueError(f"window stack shapes disagree: pixels {self.pixels.shape}, "
-                             f"tables {self.sums.shape} and {self.squared_sums.shape}")
-        _, sigma = mean_and_sigma(self.sums, self.squared_sums, 0, 0, w, h)
-        for arr in (self.pixels, self.sums, self.squared_sums, sigma):
-            arr.setflags(write=False)
-        for name, value in (("sigma", sigma), ("w", w), ("h", h)):
-            object.__setattr__(self, name, value)
-
-    def __len__(self) -> int:
-        """The number of windows."""
-        return np.size(self.sigma)
-
-    @classmethod
-    def from_images(cls, windows: Sequence[GrayImage]) -> "WindowStack":
-        """Canonical crops stacked along one axis.
-
-        The arrays are Fortran-ordered, crop axis innermost, so reading one
-        table cell or pixel of every crop copies a contiguous run.
-        """
-        for w in windows:
-            _require_canonical(w)
-        px = np.asfortranarray(np.stack([w.pixels for w in windows]), dtype=np.int16)
-        return cls(px, *summed_area_tables(px, order="F"))
-
-    @classmethod
-    def from_level(cls, ii: IntegralImage, pixels: np.ndarray,
-                   win_w: int, win_h: int, stride: int) -> "WindowStack":
-        """Every ``win_w`` x ``win_h`` window of a frame on a ``stride`` grid.
-
-        ``pixels`` is the frame as int16. Window (row, column) has its
-        origin at (column * stride, row * stride); nothing is copied.
-        """
-        def grid(table: np.ndarray, h: int, w: int) -> np.ndarray:
-            return sliding_window_view(table, (h, w))[::stride, ::stride]
-
-        return cls(grid(pixels, win_h, win_w), grid(ii.sums, win_h + 1, win_w + 1),
-                   grid(ii.squared_sums, win_h + 1, win_w + 1))
-
-    @classmethod
-    def from_window(cls, ii: IntegralImage, win: Rect,
-                    raw: GrayImage | None = None) -> "WindowStack":
-        """The single window ``win`` of a frame, with no leading axis.
-
-        Pixels come from ``raw`` when given, else from the integral tables.
-        """
-        if not win.fits_in(ii.width, ii.height):
-            raise BoundsError(f"{win} exceeds {ii.width}x{ii.height} image")
-        rows = slice(win.y, win.y + win.h + 1)
-        cols = slice(win.x, win.x + win.w + 1)
-        sums = ii.sums[rows, cols]
-        if raw is None:
-            pixels = np.diff(np.diff(sums, axis=0), axis=1)
-        else:
-            pixels = raw.pixels[win.y:win.y + win.h, win.x:win.x + win.w]
-        return cls(pixels.astype(np.int16), sums, ii.squared_sums[rows, cols])
-
-
-# ---------------------------------------------------------------------------
 # the evaluator
 # ---------------------------------------------------------------------------
 
@@ -456,9 +365,9 @@ def _require_canonical(window: GrayImage) -> None:
         )
 
 
-def eval_haar(f: HaarFeature, ii: IntegralImage, win: Rect) -> bool:
+def eval_haar(f: HaarFeature, ii: WindowStack, win: Rect) -> bool:
     """Normalized mean-difference rule, strict comparison."""
-    return bool(eval_batch(f, WindowStack.from_window(ii, win)))
+    return bool(eval_batch(f, ii.window(win)))
 
 
 def eval_control_points(f: ControlPointsFeature, window: GrayImage) -> bool:
@@ -466,34 +375,36 @@ def eval_control_points(f: ControlPointsFeature, window: GrayImage) -> bool:
 
     Reads raw pixel values of a canonical window, no normalization.
     """
+    _require_canonical(window)
     return bool(eval_batch(f, WindowStack.from_images([window]))[0])
 
 
 def eval_chain(f: ChainFeature, window: GrayImage) -> bool:
     """Control-points rule applied to the chain's pos/neg tagged points."""
+    _require_canonical(window)
     return bool(eval_batch(f, WindowStack.from_images([window]))[0])
 
 
-def symmetric_diffs(f: SymmetricHaarFeature, ii: IntegralImage,
+def symmetric_diffs(f: SymmetricHaarFeature, ii: WindowStack,
                     win: Rect) -> tuple[float, float, float]:
     """Normalized responses of the left, mirrored-right and middle pairs."""
-    return tuple(float(d[0]) for d in _symmetric_diffs([f], WindowStack.from_window(ii, win)))
+    return tuple(float(d[0]) for d in _symmetric_diffs([f], ii.window(win)))
 
 
-def eval_symmetric_haar(f: SymmetricHaarFeature, ii: IntegralImage, win: Rect) -> bool:
+def eval_symmetric_haar(f: SymmetricHaarFeature, ii: WindowStack, win: Rect) -> bool:
     """All five conditions of the symmetric three-pair test.
 
     The left, right and middle responses must each clear their threshold,
     left and right must agree within ``sym_tol``, and the middle response
     must exceed the left/right drift by more than ``mid_margin``.
     """
-    return bool(eval_batch(f, WindowStack.from_window(ii, win)))
+    return bool(eval_batch(f, ii.window(win)))
 
 
-def eval_feature(feature: Feature, ii: IntegralImage, raw: GrayImage, win: Rect) -> bool:
-    """Family dispatch over one window of a frame.
+def eval_feature(feature: Feature, ii: WindowStack, win: Rect) -> bool:
+    """Family dispatch over the window ``win`` of the frame stack ``ii``.
 
-    Area-based families read the integral image; point-based families
-    read ``raw`` pixels at scaled point positions.
+    Area-based families read its integral tables; point-based families
+    read its pixels at scaled point positions.
     """
-    return bool(eval_batch(feature, WindowStack.from_window(ii, win, raw)))
+    return bool(eval_batch(feature, ii.window(win)))

@@ -1,4 +1,4 @@
-"""Grayscale rasters, integral images and per-window statistics.
+"""Grayscale rasters, integral images and window stacks.
 
 Everything here is integer-exact where the contract says so: integral
 tables are int64 (large enough for 4096x4096 frames of squared 8-bit
@@ -6,15 +6,21 @@ values) and rectangle sums are recovered with four lookups, bit-equal
 to a direct pixel loop.
 
 ``summed_area_tables``, ``corner_sum`` and ``mean_and_sigma`` are the one
-copy of the table arithmetic; they take any leading axes, so a frame, a
-crop stack and a pyramid level (``features.WindowStack``) share them.
+copy of the table arithmetic; they take any leading axes. A
+``WindowStack`` carries the pixels and both tables of a set of same-size
+windows: ``build_integral`` makes one for a whole frame, the only place a
+frame's int16 pixels are made, and a pyramid level (``WindowStack.level``)
+or a single window (``WindowStack.window``) is a view into it, so the
+point families and the area families always read the same image.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Flat windows would otherwise divide by zero during normalization; with
 # the floor they behave as unnormalized.
@@ -86,27 +92,6 @@ class GrayImage:
 
 
 @dataclass(frozen=True)
-class IntegralImage:
-    """Summed-area tables (plain and squared) with a zero border row/column.
-
-    ``sums[y][x]`` holds the sum of all pixels strictly above and left of
-    (x, y), so any rectangle sum is four lookups.
-    """
-
-    width: int
-    height: int
-    sums: np.ndarray
-    squared_sums: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.height + 1, self.width + 1)
-        if self.sums.shape != expected or self.squared_sums.shape != expected:
-            raise ValueError("integral tables must be (height+1, width+1)")
-        self.sums.setflags(write=False)
-        self.squared_sums.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class WindowStats:
     """Mean and clamped population standard deviation of a window."""
 
@@ -156,33 +141,100 @@ def mean_and_sigma(sums: np.ndarray, squared_sums: np.ndarray, x: int, y: int,
     return mean, np.maximum(SIGMA_MIN, np.sqrt(np.maximum(0.0, var)))
 
 
-def build_integral(img: GrayImage) -> IntegralImage:
-    """Build plain and squared summed-area tables for ``img``.
+@dataclass(frozen=True)
+class WindowStack:
+    """Same-size windows, each with views of its own integral tables.
 
-    Pure: the same image always yields identical tables.
+    ``sums`` and ``squared_sums`` are int64 and shaped ``(..., h+1, w+1)``
+    (``sums[..., y, x]`` adds up the pixels above and left of (x, y)),
+    ``pixels`` is int16 (safe for subtraction) and shaped ``(..., h, w)``.
+    The leading axes index the windows: none for a frame or a single
+    window, one axis for stacked crops, (row, column) for a pyramid level.
+    ``sigma`` is the clamped whole-window std dev every feature normalizes
+    by, shaped like the leading axes and derived once, on construction.
     """
-    sums, sq = summed_area_tables(img.pixels)
-    return IntegralImage(width=img.width, height=img.height, sums=sums, squared_sums=sq)
+
+    pixels: np.ndarray
+    sums: np.ndarray
+    squared_sums: np.ndarray
+    sigma: np.ndarray = field(init=False)
+    w: int = field(init=False)
+    h: int = field(init=False)
+
+    def __post_init__(self):
+        lead, (h, w) = self.pixels.shape[:-2], self.pixels.shape[-2:]
+        if (self.sums.shape != lead + (h + 1, w + 1)
+                or self.squared_sums.shape != self.sums.shape):
+            raise ValueError(f"window stack shapes disagree: pixels {self.pixels.shape}, "
+                             f"tables {self.sums.shape} and {self.squared_sums.shape}")
+        _, sigma = mean_and_sigma(self.sums, self.squared_sums, 0, 0, w, h)
+        for arr in (self.pixels, self.sums, self.squared_sums, sigma):
+            arr.setflags(write=False)
+        for name, value in (("sigma", sigma), ("w", w), ("h", h)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        """The number of windows."""
+        return np.size(self.sigma)
+
+    @classmethod
+    def from_images(cls, windows: Sequence[GrayImage]) -> "WindowStack":
+        """Same-size images stacked along one axis.
+
+        The arrays are Fortran-ordered, image axis innermost, so reading
+        one table cell or pixel of every image copies a contiguous run.
+        """
+        px = np.asfortranarray(np.stack([w.pixels for w in windows]), dtype=np.int16)
+        return cls(px, *summed_area_tables(px, order="F"))
+
+    def level(self, win_w: int, win_h: int, stride: int) -> "WindowStack":
+        """Every ``win_w`` x ``win_h`` window of this frame on a ``stride`` grid.
+
+        Window (row, column) has its origin at (column * stride,
+        row * stride); nothing is copied.
+        """
+        def grid(table: np.ndarray, h: int, w: int) -> np.ndarray:
+            return sliding_window_view(table, (h, w))[::stride, ::stride]
+
+        return WindowStack(grid(self.pixels, win_h, win_w),
+                           grid(self.sums, win_h + 1, win_w + 1),
+                           grid(self.squared_sums, win_h + 1, win_w + 1))
+
+    def window(self, win: Rect) -> "WindowStack":
+        """The single window ``win`` of this frame, with no leading axis."""
+        _check_rect(self, win)
+        rows = slice(win.y, win.y + win.h + 1)
+        cols = slice(win.x, win.x + win.w + 1)
+        return WindowStack(self.pixels[win.y:win.y + win.h, win.x:win.x + win.w],
+                           self.sums[rows, cols], self.squared_sums[rows, cols])
 
 
-def _check_rect(ii: IntegralImage, r: Rect) -> None:
-    if not r.fits_in(ii.width, ii.height):
-        raise BoundsError(f"{r} exceeds {ii.width}x{ii.height} image")
+def build_integral(img: GrayImage) -> WindowStack:
+    """The frame ``img`` as one window: int16 pixels and both summed-area tables.
+
+    Pure: the same image always yields identical arrays.
+    """
+    return WindowStack(img.pixels.astype(np.int16), *summed_area_tables(img.pixels))
 
 
-def rect_sum(ii: IntegralImage, r: Rect) -> int:
+def _check_rect(ii: WindowStack, r: Rect) -> None:
+    if not r.fits_in(ii.w, ii.h):
+        raise BoundsError(f"{r} exceeds {ii.w}x{ii.h} image")
+
+
+def rect_sum(ii: WindowStack, r: Rect) -> int:
     """Exact pixel sum inside ``r`` via four table lookups."""
     _check_rect(ii, r)
     return int(corner_sum(ii.sums, r.x, r.y, r.w, r.h))
 
 
-def rect_sum_squared(ii: IntegralImage, r: Rect) -> int:
+def rect_sum_squared(ii: WindowStack, r: Rect) -> int:
     """Exact sum of squared pixels inside ``r``."""
     _check_rect(ii, r)
     return int(corner_sum(ii.squared_sums, r.x, r.y, r.w, r.h))
 
 
-def window_stats(ii: IntegralImage, win: Rect) -> WindowStats:
+def window_stats(ii: WindowStack, win: Rect) -> WindowStats:
     """Mean and population std dev of ``win``, std clamped to SIGMA_MIN."""
     _check_rect(ii, win)
     mean, sigma = mean_and_sigma(ii.sums, ii.squared_sums, win.x, win.y, win.w, win.h)

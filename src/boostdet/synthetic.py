@@ -17,6 +17,7 @@ import numpy as np
 
 from .boosting import LabeledSample
 from .dataset import write_annotations
+from .detector import iou
 from .evalkit import GroundTruthFrame
 from .features import CANONICAL_H, CANONICAL_W
 from .imaging import GrayImage, Rect, extract_window
@@ -84,14 +85,6 @@ def training_samples(n_pos: int, n_neg: int, seed: int) -> list[LabeledSample]:
     return samples
 
 
-def _overlaps(box: Rect, others: list[Rect]) -> bool:
-    for o in others:
-        if (box.x < o.x + o.w and o.x < box.x + box.w
-                and box.y < o.y + o.h and o.y < box.y + box.h):
-            return True
-    return False
-
-
 def make_frame(rng: np.random.Generator, frame_w: int = 128, frame_h: int = 96,
                max_targets: int = 2,
                scale_range: tuple[float, float] = (1.0, 1.6)) -> tuple[GrayImage, list[Rect]]:
@@ -109,7 +102,7 @@ def make_frame(rng: np.random.Generator, frame_w: int = 128, frame_h: int = 96,
             x = int(rng.integers(0, frame_w - w + 1))
             y = int(rng.integers(0, frame_h - h + 1))
             box = Rect(x=x, y=y, w=w, h=h)
-            if _overlaps(box, boxes):
+            if any(iou(box, o) > 0 for o in boxes):
                 continue
             pattern = target_window(rng)
             scaled = extract_window(pattern, Rect(0, 0, CANONICAL_W, CANONICAL_H), w, h)

@@ -365,8 +365,7 @@ def test_vote_matches_stage_by_stage_sum(rng, families):
     assert len(model.stages) > VOTE_CHUNK
     frame = rand_image(rng, 96, 72)
     stacks = [WindowStack.from_images([rand_window(rng) for _ in range(30)]),
-              WindowStack.from_level(build_integral(frame), frame.pixels.astype(np.int16),
-                                     40, 30, 2)]
+              build_integral(frame).level(40, 30, 2)]
     for stack in stacks:
         # bit-for-bit: the same additions in the same order
         assert np.array_equal(vote(model, stack), _stage_by_stage(model, stack))

@@ -143,7 +143,7 @@ def test_scan_matches_per_window_reference(rng):
                 win = Rect(x, y, win_w, win_h)
                 margin = 0.0
                 for st_ in model.stages:
-                    fired = eval_feature(st_.weak.feature, ii, frame, win)
+                    fired = eval_feature(st_.weak.feature, ii, win)
                     margin += st_.alpha * (st_.weak.polarity if fired
                                            else -st_.weak.polarity)
                 expected.append(Detection(box=win, margin=margin))
@@ -237,6 +237,16 @@ def test_scan_is_deterministic(rng):
     model = random_model(random.Random(11), n_stages=4)
     cfg = ScanConfig(bias=-10.0)
     assert scan(model, frame, cfg) == scan(model, frame, cfg)
+
+
+def test_scan_rejects_integral_of_another_size(rng):
+    frame = rand_image(rng, 52, 40)
+    model = random_model(random.Random(13), n_stages=4)
+    cfg = ScanConfig(bias=float("-inf"))
+    assert scan(model, frame, cfg, ii=build_integral(frame)) == scan(model, frame, cfg)
+    for w, h in ((40, 30), (52, 41), (60, 40)):
+        with pytest.raises(ValueError, match=f"integral image is {w}x{h}, frame is 52x40"):
+            scan(model, frame, cfg, ii=build_integral(rand_image(rng, w, h)))
 
 
 def test_scan_bias_monotone(rng):

@@ -1,15 +1,20 @@
+import bisect
+import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boostdet import evalkit
 from boostdet.detector import Detection
 from boostdet.evalkit import (
     GroundTruthFrame,
     MatchResult,
     RocPoint,
+    _greedy_claims,
     auc,
     default_bias_sweep,
     match_frame,
@@ -217,3 +222,54 @@ def test_iou_threshold_outside_unit_interval_is_rejected(bad):
     with pytest.raises(ValueError, match="iou_threshold"):
         pr_curve({}, [], iou_threshold=bad)
     assert match_frame([det(10, 10, 20, 20)], truth(BOX), iou_threshold=1.0) == MatchResult(1, 0, 0)
+
+
+def _per_frame_sweep(detections, truths, bias_sweep, iou_threshold):
+    """The sweep as a per-frame bisection summed over frames at every bias."""
+    truth_by_id = {t.frame_id: t.boxes for t in truths}
+    frame_ids = sorted(set(truth_by_id) | set(detections))
+    frames = []
+    for fid in frame_ids:
+        dets = detections.get(fid, ())
+        order, claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
+        frames.append(([-dets[i].margin for i in order],
+                       list(itertools.accumulate(claims, initial=0))))
+    total_truth = sum(len(truth_by_id.get(fid, ())) for fid in frame_ids)
+    if not frame_ids:
+        return [], total_truth, 0
+    if bias_sweep is None:
+        bias_sweep = default_bias_sweep(detections)
+    points = []
+    for bias in bias_sweep:
+        tp = fp = 0
+        for neg_margins, cum_tp in frames:
+            kept = bisect.bisect_left(neg_margins, -bias)
+            tp += cum_tp[kept]
+            fp += kept - cum_tp[kept]
+        points.append((bias, tp, fp))
+    return points, total_truth, len(frame_ids)
+
+
+_small_box = st.builds(Rect, st.integers(0, 12), st.integers(0, 12),
+                       st.integers(1, 10), st.integers(1, 10))
+# few distinct margins, so ties across and within frames are common
+_margin = st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.5]) | st.floats(-5, 5)
+_frame_ids = st.sampled_from(["a", "b", "c", "d"])
+
+
+@given(detections=st.dictionaries(_frame_ids, st.lists(
+           st.builds(Detection, _small_box, _margin), max_size=8), max_size=4),
+       truths=st.lists(st.builds(GroundTruthFrame, _frame_ids,
+                                 st.lists(_small_box, max_size=4)), max_size=4),
+       bias_sweep=st.none() | st.lists(
+           _margin | st.sampled_from([math.inf, -math.inf, math.nan]), max_size=8),
+       iou_threshold=st.sampled_from([0.1, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_curves_match_per_frame_sweep(detections, truths, bias_sweep, iou_threshold):
+    got = (roc_curve(detections, truths, bias_sweep, iou_threshold),
+           pr_curve(detections, truths, bias_sweep, iou_threshold))
+    with mock.patch.object(evalkit, "_sweep", _per_frame_sweep):
+        want = (roc_curve(detections, truths, bias_sweep, iou_threshold),
+                pr_curve(detections, truths, bias_sweep, iou_threshold))
+    # repr, because a NaN bias is never equal to itself
+    assert repr(got) == repr(want)

@@ -385,10 +385,10 @@ def test_dispatch_matches_family_ops(rng):
         fc = random_feature(FeatureKind.CONTROL_POINTS, py)
         fs = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
         fn = random_feature(FeatureKind.CHAIN, py)
-        assert eval_feature(fh, ii, img, FULL) == eval_haar(fh, ii, FULL)
-        assert eval_feature(fc, ii, img, FULL) == eval_control_points(fc, img)
-        assert eval_feature(fs, ii, img, FULL) == eval_symmetric_haar(fs, ii, FULL)
-        assert eval_feature(fn, ii, img, FULL) == eval_chain(fn, img)
+        assert eval_feature(fh, ii, FULL) == eval_haar(fh, ii, FULL)
+        assert eval_feature(fc, ii, FULL) == eval_control_points(fc, img)
+        assert eval_feature(fs, ii, FULL) == eval_symmetric_haar(fs, ii, FULL)
+        assert eval_feature(fn, ii, FULL) == eval_chain(fn, img)
 
 
 def test_batch_matches_scalar_all_families(rng):
@@ -400,8 +400,7 @@ def test_batch_matches_scalar_all_families(rng):
         for _ in range(50):
             f = random_feature(family, py)
             batch = eval_batch(f, stack)
-            scalar = np.array([eval_feature(f, ii, w, FULL)
-                               for ii, w in zip(pairs, windows)])
+            scalar = np.array([eval_feature(f, ii, FULL) for ii in pairs])
             assert np.array_equal(batch, scalar)
 
 
@@ -411,8 +410,8 @@ def _stacks(rng):
     ii = build_integral(frame)
     return {
         "crops": WindowStack.from_images([rand_window(rng) for _ in range(40)]),
-        "level": WindowStack.from_level(ii, frame.pixels.astype(np.int16), 45, 34, 3),
-        "window": WindowStack.from_window(ii, Rect(17, 9, 51, 38)),
+        "level": ii.level(45, 34, 3),
+        "window": ii.window(Rect(17, 9, 51, 38)),
     }
 
 
@@ -457,7 +456,7 @@ def test_window_outside_image_is_bounds_error(rng):
             symmetric_diffs(fs, ii, win)
         for family in FeatureKind:
             with pytest.raises(BoundsError):
-                eval_feature(random_feature(family, py), ii, img, win)
+                eval_feature(random_feature(family, py), ii, win)
 
 
 def test_scale_rect_identity_at_canonical():
