@@ -6,18 +6,33 @@ integral tables) serves every level and feature geometry stays integer.
 Each level is that stack's strided view ``WindowStack.level``, and its
 margins come from ``boosting.vote``, the same vote that ``score`` and
 ``classify`` apply to a single crop.
+
+``nms`` is greedy suppression in suppress-forward form, the vectorised
+greedy NMS of the DPM release code (Felzenszwalb et al., TPAMI 2010):
+boxes are ordered by descending margin, ties in input order, and each box
+still alive is kept and removes every later box it overlaps at or above
+the threshold in one array expression. Its IoU divides the same integers
+as ``iou``, all exact in float64, and both Python and numpy round that
+division correctly, so it keeps exactly what the loop over kept boxes
+keeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .boosting import StrongClassifier, vote
 from .features import CANONICAL_H, CANONICAL_W
 from .imaging import GrayImage, Rect, WindowStack, build_integral
+
+
+# Box offsets and extents stay below this, so every area, and any two
+# areas summed, lies below 2**53 and converts to float64 exactly.
+MAX_COORD = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -94,14 +109,16 @@ def scan(model: StrongClassifier, frame: GrayImage, cfg: ScanConfig = ScanConfig
     Output order is deterministic: pyramid level, then row, then column.
     Frames smaller than the canonical window yield nothing. The frame's
     ``build_integral`` stack may be passed as ``ii`` to avoid recomputation;
-    the scan then reads only that stack, and a stack of another size
-    raises ValueError.
+    the scan then reads only that stack, and a stack of another size, or
+    of other pixels, raises ValueError.
     """
     if ii is None:
         ii = build_integral(frame)
     elif (ii.w, ii.h) != (frame.width, frame.height):
         raise ValueError(f"integral image is {ii.w}x{ii.h}, "
                          f"frame is {frame.width}x{frame.height}")
+    elif not np.array_equal(ii.pixels, frame.pixels):
+        raise ValueError("integral image is of other pixels than the frame")
     out: list[Detection] = []
     for win_w, win_h, stride in pyramid_levels(frame.width, frame.height, cfg):
         margins = vote(model, ii.level(win_w, win_h, stride))
@@ -117,14 +134,46 @@ def check_iou_threshold(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
+def check_margins(detections: Sequence[Detection], source: str = "detections") -> None:
+    """Raise ValueError naming the first detection with a NaN margin.
+
+    A NaN compares false with everything, so it has no place in a margin
+    order; +-inf are accepted, because their order is well defined.
+    """
+    for i, d in enumerate(detections):
+        if math.isnan(d.margin):
+            raise ValueError(f"{source}[{i}] has a NaN margin: {d}")
+
+
 def nms(detections: list[Detection], overlap_threshold: float = 0.5) -> list[Detection]:
-    """Greedy suppression: higher margins win, ties keep input order."""
+    """Greedy suppression: higher margins win, ties keep input order.
+
+    Suppress-forward form: in margin order, each box still alive is kept
+    and removes every later box whose IoU with it is at least
+    ``overlap_threshold``, so a box is kept exactly when no box kept
+    before it overlaps it that much. The live boxes are compacted after
+    every keep, so memory stays O(n). A NaN margin, or a box offset or
+    extent of ``MAX_COORD`` or more, raises ValueError.
+    """
     check_iou_threshold("overlap_threshold", overlap_threshold)
-    order = sorted(range(len(detections)),
-                   key=lambda i: (-detections[i].margin, i))
-    kept: list[Detection] = []
-    for i in order:
-        d = detections[i]
-        if all(iou(d.box, k.box) < overlap_threshold for k in kept):
-            kept.append(d)
+    check_margins(detections)
+    margins = np.array([d.margin for d in detections], dtype=np.float64)
+    flat = [v for d in detections for v in (d.box.x, d.box.y, d.box.w, d.box.h)]
+    if max(flat, default=0) >= MAX_COORD:
+        raise ValueError(f"box offsets and extents must lie below {MAX_COORD}")
+    boxes = np.array(flat, dtype=np.int64).reshape(-1, 4)
+    order = np.lexsort((np.arange(len(detections)), -margins))
+    x0, y0, w, h = boxes[order].T
+    # one column per live box, in margin order: input index, corners, area
+    live = np.stack([order, x0, y0, x0 + w, y0 + h, w * h])
+    kept = []
+    while live.shape[1]:
+        i, kx0, ky0, kx1, ky1, k_area = live[:, 0].tolist()
+        kept.append(detections[i])
+        live = live[:, 1:]
+        _, x0, y0, x1, y1, area = live
+        ix = np.maximum(0, np.minimum(x1, kx1) - np.maximum(x0, kx0))
+        iy = np.maximum(0, np.minimum(y1, ky1) - np.maximum(y0, ky0))
+        inter = ix * iy
+        live = live[:, inter / (area + k_area - inter) < overlap_threshold]
     return kept

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .detector import Detection, check_iou_threshold, iou
+from .detector import Detection, check_iou_threshold, check_margins, iou
 from .imaging import Rect
 
 
@@ -77,7 +77,11 @@ def _greedy_claims(dets: Sequence[Detection], boxes: Sequence[Rect],
 
 def match_frame(dets: Sequence[Detection], truth: GroundTruthFrame,
                 iou_threshold: float = 0.5) -> MatchResult:
-    """One-to-one greedy match of detections against one frame's truth."""
+    """One-to-one greedy match of detections against one frame's truth.
+
+    A NaN margin raises ValueError.
+    """
+    check_margins(dets)
     _, claims = _greedy_claims(dets, truth.boxes, iou_threshold)
     tp = sum(claims)
     return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(truth.boxes) - tp)
@@ -96,7 +100,7 @@ def _sweep(detections: Mapping[str, Sequence[Detection]],
     """(bias, tp, fp) per sweep point, the truth-box count and the frame count.
 
     Frames are the union of annotated frames and frames with detections;
-    without any frame the sweep is empty.
+    without any frame the sweep is empty. A NaN margin raises ValueError.
     """
     check_iou_threshold("iou_threshold", iou_threshold)
     truth_by_id = {t.frame_id: t.boxes for t in truths}
@@ -106,6 +110,7 @@ def _sweep(detections: Mapping[str, Sequence[Detection]],
     ranked = []
     for fid in frame_ids:
         dets = detections.get(fid, ())
+        check_margins(dets, f"detections[{fid!r}]")
         order, claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
         ranked += zip((-dets[i].margin for i in order), claims)
     # negated margins ascend; the detections kept at a bias form a prefix

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -6,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostdet.boosting import Stage, StrongClassifier, WeakClassifier
-from boostdet.detector import Detection, ScanConfig, iou, nms, pyramid_levels, scan
+from boostdet.detector import (
+    MAX_COORD,
+    Detection,
+    ScanConfig,
+    iou,
+    nms,
+    pyramid_levels,
+    scan,
+)
 from boostdet.features import (
     CANONICAL_H,
     CANONICAL_W,
@@ -249,6 +259,15 @@ def test_scan_rejects_integral_of_another_size(rng):
             scan(model, frame, cfg, ii=build_integral(rand_image(rng, w, h)))
 
 
+def test_scan_rejects_integral_of_another_frame():
+    model = random_model(random.Random(13), n_stages=4)
+    (frame0, _), (frame1, _) = frame_sequence(2, seed=99)
+    cfg = ScanConfig(bias=-1.0)
+    with pytest.raises(ValueError, match="other pixels than the frame"):
+        scan(model, frame0, cfg, ii=build_integral(frame1))
+    assert scan(model, frame0, cfg, ii=build_integral(frame0)) == scan(model, frame0, cfg)
+
+
 def test_scan_bias_monotone(rng):
     frame = rand_image(rng, 80, 60)
     model = random_model(random.Random(13), n_stages=4)
@@ -320,3 +339,81 @@ def test_nms_rejects_threshold_outside_unit_interval(bad):
     with pytest.raises(ValueError, match="overlap_threshold"):
         nms(disjoint, overlap_threshold=bad)
     assert nms(disjoint, overlap_threshold=1.0) == disjoint
+
+
+def _loop_nms(detections, overlap_threshold):
+    # reference: greedy NMS as a loop over the boxes kept so far
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].margin, i))
+    kept = []
+    for i in order:
+        d = detections[i]
+        if all(iou(d.box, k.box) < overlap_threshold for k in kept):
+            kept.append(d)
+    return kept
+
+
+_nms_box = st.builds(Rect, st.integers(0, 30), st.integers(0, 30),
+                     st.integers(1, 20), st.integers(1, 20))
+# few distinct margins, so ties are common, and both signed zeros
+_nms_margin = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, math.inf, -math.inf])
+# IoUs of small boxes hit these exactly
+_nms_threshold = (st.floats(0.0, 1.0, exclude_min=True)
+                  | st.sampled_from([1.0, 0.5, 1 / 3, 0.25, 5e-324]))
+
+
+@given(boxes=st.lists(_nms_box, min_size=1, max_size=12),
+       picks=st.lists(st.tuples(st.integers(0, 11), _nms_margin), max_size=80),
+       thr=_nms_threshold)
+@settings(max_examples=300, deadline=None)
+def test_nms_matches_loop_over_kept_boxes(boxes, picks, thr):
+    # drawing from a few boxes makes duplicates common
+    dets = [Detection(boxes[i % len(boxes)], m) for i, m in picks]
+    got = nms(dets, overlap_threshold=thr)
+    want = _loop_nms(dets, thr)
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+def test_nms_signed_zero_margins_tie():
+    # equal objects, so only identity shows which one was kept
+    dets = [Detection(Rect(0, 0, 10, 10), 0.0), Detection(Rect(0, 0, 10, 10), -0.0)]
+    kept = nms(dets)
+    assert len(kept) == 1 and kept[0] is dets[0]
+    assert nms(dets[::-1])[0] is dets[1]
+
+
+def test_nms_rejects_nan_margin():
+    dets = [Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(50, 50, 10, 10), math.nan)]
+    with pytest.raises(ValueError, match=r"detections\[1\] has a NaN margin: Detection\("):
+        nms(dets)
+
+
+def test_nms_orders_infinite_margins():
+    low = Detection(Rect(0, 0, 10, 10), -math.inf)
+    high = Detection(Rect(1, 0, 10, 10), math.inf)
+    apart = Detection(Rect(50, 50, 10, 10), 0.0)
+    assert nms([low, apart, high]) == [high, apart]
+
+
+@pytest.mark.parametrize("box", [Rect(MAX_COORD, 0, 1, 1), Rect(0, 0, 1, MAX_COORD),
+                                 Rect(2 ** 64, 0, 1, 1)])
+def test_nms_rejects_boxes_beyond_exact_iou(box):
+    with pytest.raises(ValueError, match="must lie below"):
+        nms([Detection(Rect(0, 0, 10, 10), 1.0), Detection(box, 0.5)])
+    edge = Detection(Rect(MAX_COORD - 1, 0, MAX_COORD - 1, MAX_COORD - 1), 0.5)
+    assert nms([edge, edge]) == [edge]
+
+
+def test_nms_memory_stays_linear():
+    # 6,400 overlapping boxes on a 2-pixel grid: an n x n float IoU
+    # matrix alone would be 330 MB
+    dets = [Detection(Rect(2 * (i % 80), 2 * (i // 80), 16, 12), float(i % 7))
+            for i in range(6400)]
+    tracemalloc.start()
+    try:
+        kept = nms(dets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 1 < len(kept) < len(dets)
+    assert peak < 4 * 2 ** 20

@@ -224,6 +224,33 @@ def test_iou_threshold_outside_unit_interval_is_rejected(bad):
     assert match_frame([det(10, 10, 20, 20)], truth(BOX), iou_threshold=1.0) == MatchResult(1, 0, 0)
 
 
+def test_curves_reject_nan_margin():
+    dets = {"f0": [det(10, 10, 20, 20)], "f1": [det(10, 10, 20, 20), det(0, 0, 5, 5, math.nan)]}
+    for curve in (roc_curve, pr_curve):
+        with pytest.raises(ValueError,
+                           match=r"detections\['f1'\]\[1\] has a NaN margin: Detection\("):
+            curve(dets, [truth(BOX)])
+
+
+def test_match_rejects_nan_margin():
+    # with the NaN first, the greedy order would give tp=1; reversed, tp=2
+    t = truth(Rect(0, 0, 10, 10), Rect(3, 0, 10, 10))
+    dets = [det(1, 0, 10, 10, math.nan), det(0, 0, 8, 10, 1.0)]
+    assert match_frame(dets[1:], t) == MatchResult(1, 0, 1)
+    for order in (dets, dets[::-1]):
+        with pytest.raises(ValueError, match="has a NaN margin"):
+            match_frame(order, t)
+
+
+def test_curves_accept_infinite_margins():
+    # +inf clears every finite bias and -inf none, as the sweep's sentinels do
+    dets = {"f0": [det(10, 10, 20, 20, math.inf), det(60, 60, 5, 5, -math.inf)]}
+    assert roc_curve(dets, [truth(BOX)], bias_sweep=[1.0, -1.0]) == [
+        RocPoint(1.0, 0.0, 1.0), RocPoint(-1.0, 0.0, 1.0)]
+    assert [(p.recall, p.precision) for p in pr_curve(dets, [truth(BOX)])] == [
+        (0.0, 1.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
+
+
 def _per_frame_sweep(detections, truths, bias_sweep, iou_threshold):
     """The sweep as a per-frame bisection summed over frames at every bias."""
     truth_by_id = {t.frame_id: t.boxes for t in truths}
