@@ -25,7 +25,7 @@ from .boosting import (
     weak_predict,
     weighted_error,
 )
-from .detector import Detection, ScanConfig, iou, nms, scan
+from .detector import Detection, Detections, ScanConfig, iou, nms, scan
 from .evalkit import (
     GroundTruthFrame,
     MatchResult,

@@ -1,11 +1,20 @@
 """Command-line entry points: train, detect, eval, synth.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
+
+``detect`` writes, per frame, the rows NMS keeps in scan order (pyramid
+level, then row, then column): ``nms(..., input_order=True)`` sorts the
+kept rows by their positions in the scan's ``Detections``. A sort on the
+box values would not do, because two levels can share a window size and
+differ only in stride. Margins are formatted from Python floats
+(``.tolist()``), whose ``repr`` round-trips, since NumPy 2 writes the
+``repr`` of a ``numpy.float64`` as ``np.float64(...)``.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -165,21 +174,32 @@ def cmd_detect(args) -> int:
         fh.write("frame_id,x,y,w,h,margin\n")
         for path in list_pgm_files(args.frames):
             frame = load_pgm(path)
-            dets = scan(model, frame, cfg)
-            kept = nms(dets, overlap_threshold=args.nms_iou)
-            # rows go out in scan order, not in the margin order nms uses
-            scan_index = {id(d): i for i, d in enumerate(dets)}
+            # rows go out in scan order, not in the margin order nms ranks by
+            kept = nms(scan(model, frame, cfg), overlap_threshold=args.nms_iou,
+                       input_order=True)
             frame_id = os.path.basename(path)
-            for d in sorted(kept, key=lambda d: scan_index[id(d)]):
-                fh.write(f"{frame_id},{d.box.x},{d.box.y},{d.box.w},{d.box.h},"
-                         f"{d.margin!r}\n")
+            for (x, y, w, h), margin in zip(kept.boxes.tolist(), kept.margins.tolist()):
+                fh.write(f"{frame_id},{x},{y},{w},{h},{margin!r}\n")
     return 0
 
 
 def parse_detections_csv(path) -> dict[str, list[Detection]]:
-    """Read a detect-command CSV back into per-frame detection lists."""
+    """Read a detect-command CSV back into per-frame detection lists.
+
+    Lines end as in a text-mode file. Anything malformed, bytes that are
+    not UTF-8 included, raises ValueError naming the file and line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).read()
+        lineno = before.count("\n") + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text "
+                         f"({exc.reason} at byte {exc.start})") from None
     detections: dict[str, list[Detection]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.StringIO(text, newline=None) as fh:
         header = fh.readline().strip()
         if header != "frame_id,x,y,w,h,margin":
             raise ValueError(f"{path}:1: unexpected header {header!r}")

@@ -7,6 +7,12 @@ Each level is that stack's strided view ``WindowStack.level``, and its
 margins come from ``boosting.vote``, the same vote that ``score`` and
 ``classify`` apply to a single crop.
 
+Detections leave ``scan`` as one ``Detections`` record: an int64
+``(n, 4)`` array of ``(x, y, w, h)`` boxes and a float64 ``(n,)`` array
+of margins, in scan order. It is a sequence of ``Detection`` values, but
+a ``Detection`` and its ``Rect`` are built only for the rows a caller
+indexes or iterates; ``nms`` and the evaluation read the arrays.
+
 ``nms`` is greedy suppression in suppress-forward form, the vectorised
 greedy NMS of the DPM release code (Felzenszwalb et al., TPAMI 2010):
 boxes are ordered by descending margin, ties in input order, and each box
@@ -33,6 +39,7 @@ from .imaging import GrayImage, Rect, WindowStack, build_integral
 # Box offsets and extents stay below this, so every area, and any two
 # areas summed, lies below 2**53 and converts to float64 exactly.
 MAX_COORD = 2 ** 26
+_BOX_LIMIT = f"box offsets and extents must lie below {MAX_COORD}"
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,70 @@ class Detection:
     margin: float
 
 
+class Detections(Sequence[Detection]):
+    """Detections as arrays: ``boxes`` (n, 4) int64 rows ``(x, y, w, h)``
+    and ``margins`` (n,) float64, both read-only copies of the inputs.
+
+    As a sequence, ``len``, iteration and an integer index give
+    ``Detection`` values with Python ints and floats, built on access; a
+    slice, an index array or a boolean mask gives another ``Detections``.
+    ``==`` compares row by row with another ``Detections`` or with any
+    sequence of ``Detection``. Boxes that are not integers of shape
+    (n, 4), a box with a negative offset or an extent below 1, or a
+    margin count other than n raise ValueError.
+    """
+
+    __slots__ = ("boxes", "margins")
+    __hash__ = None
+
+    def __init__(self, boxes, margins):
+        boxes = np.asarray(boxes)
+        margins = np.asarray(margins)
+        if boxes.ndim != 2 or boxes.shape[1] != 4:
+            raise ValueError(f"boxes must have shape (n, 4), got {boxes.shape}")
+        if boxes.size and boxes.dtype.kind not in "iu":
+            raise ValueError(f"boxes must be integers, got dtype {boxes.dtype}")
+        if margins.shape != (len(boxes),):
+            raise ValueError(f"{len(boxes)} boxes need margins of shape ({len(boxes)},), "
+                             f"got {margins.shape}")
+        if margins.size and margins.dtype.kind not in "iuf":
+            raise ValueError(f"margins must be real numbers, got dtype {margins.dtype}")
+        boxes = boxes.astype(np.int64)
+        bad = np.flatnonzero((boxes[:, :2] < 0).any(axis=1) | (boxes[:, 2:] < 1).any(axis=1))
+        if bad.size:
+            raise ValueError(f"boxes[{bad[0]}] = {boxes[bad[0]].tolist()} needs offsets "
+                             "that are >= 0 and extents that are >= 1")
+        margins = margins.astype(np.float64)
+        boxes.flags.writeable = False
+        margins.flags.writeable = False
+        self.boxes = boxes
+        self.margins = margins
+
+    def __len__(self) -> int:
+        return len(self.margins)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            x, y, w, h = self.boxes[key].tolist()
+            return Detection(Rect(x, y, w, h), self.margins[key].item())
+        return Detections(self.boxes[key], self.margins[key])
+
+    def __iter__(self):
+        for (x, y, w, h), margin in zip(self.boxes.tolist(), self.margins.tolist()):
+            yield Detection(Rect(x, y, w, h), margin)
+
+    def __eq__(self, other):
+        if isinstance(other, Detections):
+            return (np.array_equal(self.boxes, other.boxes)
+                    and np.array_equal(self.margins, other.margins))
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Detections(boxes={self.boxes!r}, margins={self.margins!r})"
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     scale_factor: float = 1.25
@@ -51,10 +122,12 @@ class ScanConfig:
     bias: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale_factor) and self.scale_factor > 1.0):
-            raise ValueError(f"scale_factor must be finite and > 1, got {self.scale_factor}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        # larger values overflow the pyramid's float and int64 arithmetic
+        if not 1.0 < self.scale_factor < MAX_COORD:
+            raise ValueError(f"scale_factor must lie in (1, {MAX_COORD}), "
+                             f"got {self.scale_factor}")
+        if not 1 <= self.stride < MAX_COORD:
+            raise ValueError(f"stride must lie in [1, {MAX_COORD}), got {self.stride}")
         if self.min_window_w < 1:
             raise ValueError(f"min_window_w must be >= 1, got {self.min_window_w}")
         if math.isnan(self.bias):
@@ -103,8 +176,8 @@ def pyramid_levels(frame_w: int, frame_h: int, cfg: ScanConfig) -> list[tuple[in
 
 
 def scan(model: StrongClassifier, frame: GrayImage, cfg: ScanConfig = ScanConfig(),
-         ii: WindowStack | None = None) -> list[Detection]:
-    """All windows whose vote margin exceeds ``cfg.bias``.
+         ii: WindowStack | None = None) -> Detections:
+    """All windows whose vote margin exceeds ``cfg.bias``, as one record.
 
     Output order is deterministic: pyramid level, then row, then column.
     Frames smaller than the canonical window yield nothing. The frame's
@@ -119,13 +192,15 @@ def scan(model: StrongClassifier, frame: GrayImage, cfg: ScanConfig = ScanConfig
                          f"frame is {frame.width}x{frame.height}")
     elif not np.array_equal(ii.pixels, frame.pixels):
         raise ValueError("integral image is of other pixels than the frame")
-    out: list[Detection] = []
+    boxes = [np.empty((0, 4), dtype=np.int64)]
+    margins = [np.empty(0)]
     for win_w, win_h, stride in pyramid_levels(frame.width, frame.height, cfg):
-        margins = vote(model, ii.level(win_w, win_h, stride))
-        for iy, ix in zip(*np.nonzero(margins > cfg.bias)):
-            out.append(Detection(box=Rect(int(ix) * stride, int(iy) * stride, win_w, win_h),
-                                 margin=float(margins[iy, ix])))
-    return out
+        level = vote(model, ii.level(win_w, win_h, stride))
+        iy, ix = np.nonzero(level > cfg.bias)
+        boxes.append(np.column_stack((ix * stride, iy * stride,
+                                      np.full_like(ix, win_w), np.full_like(ix, win_h))))
+        margins.append(level[iy, ix])
+    return Detections(np.concatenate(boxes), np.concatenate(margins))
 
 
 def check_iou_threshold(name: str, value: float) -> None:
@@ -140,40 +215,64 @@ def check_margins(detections: Sequence[Detection], source: str = "detections") -
     A NaN compares false with everything, so it has no place in a margin
     order; +-inf are accepted, because their order is well defined.
     """
-    for i, d in enumerate(detections):
-        if math.isnan(d.margin):
-            raise ValueError(f"{source}[{i}] has a NaN margin: {d}")
+    if isinstance(detections, Detections):
+        margins = detections.margins
+    else:
+        margins = np.array([d.margin for d in detections], dtype=np.float64)
+    bad = np.flatnonzero(np.isnan(margins))
+    if bad.size:
+        raise ValueError(f"{source}[{bad[0]}] has a NaN margin: {detections[int(bad[0])]}")
 
 
-def nms(detections: list[Detection], overlap_threshold: float = 0.5) -> list[Detection]:
-    """Greedy suppression: higher margins win, ties keep input order.
-
-    Suppress-forward form: in margin order, each box still alive is kept
-    and removes every later box whose IoU with it is at least
-    ``overlap_threshold``, so a box is kept exactly when no box kept
-    before it overlaps it that much. The live boxes are compacted after
-    every keep, so memory stays O(n). A NaN margin, or a box offset or
-    extent of ``MAX_COORD`` or more, raises ValueError.
-    """
-    check_iou_threshold("overlap_threshold", overlap_threshold)
-    check_margins(detections)
-    margins = np.array([d.margin for d in detections], dtype=np.float64)
-    flat = [v for d in detections for v in (d.box.x, d.box.y, d.box.w, d.box.h)]
-    if max(flat, default=0) >= MAX_COORD:
-        raise ValueError(f"box offsets and extents must lie below {MAX_COORD}")
-    boxes = np.array(flat, dtype=np.int64).reshape(-1, 4)
-    order = np.lexsort((np.arange(len(detections)), -margins))
-    x0, y0, w, h = boxes[order].T
-    # one column per live box, in margin order: input index, corners, area
+def _kept_rows(dets: Detections, overlap_threshold: float) -> np.ndarray:
+    """Row indices that greedy suppression keeps, in margin order."""
+    if dets.boxes.max(initial=0) >= MAX_COORD:
+        raise ValueError(_BOX_LIMIT)
+    order = np.lexsort((np.arange(len(dets)), -dets.margins))
+    x0, y0, w, h = dets.boxes[order].T
+    # one column per live box, in margin order: row index, corners, area
     live = np.stack([order, x0, y0, x0 + w, y0 + h, w * h])
     kept = []
     while live.shape[1]:
         i, kx0, ky0, kx1, ky1, k_area = live[:, 0].tolist()
-        kept.append(detections[i])
+        kept.append(i)
         live = live[:, 1:]
         _, x0, y0, x1, y1, area = live
         ix = np.maximum(0, np.minimum(x1, kx1) - np.maximum(x0, kx0))
         iy = np.maximum(0, np.minimum(y1, ky1) - np.maximum(y0, ky0))
         inter = ix * iy
         live = live[:, inter / (area + k_area - inter) < overlap_threshold]
-    return kept
+    return np.array(kept, dtype=np.intp)
+
+
+def nms(detections: Sequence[Detection], overlap_threshold: float = 0.5,
+        input_order: bool = False) -> Sequence[Detection]:
+    """Greedy suppression: higher margins win, ties keep input order.
+
+    Suppress-forward form: in margin order, each box still alive is kept
+    and removes every later box whose IoU with it is at least
+    ``overlap_threshold``, so a box is kept exactly when no box kept
+    before it overlaps it that much. The live boxes are compacted after
+    every keep, so memory stays O(n). The kept detections come back in
+    margin order, or with ``input_order`` in the order of the input: a
+    ``Detections`` as a ``Detections``, any other sequence as a list of
+    its own objects. A NaN margin, or a box offset or extent of
+    ``MAX_COORD`` or more, raises ValueError.
+    """
+    check_iou_threshold("overlap_threshold", overlap_threshold)
+    check_margins(detections)
+    if isinstance(detections, Detections):
+        rows = detections
+    else:
+        flat = [v for d in detections for v in (d.box.x, d.box.y, d.box.w, d.box.h)]
+        # checked here, before a Python int too large for int64 reaches numpy
+        if max(flat, default=0) >= MAX_COORD:
+            raise ValueError(_BOX_LIMIT)
+        rows = Detections(np.array(flat, dtype=np.int64).reshape(-1, 4),
+                          [d.margin for d in detections])
+    kept = _kept_rows(rows, overlap_threshold)
+    if input_order:
+        kept.sort()
+    if isinstance(detections, Detections):
+        return detections[kept]
+    return [detections[i] for i in kept.tolist()]

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .detector import Detection, check_iou_threshold, check_margins, iou
+from .detector import Detection, Detections, check_iou_threshold, check_margins, iou
 from .imaging import Rect
 
 
@@ -50,22 +50,35 @@ class PrPoint:
     precision: float
 
 
-def _greedy_claims(dets: Sequence[Detection], boxes: Sequence[Rect],
-                   iou_threshold: float) -> tuple[list[int], list[bool]]:
+def _margins(dets: Sequence[Detection]) -> list[float]:
+    """Each detection's margin, read once (from the array of a ``Detections``)."""
+    if isinstance(dets, Detections):
+        return dets.margins.tolist()
+    return [d.margin for d in dets]
+
+
+def _boxes(dets: Sequence[Detection]) -> list[Rect]:
+    """Each detection's box, read once (from the array of a ``Detections``)."""
+    if isinstance(dets, Detections):
+        return [Rect(*row) for row in dets.boxes.tolist()]
+    return [d.box for d in dets]
+
+
+def _claims(margins: Sequence[float], det_boxes: Sequence[Rect], boxes: Sequence[Rect],
+            iou_threshold: float) -> tuple[list[int], list[bool]]:
     """Margin order of the detections, and whether each in turn claims a box.
 
     Detections are processed in descending margin order (ties by input
     order); IoU ties between truth boxes go to the lower index.
     """
-    check_iou_threshold("iou_threshold", iou_threshold)
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].margin, i))
+    order = sorted(range(len(margins)), key=lambda i: (-margins[i], i))
     taken = [False] * len(boxes)
     claims = []
     for i in order:
         best_j, best_iou = -1, 0.0
         for j, box in enumerate(boxes):
             if not taken[j]:
-                v = iou(dets[i].box, box)
+                v = iou(det_boxes[i], box)
                 if v > best_iou:
                     best_j, best_iou = j, v
         claimed = best_j >= 0 and best_iou >= iou_threshold
@@ -73,6 +86,13 @@ def _greedy_claims(dets: Sequence[Detection], boxes: Sequence[Rect],
             taken[best_j] = True
         claims.append(claimed)
     return order, claims
+
+
+def _greedy_claims(dets: Sequence[Detection], boxes: Sequence[Rect],
+                   iou_threshold: float) -> tuple[list[int], list[bool]]:
+    """``_claims`` of the detections' margins and boxes."""
+    check_iou_threshold("iou_threshold", iou_threshold)
+    return _claims(_margins(dets), _boxes(dets), boxes, iou_threshold)
 
 
 def match_frame(dets: Sequence[Detection], truth: GroundTruthFrame,
@@ -89,7 +109,7 @@ def match_frame(dets: Sequence[Detection], truth: GroundTruthFrame,
 
 def default_bias_sweep(detections: Mapping[str, Sequence[Detection]]) -> list[float]:
     """Descending unique margins wrapped in +/- infinity sentinels."""
-    margins = sorted({d.margin for dets in detections.values() for d in dets},
+    margins = sorted({m for dets in detections.values() for m in _margins(dets)},
                      reverse=True)
     return [math.inf] + margins + [-math.inf]
 
@@ -111,8 +131,10 @@ def _sweep(detections: Mapping[str, Sequence[Detection]],
     for fid in frame_ids:
         dets = detections.get(fid, ())
         check_margins(dets, f"detections[{fid!r}]")
-        order, claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
-        ranked += zip((-dets[i].margin for i in order), claims)
+        margins = _margins(dets)
+        order, claims = _claims(margins, _boxes(dets), truth_by_id.get(fid, ()),
+                                iou_threshold)
+        ranked += zip((-margins[i] for i in order), claims)
     # negated margins ascend; the detections kept at a bias form a prefix
     ranked.sort()
     neg_margins = [m for m, _ in ranked]

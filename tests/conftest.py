@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from boostdet.detector import Detections
 from boostdet.features import CANONICAL_H, CANONICAL_W
 from boostdet.imaging import GrayImage, Rect
 
@@ -29,3 +30,10 @@ def rand_rect(rng, width, height) -> Rect:
 
 def py_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def as_detections(dets) -> Detections:
+    """The ``Detections`` holding the rows of a list of ``Detection``."""
+    return Detections(np.array([(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets],
+                               dtype=np.int64).reshape(-1, 4),
+                      np.array([d.margin for d in dets], dtype=np.float64))

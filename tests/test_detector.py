@@ -1,16 +1,19 @@
 import math
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boostdet.boosting import Stage, StrongClassifier, WeakClassifier
+from boostdet.boosting import Stage, StrongClassifier, WeakClassifier, vote
 from boostdet.detector import (
     MAX_COORD,
     Detection,
+    Detections,
     ScanConfig,
     iou,
     nms,
@@ -34,7 +37,7 @@ from boostdet.imaging import GrayImage, Rect, build_integral
 from boostdet.learner import LearnerConfig, random_feature
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples
-from conftest import rand_image
+from conftest import as_detections, rand_image
 from oracles import brute_rect_sum, brute_std, points_rule
 
 
@@ -417,3 +420,136 @@ def test_nms_memory_stays_linear():
         tracemalloc.stop()
     assert 1 < len(kept) < len(dets)
     assert peak < 4 * 2 ** 20
+
+
+@given(boxes=st.lists(_nms_box, min_size=1, max_size=12),
+       picks=st.lists(st.tuples(st.integers(0, 11), _nms_margin), max_size=80),
+       thr=_nms_threshold)
+@settings(max_examples=300, deadline=None)
+def test_nms_on_arrays_keeps_the_loop_rows(boxes, picks, thr):
+    dets = [Detection(boxes[i % len(boxes)], m) for i, m in picks]
+    want = _loop_nms(dets, thr)
+    got = nms(as_detections(dets), overlap_threshold=thr)
+    assert isinstance(got, Detections)
+    # equal rows in the same order; the signed zeros must agree too
+    assert got == want
+    assert [math.copysign(1.0, m) for m in got.margins] == [
+        math.copysign(1.0, d.margin) for d in want]
+    # in input order, the same rows sorted by their input positions
+    position = {id(d): i for i, d in enumerate(dets)}
+    in_input_order = sorted(want, key=lambda d: position[id(d)])
+    assert nms(as_detections(dets), overlap_threshold=thr, input_order=True) == in_input_order
+    assert nms(dets, overlap_threshold=thr, input_order=True) == in_input_order
+
+
+def _scan_reference(model, frame, cfg):
+    """``scan`` as a list of ``Detection``, one window at a time."""
+    ii = build_integral(frame)
+    out = []
+    for win_w, win_h, stride in pyramid_levels(frame.width, frame.height, cfg):
+        for y in range(0, frame.height - win_h + 1, stride):
+            for x in range(0, frame.width - win_w + 1, stride):
+                win = Rect(x, y, win_w, win_h)
+                margin = float(vote(model, ii.window(win)))
+                if margin > cfg.bias:
+                    out.append(Detection(box=win, margin=margin))
+    return out
+
+
+def test_scan_returns_detections_equal_to_the_list(rng):
+    frame = rand_image(rng, 70, 50)
+    model = random_model(random.Random(19), n_stages=5)
+    for bias in (float("-inf"), -1.0, 0.5):
+        cfg = ScanConfig(bias=bias)
+        got = scan(model, frame, cfg)
+        want = _scan_reference(model, frame, cfg)
+        assert isinstance(got, Detections)
+        assert got == want and want == got and len(got) == len(want) > 0
+        assert list(got) == want
+        assert [got[i] for i in range(-len(got), len(got))] == want + want
+        # values of Python types, as a list of Detection holds them
+        d = got[0]
+        assert type(d.margin) is float and all(type(v) is int for v in astuple(d.box))
+
+
+def test_detections_index_and_slice(rng):
+    dets = scan(random_model(random.Random(23), n_stages=3), rand_image(rng, 60, 44),
+                ScanConfig(bias=float("-inf")))
+    rows = list(dets)
+    assert isinstance(dets[1:7:2], Detections) and dets[1:7:2] == rows[1:7:2]
+    picks = np.array([5, 0, 5, len(rows) - 1])
+    assert isinstance(dets[picks], Detections)
+    assert dets[picks] == [rows[i] for i in picks]
+    mask = dets.margins > 0
+    assert dets[mask] == [d for d in rows if d.margin > 0]
+    assert dets[np.array([], dtype=np.intp)] == []
+    with pytest.raises(IndexError):
+        dets[len(rows)]
+    assert rows[3] in dets and dets.index(rows[3]) == rows.index(rows[3])
+    # == is by row, not by type or identity
+    assert dets != rows[:-1] and dets != rows[::-1]
+    assert dets[:0] == [] and dets[:0] == ()
+    assert (dets == 3) is False
+
+
+def test_detections_arrays_are_read_only_copies():
+    boxes = np.array([[0, 0, 10, 10], [5, 5, 10, 10]])
+    margins = np.array([1.0, 2.0])
+    dets = Detections(boxes, margins)
+    boxes[0, 0] = 7
+    margins[0] = -1.0
+    assert dets[0] == Detection(Rect(0, 0, 10, 10), 1.0)
+    assert dets.boxes.dtype == np.int64 and dets.margins.dtype == np.float64
+    for array in (dets.boxes, dets.margins):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 3
+    with pytest.raises(TypeError):
+        hash(dets)
+
+
+@pytest.mark.parametrize("boxes, margins, message", [
+    (np.zeros((2, 3), dtype=np.int64), [1.0, 2.0], r"shape \(n, 4\)"),
+    (np.zeros(4, dtype=np.int64), [1.0], r"shape \(n, 4\)"),
+    (np.zeros((1, 2, 4), dtype=np.int64), [1.0], r"shape \(n, 4\)"),
+    ([[0, 0, 1, 1], [0, 0, 1, 1]], [1.0], "margins of shape"),
+    ([[0, 0, 1, 1]], [1.0, 2.0], "margins of shape"),
+    ([[0, 0, 1, 1]], [[1.0]], "margins of shape"),
+    ([[0, 0, 1.5, 1]], [1.0], "integers"),
+    ([[0, 0, 1, 1]], ["1.0"], "real numbers"),
+    ([[0, 0, 1, 1], [-1, 0, 1, 1]], [1.0, 2.0], r"boxes\[1\]"),
+    ([[0, 0, 1, 0]], [1.0], r"boxes\[0\]"),
+])
+def test_detections_reject_malformed_arrays(boxes, margins, message):
+    with pytest.raises(ValueError, match=message):
+        Detections(boxes, margins)
+
+
+def test_nms_rejects_nan_margin_in_arrays():
+    dets = as_detections([Detection(Rect(0, 0, 10, 10), 1.0),
+                       Detection(Rect(50, 50, 10, 10), 0.5),
+                       Detection(Rect(9, 9, 10, 10), math.nan),
+                       Detection(Rect(3, 3, 10, 10), math.nan)])
+    with pytest.raises(ValueError, match=r"detections\[2\] has a NaN margin: Detection\("):
+        nms(dets)
+
+
+def test_nms_rejects_array_boxes_beyond_exact_iou():
+    dets = as_detections([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(0, 0, 1, 1), 0.5)])
+    far = Detections(np.array([[0, 0, 10, 10], [MAX_COORD, 0, 1, 1]]), [1.0, 0.5])
+    with pytest.raises(ValueError, match="must lie below"):
+        nms(far)
+    assert nms(dets) == list(dets)
+
+
+def test_scan_config_bounds_pyramid_arithmetic(rng):
+    for bad in (dict(scale_factor=float(MAX_COORD)), dict(scale_factor=1e308),
+                dict(stride=MAX_COORD), dict(stride=10 ** 400)):
+        with pytest.raises(ValueError, match="must lie in"):
+            ScanConfig(**bad)
+    # the largest accepted values still scan: one origin per level
+    frame = rand_image(rng, 52, 40)
+    model = random_model(random.Random(29), n_stages=2)
+    cfg = ScanConfig(scale_factor=MAX_COORD - 1.0, stride=MAX_COORD - 1,
+                     bias=float("-inf"))
+    assert scan(model, frame, cfg) == _scan_reference(model, frame, cfg)
+    assert len(scan(model, frame, cfg)) == 1

@@ -22,6 +22,7 @@ from boostdet.evalkit import (
     roc_curve,
 )
 from boostdet.imaging import Rect
+from conftest import as_detections
 
 BOX = Rect(10, 10, 20, 20)
 
@@ -300,3 +301,36 @@ def test_curves_match_per_frame_sweep(detections, truths, bias_sweep, iou_thresh
                 pr_curve(detections, truths, bias_sweep, iou_threshold))
     # repr, because a NaN bias is never equal to itself
     assert repr(got) == repr(want)
+
+
+@given(detections=st.dictionaries(_frame_ids, st.lists(
+           st.builds(Detection, _small_box, _margin), max_size=8), max_size=4),
+       truths=st.lists(st.builds(GroundTruthFrame, _frame_ids,
+                                 st.lists(_small_box, max_size=4)), max_size=4),
+       bias_sweep=st.none() | st.lists(_margin, max_size=8),
+       iou_threshold=st.sampled_from([0.1, 0.5, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_arrays_evaluate_as_lists(detections, truths, bias_sweep, iou_threshold):
+    arrays = {fid: as_detections(dets) for fid, dets in detections.items()}
+    for curve in (roc_curve, pr_curve):
+        assert (curve(arrays, truths, bias_sweep, iou_threshold)
+                == curve(detections, truths, bias_sweep, iou_threshold))
+    assert default_bias_sweep(arrays) == default_bias_sweep(detections)
+    for t in truths:
+        dets = detections.get(t.frame_id, [])
+        assert (match_frame(as_detections(dets), t, iou_threshold)
+                == match_frame(dets, t, iou_threshold))
+
+
+def test_arrays_with_nan_margin_are_rejected():
+    dets = {"f0": as_detections([det(10, 10, 20, 20)]),
+            "f1": as_detections([det(10, 10, 20, 20), det(0, 0, 5, 5, math.nan)])}
+    for curve in (roc_curve, pr_curve):
+        with pytest.raises(ValueError,
+                           match=r"detections\['f1'\]\[1\] has a NaN margin: Detection\("):
+            curve(dets, [truth(BOX)])
+    t = truth(Rect(0, 0, 10, 10), Rect(3, 0, 10, 10))
+    for order in ([det(1, 0, 10, 10, math.nan), det(0, 0, 8, 10, 1.0)],
+                  [det(0, 0, 8, 10, 1.0), det(1, 0, 10, 10, math.nan)]):
+        with pytest.raises(ValueError, match="has a NaN margin"):
+            match_frame(as_detections(order), t)
