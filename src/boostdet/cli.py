@@ -9,22 +9,25 @@ box values would not do, because two levels can share a window size and
 differ only in stride. Margins are formatted from Python floats
 (``.tolist()``), whose ``repr`` round-trips, since NumPy 2 writes the
 ``repr`` of a ``numpy.float64`` as ``np.float64(...)``.
+
+``eval`` reads the CSV back as one ``Detections`` record per frame, with
+no ``Detection`` per row; a box the record cannot hold (an offset or
+extent of ``MAX_COORD`` or more) is rejected with its file and line.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
 
 from .boosting import LabeledSample, TrainConfig
-from .dataset import AnnotationError, DatasetManifest, list_pgm_files, parse_annotations
-from .detector import Detection, ScanConfig, check_iou_threshold, nms, scan
+from .dataset import (AnnotationError, DatasetManifest, list_pgm_files, parse_annotations,
+                      read_text)
+from .detector import MAX_COORD, Detections, ScanConfig, check_iou_threshold, nms, scan
 from .evalkit import auc, pr_curve, roc_curve
 from .features import FeatureKind
-from .imaging import Rect
 from .learner import LearnerConfig
 from .modelio import ModelFormatError, load_model, save_model
 from .pgm import PgmError, load_pgm
@@ -183,43 +186,39 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def parse_detections_csv(path) -> dict[str, list[Detection]]:
-    """Read a detect-command CSV back into per-frame detection lists.
+def parse_detections_csv(path) -> dict[str, Detections]:
+    """Read a detect-command CSV back into one ``Detections`` per frame.
 
     Lines end as in a text-mode file. Anything malformed, bytes that are
-    not UTF-8 included, raises ValueError naming the file and line.
+    not UTF-8 and boxes a record cannot hold included, raises ValueError
+    naming the file and line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).read()
-        lineno = before.count("\n") + 1
-        raise ValueError(f"{path}:{lineno}: not UTF-8 text "
-                         f"({exc.reason} at byte {exc.start})") from None
-    detections: dict[str, list[Detection]] = {}
-    with io.StringIO(text, newline=None) as fh:
-        header = fh.readline().strip()
-        if header != "frame_id,x,y,w,h,margin":
-            raise ValueError(f"{path}:1: unexpected header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            try:
-                box = Rect(x=int(parts[1]), y=int(parts[2]),
-                           w=int(parts[3]), h=int(parts[4]))
-                margin = float(parts[5])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(margin):
-                raise ValueError(f"{path}:{lineno}: margin must be finite, got {parts[5]!r}")
-            detections.setdefault(parts[0], []).append(Detection(box=box, margin=margin))
-    return detections
+    lines = read_text(path).split("\n")
+    header = lines[0].strip()
+    if header != "frame_id,x,y,w,h,margin":
+        raise ValueError(f"{path}:1: unexpected header {header!r}")
+    rows: dict[str, tuple[list[list[int]], list[float]]] = {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+        try:
+            x, y, w, h = box = [int(p) for p in parts[1:5]]
+            margin = float(parts[5])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if min(x, y) < 0 or min(w, h) < 1 or max(box) >= MAX_COORD:
+            raise ValueError(f"{path}:{lineno}: box {x},{y},{w},{h} needs offsets >= 0, "
+                             f"extents >= 1 and all four below {MAX_COORD}")
+        if not math.isfinite(margin):
+            raise ValueError(f"{path}:{lineno}: margin must be finite, got {parts[5]!r}")
+        boxes, margins = rows.setdefault(parts[0], ([], []))
+        boxes.append(box)
+        margins.append(margin)
+    return {fid: Detections(boxes, margins) for fid, (boxes, margins) in rows.items()}
 
 
 def cmd_eval(args) -> int:

@@ -1,4 +1,5 @@
-"""Annotation files, dataset manifests and training-crop ingestion.
+"""Annotation files, dataset manifests and training-crop ingestion, and
+``read_text``, the UTF-8 reading that every text reader shares.
 
 Annotation grammar, one box per line, '#' starts a comment:
 
@@ -7,6 +8,7 @@ Annotation grammar, one box per line, '#' starts a comment:
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 
@@ -18,29 +20,45 @@ class AnnotationError(ValueError):
     """Malformed annotation line; the message names the line number."""
 
 
+def read_text(path, error: type[ValueError] = ValueError) -> str:
+    """The UTF-8 text of ``path``, its lines ended as in a text-mode file.
+
+    A byte that is not UTF-8 raises ``error`` naming the file and line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).read()
+        lineno = before.count("\n") + 1
+        raise error(f"{path}:{lineno}: not UTF-8 text "
+                    f"({exc.reason} at byte {exc.start})") from None
+    return io.StringIO(text, newline=None).read()
+
+
 def parse_annotations(path) -> list[GroundTruthFrame]:
     """Ground-truth boxes grouped by frame, in first-seen frame order."""
     boxes_by_frame: dict[str, list[Rect]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise AnnotationError(
-                    f"{path}:{lineno}: expected 'frame_path x y w h', got {raw.strip()!r}")
-            frame_id = parts[0]
-            try:
-                x, y, w, h = (int(p) for p in parts[1:])
-            except ValueError:
-                raise AnnotationError(
-                    f"{path}:{lineno}: box coordinates must be integers") from None
-            try:
-                rect = Rect(x=x, y=y, w=w, h=h)
-            except ValueError as exc:
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from None
-            boxes_by_frame.setdefault(frame_id, []).append(rect)
+    for lineno, raw in enumerate(read_text(path, AnnotationError).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 5:
+            raise AnnotationError(
+                f"{path}:{lineno}: expected 'frame_path x y w h', got {raw.strip()!r}")
+        frame_id = parts[0]
+        try:
+            x, y, w, h = (int(p) for p in parts[1:])
+        except ValueError:
+            raise AnnotationError(
+                f"{path}:{lineno}: box coordinates must be integers") from None
+        try:
+            rect = Rect(x=x, y=y, w=w, h=h)
+        except ValueError as exc:
+            raise AnnotationError(f"{path}:{lineno}: {exc}") from None
+        boxes_by_frame.setdefault(frame_id, []).append(rect)
     return [GroundTruthFrame(frame_id=fid, boxes=tuple(bx))
             for fid, bx in boxes_by_frame.items()]
 

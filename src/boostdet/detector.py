@@ -11,7 +11,8 @@ Detections leave ``scan`` as one ``Detections`` record: an int64
 ``(n, 4)`` array of ``(x, y, w, h)`` boxes and a float64 ``(n,)`` array
 of margins, in scan order. It is a sequence of ``Detection`` values, but
 a ``Detection`` and its ``Rect`` are built only for the rows a caller
-indexes or iterates; ``nms`` and the evaluation read the arrays.
+indexes or iterates. ``nms`` and the evaluation read the arrays, and take
+any other sequence of ``Detection`` once, through ``Detections.of``.
 
 ``nms`` is greedy suppression in suppress-forward form, the vectorised
 greedy NMS of the DPM release code (Felzenszwalb et al., TPAMI 2010):
@@ -102,10 +103,22 @@ class Detections(Sequence[Detection]):
         for (x, y, w, h), margin in zip(self.boxes.tolist(), self.margins.tolist()):
             yield Detection(Rect(x, y, w, h), margin)
 
+    @classmethod
+    def of(cls, detections: Sequence[Detection]) -> Detections:
+        """``detections`` as a record: a ``Detections`` as it is, any other
+        sequence of ``Detection`` converted once. A box offset or extent of
+        ``MAX_COORD`` or more in such a sequence raises ValueError.
+        """
+        if isinstance(detections, Detections):
+            return detections
+        flat = [v for d in detections for v in (d.box.x, d.box.y, d.box.w, d.box.h)]
+        # checked here, before a Python int too large for int64 reaches numpy
+        if max(flat, default=0) >= MAX_COORD:
+            raise ValueError(_BOX_LIMIT)
+        return cls(np.array(flat, dtype=np.int64).reshape(-1, 4),
+                   [d.margin for d in detections])
+
     def __eq__(self, other):
-        if isinstance(other, Detections):
-            return (np.array_equal(self.boxes, other.boxes)
-                    and np.array_equal(self.margins, other.margins))
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
@@ -209,17 +222,13 @@ def check_iou_threshold(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
-def check_margins(detections: Sequence[Detection], source: str = "detections") -> None:
+def check_margins(detections: Detections, source: str = "detections") -> None:
     """Raise ValueError naming the first detection with a NaN margin.
 
     A NaN compares false with everything, so it has no place in a margin
     order; +-inf are accepted, because their order is well defined.
     """
-    if isinstance(detections, Detections):
-        margins = detections.margins
-    else:
-        margins = np.array([d.margin for d in detections], dtype=np.float64)
-    bad = np.flatnonzero(np.isnan(margins))
+    bad = np.flatnonzero(np.isnan(detections.margins))
     if bad.size:
         raise ValueError(f"{source}[{bad[0]}] has a NaN margin: {detections[int(bad[0])]}")
 
@@ -246,33 +255,22 @@ def _kept_rows(dets: Detections, overlap_threshold: float) -> np.ndarray:
 
 
 def nms(detections: Sequence[Detection], overlap_threshold: float = 0.5,
-        input_order: bool = False) -> Sequence[Detection]:
+        input_order: bool = False) -> Detections:
     """Greedy suppression: higher margins win, ties keep input order.
 
     Suppress-forward form: in margin order, each box still alive is kept
     and removes every later box whose IoU with it is at least
     ``overlap_threshold``, so a box is kept exactly when no box kept
     before it overlaps it that much. The live boxes are compacted after
-    every keep, so memory stays O(n). The kept detections come back in
-    margin order, or with ``input_order`` in the order of the input: a
-    ``Detections`` as a ``Detections``, any other sequence as a list of
-    its own objects. A NaN margin, or a box offset or extent of
-    ``MAX_COORD`` or more, raises ValueError.
+    every keep, so memory stays O(n). The kept rows come back as a
+    ``Detections``, in margin order, or with ``input_order`` in the order
+    of the input. A NaN margin, or a box offset or extent of ``MAX_COORD``
+    or more, raises ValueError.
     """
     check_iou_threshold("overlap_threshold", overlap_threshold)
-    check_margins(detections)
-    if isinstance(detections, Detections):
-        rows = detections
-    else:
-        flat = [v for d in detections for v in (d.box.x, d.box.y, d.box.w, d.box.h)]
-        # checked here, before a Python int too large for int64 reaches numpy
-        if max(flat, default=0) >= MAX_COORD:
-            raise ValueError(_BOX_LIMIT)
-        rows = Detections(np.array(flat, dtype=np.int64).reshape(-1, 4),
-                          [d.margin for d in detections])
-    kept = _kept_rows(rows, overlap_threshold)
+    dets = Detections.of(detections)
+    check_margins(dets)
+    kept = _kept_rows(dets, overlap_threshold)
     if input_order:
         kept.sort()
-    if isinstance(detections, Detections):
-        return detections[kept]
-    return [detections[i] for i in kept.tolist()]
+    return dets[kept]

@@ -6,6 +6,9 @@ the threshold. Because a bias sweep only ever removes a suffix of the
 margin-sorted detection list, the greedy claims are computed once per
 frame, every frame's detections are ranked together by margin, and each
 sweep point is one bisection into the cumulative claim counts.
+
+Each entry point converts a frame's detections once, through
+``Detections.of``, to the record that the claims and the sweep read.
 """
 
 from __future__ import annotations
@@ -50,27 +53,17 @@ class PrPoint:
     precision: float
 
 
-def _margins(dets: Sequence[Detection]) -> list[float]:
-    """Each detection's margin, read once (from the array of a ``Detections``)."""
-    if isinstance(dets, Detections):
-        return dets.margins.tolist()
-    return [d.margin for d in dets]
-
-
-def _boxes(dets: Sequence[Detection]) -> list[Rect]:
-    """Each detection's box, read once (from the array of a ``Detections``)."""
-    if isinstance(dets, Detections):
-        return [Rect(*row) for row in dets.boxes.tolist()]
-    return [d.box for d in dets]
-
-
-def _claims(margins: Sequence[float], det_boxes: Sequence[Rect], boxes: Sequence[Rect],
-            iou_threshold: float) -> tuple[list[int], list[bool]]:
+def _greedy_claims(dets: Sequence[Detection], boxes: Sequence[Rect],
+                   iou_threshold: float) -> tuple[list[int], list[bool]]:
     """Margin order of the detections, and whether each in turn claims a box.
 
     Detections are processed in descending margin order (ties by input
     order); IoU ties between truth boxes go to the lower index.
     """
+    check_iou_threshold("iou_threshold", iou_threshold)
+    dets = Detections.of(dets)
+    margins = dets.margins.tolist()
+    det_boxes = [Rect(*row) for row in dets.boxes.tolist()]
     order = sorted(range(len(margins)), key=lambda i: (-margins[i], i))
     taken = [False] * len(boxes)
     claims = []
@@ -88,19 +81,13 @@ def _claims(margins: Sequence[float], det_boxes: Sequence[Rect], boxes: Sequence
     return order, claims
 
 
-def _greedy_claims(dets: Sequence[Detection], boxes: Sequence[Rect],
-                   iou_threshold: float) -> tuple[list[int], list[bool]]:
-    """``_claims`` of the detections' margins and boxes."""
-    check_iou_threshold("iou_threshold", iou_threshold)
-    return _claims(_margins(dets), _boxes(dets), boxes, iou_threshold)
-
-
 def match_frame(dets: Sequence[Detection], truth: GroundTruthFrame,
                 iou_threshold: float = 0.5) -> MatchResult:
     """One-to-one greedy match of detections against one frame's truth.
 
     A NaN margin raises ValueError.
     """
+    dets = Detections.of(dets)
     check_margins(dets)
     _, claims = _greedy_claims(dets, truth.boxes, iou_threshold)
     tp = sum(claims)
@@ -109,8 +96,8 @@ def match_frame(dets: Sequence[Detection], truth: GroundTruthFrame,
 
 def default_bias_sweep(detections: Mapping[str, Sequence[Detection]]) -> list[float]:
     """Descending unique margins wrapped in +/- infinity sentinels."""
-    margins = sorted({m for dets in detections.values() for m in _margins(dets)},
-                     reverse=True)
+    margins = sorted({m for dets in detections.values()
+                      for m in Detections.of(dets).margins.tolist()}, reverse=True)
     return [math.inf] + margins + [-math.inf]
 
 
@@ -129,12 +116,10 @@ def _sweep(detections: Mapping[str, Sequence[Detection]],
         return [], 0, 0
     ranked = []
     for fid in frame_ids:
-        dets = detections.get(fid, ())
+        dets = Detections.of(detections.get(fid, ()))
         check_margins(dets, f"detections[{fid!r}]")
-        margins = _margins(dets)
-        order, claims = _claims(margins, _boxes(dets), truth_by_id.get(fid, ()),
-                                iou_threshold)
-        ranked += zip((-margins[i] for i in order), claims)
+        order, claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
+        ranked += zip((-m for m in dets.margins[order].tolist()), claims)
     # negated margins ascend; the detections kept at a bias form a prefix
     ranked.sort()
     neg_margins = [m for m, _ in ranked]

@@ -10,6 +10,7 @@ the reader alike, and the reader rejects a missing, unknown or repeated key.
 from __future__ import annotations
 
 from .boosting import Stage, StrongClassifier, WeakClassifier
+from .dataset import read_text
 from .features import (
     CANONICAL_H,
     CANONICAL_W,
@@ -202,5 +203,4 @@ def parse_model(text: str, source: str = "<model>") -> StrongClassifier:
 
 
 def load_model(path) -> StrongClassifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read(), source=str(path))
+    return parse_model(read_text(path, ModelFormatError), source=str(path))

@@ -1,8 +1,10 @@
 import os
+import re
 
 import pytest
 
 from boostdet.cli import main, parse_detections_csv
+from boostdet.detector import MAX_COORD, Detections
 from boostdet.imaging import GrayImage
 from boostdet.pgm import save_pgm
 
@@ -155,8 +157,23 @@ def test_parse_detections_round_trip(tmp_path):
     dets = tmp_path / "dets.csv"
     dets.write_text("frame_id,x,y,w,h,margin\nf0,1,2,3,4,0.5\nf0,5,6,7,8,-1.25\n")
     parsed = parse_detections_csv(dets)
+    assert all(isinstance(frame, Detections) for frame in parsed.values())
     assert len(parsed["f0"]) == 2
     assert parsed["f0"][1].margin == -1.25
+
+
+@pytest.mark.parametrize("value", [MAX_COORD, 10 ** 30], ids=["2^26", "10^30"])
+@pytest.mark.parametrize("field", range(4), ids=list("xywh"))
+def test_parse_detections_rejects_boxes_a_record_cannot_hold(tmp_path, field, value):
+    edge = [MAX_COORD - 1] * 4
+    beyond = edge[:field] + [value] + edge[field + 1:]
+    dets = tmp_path / "dets.csv"
+    rows = [f"f0,{','.join(map(str, box))},0.5\n" for box in (edge, beyond)]
+    dets.write_text("frame_id,x,y,w,h,margin\n" + rows[0])
+    assert parse_detections_csv(dets)["f0"].boxes.tolist() == [edge]
+    dets.write_text("frame_id,x,y,w,h,margin\n" + "".join(rows))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(dets))}:3: "):
+        parse_detections_csv(dets)
 
 
 def test_learner_log_written(dataset, tmp_path):

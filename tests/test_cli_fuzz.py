@@ -1,8 +1,10 @@
-"""Fuzzing of the detection-CSV reader and of the detect and eval commands.
+"""Fuzzing of the input readers and of the detect and eval commands.
 
-``parse_detections_csv`` may raise only ValueError naming the file and
-line, and ``main`` may only return one of its exit codes, whatever bytes
-its input files hold and whatever its flags say.
+``parse_detections_csv`` may raise only ValueError and
+``parse_annotations`` only AnnotationError, each naming the file and line;
+``parse_pgm`` may raise only PgmError; and ``main`` may only return one of
+its exit codes, whatever bytes its input files hold and whatever its flags
+say.
 """
 
 import math
@@ -14,10 +16,11 @@ from hypothesis import strategies as st
 
 from boostdet.boosting import Stage, StrongClassifier, WeakClassifier
 from boostdet.cli import main, parse_detections_csv
+from boostdet.dataset import AnnotationError, parse_annotations
 from boostdet.features import HaarFeature
 from boostdet.imaging import Rect
-from boostdet.modelio import dump_model
-from boostdet.pgm import save_pgm
+from boostdet.modelio import ModelFormatError, dump_model, load_model
+from boostdet.pgm import PgmError, parse_pgm, save_pgm
 from boostdet.synthetic import frame_sequence
 
 VALID_CSV = ("frame_id,x,y,w,h,margin\n"
@@ -68,11 +71,52 @@ def test_parse_detections_csv_fuzz_names_path_and_line(fuzz_dir, data):
         assert dets and all(math.isfinite(d.margin) for d in dets)
 
 
-def test_parse_detections_csv_names_line_of_bad_utf8(tmp_path):
-    path = tmp_path / "dets.csv"
-    path.write_bytes(VALID_CSV + b"f2.pgm,1,2,3,4,\xff\n")
-    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:5: "):
-        parse_detections_csv(path)
+@pytest.mark.parametrize("reader, kind, error", [
+    (parse_detections_csv, "dets", ValueError),
+    (parse_annotations, "annotations", AnnotationError),
+    (load_model, "model", ModelFormatError)], ids=["detections", "annotations", "model"])
+def test_parse_detections_csv_names_line_of_bad_utf8(tmp_path, valid_inputs, reader, kind,
+                                                      error):
+    # every text reader names the line of a byte that is not UTF-8
+    valid = valid_inputs[kind]
+    path = tmp_path / "input.txt"
+    path.write_bytes(valid + b"f2.pgm,1,2,3,4,\xff\n")
+    line = valid.count(b"\n") + 1
+    with pytest.raises(error, match=rf"{re.escape(str(path))}:{line}: not UTF-8"):
+        reader(path)
+
+
+VALID_ANNOTATIONS = b"f0.pgm 1 2 3 4\n# a comment\nf1.pgm 0 0 32 24  # trailing\n"
+
+
+@given(data=st.binary(max_size=200) | edited(VALID_ANNOTATIONS))
+@example(data=VALID_ANNOTATIONS)
+@example(data=VALID_ANNOTATIONS.replace(b"\n", b"\r\n") + b"f2.pgm 1 \xff 3 4\n")
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_parse_annotations_fuzz_names_path_and_line(fuzz_dir, data):
+    path = fuzz_dir / "ann.txt"
+    path.write_bytes(data)
+    try:
+        frames = parse_annotations(path)
+    except AnnotationError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+        return
+    assert all(frame.boxes for frame in frames)
+
+
+VALID_PGM = b"P5\n# a comment\n4 3\n255\n" + bytes(range(0, 240, 20))
+
+
+@given(data=st.binary(max_size=200) | edited(VALID_PGM))
+@example(data=VALID_PGM)
+@settings(max_examples=200, deadline=None)
+def test_parse_pgm_fuzz_raises_only_pgm_error(data):
+    try:
+        image = parse_pgm(data)
+    except PgmError:
+        return
+    assert image.pixels.shape == (image.height, image.width)
 
 
 def _frame_pgm(tmp_path) -> bytes:

@@ -37,7 +37,7 @@ from boostdet.imaging import GrayImage, Rect, build_integral
 from boostdet.learner import LearnerConfig, random_feature
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples
-from conftest import as_detections, rand_image
+from conftest import rand_image
 from oracles import brute_rect_sum, brute_std, points_rule
 
 
@@ -364,25 +364,12 @@ _nms_threshold = (st.floats(0.0, 1.0, exclude_min=True)
                   | st.sampled_from([1.0, 0.5, 1 / 3, 0.25, 5e-324]))
 
 
-@given(boxes=st.lists(_nms_box, min_size=1, max_size=12),
-       picks=st.lists(st.tuples(st.integers(0, 11), _nms_margin), max_size=80),
-       thr=_nms_threshold)
-@settings(max_examples=300, deadline=None)
-def test_nms_matches_loop_over_kept_boxes(boxes, picks, thr):
-    # drawing from a few boxes makes duplicates common
-    dets = [Detection(boxes[i % len(boxes)], m) for i, m in picks]
-    got = nms(dets, overlap_threshold=thr)
-    want = _loop_nms(dets, thr)
-    assert len(got) == len(want)
-    assert all(g is w for g, w in zip(got, want))
-
-
 def test_nms_signed_zero_margins_tie():
-    # equal objects, so only identity shows which one was kept
+    # equal rows, so only the sign of the kept zero shows which one was kept
     dets = [Detection(Rect(0, 0, 10, 10), 0.0), Detection(Rect(0, 0, 10, 10), -0.0)]
     kept = nms(dets)
-    assert len(kept) == 1 and kept[0] is dets[0]
-    assert nms(dets[::-1])[0] is dets[1]
+    assert len(kept) == 1 and math.copysign(1.0, kept[0].margin) == 1.0
+    assert math.copysign(1.0, nms(dets[::-1])[0].margin) == -1.0
 
 
 def test_nms_rejects_nan_margin():
@@ -426,10 +413,24 @@ def test_nms_memory_stays_linear():
        picks=st.lists(st.tuples(st.integers(0, 11), _nms_margin), max_size=80),
        thr=_nms_threshold)
 @settings(max_examples=300, deadline=None)
+def test_nms_matches_loop_over_kept_boxes(boxes, picks, thr):
+    # drawing from a few boxes makes duplicates common
+    dets = [Detection(boxes[i % len(boxes)], m) for i, m in picks]
+    _assert_nms_keeps_the_loop_rows(dets, dets, thr)
+
+
+@given(boxes=st.lists(_nms_box, min_size=1, max_size=12),
+       picks=st.lists(st.tuples(st.integers(0, 11), _nms_margin), max_size=80),
+       thr=_nms_threshold)
+@settings(max_examples=300, deadline=None)
 def test_nms_on_arrays_keeps_the_loop_rows(boxes, picks, thr):
     dets = [Detection(boxes[i % len(boxes)], m) for i, m in picks]
+    _assert_nms_keeps_the_loop_rows(Detections.of(dets), dets, thr)
+
+
+def _assert_nms_keeps_the_loop_rows(form, dets, thr):
     want = _loop_nms(dets, thr)
-    got = nms(as_detections(dets), overlap_threshold=thr)
+    got = nms(form, overlap_threshold=thr)
     assert isinstance(got, Detections)
     # equal rows in the same order; the signed zeros must agree too
     assert got == want
@@ -438,8 +439,7 @@ def test_nms_on_arrays_keeps_the_loop_rows(boxes, picks, thr):
     # in input order, the same rows sorted by their input positions
     position = {id(d): i for i, d in enumerate(dets)}
     in_input_order = sorted(want, key=lambda d: position[id(d)])
-    assert nms(as_detections(dets), overlap_threshold=thr, input_order=True) == in_input_order
-    assert nms(dets, overlap_threshold=thr, input_order=True) == in_input_order
+    assert nms(form, overlap_threshold=thr, input_order=True) == in_input_order
 
 
 def _scan_reference(model, frame, cfg):
@@ -525,7 +525,7 @@ def test_detections_reject_malformed_arrays(boxes, margins, message):
 
 
 def test_nms_rejects_nan_margin_in_arrays():
-    dets = as_detections([Detection(Rect(0, 0, 10, 10), 1.0),
+    dets = Detections.of([Detection(Rect(0, 0, 10, 10), 1.0),
                        Detection(Rect(50, 50, 10, 10), 0.5),
                        Detection(Rect(9, 9, 10, 10), math.nan),
                        Detection(Rect(3, 3, 10, 10), math.nan)])
@@ -534,7 +534,7 @@ def test_nms_rejects_nan_margin_in_arrays():
 
 
 def test_nms_rejects_array_boxes_beyond_exact_iou():
-    dets = as_detections([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(0, 0, 1, 1), 0.5)])
+    dets = Detections.of([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(0, 0, 1, 1), 0.5)])
     far = Detections(np.array([[0, 0, 10, 10], [MAX_COORD, 0, 1, 1]]), [1.0, 0.5])
     with pytest.raises(ValueError, match="must lie below"):
         nms(far)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostdet import evalkit
-from boostdet.detector import Detection
+from boostdet.detector import Detection, Detections
 from boostdet.evalkit import (
     GroundTruthFrame,
     MatchResult,
@@ -22,7 +22,6 @@ from boostdet.evalkit import (
     roc_curve,
 )
 from boostdet.imaging import Rect
-from conftest import as_detections
 
 BOX = Rect(10, 10, 20, 20)
 
@@ -311,20 +310,20 @@ def test_curves_match_per_frame_sweep(detections, truths, bias_sweep, iou_thresh
        iou_threshold=st.sampled_from([0.1, 0.5, 1.0]))
 @settings(max_examples=200, deadline=None)
 def test_arrays_evaluate_as_lists(detections, truths, bias_sweep, iou_threshold):
-    arrays = {fid: as_detections(dets) for fid, dets in detections.items()}
+    arrays = {fid: Detections.of(dets) for fid, dets in detections.items()}
     for curve in (roc_curve, pr_curve):
         assert (curve(arrays, truths, bias_sweep, iou_threshold)
                 == curve(detections, truths, bias_sweep, iou_threshold))
     assert default_bias_sweep(arrays) == default_bias_sweep(detections)
     for t in truths:
         dets = detections.get(t.frame_id, [])
-        assert (match_frame(as_detections(dets), t, iou_threshold)
+        assert (match_frame(Detections.of(dets), t, iou_threshold)
                 == match_frame(dets, t, iou_threshold))
 
 
 def test_arrays_with_nan_margin_are_rejected():
-    dets = {"f0": as_detections([det(10, 10, 20, 20)]),
-            "f1": as_detections([det(10, 10, 20, 20), det(0, 0, 5, 5, math.nan)])}
+    dets = {"f0": Detections.of([det(10, 10, 20, 20)]),
+            "f1": Detections.of([det(10, 10, 20, 20), det(0, 0, 5, 5, math.nan)])}
     for curve in (roc_curve, pr_curve):
         with pytest.raises(ValueError,
                            match=r"detections\['f1'\]\[1\] has a NaN margin: Detection\("):
@@ -333,4 +332,4 @@ def test_arrays_with_nan_margin_are_rejected():
     for order in ([det(1, 0, 10, 10, math.nan), det(0, 0, 8, 10, 1.0)],
                   [det(0, 0, 8, 10, 1.0), det(1, 0, 10, 10, math.nan)]):
         with pytest.raises(ValueError, match="has a NaN margin"):
-            match_frame(as_detections(order), t)
+            match_frame(Detections.of(order), t)
