@@ -17,13 +17,14 @@ learner, so the learner searches the same stack that scores its answer.
 ``weak_predictions`` (+/-polarity per window of a ``WindowStack``) and
 ``vote`` (stage-ordered sum of alpha * prediction) are the one prediction
 and vote path: training, the one-sample calls and ``detector.scan`` use them.
-``vote`` evaluates each run of consecutive same-family stages with one
-``features.eval_features`` call per VOTE_CHUNK stages, which bounds the
-gathered arrays of a large pyramid level.
+A model builds its vote plan on the first ``vote`` and keeps it: one
+``FeatureBatch`` per VOTE_CHUNK same-family stages at most, whose votes a
+sequential ``np.add.accumulate`` adds (``sum``'s pairwise order moves bits).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,9 +36,9 @@ from .features import (
     CANONICAL_H,
     CANONICAL_W,
     Feature,
+    FeatureBatch,
     WindowStack,
     eval_batch,
-    eval_features,
 )
 # build_integral is unused here, but boostbench/tracing.py wraps boosting.build_integral
 from .imaging import GrayImage, build_integral  # noqa: F401
@@ -119,26 +120,37 @@ class StrongClassifier:
         if len(self.stages) < 1:
             raise ValueError("a trained model holds at least one stage")
 
+    @functools.cached_property
+    def _plan(self) -> tuple[tuple[FeatureBatch, np.ndarray, np.ndarray], ...]:
+        # (batch, +alpha*polarity, -alpha*polarity) per chunk of ``vote``
+        plan = []
+        for _, run in itertools.groupby(self.stages, key=lambda st: type(st.weak.feature)):
+            run = list(run)
+            for chunk in (run[i:i + VOTE_CHUNK] for i in range(0, len(run), VOTE_CHUNK)):
+                fired_vote = np.array([st.alpha * st.weak.polarity for st in chunk])
+                batch = FeatureBatch([st.weak.feature for st in chunk])
+                plan.append((batch, fired_vote, -fired_vote))
+        return tuple(plan)
 
-def _signed(fired: np.ndarray, polarity: int) -> np.ndarray:
-    return np.where(fired, polarity, -polarity)
+    def __getstate__(self):
+        return {"stages": self.stages}  # copies and pickles leave the plan out
 
 
 def weak_predictions(h: WeakClassifier, stack: WindowStack) -> np.ndarray:
     """polarity where the feature fires, -polarity elsewhere, per window."""
-    return _signed(eval_batch(h.feature, stack), h.polarity)
+    return np.where(eval_batch(h.feature, stack), h.polarity, -h.polarity)
 
 
 def vote(model: StrongClassifier, stack: WindowStack) -> np.ndarray:
     """Vote margin per window: sum of alpha * prediction in stage order."""
     margins = np.zeros(stack.sigma.shape)
-    for _, run in itertools.groupby(model.stages, key=lambda st: type(st.weak.feature)):
-        run = list(run)
-        for start in range(0, len(run), VOTE_CHUNK):
-            chunk = run[start:start + VOTE_CHUNK]
-            fired = eval_features([st.weak.feature for st in chunk], stack)
-            for st, row in zip(chunk, fired):
-                margins += st.alpha * _signed(row, st.weak.polarity)
+    for batch, fired_vote, quiet_vote in model._plan:
+        # the K votes after the margins in one (*lead, K+1) buffer, added one
+        # at a time, as K ``margins += alpha * prediction`` would add them
+        votes = np.where(np.moveaxis(batch.fired(stack), 0, -1), fired_vote, quiet_vote)
+        steps = np.concatenate((margins[..., None], votes), axis=-1)
+        margins = np.add.accumulate(steps, axis=-1, out=steps)[..., -1].copy()
+        del votes, steps  # freed before the next chunk's gather
     return margins
 
 

@@ -5,24 +5,25 @@ All feature geometry lives in canonical-window coordinates (32 wide by
 with floor rounding and extents clamped to >= 1, so every pyramid level
 sees integer-only geometry.
 
-``eval_features`` is the only implementation of each family's rule. It
-scores P features of one family on an ``imaging.WindowStack``, any set
-of same-size windows that each carry their own pixels and integral
-tables: training crops stacked along one axis, a pyramid level as a
-strided grid of views into a frame's stack, or a single window sliced
-out of one. Area families read the tables and point families the pixels
-of the same stack. The P features' geometry is scaled into index arrays
-once, and the stack is read for all P at a time. ``eval_batch`` is its
-one-feature call, and the scalar entry points (``eval_haar``,
-``eval_feature`` etc.) are one-window calls into it, so every path
-performs the same IEEE operations in the same order. The stacks,
-rectangle sums and window sigma come from ``imaging``; ``WindowStack``
-is re-exported here.
+``FeatureBatch.fired`` is the only implementation of each family's rule.
+A ``FeatureBatch`` holds P features of one family as canonical arrays and
+scores them on an ``imaging.WindowStack``, any set of same-size windows
+that each carry their own pixels and integral tables: training crops
+stacked along one axis, a pyramid level as a strided grid of views into a
+frame's stack, or a single window sliced out of one. Area families read
+the tables and point families the pixels of the same stack, all P at a
+time, and geometry is scaled once per window size (``GEOMETRY_MEMO``).
+``eval_features`` and its one-feature call ``eval_batch`` build a batch
+per call; the scalar entry points (``eval_haar``, ``eval_feature`` etc.)
+are one-window calls into them, so every path performs the same IEEE
+operations in the same order. The stacks, rectangle sums and window sigma
+come from ``imaging``; ``WindowStack`` is re-exported here.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -260,88 +261,103 @@ def scale_point_to_window(x: int, y: int, win: Rect) -> tuple[int, int]:
 # the evaluator
 # ---------------------------------------------------------------------------
 
-def _normed_diffs(stack: WindowStack, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|mean(a[k]) - mean(b[k])| / sigma over (P, 4) rect arrays, (*lead, P).
-
-    All 2P rectangles are read in one gather.
-    """
-    x, y, w, h = _local_rects(np.concatenate([a, b]), stack.w, stack.h)
-    mean_a, mean_b = np.split(corner_sum(stack.sums, x, y, w, h) / (w * h), 2, axis=-1)
-    return np.abs(mean_a - mean_b) / stack.sigma[..., None]
+GEOMETRY_MEMO = 32  # window sizes a FeatureBatch keeps geometry for, oldest out first
 
 
-def _symmetric_diffs(features: Sequence[SymmetricHaarFeature],
-                     stack: WindowStack) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left, mirrored-right and middle responses, each (*lead, P)."""
-    left_a = _coords(f.left_a for f in features)
-    left_b = _coords(f.left_b for f in features)
-
-    def mirrored(coords: np.ndarray) -> np.ndarray:
-        # mirror_rect on every row, in canonical coordinates, with no
-        # Rect built per genome
-        x, y, w, h = coords.T
-        return np.stack([CANONICAL_W - x - w, y, w, h], axis=1)
-
-    # one gather per pair: gathering all three at once would triple the
-    # largest temporary of a pyramid level
-    return (_normed_diffs(stack, left_a, left_b),
-            _normed_diffs(stack, mirrored(left_a), mirrored(left_b)),
-            _normed_diffs(stack, _coords(f.mid_a for f in features),
-                          _coords(f.mid_b for f in features)))
-
-
-def _point_extremes(stack: WindowStack, classes: Sequence[Sequence[tuple[int, int]]],
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Min and max pixel over each point class, both shaped (*lead, P).
-
-    Each class is padded to the longest by repeating its first point,
-    which changes neither extreme, so all P classes are one gather.
-    """
+def _padded(classes: list[tuple[tuple[int, int], ...]]) -> np.ndarray:
+    # (P, k, 2): repeating a class's first point changes neither extreme,
+    # so classes padded to the longest are read in one gather
     longest = max(len(points) for points in classes)
-    cols, rows = _local_points(
-        np.array([tuple(points) + (points[0],) * (longest - len(points))
-                  for points in classes]), stack.w, stack.h)
+    return np.array([points + (points[0],) * (longest - len(points)) for points in classes])
+
+
+def _normed_diffs(stack: WindowStack, x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                  h: np.ndarray) -> np.ndarray:
+    # |mean(a[k]) - mean(b[k])| / sigma, (*lead, P), from 2P rects a then b
+    mean, p = corner_sum(stack.sums, x, y, w, h) / (w * h), len(x) // 2
+    return np.abs(mean[..., :p] - mean[..., p:]) / stack.sigma[..., None]
+
+
+def _point_extremes(stack: WindowStack, cols: np.ndarray, rows: np.ndarray) -> tuple:
+    # min and max pixel of each of P point classes, both (*lead, P)
     values = stack.pixels[..., rows, cols]
     return values.min(axis=-1), values.max(axis=-1)
 
 
-def eval_features(features: Sequence[Feature], stack: WindowStack) -> np.ndarray:
-    """Evaluate P features of one family on every window of ``stack``.
-
-    The one implementation of each family's rule: returns booleans shaped
-    ``(P, *lead)``, row k for ``features[k]``. Each feature's geometry is
-    floor-scaled from the canonical window to the stack's window size, and
-    each rectangle pair or point class of all P features is read in one
-    gather, so a call costs far less than P one-feature calls. Row k is
-    bit-equal to ``eval_batch(features[k], stack)``.
+class FeatureBatch:
+    """P features of one family as canonical arrays: ``(2P, 4)`` per rect
+    pair or padded ``(P, k, 2)`` per point class, ``(P,)`` per threshold.
+    Geometry scaled to a window size is kept, read-only, for the last
+    ``GEOMETRY_MEMO`` sizes; a size it leaks out of (BoundsError) is not.
     """
-    families = {type(f) for f in features}
-    if len(families) != 1:
-        names = ", ".join(sorted(t.__name__ for t in families))
-        raise ValueError(f"expected features of one family, got [{names}]")
-    family = families.pop()
-    if family is HaarFeature:
-        d = _normed_diffs(stack, _coords(f.rect_a for f in features),
-                          _coords(f.rect_b for f in features))
-        fired = d > np.array([f.threshold for f in features])
-    elif family is SymmetricHaarFeature:
-        d_left, d_right, d_mid = _symmetric_diffs(features, stack)
 
-        def limit(name: str) -> np.ndarray:
-            return np.array([getattr(f, name) for f in features])
+    def __init__(self, features: Sequence[Feature]):
+        families = {type(f) for f in features}
+        if len(families) != 1:
+            names = ", ".join(sorted(t.__name__ for t in families))
+            raise ValueError(f"expected features of one family, got [{names}]")
+        family = families.pop()
 
-        ok = ((d_left > limit("t_left")) & (d_right > limit("t_right"))
-              & (d_mid > limit("t_mid")))
-        drift = np.abs(d_left - d_right)
-        fired = ok & (drift < limit("sym_tol")) & (d_mid - drift > limit("mid_margin"))
-    elif family in (ControlPointsFeature, ChainFeature):
-        min_pos, max_pos = _point_extremes(stack, [f.pos_points for f in features])
-        min_neg, max_neg = _point_extremes(stack, [f.neg_points for f in features])
-        separation = np.array([f.separation for f in features])
-        fired = (min_pos - max_neg > separation) | (min_neg - max_pos > separation)
-    else:
-        raise TypeError(f"not a feature: {features[0]!r}")
-    return np.moveaxis(fired, -1, 0)
+        def pair(a: str, b: str) -> np.ndarray:
+            return _coords([getattr(f, name) for name in (a, b) for f in features])
+
+        if family is HaarFeature:
+            groups, limits = (pair("rect_a", "rect_b"),), ("threshold",)
+        elif family is SymmetricHaarFeature:
+            left = pair("left_a", "left_b")
+            x, y, w, h = left.T  # mirror_rect on every row
+            groups = (left, np.stack([CANONICAL_W - x - w, y, w, h], axis=1),
+                      pair("mid_a", "mid_b"))
+            limits = ("t_left", "t_right", "t_mid", "sym_tol", "mid_margin")
+        elif family in (ControlPointsFeature, ChainFeature):
+            groups = (_padded([f.pos_points for f in features]),
+                      _padded([f.neg_points for f in features]))
+            limits = ("separation",)
+        else:
+            raise TypeError(f"not a feature: {features[0]!r}")
+        self.family = family
+        self._groups = groups
+        self._limits = tuple(np.array([getattr(f, n) for f in features]) for n in limits)
+        self._scaled: dict[tuple[int, int], tuple] = {}
+
+    def responses(self, stack: WindowStack) -> Iterable:
+        """Per rect pair |mean(a) - mean(b)| / sigma, per point class (min,
+        max) pixel, each ``(*lead, P)`` and gathered only when drawn."""
+        point = self.family in (ControlPointsFeature, ChainFeature)
+        key = (stack.w, stack.h)
+        if key not in self._scaled:
+            scale = _local_points if point else _local_rects
+            scaled = tuple(scale(group, *key) for group in self._groups)
+            for a in itertools.chain.from_iterable(scaled):
+                a.setflags(write=False)
+            if len(self._scaled) >= GEOMETRY_MEMO:
+                del self._scaled[next(iter(self._scaled))]
+            self._scaled[key] = scaled
+        read = _point_extremes if point else _normed_diffs
+        return (read(stack, *geometry) for geometry in self._scaled[key])
+
+    def fired(self, stack: WindowStack) -> np.ndarray:
+        """Booleans shaped ``(P, *lead)``: row k says where feature k fires."""
+        if self.family is HaarFeature:
+            fired = next(self.responses(stack)) > self._limits[0]
+        elif self.family is SymmetricHaarFeature:
+            d_left, d_right, d_mid = self.responses(stack)
+            t_left, t_right, t_mid, sym_tol, mid_margin = self._limits
+            ok = (d_left > t_left) & (d_right > t_right) & (d_mid > t_mid)
+            drift = np.abs(d_left - d_right)
+            fired = ok & (drift < sym_tol) & (d_mid - drift > mid_margin)
+        else:
+            (min_pos, max_pos), (min_neg, max_neg) = self.responses(stack)
+            (separation,) = self._limits
+            fired = (min_pos - max_neg > separation) | (min_neg - max_pos > separation)
+        return np.moveaxis(fired, -1, 0)
+
+
+def eval_features(features: Sequence[Feature], stack: WindowStack) -> np.ndarray:
+    """``FeatureBatch(features).fired(stack)``, built for this one call: row
+    k is bit-equal to ``eval_batch(features[k], stack)``, for far less cost.
+    """
+    return FeatureBatch(features).fired(stack)
 
 
 def eval_batch(feature: Feature, stack: WindowStack) -> np.ndarray:
@@ -388,7 +404,7 @@ def eval_chain(f: ChainFeature, window: GrayImage) -> bool:
 def symmetric_diffs(f: SymmetricHaarFeature, ii: WindowStack,
                     win: Rect) -> tuple[float, float, float]:
     """Normalized responses of the left, mirrored-right and middle pairs."""
-    return tuple(float(d[0]) for d in _symmetric_diffs([f], ii.window(win)))
+    return tuple(float(d[0]) for d in FeatureBatch([f]).responses(ii.window(win)))
 
 
 def eval_symmetric_haar(f: SymmetricHaarFeature, ii: WindowStack, win: Rect) -> bool:

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import numpy as np
@@ -29,3 +30,11 @@ def rand_rect(rng, width, height) -> Rect:
 
 def py_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "boostbench" / "fixtures"
+
+
+def fixture_model_text(family: str) -> str:
+    """The frozen 50-stage desk model of ``family`` ("haar", "cp", ...)."""
+    return (FIXTURE_DIR / f"{family}.model.txt").read_text(encoding="utf-8")

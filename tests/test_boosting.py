@@ -1,10 +1,15 @@
+import copy
 import math
+import pickle
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boostdet import boosting
 from boostdet.boosting import (
     VOTE_CHUNK,
     LabeledSample,
@@ -27,15 +32,17 @@ from boostdet.features import (
     CANONICAL_H,
     CANONICAL_W,
     ControlPointsFeature,
+    FeatureBatch,
     FeatureKind,
     WindowStack,
     eval_batch,
 )
-from boostdet.imaging import GrayImage, build_integral
+from boostdet.imaging import GrayImage, Rect, build_integral
 from boostdet.learner import LearnerConfig, derive_seed, random_feature, search_best
+from boostdet.modelio import dump_model, parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import training_samples
-from conftest import rand_image, rand_window
+from conftest import fixture_model_text, rand_image, rand_window
 
 PROBE = ControlPointsFeature(pos_points=((0, 0),), neg_points=((1, 1),), separation=100)
 
@@ -369,3 +376,82 @@ def test_vote_matches_stage_by_stage_sum(rng, families):
     for stack in stacks:
         # bit-for-bit: the same additions in the same order
         assert np.array_equal(vote(model, stack), _stage_by_stage(model, stack))
+
+
+def _vote_stacks():
+    """A crop stack, a scaled pyramid level and a single window (no leading axis)."""
+    rng = np.random.default_rng(53)
+    ii = build_integral(rand_image(rng, 96, 72))
+    return {
+        "crops": WindowStack.from_images([rand_window(rng) for _ in range(12)]),
+        "level": ii.level(45, 34, 3),
+        "window": ii.window(Rect(7, 5, 51, 38)),
+    }
+
+
+_VOTE_STACKS = _vote_stacks()
+
+
+@st.composite
+def _models(draw):
+    # runs of one family, some longer than VOTE_CHUNK, cut to 1-40 stages
+    runs = draw(st.lists(st.tuples(st.sampled_from(list(FeatureKind)),
+                                   st.integers(1, 2 * VOTE_CHUNK + 3)), min_size=1, max_size=5))
+    kinds = [kind for kind, n in runs for _ in range(n)][:40]
+    py = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = len(kinds)
+    alphas = draw(st.lists(st.floats(1e-12, 1e3), min_size=n, max_size=n))
+    polarities = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    return StrongClassifier(stages=tuple(
+        Stage(alpha=a, weak=WeakClassifier(random_feature(kind, py), p))
+        for kind, a, p in zip(kinds, alphas, polarities)))
+
+
+@given(model=_models())
+@settings(max_examples=60, deadline=None)
+def test_vote_plan_matches_stage_by_stage_sum(model):
+    # one plan serves every stack shape; alphas twelve orders of magnitude
+    # apart make any reordering or pairwise summation show in the last bits
+    for name, stack in _VOTE_STACKS.items():
+        got = vote(model, stack)
+        assert got.shape == stack.sigma.shape, name
+        assert np.array_equal(got, _stage_by_stage(model, stack)), name
+
+
+def test_model_with_a_plan_is_a_plain_value(rng):
+    text = fixture_model_text("symhaar")
+    model = parse_model(text)
+    stack = WindowStack.from_images([rand_window(rng) for _ in range(20)])
+    margins = vote(model, stack)  # builds and keeps the plan
+    fresh = parse_model(text)
+    assert model == fresh and hash(model) == hash(fresh)
+    assert dump_model(model) == dump_model(fresh)
+    assert b"FeatureBatch" not in pickle.dumps(model)
+    for other in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert other == model and hash(other) == hash(model)
+        assert np.array_equal(vote(other, stack), margins)
+    haar = parse_model(fixture_model_text("haar"))
+    for stages in (model.stages[:7], haar.stages):
+        swapped = replace(model, stages=stages)
+        assert np.array_equal(vote(swapped, stack), _stage_by_stage(swapped, stack))
+    assert np.array_equal(vote(replace(model, stages=haar.stages), stack), vote(haar, stack))
+    assert np.array_equal(vote(model, stack), margins)
+
+
+@pytest.mark.parametrize("family", ["haar", "cp", "symhaar", "nconnex"])
+def test_score_builds_each_batch_once(monkeypatch, rng, family):
+    built = []
+
+    class CountingBatch(FeatureBatch):
+        def __init__(self, features):
+            built.append(len(features))
+            super().__init__(features)
+
+    monkeypatch.setattr(boosting, "FeatureBatch", CountingBatch)
+    model = parse_model(fixture_model_text(family))
+    samples = [LabeledSample(rand_window(rng), 1) for _ in range(10)]
+    scores = [score(model, s) for s in samples]
+    # the fixtures are 50 stages of one family: chunks of 16, 16, 16 and 2
+    assert built == [VOTE_CHUNK] * 3 + [2]
+    for s, got in zip(samples, scores):
+        assert got == float(_stage_by_stage(model, WindowStack.from_images([s.window]))[0])

@@ -26,6 +26,7 @@ from boostdet.features import (
     ChainFeature,
     ControlPointsFeature,
     FeatureKind,
+    GEOMETRY_MEMO,
     HaarFeature,
     eval_feature,
     kind_of,
@@ -35,9 +36,10 @@ from boostdet.features import (
 )
 from boostdet.imaging import GrayImage, Rect, build_integral
 from boostdet.learner import LearnerConfig, random_feature
+from boostdet.modelio import parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples
-from conftest import rand_image
+from conftest import fixture_model_text, rand_image
 from oracles import brute_rect_sum, brute_std, points_rule
 
 
@@ -553,3 +555,76 @@ def test_scan_config_bounds_pyramid_arithmetic(rng):
                      bias=float("-inf"))
     assert scan(model, frame, cfg) == _scan_reference(model, frame, cfg)
     assert len(scan(model, frame, cfg)) == 1
+
+
+def test_scan_keeps_no_state_between_frame_sizes(rng):
+    # one model object over 128x96, then 100x80, then 128x96 again: its
+    # kept plan and per-size geometry must give what fresh models give
+    first = frame_sequence(1, seed=99)[0][0]
+    frames = (first, rand_image(rng, 100, 80), first)
+    cfg = ScanConfig(bias=-1.0)
+    found = 0
+    for family in ("haar", "cp", "symhaar", "nconnex"):
+        text = fixture_model_text(family)
+        model = parse_model(text)
+        for frame in frames:
+            got = scan(model, frame, cfg)
+            want = scan(parse_model(text), frame, cfg)
+            assert np.array_equal(got.boxes, want.boxes), family
+            assert np.array_equal(got.margins, want.margins), family
+            found += len(got)
+    assert found > 0
+
+
+def test_scan_geometry_memo_stays_bounded(rng):
+    py = random.Random(67)
+    model = StrongClassifier(stages=tuple(
+        Stage(alpha=0.5 + k, weak=WeakClassifier(random_feature(kind, py), 1))
+        for k, kind in enumerate(FeatureKind)))
+    frame = rand_image(rng, 96, 72)
+    sizes = set()
+    for factor in (1.01, 1.02, 1.05, 1.1, 1.25):
+        cfg = ScanConfig(scale_factor=factor, bias=-math.inf)
+        dets = scan(model, frame, cfg)
+        sizes |= {(w, h) for w, h, _ in pyramid_levels(frame.width, frame.height, cfg)}
+        assert all(len(batch._scaled) <= GEOMETRY_MEMO for batch, _, _ in model._plan)
+        # evicted and rebuilt geometry scores as a fresh model does
+        fresh = StrongClassifier(stages=model.stages)
+        assert np.array_equal(dets.margins, scan(fresh, frame, cfg).margins)
+    assert len(sizes) > GEOMETRY_MEMO
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# tracemalloc peak of scanning a random 512x512 frame with a freshly parsed
+# symhaar fixture model (tables included), measured when ``vote`` still
+# rebuilt its stage arrays on every call
+SYMHAAR_512_PEAK = 52_121_082
+
+
+def test_scan_peak_memory_on_a_large_frame():
+    frame = rand_image(np.random.default_rng(1234), 512, 512)
+    model = parse_model(fixture_model_text("symhaar"))
+    assert _traced_peak(lambda: scan(model, frame)) <= 1.1 * SYMHAAR_512_PEAK
+
+
+def test_vote_buffer_is_not_the_largest_temporary():
+    # on the largest level of a 512x512 frame the rectangle gather of one
+    # chunk must stay the peak: the vote adds only its running margins
+    ii = build_integral(rand_image(np.random.default_rng(1234), 512, 512))
+    level = ii.level(CANONICAL_W, CANONICAL_H, 2)
+    model = parse_model(fixture_model_text("symhaar"))
+    vote(model, ii.window(Rect(0, 0, CANONICAL_W, CANONICAL_H)))  # plan and geometry
+    batch, fired_vote, _ = model._plan[0]
+    assert len(fired_vote) == 16
+    gather_peak = _traced_peak(lambda: batch.fired(level))
+    vote_peak = _traced_peak(lambda: vote(model, level))
+    assert vote_peak <= gather_peak + 2 * level.sigma.nbytes

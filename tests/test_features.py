@@ -11,7 +11,9 @@ from boostdet.features import (
     CANONICAL_W,
     ChainFeature,
     ControlPointsFeature,
+    FeatureBatch,
     FeatureKind,
+    GEOMETRY_MEMO,
     HaarFeature,
     SymmetricHaarFeature,
     WindowStack,
@@ -439,6 +441,36 @@ def test_eval_features_rejects_mixed_families():
     for features in (mixed, []):
         with pytest.raises(ValueError, match="one family"):
             eval_features(features, stack)
+
+
+@pytest.mark.parametrize("family", list(FeatureKind), ids=lambda k: k.value)
+def test_feature_batch_memo_is_read_only_and_bounded(rng, family):
+    py = random.Random(59)
+    features = [random_feature(family, py) for _ in range(5)]
+    batch = FeatureBatch(features)
+    frame = build_integral(rand_image(rng, 96, 72))
+    sizes = [(CANONICAL_W + k, CANONICAL_H + k) for k in range(GEOMETRY_MEMO + 5)]
+    for w, h in sizes:
+        level = frame.level(w, h, 4)
+        assert np.array_equal(batch.fired(level), eval_features(features, level))
+        assert len(batch._scaled) <= GEOMETRY_MEMO
+    assert list(batch._scaled) == sizes[-GEOMETRY_MEMO:]
+    for geometry in batch._scaled.values():
+        for arrays in geometry:
+            assert not any(a.flags.writeable for a in arrays)
+
+
+def test_feature_batch_keeps_no_geometry_that_leaks():
+    # floor scaling fits every rect into a window of 1x1 or more, so only
+    # an empty window makes the geometry leak
+    with np.errstate(invalid="ignore"):  # its sigma divides by a zero area
+        empty = WindowStack(np.zeros((0, 0), np.int16), np.zeros((1, 1), np.int64),
+                            np.zeros((1, 1), np.int64))
+    batch = FeatureBatch([random_feature(FeatureKind.HAAR, random.Random(61))])
+    for _ in range(2):
+        with pytest.raises(BoundsError, match="leaks out of bounds"):
+            batch.fired(empty)
+        assert batch._scaled == {}
 
 
 def test_window_outside_image_is_bounds_error(rng):
