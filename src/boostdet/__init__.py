@@ -22,8 +22,6 @@ from .boosting import (
     score,
     train,
     update_weights,
-    weak_predict,
-    weighted_error,
 )
 from .detector import Detection, Detections, ScanConfig, iou, nms, scan
 from .evalkit import (
@@ -45,14 +43,8 @@ from .features import (
     HaarFeature,
     SymmetricHaarFeature,
     eval_batch,
-    eval_chain,
-    eval_control_points,
-    eval_feature,
-    eval_haar,
-    eval_symmetric_haar,
     kind_of,
     mirror_rect,
-    symmetric_diffs,
     validate_chain,
 )
 from .imaging import (
@@ -61,12 +53,8 @@ from .imaging import (
     GrayImage,
     Rect,
     WindowStack,
-    WindowStats,
     build_integral,
     extract_window,
-    rect_sum,
-    rect_sum_squared,
-    window_stats,
 )
 from .learner import Candidate, LearnerConfig, mutate, random_feature, search_best
 from .modelio import ModelFormatError, dump_model, load_model, parse_model, save_model

@@ -16,10 +16,11 @@ learner, so the learner searches the same stack that scores its answer.
 
 ``weak_predictions`` (+/-polarity per window of a ``WindowStack``) and
 ``vote`` (stage-ordered sum of alpha * prediction) are the one prediction
-and vote path: training, the one-sample calls and ``detector.scan`` use them.
-A model builds its vote plan on the first ``vote`` and keeps it: one
-``FeatureBatch`` per VOTE_CHUNK same-family stages at most, whose votes a
-sequential ``np.add.accumulate`` adds (``sum``'s pairwise order moves bits).
+and vote path: training, ``score``/``classify`` and ``detector.scan`` use
+them. A model builds its vote plan on the first ``vote`` and keeps it: one
+``FeatureBatch`` per VOTE_CHUNK same-family stages at most, whose rows are
+added to the margins one stage at a time (``sum``'s pairwise order moves
+bits).
 """
 
 from __future__ import annotations
@@ -145,28 +146,10 @@ def vote(model: StrongClassifier, stack: WindowStack) -> np.ndarray:
     """Vote margin per window: sum of alpha * prediction in stage order."""
     margins = np.zeros(stack.sigma.shape)
     for batch, fired_vote, quiet_vote in model._plan:
-        # the K votes after the margins in one (*lead, K+1) buffer, added one
-        # at a time, as K ``margins += alpha * prediction`` would add them
-        votes = np.where(np.moveaxis(batch.fired(stack), 0, -1), fired_vote, quiet_vote)
-        steps = np.concatenate((margins[..., None], votes), axis=-1)
-        margins = np.add.accumulate(steps, axis=-1, out=steps)[..., -1].copy()
-        del votes, steps  # freed before the next chunk's gather
+        for fired, a, b in zip(batch.fired(stack), fired_vote, quiet_vote):
+            margins += np.where(fired, a, b)
+        del fired  # its last row keeps the chunk's (K, ...) array alive
     return margins
-
-
-def weak_predict(h: WeakClassifier, sample: LabeledSample) -> int:
-    """polarity when the feature fires, -polarity otherwise."""
-    return int(weak_predictions(h, WindowStack.from_images([sample.window]))[0])
-
-
-def weighted_error(h: WeakClassifier, dist: WeightDistribution,
-                   samples: Sequence[LabeledSample]) -> float:
-    """Sum of weights over samples ``h`` misclassifies."""
-    if len(dist) != len(samples):
-        raise ValueError(f"{len(dist)} weights for {len(samples)} samples")
-    stack = WindowStack.from_images([s.window for s in samples])
-    mistakes = weak_predictions(h, stack) != np.array([s.label for s in samples])
-    return float(dist.weights[mistakes].sum())
 
 
 def beta(error: float) -> float:

@@ -242,6 +242,11 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     if args.positives < 1 or args.negatives < 1 or args.frames < 1:
         raise UsageError("--positives, --negatives and --frames must be >= 1")
+    for flag, value, least in (("--frame-width", args.frame_width, 1),
+                               ("--frame-height", args.frame_height, 1),
+                               ("--seed", args.seed, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be >= {least}, got {value}")
     write_dataset(args.out, args.positives, args.negatives, args.frames,
                   args.seed, args.frame_width, args.frame_height)
     print(f"wrote dataset under {args.out}")

@@ -14,10 +14,10 @@ frame's stack, or a single window sliced out of one. Area families read
 the tables and point families the pixels of the same stack, all P at a
 time, and geometry is scaled once per window size (``GEOMETRY_MEMO``).
 ``eval_features`` and its one-feature call ``eval_batch`` build a batch
-per call; the scalar entry points (``eval_haar``, ``eval_feature`` etc.)
-are one-window calls into them, so every path performs the same IEEE
-operations in the same order. The stacks, rectangle sums and window sigma
-come from ``imaging``; ``WindowStack`` is re-exported here.
+per call; one window is scored as ``eval_batch(f, frame.window(win))``, so
+every path performs the same IEEE operations in the same order. The
+stacks, rectangle sums and window sigma come from ``imaging``;
+``WindowStack`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .imaging import BoundsError, GrayImage, Rect, WindowStack, corner_sum
+from .imaging import BoundsError, Rect, WindowStack, corner_sum
 
 CANONICAL_W = 32
 CANONICAL_H = 24
@@ -240,23 +240,6 @@ def _local_points(points: np.ndarray, win_w: int,
             points[..., 1] * win_h // CANONICAL_H)
 
 
-def scale_rect_to_window(r: Rect, win: Rect) -> Rect:
-    """Map a canonical-coordinates rect into ``win`` (frame coordinates).
-
-    Offsets scale with floor rounding, extents clamp to >= 1. Raises
-    BoundsError if the result leaks out of the window, which can only
-    happen when the window is smaller than the canonical one.
-    """
-    x, y, w, h = (int(v[0]) for v in _local_rects(_coords([r]), win.w, win.h))
-    return Rect(x=win.x + x, y=win.y + y, w=w, h=h)
-
-
-def scale_point_to_window(x: int, y: int, win: Rect) -> tuple[int, int]:
-    """Map a canonical-coordinates point into ``win`` (frame coordinates)."""
-    px, py = _local_points(np.array((x, y)), win.w, win.h)
-    return win.x + int(px), win.y + int(py)
-
-
 # ---------------------------------------------------------------------------
 # the evaluator
 # ---------------------------------------------------------------------------
@@ -368,59 +351,3 @@ def eval_batch(feature: Feature, stack: WindowStack) -> np.ndarray:
     """
     return eval_features([feature], stack)[0]
 
-
-# ---------------------------------------------------------------------------
-# one-window entry points
-# ---------------------------------------------------------------------------
-
-def _require_canonical(window: GrayImage) -> None:
-    if window.width != CANONICAL_W or window.height != CANONICAL_H:
-        raise ValueError(
-            f"expected canonical {CANONICAL_W}x{CANONICAL_H} window, "
-            f"got {window.width}x{window.height}"
-        )
-
-
-def eval_haar(f: HaarFeature, ii: WindowStack, win: Rect) -> bool:
-    """Normalized mean-difference rule, strict comparison."""
-    return bool(eval_batch(f, ii.window(win)))
-
-
-def eval_control_points(f: ControlPointsFeature, window: GrayImage) -> bool:
-    """True iff one point class sits more than ``separation`` above the other.
-
-    Reads raw pixel values of a canonical window, no normalization.
-    """
-    _require_canonical(window)
-    return bool(eval_batch(f, WindowStack.from_images([window]))[0])
-
-
-def eval_chain(f: ChainFeature, window: GrayImage) -> bool:
-    """Control-points rule applied to the chain's pos/neg tagged points."""
-    _require_canonical(window)
-    return bool(eval_batch(f, WindowStack.from_images([window]))[0])
-
-
-def symmetric_diffs(f: SymmetricHaarFeature, ii: WindowStack,
-                    win: Rect) -> tuple[float, float, float]:
-    """Normalized responses of the left, mirrored-right and middle pairs."""
-    return tuple(float(d[0]) for d in FeatureBatch([f]).responses(ii.window(win)))
-
-
-def eval_symmetric_haar(f: SymmetricHaarFeature, ii: WindowStack, win: Rect) -> bool:
-    """All five conditions of the symmetric three-pair test.
-
-    The left, right and middle responses must each clear their threshold,
-    left and right must agree within ``sym_tol``, and the middle response
-    must exceed the left/right drift by more than ``mid_margin``.
-    """
-    return bool(eval_batch(f, ii.window(win)))
-
-
-def eval_feature(feature: Feature, ii: WindowStack, win: Rect) -> bool:
-    """Family dispatch over the window ``win`` of the frame stack ``ii``.
-
-    Area-based families read its integral tables; point-based families
-    read its pixels at scaled point positions.
-    """
-    return bool(eval_batch(feature, ii.window(win)))

@@ -91,14 +91,6 @@ class GrayImage:
         return int(self.pixels[y, x])
 
 
-@dataclass(frozen=True)
-class WindowStats:
-    """Mean and clamped population standard deviation of a window."""
-
-    mean: float
-    std_dev: float
-
-
 def summed_area_tables(pixels: np.ndarray, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
     """Plain and squared int64 tables over the last two axes, zero first row/column.
 
@@ -202,7 +194,8 @@ class WindowStack:
 
     def window(self, win: Rect) -> "WindowStack":
         """The single window ``win`` of this frame, with no leading axis."""
-        _check_rect(self, win)
+        if not win.fits_in(self.w, self.h):
+            raise BoundsError(f"{win} exceeds {self.w}x{self.h} image")
         rows = slice(win.y, win.y + win.h + 1)
         cols = slice(win.x, win.x + win.w + 1)
         return WindowStack(self.pixels[win.y:win.y + win.h, win.x:win.x + win.w],
@@ -215,30 +208,6 @@ def build_integral(img: GrayImage) -> WindowStack:
     Pure: the same image always yields identical arrays.
     """
     return WindowStack(img.pixels.astype(np.int16), *summed_area_tables(img.pixels))
-
-
-def _check_rect(ii: WindowStack, r: Rect) -> None:
-    if not r.fits_in(ii.w, ii.h):
-        raise BoundsError(f"{r} exceeds {ii.w}x{ii.h} image")
-
-
-def rect_sum(ii: WindowStack, r: Rect) -> int:
-    """Exact pixel sum inside ``r`` via four table lookups."""
-    _check_rect(ii, r)
-    return int(corner_sum(ii.sums, r.x, r.y, r.w, r.h))
-
-
-def rect_sum_squared(ii: WindowStack, r: Rect) -> int:
-    """Exact sum of squared pixels inside ``r``."""
-    _check_rect(ii, r)
-    return int(corner_sum(ii.squared_sums, r.x, r.y, r.w, r.h))
-
-
-def window_stats(ii: WindowStack, win: Rect) -> WindowStats:
-    """Mean and population std dev of ``win``, std clamped to SIGMA_MIN."""
-    _check_rect(ii, win)
-    mean, sigma = mean_and_sigma(ii.sums, ii.squared_sums, win.x, win.y, win.w, win.h)
-    return WindowStats(mean=float(mean), std_dev=float(sigma))
 
 
 def extract_window(img: GrayImage, win: Rect, target_w: int, target_h: int) -> GrayImage:

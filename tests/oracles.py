@@ -10,8 +10,20 @@ from __future__ import annotations
 
 import math
 
-from boostdet.features import CANONICAL_W
+from boostdet.features import CANONICAL_H, CANONICAL_W
 from boostdet.imaging import GrayImage, Rect, SIGMA_MIN
+
+
+def scale_point(x: int, y: int, win: Rect) -> tuple[int, int]:
+    """A canonical point in ``win`` (frame coordinates), offsets floor-scaled."""
+    return win.x + x * win.w // CANONICAL_W, win.y + y * win.h // CANONICAL_H
+
+
+def scale_rect(r: Rect, win: Rect) -> Rect:
+    """A canonical rect in ``win``: offsets floor-scaled, extents floor-scaled
+    and clamped to >= 1."""
+    x, y = scale_point(r.x, r.y, win)
+    return Rect(x, y, max(1, r.w * win.w // CANONICAL_W), max(1, r.h * win.h // CANONICAL_H))
 
 
 def brute_rect_sum(img: GrayImage, r: Rect) -> int:

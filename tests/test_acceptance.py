@@ -23,7 +23,7 @@ from boostdet.boosting import (
     beta,
     score,
     update_weights,
-    weighted_error,
+    weak_predictions,
 )
 from boostdet.cli import main
 from boostdet.detector import Detection, ScanConfig, nms, scan
@@ -31,17 +31,13 @@ from boostdet.evalkit import GroundTruthFrame, MatchResult, auc, match_frame, pr
 from boostdet.features import (
     CANONICAL_H,
     CANONICAL_W,
+    FeatureBatch,
     FeatureKind,
     WindowStack,
     eval_batch,
-    eval_chain,
-    eval_control_points,
-    eval_haar,
-    eval_symmetric_haar,
-    symmetric_diffs,
     validate_chain,
 )
-from boostdet.imaging import GrayImage, Rect, build_integral, rect_sum
+from boostdet.imaging import GrayImage, Rect, build_integral, corner_sum
 from boostdet.learner import LearnerConfig, derive_seed, random_feature, search_best
 from boostdet.modelio import dump_model, parse_model
 from boostdet.pipeline import train_detector
@@ -77,7 +73,7 @@ def test_criterion_1_integral_oracle_equivalence():
             r = Rect(x=int(rng.integers(0, 65 - w)), y=int(rng.integers(0, 65 - h)),
                      w=w, h=h)
             brute = int(px[r.y:r.y + r.h, r.x:r.x + r.w].sum())
-            assert rect_sum(ii, r) == brute
+            assert int(corner_sum(ii.window(r).sums, 0, 0, r.w, r.h)) == brute
             checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
@@ -94,17 +90,17 @@ def test_criterion_2_feature_oracle_equivalence():
     py = random.Random(2002)
     for _ in range(1000):
         img = rand_window(rng)
-        ii = build_integral(img)
+        win = build_integral(img).window(FULL)
         fh = random_feature(FeatureKind.HAAR, py)
-        assert eval_haar(fh, ii, FULL) == haar_rule(img, FULL, fh.rect_a, fh.rect_b,
-                                                    fh.threshold)
+        assert eval_batch(fh, win) == haar_rule(img, FULL, fh.rect_a, fh.rect_b,
+                                                fh.threshold)
         fc = random_feature(FeatureKind.CONTROL_POINTS, py)
-        assert eval_control_points(fc, img) == points_rule(
+        assert eval_batch(fc, win) == points_rule(
             img, fc.pos_points, fc.neg_points, fc.separation)
         fs = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
-        assert eval_symmetric_haar(fs, ii, FULL) == symmetric_rule(img, FULL, fs)
+        assert eval_batch(fs, win) == symmetric_rule(img, FULL, fs)
         fn = random_feature(FeatureKind.CHAIN, py)
-        assert eval_chain(fn, img) == points_rule(img, fn.pos_points, fn.neg_points,
+        assert eval_batch(fn, win) == points_rule(img, fn.pos_points, fn.neg_points,
                                                   fn.separation)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
@@ -152,7 +148,8 @@ def test_criterion_3_adaboost_algebra(family, samples200):
         dist = update_weights(dist, preds == labels, b)
         # (a) normalization and (b) post-update half error, every round
         assert abs(float(dist.weights.sum()) - 1.0) <= 1e-12
-        assert abs(weighted_error(weak, dist, samples) - 0.5) <= 1e-12
+        half = float(dist.weights[weak_predictions(weak, stack) != labels].sum())
+        assert abs(half - 0.5) <= 1e-12
 
     for stage, a in zip(result.model.stages, replayed):
         assert stage.alpha == pytest.approx(a, abs=1e-12)
@@ -174,6 +171,11 @@ def test_criterion_3_adaboost_algebra(family, samples200):
 # 4. mirror-symmetry property of the symmetric family
 # --------------------------------------------------------------------------
 
+def symmetric_responses(f, img: GrayImage) -> list[float]:
+    """The left, mirrored-right and middle responses of ``f`` on the window ``img``."""
+    return [float(d[0]) for d in FeatureBatch([f]).responses(build_integral(img))]
+
+
 def test_criterion_4_symmetry_property():
     started = time.monotonic()
     rng = np.random.default_rng(1004)
@@ -183,16 +185,16 @@ def test_criterion_4_symmetry_property():
         img = rand_window(rng)
         mirrored = GrayImage.from_array(np.fliplr(img.pixels).copy())
         f = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
-        d1, d2, _ = symmetric_diffs(f, build_integral(img), FULL)
-        m1, m2, _ = symmetric_diffs(f, build_integral(mirrored), FULL)
+        d1, d2, _ = symmetric_responses(f, img)
+        m1, m2, _ = symmetric_responses(f, mirrored)
         assert abs(d1 - m2) <= 1e-9
         assert abs(d2 - m1) <= 1e-9
         # self-mirror middle rects make the whole evaluation mirror-stable
         w_mid = int(py.randrange(1, CANONICAL_W // 2)) * 2
         mid = Rect((CANONICAL_W - w_mid) // 2, f.mid_a.y, w_mid, f.mid_a.h)
         g = replace(f, mid_a=mid, mid_b=mid)
-        if (eval_symmetric_haar(g, build_integral(img), FULL)
-                == eval_symmetric_haar(g, build_integral(mirrored), FULL)):
+        if (eval_batch(g, build_integral(img).window(FULL))
+                == eval_batch(g, build_integral(mirrored).window(FULL))):
             eval_checked += 1
         else:
             raise AssertionError("mirror evaluation mismatch")

@@ -24,9 +24,7 @@ from boostdet.boosting import (
     train,
     update_weights,
     vote,
-    weak_predict,
     weak_predictions,
-    weighted_error,
 )
 from boostdet.features import (
     CANONICAL_H,
@@ -59,6 +57,17 @@ def probe_sample(fires: bool, label: int) -> LabeledSample:
     return LabeledSample(probe_window(fires), label)
 
 
+def predictions(h: WeakClassifier, samples) -> np.ndarray:
+    """``weak_predictions`` over the crop stack of ``samples``."""
+    return weak_predictions(h, WindowStack.from_images([s.window for s in samples]))
+
+
+def weighted_error(h: WeakClassifier, dist: WeightDistribution, samples) -> float:
+    """Sum of the weights of the samples ``h`` misclassifies."""
+    labels = np.array([s.label for s in samples])
+    return float(dist.weights[predictions(h, samples) != labels].sum())
+
+
 def test_labeled_sample_validation(rng):
     with pytest.raises(ValueError):
         LabeledSample(GrayImage.constant(8, 8, 0), 1)
@@ -82,21 +91,18 @@ def test_weight_distribution_invariants():
 def test_weak_predict_definitions():
     plus = WeakClassifier(feature=PROBE, polarity=1)
     minus = WeakClassifier(feature=PROBE, polarity=-1)
-    firing = probe_sample(True, 1)
-    quiet = probe_sample(False, 1)
-    assert weak_predict(plus, firing) == 1
-    assert weak_predict(minus, firing) == -1
-    assert weak_predict(plus, quiet) == -1
-    assert weak_predict(minus, quiet) == 1
+    firing_then_quiet = [probe_sample(True, 1), probe_sample(False, 1)]
+    assert predictions(plus, firing_then_quiet).tolist() == [1, -1]
+    assert predictions(minus, firing_then_quiet).tolist() == [-1, 1]
 
 
 def test_weak_predict_sign_symmetry(rng):
     py = random.Random(41)
     for _ in range(100):
         f = random_feature(FeatureKind.HAAR, py)
-        s = LabeledSample(rand_window(rng), 1)
-        assert (weak_predict(WeakClassifier(f, -1), s)
-                == -weak_predict(WeakClassifier(f, 1), s))
+        s = [LabeledSample(rand_window(rng), 1)]
+        assert np.array_equal(predictions(WeakClassifier(f, -1), s),
+                              -predictions(WeakClassifier(f, 1), s))
 
 
 def test_weighted_error_cases():
@@ -108,8 +114,10 @@ def test_weighted_error_cases():
     quarter = [probe_sample(True, 1), probe_sample(True, 1),
                probe_sample(True, 1), probe_sample(True, -1)]
     assert weighted_error(h, WeightDistribution.uniform(4), quarter) == pytest.approx(0.25)
-    with pytest.raises(ValueError):
-        weighted_error(h, WeightDistribution.uniform(3), all_right)
+    # outcomes for two samples cannot update three weights
+    correct = predictions(h, all_right) == [s.label for s in all_right]
+    with pytest.raises(ValueError, match="2 outcomes for 3 weights"):
+        update_weights(WeightDistribution.uniform(3), correct, 0.5)
 
 
 def test_beta_values():
@@ -312,7 +320,8 @@ def test_score_matches_direct_sum(rng):
                                                     py.choice((-1, 1)))))
         model = StrongClassifier(stages=tuple(stages))
         sample = LabeledSample(rand_window(rng), 1)
-        expected = sum(st.alpha * weak_predict(st.weak, sample) for st in model.stages)
+        expected = sum(st.alpha * int(predictions(st.weak, [sample])[0])
+                       for st in model.stages)
         assert score(model, sample) == expected
 
 

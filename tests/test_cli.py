@@ -112,6 +112,16 @@ def test_non_canonical_crop_is_data_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--frame-width", "0"), ("--frame-height", "-5"), ("--seed", "-1")])
+def test_synth_range_errors_name_the_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--positives", "1", "--negatives", "1",
+                 "--frames", "1", flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()  # rejected before anything is written
+
+
 def test_empty_frame_dir_gives_header_only_csv(tmp_path, dataset):
     model = tmp_path / "model.txt"
     assert run_train(dataset, model) == 0

@@ -1,27 +1,29 @@
-"""Fuzzing of the input readers and of the detect and eval commands.
+"""Fuzzing of the input readers and of all four commands.
 
 ``parse_detections_csv`` may raise only ValueError and
 ``parse_annotations`` only AnnotationError, each naming the file and line;
 ``parse_pgm`` may raise only PgmError; and ``main`` may only return one of
 its exit codes, whatever bytes its input files hold and whatever its flags
-say.
+say. ``train`` and ``synth`` are fuzzed with tiny sizes only: every drawn
+count or extent is either a few units or rejected before any work.
 """
 
 import math
 import re
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from boostdet.boosting import Stage, StrongClassifier, WeakClassifier
-from boostdet.cli import main, parse_detections_csv
+from boostdet.boosting import LabeledSample, Stage, StrongClassifier, WeakClassifier
+from boostdet.cli import FAMILIES, main, parse_detections_csv
 from boostdet.dataset import AnnotationError, parse_annotations
 from boostdet.features import HaarFeature
 from boostdet.imaging import Rect
 from boostdet.modelio import ModelFormatError, dump_model, load_model
 from boostdet.pgm import PgmError, parse_pgm, save_pgm
-from boostdet.synthetic import frame_sequence
+from boostdet.synthetic import frame_sequence, training_samples
 
 VALID_CSV = ("frame_id,x,y,w,h,margin\n"
              "f0.pgm,1,2,3,4,0.5\n"
@@ -189,3 +191,88 @@ def test_detect_rejects_pyramid_flags_beyond_range(tmp_path, valid_inputs, capsy
                  "--frames", str(tmp_path / "frames"), "--out", str(tmp_path / "d.csv"),
                  flag]) == 2
     assert "must lie in" in capsys.readouterr().err
+
+
+# counts and extents a command accepts only when tiny, and values rejected
+# before any work: never an accepted large size
+_tiny = (st.sampled_from(["1", "2", "3"])
+         | st.sampled_from(["-5", "-1", "0", "1", "2", "3", "abc", "", "1.5", "nan", "inf"]))
+_any_int = _tiny | st.integers().map(str)  # seeds and --workers allocate nothing
+_TRAIN_FLAGS = {"--rounds": _tiny, "--population": _tiny, "--generations": _tiny,
+                "--stall-limit": _tiny, "--seed": _any_int, "--workers": _any_int}
+
+
+@pytest.fixture(scope="module")
+def crop_dirs(tmp_path_factory):
+    """pos/ and neg/ with two valid canonical crops each; pos/a.pgm is redrawn."""
+    root = tmp_path_factory.mktemp("crops")
+    samples = training_samples(2, 2, seed=1)
+    for name, sample in zip(("pos/a.pgm", "pos/b.pgm", "neg/c.pgm", "neg/d.pgm"), samples):
+        (root / name).parent.mkdir(exist_ok=True)
+        save_pgm(sample.window, str(root / name))
+    return root, (root / "pos" / "a.pgm").read_bytes()
+
+
+def _canonical_crop(data: bytes) -> bool:
+    try:
+        LabeledSample(parse_pgm(data), 1)
+    except ValueError:
+        return False
+    return True
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_train_fuzz_returns_an_exit_code_and_names_a_bad_crop(crop_dirs, fuzz_dir, capsys,
+                                                              data):
+    root, valid_crop = crop_dirs
+    crop = root / "pos" / "a.pgm"
+    crop_data = valid_crop
+    if data.draw(st.booleans()):
+        crop_data = data.draw(st.binary(max_size=64) | edited(valid_crop))
+    crop.write_bytes(crop_data)
+    out = fuzz_dir / "model.txt"
+    out.unlink(missing_ok=True)
+    family = data.draw(st.sampled_from(FAMILIES + ["bogus"]))
+    flags = data.draw(st.fixed_dictionaries({}, optional=_TRAIN_FLAGS))
+    argv = ["train", "--family", family, "--positives", str(root / "pos"),
+            "--negatives", str(root / "neg"), "--out", str(out),
+            "--rounds", "2", "--population", "4", "--generations", "2"]
+    argv += [f"{k}={v}" for k, v in flags.items()]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert load_model(out).stages
+    if not _canonical_crop(crop_data):
+        assert code != 0
+        # crops load before training starts, so a data error is the crop's
+        if code == 2:
+            assert err.startswith(f"error: {crop}: "), err
+
+
+_SYNTH_FLAGS = {"--positives": _tiny, "--negatives": _tiny, "--frames": _tiny,
+                "--frame-width": _tiny, "--frame-height": _tiny, "--seed": _any_int}
+
+
+@given(flags=st.fixed_dictionaries({}, optional=_SYNTH_FLAGS))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_synth_fuzz_rejects_before_writing(fuzz_dir, capsys, flags):
+    out = fuzz_dir / "synth"
+    shutil.rmtree(out, ignore_errors=True)
+    argv = ["synth", "--out", str(out), "--positives", "1", "--negatives", "1",
+            "--frames", "1", "--frame-width", "40", "--frame-height", "30"]
+    argv += [f"{k}={v}" for k, v in flags.items()]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    # every flag is checked up front, so synth has no data error left
+    assert code in (0, 1), err
+    if code == 1:
+        assert err.startswith("usage error: ") and not out.exists()
+    else:
+        assert parse_annotations(out / "annotations.txt") is not None
+        assert len(list((out / "frames").glob("*.pgm"))) == int(flags.get("--frames", 1))

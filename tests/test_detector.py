@@ -28,11 +28,9 @@ from boostdet.features import (
     FeatureKind,
     GEOMETRY_MEMO,
     HaarFeature,
-    eval_feature,
+    eval_batch,
     kind_of,
     mirror_rect,
-    scale_point_to_window,
-    scale_rect_to_window,
 )
 from boostdet.imaging import GrayImage, Rect, build_integral
 from boostdet.learner import LearnerConfig, random_feature
@@ -40,7 +38,7 @@ from boostdet.modelio import parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples
 from conftest import fixture_model_text, rand_image
-from oracles import brute_rect_sum, brute_std, points_rule
+from oracles import brute_rect_sum, brute_std, points_rule, scale_point, scale_rect
 
 
 def random_model(py: random.Random, n_stages: int = 5) -> StrongClassifier:
@@ -158,7 +156,7 @@ def test_scan_matches_per_window_reference(rng):
                 win = Rect(x, y, win_w, win_h)
                 margin = 0.0
                 for st_ in model.stages:
-                    fired = eval_feature(st_.weak.feature, ii, win)
+                    fired = eval_batch(st_.weak.feature, ii.window(win))
                     margin += st_.alpha * (st_.weak.polarity if fired
                                            else -st_.weak.polarity)
                 expected.append(Detection(box=win, margin=margin))
@@ -176,13 +174,13 @@ def _oracle_fires(feature, frame: GrayImage, win: Rect) -> bool:
             frame.pixels[win.y:win.y + win.h, win.x:win.x + win.w])
         local = Rect(0, 0, win.w, win.h)
         return points_rule(crop,
-                           [scale_point_to_window(x, y, local) for x, y in feature.pos_points],
-                           [scale_point_to_window(x, y, local) for x, y in feature.neg_points],
+                           [scale_point(x, y, local) for x, y in feature.pos_points],
+                           [scale_point(x, y, local) for x, y in feature.neg_points],
                            feature.separation)
     sigma = brute_std(frame, win)
 
     def normed_diff(a: Rect, b: Rect) -> float:
-        sa, sb = scale_rect_to_window(a, win), scale_rect_to_window(b, win)
+        sa, sb = scale_rect(a, win), scale_rect(b, win)
         return abs(brute_rect_sum(frame, sa) / sa.area
                    - brute_rect_sum(frame, sb) / sb.area) / sigma
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boostdet.boosting import LabeledSample
 from boostdet.features import (
     CANONICAL_H,
     CANONICAL_W,
@@ -18,27 +19,27 @@ from boostdet.features import (
     SymmetricHaarFeature,
     WindowStack,
     eval_batch,
-    eval_chain,
     eval_features,
-    eval_control_points,
-    eval_feature,
-    eval_haar,
-    eval_symmetric_haar,
     mirror_rect,
-    scale_rect_to_window,
-    symmetric_diffs,
     validate_chain,
 )
 from boostdet.imaging import BoundsError, GrayImage, Rect, build_integral
 from boostdet.learner import random_feature
 from conftest import rand_image, rand_window
-from oracles import haar_rule, points_rule, symmetric_rule
+from oracles import (brute_rect_sum, brute_std, haar_rule, points_rule, scale_rect,
+                     symmetric_rule)
 
 FULL = Rect(0, 0, CANONICAL_W, CANONICAL_H)
 
 
-def canonical(img: GrayImage):
-    return build_integral(img), img
+def fires(feature, img: GrayImage, win: Rect = FULL) -> bool:
+    """``feature`` on the window ``win`` of ``img``, through the batch evaluator."""
+    return bool(eval_batch(feature, build_integral(img).window(win)))
+
+
+def diffs(f: SymmetricHaarFeature, img: GrayImage) -> tuple[float, float, float]:
+    """The left, mirrored-right and middle responses on the whole of ``img``."""
+    return tuple(float(d[0]) for d in FeatureBatch([f]).responses(build_integral(img)))
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +144,9 @@ def test_chain_constraint_shrinks_search_space():
 # ---------------------------------------------------------------------------
 
 def test_eval_haar_constant_window_is_false():
-    ii, _ = canonical(GrayImage.constant(CANONICAL_W, CANONICAL_H, 90))
+    img = GrayImage.constant(CANONICAL_W, CANONICAL_H, 90)
     f = HaarFeature(rect_a=Rect(0, 0, 8, 8), rect_b=Rect(8, 8, 8, 8), threshold=0.0)
-    assert eval_haar(f, ii, FULL) is False
+    assert fires(f, img) is False
 
 
 def test_eval_haar_matches_pixel_oracle(rng):
@@ -153,18 +154,15 @@ def test_eval_haar_matches_pixel_oracle(rng):
     for _ in range(1000):
         img = rand_window(rng)
         f = random_feature(FeatureKind.HAAR, py)
-        ii = build_integral(img)
-        assert eval_haar(f, ii, FULL) == haar_rule(img, FULL, f.rect_a, f.rect_b,
-                                                   f.threshold)
+        assert fires(f, img) == haar_rule(img, FULL, f.rect_a, f.rect_b, f.threshold)
 
 
 def test_eval_haar_planted_contrast(rng):
     px = np.full((CANONICAL_H, CANONICAL_W), 128, dtype=np.uint8)
     px[0:8, 0:8] = 255
     px[8:16, 8:16] = 0
-    ii, _ = canonical(GrayImage.from_array(px))
     f = HaarFeature(rect_a=Rect(0, 0, 8, 8), rect_b=Rect(8, 8, 8, 8), threshold=1.0)
-    assert eval_haar(f, ii, FULL) is True
+    assert fires(f, GrayImage.from_array(px)) is True
 
 
 def test_eval_haar_additive_shift_invariant(rng):
@@ -174,8 +172,7 @@ def test_eval_haar_additive_shift_invariant(rng):
         c = int(rng.integers(-50, 51))
         shifted = GrayImage.from_array((base.pixels.astype(np.int16) + c).astype(np.uint8))
         f = random_feature(FeatureKind.HAAR, py)
-        assert (eval_haar(f, build_integral(base), FULL)
-                == eval_haar(f, build_integral(shifted), FULL))
+        assert fires(f, base) == fires(f, shifted)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), a=st.integers(1, 3), b=st.integers(0, 12))
@@ -185,7 +182,6 @@ def test_eval_haar_affine_invariant(seed, a, b):
     base = rand_window(rng, lo=5, hi=80)
     mapped = GrayImage.from_array((base.pixels.astype(np.int32) * a + b).astype(np.uint8))
     f = random_feature(FeatureKind.HAAR, random.Random(seed))
-    ii = build_integral(base)
     sigma = max(1.0, np.std(base.pixels.astype(np.float64)))
     ma = abs(np.mean(base.pixels[f.rect_a.y:f.rect_a.y + f.rect_a.h,
                                  f.rect_a.x:f.rect_a.x + f.rect_a.w], dtype=np.float64)
@@ -195,7 +191,7 @@ def test_eval_haar_affine_invariant(seed, a, b):
     # stay away from the decision edge where float rounding could flip
     if abs(ratio - f.threshold) < 1e-6 or np.std(base.pixels) < 1.5:
         return
-    assert eval_haar(f, ii, FULL) == eval_haar(f, build_integral(mapped), FULL)
+    assert fires(f, base) == fires(f, mapped)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +208,12 @@ def test_control_points_separated_true():
     px[5, 5] = px[5, 6] = 50
     f = ControlPointsFeature(pos_points=((0, 0), (1, 0)), neg_points=((5, 5), (6, 5)),
                              separation=100)
-    assert eval_control_points(f, GrayImage.from_array(px)) is True
+    assert fires(f, GrayImage.from_array(px)) is True
 
 
 def test_control_points_equal_values_false():
     f = ControlPointsFeature(pos_points=((0, 0),), neg_points=((1, 1),), separation=1)
-    assert eval_control_points(f, _uniform_window(128)) is False
+    assert fires(f, _uniform_window(128)) is False
 
 
 def test_control_points_second_clause():
@@ -225,7 +221,7 @@ def test_control_points_second_clause():
     px[0, 0] = 50
     px[5, 5] = 200
     f = ControlPointsFeature(pos_points=((0, 0),), neg_points=((5, 5),), separation=100)
-    assert eval_control_points(f, GrayImage.from_array(px)) is True
+    assert fires(f, GrayImage.from_array(px)) is True
 
 
 def test_control_points_matches_oracle(rng):
@@ -233,14 +229,14 @@ def test_control_points_matches_oracle(rng):
     for _ in range(1000):
         img = rand_window(rng)
         f = random_feature(FeatureKind.CONTROL_POINTS, py)
-        assert eval_control_points(f, img) == points_rule(
+        assert fires(f, img) == points_rule(
             img, f.pos_points, f.neg_points, f.separation)
 
 
 def test_control_points_rejects_non_canonical():
-    f = ControlPointsFeature(pos_points=((0, 0),), neg_points=((1, 1),), separation=1)
-    with pytest.raises(ValueError):
-        eval_control_points(f, GrayImage.constant(8, 8, 0))
+    # a training window of another size never reaches the evaluator
+    with pytest.raises(ValueError, match="canonical"):
+        LabeledSample(GrayImage.constant(8, 8, 0), 1)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(-50, 50))
@@ -252,8 +248,8 @@ def test_point_families_shift_invariant(seed, c):
     py = random.Random(seed)
     cp = random_feature(FeatureKind.CONTROL_POINTS, py)
     ch = random_feature(FeatureKind.CHAIN, py)
-    assert eval_control_points(cp, base) == eval_control_points(cp, shifted)
-    assert eval_chain(ch, base) == eval_chain(ch, shifted)
+    assert fires(cp, base) == fires(cp, shifted)
+    assert fires(ch, base) == fires(ch, shifted)
 
 
 def test_chain_trivial_cases():
@@ -261,8 +257,8 @@ def test_chain_trivial_cases():
     px[0, 0] = 200
     px[1, 1] = 50
     f = ChainFeature(chain=((0, 0, True), (1, 1, False)), separation=100)
-    assert eval_chain(f, GrayImage.from_array(px)) is True
-    assert eval_chain(f, _uniform_window(70)) is False
+    assert fires(f, GrayImage.from_array(px)) is True
+    assert fires(f, _uniform_window(70)) is False
 
 
 def test_chain_matches_control_points_oracle(rng):
@@ -270,8 +266,7 @@ def test_chain_matches_control_points_oracle(rng):
     for _ in range(1000):
         img = rand_window(rng)
         f = random_feature(FeatureKind.CHAIN, py)
-        assert eval_chain(f, img) == points_rule(img, f.pos_points, f.neg_points,
-                                                 f.separation)
+        assert fires(f, img) == points_rule(img, f.pos_points, f.neg_points, f.separation)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +299,17 @@ def test_symmetric_window_gives_equal_left_right(rng):
     half = rng.integers(0, 256, (CANONICAL_H, CANONICAL_W // 2)).astype(np.uint8)
     img = GrayImage.from_array(np.hstack([half, np.fliplr(half)]))
     f = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
-    d1, d2, _ = symmetric_diffs(f, build_integral(img), FULL)
+    d1, d2, _ = diffs(f, img)
     assert d1 == d2
 
 
 def test_symmetric_constant_window_false():
     py = random.Random(5)
-    ii = build_integral(GrayImage.constant(CANONICAL_W, CANONICAL_H, 100))
+    img = GrayImage.constant(CANONICAL_W, CANONICAL_H, 100)
     for _ in range(20):
         f = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
         if f.t_left > 0 and f.t_right > 0 and f.t_mid > 0:
-            assert eval_symmetric_haar(f, ii, FULL) is False
+            assert fires(f, img) is False
 
 
 def test_symmetric_matches_condition_oracle(rng):
@@ -322,8 +317,7 @@ def test_symmetric_matches_condition_oracle(rng):
     for _ in range(1000):
         img = rand_window(rng)
         f = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
-        ii = build_integral(img)
-        assert eval_symmetric_haar(f, ii, FULL) == symmetric_rule(img, FULL, f)
+        assert fires(f, img) == symmetric_rule(img, FULL, f)
 
 
 def test_symmetric_condition5_literal_flips():
@@ -336,19 +330,18 @@ def test_symmetric_condition5_literal_flips():
     px[0:12, 12:20] = 136  # middle: weakest contrast
     px[12:24, 12:20] = 120
     img = GrayImage.from_array(px)
-    ii = build_integral(img)
     probe = SymmetricHaarFeature(
         left_a=Rect(0, 0, 4, 24), left_b=Rect(4, 0, 4, 24),
         mid_a=Rect(12, 0, 8, 12), mid_b=Rect(12, 12, 8, 12),
         t_left=0.0, t_right=0.0, t_mid=0.0, sym_tol=1.0, mid_margin=0.0)
-    d1, d2, d3 = symmetric_diffs(probe, ii, FULL)
+    d1, d2, d3 = diffs(probe, img)
     drift = abs(d1 - d2)
     assert min(d1, d2, d3) > 0 and drift > d3
     f = SymmetricHaarFeature(
         left_a=probe.left_a, left_b=probe.left_b, mid_a=probe.mid_a, mid_b=probe.mid_b,
         t_left=d1 / 2, t_right=d2 / 2, t_mid=d3 / 2,
         sym_tol=2 * drift + 1, mid_margin=(drift - d3) / 2)
-    assert eval_symmetric_haar(f, ii, FULL) is False
+    assert fires(f, img) is False
     assert symmetric_rule(img, FULL, f, condition5_literal=True) is True
     assert symmetric_rule(img, FULL, f, condition5_literal=False) is False
 
@@ -359,8 +352,8 @@ def test_mirror_window_swaps_left_right(rng):
         img = rand_window(rng)
         mirrored = _mirror_image(img)
         f = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
-        d1, d2, _ = symmetric_diffs(f, build_integral(img), FULL)
-        m1, m2, _ = symmetric_diffs(f, build_integral(mirrored), FULL)
+        d1, d2, _ = diffs(f, img)
+        m1, m2, _ = diffs(f, mirrored)
         assert abs(d1 - m2) < 1e-9 and abs(d2 - m1) < 1e-9
 
 
@@ -369,9 +362,7 @@ def test_mirror_window_evaluation_equal_for_self_mirror_mid(rng):
     for _ in range(300):
         img = rand_window(rng)
         f = _self_mirror_feature(py)
-        a = eval_symmetric_haar(f, build_integral(img), FULL)
-        b = eval_symmetric_haar(f, build_integral(_mirror_image(img)), FULL)
-        assert a == b
+        assert fires(f, img) == fires(f, _mirror_image(img))
 
 
 # ---------------------------------------------------------------------------
@@ -379,30 +370,31 @@ def test_mirror_window_evaluation_equal_for_self_mirror_mid(rng):
 # ---------------------------------------------------------------------------
 
 def test_dispatch_matches_family_ops(rng):
+    # one evaluator, each family routed to its own rule
     py = random.Random(29)
     for _ in range(100):
         img = rand_window(rng)
-        ii = build_integral(img)
         fh = random_feature(FeatureKind.HAAR, py)
         fc = random_feature(FeatureKind.CONTROL_POINTS, py)
         fs = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
         fn = random_feature(FeatureKind.CHAIN, py)
-        assert eval_feature(fh, ii, FULL) == eval_haar(fh, ii, FULL)
-        assert eval_feature(fc, ii, FULL) == eval_control_points(fc, img)
-        assert eval_feature(fs, ii, FULL) == eval_symmetric_haar(fs, ii, FULL)
-        assert eval_feature(fn, ii, FULL) == eval_chain(fn, img)
+        assert fires(fh, img) == haar_rule(img, FULL, fh.rect_a, fh.rect_b, fh.threshold)
+        assert fires(fc, img) == points_rule(img, fc.pos_points, fc.neg_points,
+                                             fc.separation)
+        assert fires(fs, img) == symmetric_rule(img, FULL, fs)
+        assert fires(fn, img) == points_rule(img, fn.pos_points, fn.neg_points,
+                                             fn.separation)
 
 
 def test_batch_matches_scalar_all_families(rng):
     py = random.Random(31)
     windows = [rand_window(rng) for _ in range(64)]
     stack = WindowStack.from_images(windows)
-    pairs = [build_integral(w) for w in windows]
     for family in FeatureKind:
         for _ in range(50):
             f = random_feature(family, py)
             batch = eval_batch(f, stack)
-            scalar = np.array([eval_feature(f, ii, FULL) for ii in pairs])
+            scalar = np.array([fires(f, w) for w in windows])
             assert np.array_equal(batch, scalar)
 
 
@@ -483,19 +475,34 @@ def test_window_outside_image_is_bounds_error(rng):
     for win in (Rect(1, 0, CANONICAL_W, CANONICAL_H), Rect(0, 0, CANONICAL_W, CANONICAL_H + 1),
                 Rect(CANONICAL_W, 0, 1, 1)):
         with pytest.raises(BoundsError):
-            eval_haar(fh, ii, win)
+            fires(fh, img, win)
         with pytest.raises(BoundsError):
-            symmetric_diffs(fs, ii, win)
+            next(FeatureBatch([fs]).responses(ii.window(win)))
         for family in FeatureKind:
             with pytest.raises(BoundsError):
-                eval_feature(random_feature(family, py), ii, win)
+                fires(random_feature(family, py), img, win)
 
 
-def test_scale_rect_identity_at_canonical():
-    r = Rect(3, 5, 7, 9)
-    assert scale_rect_to_window(r, FULL) == r
-    shifted = scale_rect_to_window(r, Rect(10, 20, CANONICAL_W, CANONICAL_H))
-    assert (shifted.x, shifted.y) == (13, 25)
+def _haar_response(rect_a: Rect, rect_b: Rect, frame: GrayImage, win: Rect) -> float:
+    (d,) = FeatureBatch([HaarFeature(rect_a, rect_b, 0.0)]).responses(
+        build_integral(frame).window(win))
+    return float(d[0])
+
+
+def _oracle_response(rect_a: Rect, rect_b: Rect, frame: GrayImage, win: Rect) -> float:
+    # rects already in frame coordinates
+    return abs(brute_rect_sum(frame, rect_a) / rect_a.area
+               - brute_rect_sum(frame, rect_b) / rect_b.area) / brute_std(frame, win)
+
+
+def test_scale_rect_identity_at_canonical(rng):
+    # at the canonical size a rect keeps its extents and moves with the window
+    frame = rand_image(rng, 64, 64)
+    r, other = Rect(3, 5, 7, 9), Rect(20, 10, 6, 4)
+    for win in (FULL, Rect(10, 20, CANONICAL_W, CANONICAL_H)):
+        shifted = [Rect(win.x + q.x, win.y + q.y, q.w, q.h) for q in (r, other)]
+        assert scale_rect(r, win) == shifted[0]
+        assert _haar_response(r, other, frame, win) == _oracle_response(*shifted, frame, win)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -508,7 +515,12 @@ def test_scale_rect_always_fits(seed):
              w=w, h=h)
     win = Rect(x=rng.randint(0, 50), y=rng.randint(0, 50),
                w=rng.randint(CANONICAL_W, 200), h=rng.randint(CANONICAL_H, 150))
-    scaled = scale_rect_to_window(r, win)
+    scaled = scale_rect(r, win)
     assert scaled.x >= win.x and scaled.y >= win.y
     assert scaled.x + scaled.w <= win.x + win.w
     assert scaled.y + scaled.h <= win.y + win.h
+    # the evaluator scales to the same rect: no BoundsError, the oracle's response
+    frame = rand_image(np.random.default_rng(seed), win.x + win.w, win.y + win.h)
+    assert _haar_response(r, r, frame, win) == 0.0
+    assert (_haar_response(r, FULL, frame, win)
+            == _oracle_response(scaled, scale_rect(FULL, win), frame, win))

@@ -8,14 +8,27 @@ from boostdet.imaging import (
     BoundsError,
     GrayImage,
     Rect,
+    WindowStack,
     build_integral,
+    corner_sum,
     extract_window,
-    rect_sum,
-    rect_sum_squared,
-    window_stats,
+    mean_and_sigma,
 )
 from conftest import rand_image, rand_rect
 from oracles import brute_rect_sum, resample_index, two_pass_std
+
+
+def window_sum(ii: WindowStack, r: Rect, squared: bool = False) -> int:
+    """Sum over ``r`` from the tables of the window ``r``, which checks its bounds."""
+    win = ii.window(r)
+    return int(corner_sum(win.squared_sums if squared else win.sums, 0, 0, r.w, r.h))
+
+
+def window_stats(img: GrayImage, r: Rect) -> tuple[float, float]:
+    """Mean and clamped std dev of the window ``r`` of ``img``."""
+    win = build_integral(img).window(r)
+    mean, sigma = mean_and_sigma(win.sums, win.squared_sums, 0, 0, r.w, r.h)
+    return float(mean), float(sigma)
 
 
 def test_rect_validation():
@@ -71,18 +84,18 @@ def test_int64_capacity_for_worst_case():
 
 def test_rect_sum_constant():
     ii = build_integral(GrayImage.constant(10, 10, 5))
-    assert rect_sum(ii, Rect(2, 3, 3, 4)) == 60
+    assert window_sum(ii, Rect(2, 3, 3, 4)) == 60
 
 
 def test_rect_sum_single_pixel():
     ii = build_integral(GrayImage.from_array(np.array([[7]], dtype=np.uint8)))
-    assert rect_sum(ii, Rect(0, 0, 1, 1)) == 7
+    assert window_sum(ii, Rect(0, 0, 1, 1)) == 7
 
 
 def test_rect_sum_out_of_bounds_names_rect():
     ii = build_integral(GrayImage.constant(4, 4, 1))
     with pytest.raises(BoundsError, match="Rect"):
-        rect_sum(ii, Rect(2, 2, 3, 1))
+        window_sum(ii, Rect(2, 2, 3, 1))
 
 
 def test_rect_sum_matches_bruteforce(rng):
@@ -90,7 +103,7 @@ def test_rect_sum_matches_bruteforce(rng):
     ii = build_integral(img)
     for _ in range(1000):
         r = rand_rect(rng, 64, 64)
-        assert rect_sum(ii, r) == brute_rect_sum(img, r)
+        assert window_sum(ii, r) == brute_rect_sum(img, r)
 
 
 def test_rect_sum_monotone_under_growth(rng):
@@ -99,28 +112,27 @@ def test_rect_sum_monotone_under_growth(rng):
     for _ in range(200):
         r = rand_rect(rng, 31, 31)
         grown = Rect(r.x, r.y, r.w + 1, r.h + 1)
-        assert rect_sum(ii, grown) >= rect_sum(ii, r)
+        assert window_sum(ii, grown) >= window_sum(ii, r)
 
 
 def test_window_stats_constant_clamps():
-    ii = build_integral(GrayImage.constant(8, 8, 42))
-    stats = window_stats(ii, Rect(0, 0, 8, 8))
-    assert stats.mean == 42.0
-    assert stats.std_dev == SIGMA_MIN
+    mean, std_dev = window_stats(GrayImage.constant(8, 8, 42), Rect(0, 0, 8, 8))
+    assert mean == 42.0
+    assert std_dev == SIGMA_MIN
 
 
 def test_window_stats_two_pixel_extremes():
     img = GrayImage.from_array(np.array([[0, 255]], dtype=np.uint8))
-    stats = window_stats(build_integral(img), Rect(0, 0, 2, 1))
-    assert stats.mean == 127.5
-    assert stats.std_dev == 127.5
+    mean, std_dev = window_stats(img, Rect(0, 0, 2, 1))
+    assert mean == 127.5
+    assert std_dev == 127.5
 
 
 def test_window_stats_matches_two_pass(rng):
     for _ in range(50):
         img = rand_image(rng, 24, 24)
-        stats = window_stats(build_integral(img), Rect(0, 0, 24, 24))
-        assert abs(stats.std_dev - two_pass_std(img, Rect(0, 0, 24, 24))) < 1e-9
+        _, std_dev = window_stats(img, Rect(0, 0, 24, 24))
+        assert abs(std_dev - two_pass_std(img, Rect(0, 0, 24, 24))) < 1e-9
 
 
 @given(data=st.data())
@@ -130,9 +142,9 @@ def test_window_stats_bounds(data):
     h = data.draw(st.integers(1, 12))
     values = data.draw(st.lists(st.integers(0, 255), min_size=w * h, max_size=w * h))
     img = GrayImage.from_array(np.array(values, dtype=np.uint8).reshape(h, w))
-    stats = window_stats(build_integral(img), Rect(0, 0, w, h))
-    assert SIGMA_MIN <= stats.std_dev <= 127.5
-    assert 0.0 <= stats.mean <= 255.0
+    mean, std_dev = window_stats(img, Rect(0, 0, w, h))
+    assert SIGMA_MIN <= std_dev <= 127.5
+    assert 0.0 <= mean <= 255.0
 
 
 def test_extract_window_identity(rng):
@@ -179,6 +191,6 @@ def test_recovery_property(seed):
     img = rand_image(rng, w, h)
     ii = build_integral(img)
     r = rand_rect(rng, w, h)
-    assert rect_sum(ii, r) == brute_rect_sum(img, r)
-    assert rect_sum_squared(ii, r) == sum(
+    assert window_sum(ii, r) == brute_rect_sum(img, r)
+    assert window_sum(ii, r, squared=True) == sum(
         int(v) ** 2 for v in img.pixels[r.y:r.y + r.h, r.x:r.x + r.w].ravel())
