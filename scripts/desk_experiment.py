@@ -13,7 +13,7 @@ import sys
 import time
 
 from boostdet.detector import ScanConfig, nms, scan
-from boostdet.evalkit import GroundTruthFrame, auc, pr_curve, roc_curve
+from boostdet.evalkit import GroundTruthFrame, auc, pr_curve, roc_curve, write_curves
 from boostdet.features import FeatureKind
 from boostdet.learner import LearnerConfig
 from boostdet.pipeline import train_detector
@@ -50,15 +50,8 @@ def run(args) -> int:
 
         roc = roc_curve(detections, truths)
         pr = pr_curve(detections, truths)
-        for name, points, header in (("roc", roc, "bias,fp_per_frame,tpr"),
-                                      ("pr", pr, "bias,recall,precision")):
-            path = os.path.join(args.out, f"{name}_{family.value}.csv")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(header + "\n")
-                for p in points:
-                    vals = ((p.bias, p.fp_per_frame, p.tpr) if name == "roc"
-                            else (p.bias, p.recall, p.precision))
-                    fh.write(",".join(repr(v) for v in vals) + "\n")
+        write_curves(roc, pr, os.path.join(args.out, f"roc_{family.value}.csv"),
+                     os.path.join(args.out, f"pr_{family.value}.csv"))
 
         tpr_at_half = max((p.tpr for p in roc if p.fp_per_frame <= 0.5), default=0.0)
         rows.append((family.value, auc(roc), tpr_at_half,

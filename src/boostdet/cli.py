@@ -1,6 +1,8 @@
 """Command-line entry points: train, detect, eval, synth.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error. A count flag out of
+range or not an integer is a usage error naming the flag, raised by its
+``_int_from`` type as argparse parses it, before any file is read.
 
 ``detect`` writes, per frame, the rows NMS keeps in scan order (pyramid
 level, then row, then column): ``nms(..., input_order=True)`` sorts the
@@ -13,6 +15,7 @@ differ only in stride. Margins are formatted from Python floats
 ``eval`` reads the CSV back as one ``Detections`` record per frame, with
 no ``Detection`` per row; a box the record cannot hold (an offset or
 extent of ``MAX_COORD`` or more) is rejected with its file and line.
+Rows split from the right, so a frame id may contain commas.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ import os
 import sys
 
 from .boosting import LabeledSample, TrainConfig
-from .dataset import (AnnotationError, DatasetManifest, list_pgm_files, parse_annotations,
-                      read_text)
+from .dataset import AnnotationError, list_pgm_files, parse_annotations, read_text
 from .detector import MAX_COORD, Detections, ScanConfig, check_iou_threshold, nms, scan
-from .evalkit import auc, pr_curve, roc_curve
+from .evalkit import auc, pr_curve, roc_curve, write_curves
 from .features import FeatureKind
 from .learner import LearnerConfig
 from .modelio import ModelFormatError, load_model, save_model
@@ -46,6 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_from(least: int):
+    """An argparse type: an integer of at least ``least``."""
+    def check(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    check.__name__ = "int"  # so a non-integer reads "invalid int value: 'abc'"
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="boostdet",
                      description="Boosted sliding-window object detection")
@@ -55,16 +68,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--family", required=True, choices=FAMILIES)
     p_train.add_argument("--positives", required=True, help="dir of canonical positive crops")
     p_train.add_argument("--negatives", required=True, help="dir of canonical negative crops")
-    p_train.add_argument("--rounds", type=int, required=True)
+    p_train.add_argument("--rounds", type=_int_from(1), required=True)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument("--out", required=True, help="model file to write")
     p_train.add_argument("--log", help="per-round CSV log (default: <out>.log.csv)")
     p_train.add_argument("--learner-log",
                          help="optional per-generation search progress CSV")
-    p_train.add_argument("--population", type=int, default=100)
-    p_train.add_argument("--generations", type=int, default=30)
-    p_train.add_argument("--stall-limit", type=int, default=8)
-    p_train.add_argument("--workers", type=int, default=1,
+    p_train.add_argument("--population", type=_int_from(2), default=100)
+    p_train.add_argument("--generations", type=_int_from(1), default=30)
+    p_train.add_argument("--stall-limit", type=_int_from(1), default=8)
+    p_train.add_argument("--workers", type=_int_from(1), default=1,
                          help="accepted for compatibility; neither output nor speed "
                               "depends on the value")
     p_train.add_argument("--literal-zero-update", action="store_true",
@@ -79,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--min-window-w", type=int, default=32)
     p_detect.add_argument("--bias", type=float, default=0.0)
     p_detect.add_argument("--nms-iou", type=float, default=0.5)
-    p_detect.add_argument("--workers", type=int, default=1,
+    p_detect.add_argument("--workers", type=_int_from(1), default=1,
                           help="accepted for compatibility; neither output nor speed "
                                "depends on the value")
 
@@ -92,37 +105,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic desk-scale dataset")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--positives", type=int, default=100)
-    p_synth.add_argument("--negatives", type=int, default=200)
-    p_synth.add_argument("--frames", type=int, default=200)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--frame-width", type=int, default=128)
-    p_synth.add_argument("--frame-height", type=int, default=96)
+    p_synth.add_argument("--positives", type=_int_from(1), default=100)
+    p_synth.add_argument("--negatives", type=_int_from(1), default=200)
+    p_synth.add_argument("--frames", type=_int_from(1), default=200)
+    p_synth.add_argument("--seed", type=_int_from(0), default=0)
+    p_synth.add_argument("--frame-width", type=_int_from(1), default=128)
+    p_synth.add_argument("--frame-height", type=_int_from(1), default=96)
     return parser
 
 
-def _load_crops(paths, label: int) -> list[LabeledSample]:
-    samples = []
-    for path in paths:
-        try:
-            samples.append(LabeledSample(load_pgm(path), label))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    return samples
-
-
 def cmd_train(args) -> int:
-    if args.rounds < 1:
-        raise UsageError("--rounds must be >= 1")
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
-    manifest = DatasetManifest.from_dirs(args.positives, args.negatives)
-    if not manifest.positives:
-        raise ValueError(f"no positive crops found in {args.positives}")
-    if not manifest.negatives:
-        raise ValueError(f"no negative crops found in {args.negatives}")
-    samples = (_load_crops(manifest.positives, 1)
-               + _load_crops(manifest.negatives, -1))
+    samples = []
+    for directory, label, kind in ((args.positives, 1, "positive"),
+                                   (args.negatives, -1, "negative")):
+        paths = list_pgm_files(directory)
+        if not paths:
+            raise ValueError(f"no {kind} crops found in {directory}")
+        for path in paths:
+            try:
+                samples.append(LabeledSample(load_pgm(path), label))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
     learner_config = LearnerConfig(
         family=FeatureKind(args.family), population_size=args.population,
@@ -167,8 +170,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
     model = load_model(args.model)
     cfg = ScanConfig(scale_factor=args.scale_factor, stride=args.stride,
                      min_window_w=args.min_window_w, bias=args.bias)
@@ -202,7 +203,7 @@ def parse_detections_csv(path) -> dict[str, Detections]:
         line = raw.strip()
         if not line:
             continue
-        parts = line.split(",")
+        parts = line.rsplit(",", 5)
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
         try:
@@ -227,26 +228,12 @@ def cmd_eval(args) -> int:
     truths = parse_annotations(args.annotations)
     roc = roc_curve(detections, truths, iou_threshold=args.iou)
     pr = pr_curve(detections, truths, iou_threshold=args.iou)
-    with open(args.roc_out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bias,fp_per_frame,tpr\n")
-        for p in roc:
-            fh.write(f"{p.bias!r},{p.fp_per_frame!r},{p.tpr!r}\n")
-    with open(args.pr_out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("bias,recall,precision\n")
-        for p in pr:
-            fh.write(f"{p.bias!r},{p.recall!r},{p.precision!r}\n")
+    write_curves(roc, pr, args.roc_out, args.pr_out)
     print(f"roc_auc {auc(roc)!r}" if len(roc) >= 2 else "roc_auc nan")
     return 0
 
 
 def cmd_synth(args) -> int:
-    if args.positives < 1 or args.negatives < 1 or args.frames < 1:
-        raise UsageError("--positives, --negatives and --frames must be >= 1")
-    for flag, value, least in (("--frame-width", args.frame_width, 1),
-                               ("--frame-height", args.frame_height, 1),
-                               ("--seed", args.seed, 0)):
-        if value < least:
-            raise UsageError(f"{flag} must be >= {least}, got {value}")
     write_dataset(args.out, args.positives, args.negatives, args.frames,
                   args.seed, args.frame_width, args.frame_height)
     print(f"wrote dataset under {args.out}")

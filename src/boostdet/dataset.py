@@ -1,4 +1,4 @@
-"""Annotation files, dataset manifests and training-crop ingestion, and
+"""Annotation files, the sorted ``.pgm`` listing of a directory, and
 ``read_text``, the UTF-8 reading that every text reader shares.
 
 Annotation grammar, one box per line, '#' starts a comment:
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass
 
 from .evalkit import GroundTruthFrame
 from .imaging import Rect
@@ -75,22 +74,3 @@ def list_pgm_files(directory) -> list[str]:
     names = sorted(n for n in os.listdir(directory) if n.lower().endswith(".pgm"))
     return [os.path.join(directory, n) for n in names]
 
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Paths of positive and negative training crops."""
-
-    positives: tuple[str, ...]
-    negatives: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "positives", tuple(self.positives))
-        object.__setattr__(self, "negatives", tuple(self.negatives))
-        for path in (*self.positives, *self.negatives):
-            if not os.path.isfile(path):
-                raise FileNotFoundError(f"manifest references missing file {path}")
-
-    @classmethod
-    def from_dirs(cls, pos_dir: str, neg_dir: str) -> "DatasetManifest":
-        return cls(positives=tuple(list_pgm_files(pos_dir)),
-                   negatives=tuple(list_pgm_files(neg_dir)))

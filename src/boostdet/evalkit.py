@@ -9,6 +9,7 @@ sweep point is one bisection into the cumulative claim counts.
 
 Each entry point converts a frame's detections once, through
 ``Detections.of``, to the record that the claims and the sweep read.
+``write_curves`` writes both curves as CSV for ``eval`` and the desk script.
 """
 
 from __future__ import annotations
@@ -175,3 +176,15 @@ def auc(points: Sequence[RocPoint]) -> float:
     for a, b in zip(points, points[1:]):
         area += (b.fp_per_frame - a.fp_per_frame) / max_fp * (a.tpr + b.tpr) / 2.0
     return area
+
+
+def write_curves(roc: Sequence[RocPoint], pr: Sequence[PrPoint], roc_path, pr_path) -> None:
+    """Write ``roc`` and ``pr`` as CSVs, one row per point, floats as their ``repr``."""
+    with open(roc_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("bias,fp_per_frame,tpr\n")
+        for p in roc:
+            fh.write(f"{p.bias!r},{p.fp_per_frame!r},{p.tpr!r}\n")
+    with open(pr_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("bias,recall,precision\n")
+        for p in pr:
+            fh.write(f"{p.bias!r},{p.recall!r},{p.precision!r}\n")

@@ -281,7 +281,7 @@ def mutate(feature: Feature, rng: random.Random) -> Feature:
     for _ in range(_MAX_MUTATE_TRIES):
         try:
             return mutator(feature, rng)
-        except (ValueError, IndexError):
+        except ValueError:
             continue
     return feature
 

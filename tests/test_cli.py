@@ -246,19 +246,35 @@ def test_wrong_canonical_model_rejected(tmp_path, dataset):
     assert rc == 2
 
 
-def test_manifest_validates_files(tmp_path):
-    from boostdet.dataset import DatasetManifest
-
+def test_manifest_validates_files(tmp_path, capsys):
     pos = tmp_path / "pos"
     neg = tmp_path / "neg"
     pos.mkdir()
     neg.mkdir()
-    save_pgm(GrayImage.constant(32, 24, 0), pos / "a.pgm")
     save_pgm(GrayImage.constant(32, 24, 0), neg / "b.pgm")
-    m = DatasetManifest.from_dirs(str(pos), str(neg))
-    assert len(m.positives) == 1 and len(m.negatives) == 1
-    with pytest.raises(FileNotFoundError):
-        DatasetManifest(positives=(str(pos / "missing.pgm"),), negatives=())
+    argv = ["train", "--family", "haar", "--positives", str(pos), "--negatives", str(neg),
+            "--rounds", "1", "--out", str(tmp_path / "m.txt")]
+    assert main(argv) == 2
+    assert f"no positive crops found in {pos}" in capsys.readouterr().err
+
+    save_pgm(GrayImage.constant(32, 24, 0), pos / "a.pgm")
+    (neg / "x.pgm").mkdir()  # listed as a crop, but not a file
+    assert main(argv) == 2
+    assert str(neg / "x.pgm") in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--population", "1"), ("--generations", "0"), ("--stall-limit", "0"),
+    ("--rounds", "0"), ("--workers", "0"), ("--generations", "abc")])
+def test_train_range_errors_name_the_flag(tmp_path, capsys, flag, value):
+    absent = str(tmp_path / "absent")  # reading it would be a data error, exit 2
+    assert main(["train", "--family", "haar", "--positives", absent, "--negatives", absent,
+                 "--rounds", "1", "--out", str(tmp_path / "m.txt"), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+    if value == "abc":
+        assert "invalid int value: 'abc'" in err
 
 
 def _one_stage_model(path):
@@ -302,3 +318,21 @@ def test_non_finite_margin_names_line(tmp_path, capsys, margin):
                  "--roc-out", str(tmp_path / "roc.csv"),
                  "--pr-out", str(tmp_path / "pr.csv")]) == 2
     assert ":3" in capsys.readouterr().err
+
+
+def test_frame_ids_with_commas_round_trip(tmp_path, dataset, capsys):
+    model = tmp_path / "model.txt"
+    _one_stage_model(model)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "a,b.pgm").write_bytes((dataset / "frames" / "frame_0000.pgm").read_bytes())
+    dets = tmp_path / "d.csv"
+    assert main(["detect", "--model", str(model), "--frames", str(frames),
+                 "--out", str(dets), "--bias", "-2"]) == 0
+    assert list(parse_detections_csv(dets)) == ["a,b.pgm"]
+    ann = tmp_path / "ann.txt"
+    ann.write_text("a,b.pgm 10 10 32 24\n")
+    assert main(["eval", "--detections", str(dets), "--annotations", str(ann),
+                 "--roc-out", str(tmp_path / "roc.csv"),
+                 "--pr-out", str(tmp_path / "pr.csv")]) == 0
+    assert "roc_auc" in capsys.readouterr().out

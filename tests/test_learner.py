@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from boostdet import learner
 from boostdet.boosting import LabeledSample, WeightDistribution
 from boostdet.features import (
     CANONICAL_W,
@@ -84,6 +85,24 @@ def test_mutate_changes_or_returns_valid(rng):
             changed += 1
         f = g
     assert changed > 100  # moves almost always land
+
+
+def test_mutate_redraws_only_invalid_genomes(monkeypatch):
+    f = random_feature(FeatureKind.HAAR, random.Random(3))
+
+    def invalid(feature, rng):
+        raise ValueError("invalid genome")
+
+    monkeypatch.setitem(learner._MUTATORS, HaarFeature, invalid)
+    assert mutate(f, random.Random(9)) == f  # every retry invalid: the input comes back
+
+    def out_of_range(feature, rng):
+        raise IndexError("move indexed out of range")
+
+    # no move can index out of range, so one that does is a defect to surface
+    monkeypatch.setitem(learner._MUTATORS, HaarFeature, out_of_range)
+    with pytest.raises(IndexError, match="out of range"):
+        mutate(f, random.Random(9))
 
 
 def _uniform(samples):

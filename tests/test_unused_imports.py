@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, and no script, imports a name it never uses.
 
 No linter ships with the test environment, so this is pyflakes' F401 for
 top-level imports in a few lines of ``ast``. An alias on a line marked
@@ -11,8 +11,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "boostdet"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "boostdet"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "scripts").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
