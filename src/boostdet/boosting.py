@@ -18,9 +18,10 @@ learner, so the learner searches the same stack that scores its answer.
 ``vote`` (stage-ordered sum of alpha * prediction) are the one prediction
 and vote path: training, ``score``/``classify`` and ``detector.scan`` use
 them. A model builds its vote plan on the first ``vote`` and keeps it: one
-``FeatureBatch`` per VOTE_CHUNK same-family stages at most, whose rows are
-added to the margins one stage at a time (``sum``'s pairwise order moves
-bits).
+``FeatureBatch`` per VOTE_CHUNK same-family stages at most. ``vote``
+selects a chunk's stage votes in one ``np.where`` and adds their rows to
+the margins one stage at a time (the pairwise order of ``sum`` or
+``np.add.reduce`` moves bits).
 """
 
 from __future__ import annotations
@@ -143,12 +144,19 @@ def weak_predictions(h: WeakClassifier, stack: WindowStack) -> np.ndarray:
 
 
 def vote(model: StrongClassifier, stack: WindowStack) -> np.ndarray:
-    """Vote margin per window: sum of alpha * prediction in stage order."""
+    """Vote margin per window: sum of alpha * prediction in stage order.
+
+    Each chunk's K stage votes are selected in one ``np.where`` into a
+    ``(K, *lead)`` array, whose rows are then added one stage at a time.
+    """
     margins = np.zeros(stack.sigma.shape)
+    per_stage = (-1,) + (1,) * margins.ndim
     for batch, fired_vote, quiet_vote in model._plan:
-        for fired, a, b in zip(batch.fired(stack), fired_vote, quiet_vote):
-            margins += np.where(fired, a, b)
-        del fired  # its last row keeps the chunk's (K, ...) array alive
+        votes = np.where(batch.fired(stack), fired_vote.reshape(per_stage),
+                         quiet_vote.reshape(per_stage))
+        for row in votes:
+            margins += row
+        del votes, row  # the last row keeps the chunk's votes alive
     return margins
 
 

@@ -124,6 +124,8 @@ def cmd_train(args) -> int:
         for path in paths:
             try:
                 samples.append(LabeledSample(load_pgm(path), label))
+            except PgmError:
+                raise  # load_pgm has named the path already
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
 

@@ -3,10 +3,12 @@
 The pyramid grows the window instead of shrinking the frame, so one
 ``WindowStack`` per frame (``imaging.build_integral``: its pixels and
 integral tables) serves every level and feature geometry stays integer.
-Each level is that stack's strided view ``WindowStack.level``, and its
-margins come from ``boosting.vote``, the same vote that ``score`` and
-``classify`` apply to a single crop. The model keeps its vote plan and
-each level's scaled geometry, so frames of one size scale it once.
+Each level is that stack's strided view ``WindowStack.level``, built once
+per stack and kept there, so the models scanned through one caller's
+stack share its views and ``sigma``. Its margins come from
+``boosting.vote``, the same vote that ``score`` and ``classify`` apply to
+a single crop. The model keeps its vote plan and each level's scaled
+geometry, so frames of one size scale it once.
 
 Detections leave ``scan`` as one ``Detections`` record: an int64
 ``(n, 4)`` array of ``(x, y, w, h)`` boxes and a float64 ``(n,)`` array

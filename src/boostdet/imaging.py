@@ -11,11 +11,14 @@ copy of the table arithmetic; they take any leading axes. A
 windows: ``build_integral`` makes one for a whole frame, the only place a
 frame's int16 pixels are made, and a pyramid level (``WindowStack.level``)
 or a single window (``WindowStack.window``) is a view into it, so the
-point families and the area families always read the same image.
+point families and the area families always read the same image. A
+frame's stack keeps the last LEVEL_MEMO levels it built, so the models
+scanned through one stack build each level, and its ``sigma``, once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -25,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Flat windows would otherwise divide by zero during normalization; with
 # the floor they behave as unnormalized.
 SIGMA_MIN = 1.0
+LEVEL_MEMO = 32  # pyramid levels a WindowStack keeps, oldest out first
 
 
 class BoundsError(ValueError):
@@ -179,18 +183,31 @@ class WindowStack:
         px = np.asfortranarray(np.stack([w.pixels for w in windows]), dtype=np.int16)
         return cls(px, *summed_area_tables(px, order="F"))
 
+    @functools.cached_property
+    def _levels(self) -> dict[tuple[int, int, int], "WindowStack"]:
+        return {}  # filled by ``level``
+
     def level(self, win_w: int, win_h: int, stride: int) -> "WindowStack":
         """Every ``win_w`` x ``win_h`` window of this frame on a ``stride`` grid.
 
         Window (row, column) has its origin at (column * stride,
-        row * stride); nothing is copied.
+        row * stride); the tables and pixels are views, not copies. The
+        last ``LEVEL_MEMO`` levels built are kept on this stack, oldest out
+        first, so every model scanned through it shares one build of each;
+        beyond this stack's arrays, a kept level holds only its ``sigma``.
         """
-        def grid(table: np.ndarray, h: int, w: int) -> np.ndarray:
-            return sliding_window_view(table, (h, w))[::stride, ::stride]
+        key = (win_w, win_h, stride)
+        if key not in self._levels:
+            def grid(table: np.ndarray, h: int, w: int) -> np.ndarray:
+                return sliding_window_view(table, (h, w))[::stride, ::stride]
 
-        return WindowStack(grid(self.pixels, win_h, win_w),
-                           grid(self.sums, win_h + 1, win_w + 1),
-                           grid(self.squared_sums, win_h + 1, win_w + 1))
+            level = WindowStack(grid(self.pixels, win_h, win_w),
+                                grid(self.sums, win_h + 1, win_w + 1),
+                                grid(self.squared_sums, win_h + 1, win_w + 1))
+            if len(self._levels) >= LEVEL_MEMO:
+                del self._levels[next(iter(self._levels))]
+            self._levels[key] = level
+        return self._levels[key]
 
     def window(self, win: Rect) -> "WindowStack":
         """The single window ``win`` of this frame, with no leading axis."""

@@ -112,6 +112,25 @@ def test_non_canonical_crop_is_data_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("crop", [b"P6", b"P5\n8 8\n255\n" + bytes(64)],
+                         ids=["not-p5", "wrong-size"])
+def test_bad_crop_is_named_once(tmp_path, capsys, crop):
+    pos = tmp_path / "pos"
+    neg = tmp_path / "neg"
+    pos.mkdir()
+    neg.mkdir()
+    (pos / "a.pgm").write_bytes(crop)
+    save_pgm(GrayImage.constant(32, 24, 0), neg / "b.pgm")
+    capsys.readouterr()
+    rc = main(["train", "--family", "haar", "--positives", str(pos),
+               "--negatives", str(neg), "--rounds", "1",
+               "--out", str(tmp_path / "m.txt")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {pos / 'a.pgm'}: "), err
+    assert err.count("a.pgm") == 1, err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--frame-width", "0"), ("--frame-height", "-5"), ("--seed", "-1")])
 def test_synth_range_errors_name_the_flag(tmp_path, capsys, flag, value):

@@ -574,6 +574,24 @@ def test_scan_keeps_no_state_between_frame_sizes(rng):
     assert found > 0
 
 
+def test_models_sharing_a_stack_scan_as_with_their_own(rng):
+    # the four models read each level's views and sigma from one stack,
+    # kept there by the first model that scans the level
+    cfg = ScanConfig(bias=-1.0)
+    found = 0
+    for frame in (frame_sequence(1, seed=99)[0][0], rand_image(rng, 100, 80)):
+        ii = build_integral(frame)
+        for family in ("haar", "cp", "symhaar", "nconnex"):
+            model = parse_model(fixture_model_text(family))
+            got = scan(model, frame, cfg, ii=ii)
+            want = scan(model, frame, cfg, ii=build_integral(frame))
+            assert np.array_equal(got.boxes, want.boxes), family
+            assert np.array_equal(got.margins, want.margins), family
+            found += len(got)
+        assert len(ii._levels) == len(pyramid_levels(frame.width, frame.height, cfg))
+    assert found > 0
+
+
 def test_scan_geometry_memo_stays_bounded(rng):
     py = random.Random(67)
     model = StrongClassifier(stages=tuple(
@@ -626,3 +644,22 @@ def test_vote_buffer_is_not_the_largest_temporary():
     gather_peak = _traced_peak(lambda: batch.fired(level))
     vote_peak = _traced_peak(lambda: vote(model, level))
     assert vote_peak <= gather_peak + 2 * level.sigma.nbytes
+
+
+def test_scan_keeps_only_level_sigmas_on_the_callers_stack():
+    frame = rand_image(np.random.default_rng(1234), 512, 512)
+    model = parse_model(fixture_model_text("symhaar"))
+    scan(model, frame)  # plan and geometry, which the model keeps
+    tracemalloc.start()
+    try:
+        ii = build_integral(frame)
+        built, _ = tracemalloc.get_traced_memory()
+        scan(model, frame, ii=ii)
+        retained = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    tables = ii.pixels.nbytes + ii.sums.nbytes + ii.squared_sums.nbytes
+    sigmas = sum(level.sigma.nbytes for level in ii._levels.values())
+    # beyond the sigmas, only each level's array objects and views
+    assert retained <= sigmas + 8192 * len(ii._levels)
+    assert retained <= 0.5 * tables

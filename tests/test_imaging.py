@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boostdet.imaging import (
+    LEVEL_MEMO,
     SIGMA_MIN,
     BoundsError,
     GrayImage,
@@ -145,6 +146,21 @@ def test_window_stats_bounds(data):
     mean, std_dev = window_stats(img, Rect(0, 0, w, h))
     assert SIGMA_MIN <= std_dev <= 127.5
     assert 0.0 <= mean <= 255.0
+
+
+def test_level_is_built_once_and_the_memo_stays_bounded(rng):
+    ii = build_integral(rand_image(rng, 80, 60))
+    assert ii.level(32, 24, 2) is ii.level(32, 24, 2)
+    keys = [(8 + k, 6, 1 + k % 3) for k in range(LEVEL_MEMO + 5)]
+    for key in keys:
+        ii.level(*key)
+        assert len(ii._levels) <= LEVEL_MEMO
+    assert list(ii._levels) == keys[-LEVEL_MEMO:]
+    # an evicted level is rebuilt as a stack with no memo builds it
+    rebuilt = ii.level(*keys[0])
+    fresh = WindowStack(ii.pixels, ii.sums, ii.squared_sums).level(*keys[0])
+    for name in ("pixels", "sums", "squared_sums", "sigma"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(fresh, name)), name
 
 
 def test_extract_window_identity(rng):
