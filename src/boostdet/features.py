@@ -22,15 +22,17 @@ stacks, rectangle sums and window sigma come from ``imaging``;
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .imaging import BoundsError, Rect, WindowStack, corner_sum
+from .imaging import BoundsError, Rect, WindowStack, corner_sum, rect_problem
 
 CANONICAL_W = 32
 CANONICAL_H = 24
@@ -47,22 +49,12 @@ class FeatureKind(enum.Enum):
     CHAIN = "nconnex"
 
 
-def _check_canonical_rect(r: Rect, half_width: bool = False) -> None:
-    limit_w = CANONICAL_W // 2 if half_width else CANONICAL_W
-    if not r.fits_in(limit_w, CANONICAL_H):
-        zone = "left half of the canonical" if half_width else "canonical"
-        raise ValueError(f"{r} exceeds the {zone} {CANONICAL_W}x{CANONICAL_H} window")
-
-
-def _check_threshold(name: str, value: float) -> None:
-    # NaN fails every comparison, so a plain `< 0` test would let it through
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-def _check_canonical_point(x: int, y: int) -> None:
-    if not (0 <= x < CANONICAL_W and 0 <= y < CANONICAL_H):
-        raise ValueError(f"point ({x}, {y}) outside canonical window")
+def _rects_from_tuples(feature, *names: str) -> None:
+    # a rect field may be given as its (x, y, w, h) tuple
+    for name in names:
+        r = getattr(feature, name)
+        if type(r) is tuple:
+            object.__setattr__(feature, name, Rect(*r))
 
 
 @dataclass(frozen=True)
@@ -78,9 +70,8 @@ class HaarFeature:
     threshold: float
 
     def __post_init__(self):
-        _check_canonical_rect(self.rect_a)
-        _check_canonical_rect(self.rect_b)
-        _check_threshold("threshold", self.threshold)
+        _check(self)
+        _rects_from_tuples(self, "rect_a", "rect_b")
 
 
 @dataclass(frozen=True)
@@ -94,15 +85,7 @@ class ControlPointsFeature:
     def __post_init__(self):
         object.__setattr__(self, "pos_points", tuple(tuple(p) for p in self.pos_points))
         object.__setattr__(self, "neg_points", tuple(tuple(p) for p in self.neg_points))
-        for cls_name, pts in (("pos", self.pos_points), ("neg", self.neg_points)):
-            if not 1 <= len(pts) <= MAX_CLASS_POINTS:
-                raise ValueError(f"{cls_name} class must hold 1..{MAX_CLASS_POINTS} points")
-            if len(set(pts)) != len(pts):
-                raise ValueError(f"duplicate point in {cls_name} class")
-            for x, y in pts:
-                _check_canonical_point(x, y)
-        if not 1 <= self.separation <= 255:
-            raise ValueError(f"separation must be in 1..255, got {self.separation}")
+        _check(self)
 
 
 @dataclass(frozen=True)
@@ -127,15 +110,8 @@ class SymmetricHaarFeature:
     mid_margin: float
 
     def __post_init__(self):
-        _check_canonical_rect(self.left_a, half_width=True)
-        _check_canonical_rect(self.left_b, half_width=True)
-        for r in (self.mid_a, self.mid_b):
-            _check_canonical_rect(r)
-            # horizontal center within 1px of the axis: |x + w/2 - W/2| <= 1
-            if not (CANONICAL_W - 2 <= 2 * r.x + r.w <= CANONICAL_W + 2):
-                raise ValueError(f"middle rect {r} not centered on the window axis")
-        for name in ("t_left", "t_right", "t_mid", "sym_tol", "mid_margin"):
-            _check_threshold(name, getattr(self, name))
+        _check(self)
+        _rects_from_tuples(self, "left_a", "left_b", "mid_a", "mid_b")
 
 
 @dataclass(frozen=True)
@@ -152,14 +128,7 @@ class ChainFeature:
 
     def __post_init__(self):
         object.__setattr__(self, "chain", tuple((x, y, bool(t)) for x, y, t in self.chain))
-        pts = [(x, y) for x, y, _ in self.chain]
-        if not validate_chain(pts):
-            raise ValueError(f"invalid 8-connected chain: {pts}")
-        tags = [t for _, _, t in self.chain]
-        if not (any(tags) and not all(tags)):
-            raise ValueError("chain needs at least one pos and one neg point")
-        if not 1 <= self.separation <= 255:
-            raise ValueError(f"separation must be in 1..255, got {self.separation}")
+        _check(self)
 
     @property
     def pos_points(self) -> tuple[tuple[int, int], ...]:
@@ -196,18 +165,120 @@ def validate_chain(points: Sequence[tuple[int, int]],
     Valid means 2..12 points, all distinct, all inside ``width`` x
     ``height``, and every consecutive pair at Chebyshev distance 1.
     """
-    pts = [tuple(p) for p in points]
-    if not MIN_CHAIN_LEN <= len(pts) <= MAX_CHAIN_LEN:
+    n = len(points)
+    if not MIN_CHAIN_LEN <= n <= MAX_CHAIN_LEN or len(set(map(tuple, points))) != n:
         return False
-    if len(set(pts)) != len(pts):
+    px, py = points[0]
+    if not (0 <= px < width and 0 <= py < height):
         return False
-    for x, y in pts:
-        if not (0 <= x < width and 0 <= y < height):
+    # the points are distinct, so Chebyshev distance 1 from the previous
+    # point is a step of at most 1 along each axis
+    for x, y in points[1:]:
+        if not (0 <= x < width and 0 <= y < height and -1 <= x - px <= 1
+                and -1 <= y - py <= 1):
             return False
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if max(abs(x1 - x0), abs(y1 - y0)) != 1:
-            return False
+        px, py = x, y
     return True
+
+
+# ---------------------------------------------------------------------------
+# validity: one rule per constructor field
+# ---------------------------------------------------------------------------
+# A rule returns what is wrong with its field's value, or None; a rect
+# field's value may be a ``Rect`` or its (x, y, w, h) tuple. A genome is
+# valid iff every field passes its own rule, and no rule reads another
+# field. ``__post_init__`` raises the first problem found, and
+# ``learner.mutate`` checks only the field a move changes, before any
+# object is built.
+
+Rule = Callable[[Any], Union[str, None]]
+
+
+def _rect_within(limit_w: int, zone: str, centered: bool = False) -> Rule:
+    def problem(r) -> str | None:
+        if type(r) is tuple:
+            x, y, w, h = r
+            no_rect = rect_problem(x, y, w, h)
+            if no_rect is not None:
+                return f"{no_rect}, got {r}"
+        else:  # a Rect, which checked itself
+            x, y, w, h = r.x, r.y, r.w, r.h
+        if x + w > limit_w or y + h > CANONICAL_H:
+            return f"{Rect(x, y, w, h)} exceeds the {zone} {CANONICAL_W}x{CANONICAL_H} window"
+        # horizontal center within 1px of the axis: |x + w/2 - W/2| <= 1
+        if centered and not CANONICAL_W - 2 <= 2 * x + w <= CANONICAL_W + 2:
+            return f"middle rect {Rect(x, y, w, h)} not centered on the window axis"
+        return None
+    return problem
+
+
+_canonical_rect = _rect_within(CANONICAL_W, "canonical")
+_left_rect = _rect_within(CANONICAL_W // 2, "left half of the canonical")
+_mid_rect = _rect_within(CANONICAL_W, "canonical", centered=True)
+
+
+def _threshold(name: str) -> Rule:
+    def problem(value: float) -> str | None:
+        # NaN fails every comparison, so a plain `< 0` test would let it through
+        if not (math.isfinite(value) and value >= 0):
+            return f"{name} must be finite and >= 0, got {value}"
+        return None
+    return problem
+
+
+def _point_class(name: str) -> Rule:
+    def problem(points: tuple[tuple[int, int], ...]) -> str | None:
+        if not 1 <= len(points) <= MAX_CLASS_POINTS:
+            return f"{name} class must hold 1..{MAX_CLASS_POINTS} points"
+        if len(set(points)) != len(points):
+            return f"duplicate point in {name} class"
+        for x, y in points:
+            if not (0 <= x < CANONICAL_W and 0 <= y < CANONICAL_H):
+                return f"point ({x}, {y}) outside canonical window"
+        return None
+    return problem
+
+
+def _chain(chain: tuple[tuple[int, int, bool], ...]) -> str | None:
+    pts = [(x, y) for x, y, _ in chain]
+    if not validate_chain(pts):
+        return f"invalid 8-connected chain: {pts}"
+    tags = [t for _, _, t in chain]
+    if not (any(tags) and not all(tags)):
+        return "chain needs at least one pos and one neg point"
+    return None
+
+
+def _separation(value: int) -> str | None:
+    if not 1 <= value <= 255:
+        return f"separation must be in 1..255, got {value}"
+    return None
+
+
+# each family's rules, in constructor order
+FIELD_RULES: dict[type, tuple[Rule, ...]] = {
+    HaarFeature: (_canonical_rect, _canonical_rect, _threshold("threshold")),
+    ControlPointsFeature: (_point_class("pos"), _point_class("neg"), _separation),
+    SymmetricHaarFeature: (_left_rect, _left_rect, _mid_rect, _mid_rect,
+                           *map(_threshold, ("t_left", "t_right", "t_mid", "sym_tol",
+                                             "mid_margin"))),
+    ChainFeature: (_chain, _separation),
+}
+
+_FIELD_VALUES = {family: operator.attrgetter(*(f.name for f in dataclasses.fields(family)))
+                 for family in FIELD_RULES}
+
+
+def field_values(feature: Feature) -> tuple:
+    """The fields of ``feature``, in constructor order."""
+    return _FIELD_VALUES[type(feature)](feature)
+
+
+def _check(feature: Feature) -> None:
+    for rule, value in zip(FIELD_RULES[type(feature)], field_values(feature)):
+        problem = rule(value)
+        if problem is not None:
+            raise ValueError(problem)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ windows: ``build_integral`` makes one for a whole frame, the only place a
 frame's int16 pixels are made, and a pyramid level (``WindowStack.level``)
 or a single window (``WindowStack.window``) is a view into it, so the
 point families and the area families always read the same image. A
-frame's stack keeps the last LEVEL_MEMO levels it built, so the models
-scanned through one stack build each level, and its ``sigma``, once.
+frame's stack keeps the first LEVEL_MEMO levels it built, so the models
+scanned through one stack build each of those levels, and its ``sigma``,
+once.
 """
 
 from __future__ import annotations
@@ -28,11 +29,20 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Flat windows would otherwise divide by zero during normalization; with
 # the floor they behave as unnormalized.
 SIGMA_MIN = 1.0
-LEVEL_MEMO = 32  # pyramid levels a WindowStack keeps, oldest out first
+LEVEL_MEMO = 32  # pyramid levels a WindowStack keeps, the first it builds
 
 
 class BoundsError(ValueError):
     """A rectangle or window does not fit inside its image."""
+
+
+def rect_problem(x: int, y: int, w: int, h: int) -> str | None:
+    """What keeps offsets x, y and extents w, h from making a ``Rect``, or None."""
+    if x < 0 or y < 0:
+        return "rect offsets must be >= 0"
+    if w < 1 or h < 1:
+        return "rect extents must be >= 1"
+    return None
 
 
 @dataclass(frozen=True)
@@ -45,10 +55,9 @@ class Rect:
     h: int
 
     def __post_init__(self):
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"rect offsets must be >= 0, got {self}")
-        if self.w < 1 or self.h < 1:
-            raise ValueError(f"rect extents must be >= 1, got {self}")
+        problem = rect_problem(self.x, self.y, self.w, self.h)
+        if problem is not None:
+            raise ValueError(f"{problem}, got {self}")
 
     @property
     def area(self) -> int:
@@ -192,22 +201,24 @@ class WindowStack:
 
         Window (row, column) has its origin at (column * stride,
         row * stride); the tables and pixels are views, not copies. The
-        last ``LEVEL_MEMO`` levels built are kept on this stack, oldest out
-        first, so every model scanned through it shares one build of each;
-        beyond this stack's arrays, a kept level holds only its ``sigma``.
+        first ``LEVEL_MEMO`` levels built are kept on this stack and later
+        ones are built on every call, so every model scanned through it
+        shares one build of each kept level, however many levels a frame
+        has; beyond this stack's arrays, a kept level holds only its
+        ``sigma``.
         """
         key = (win_w, win_h, stride)
-        if key not in self._levels:
+        level = self._levels.get(key)
+        if level is None:
             def grid(table: np.ndarray, h: int, w: int) -> np.ndarray:
                 return sliding_window_view(table, (h, w))[::stride, ::stride]
 
             level = WindowStack(grid(self.pixels, win_h, win_w),
                                 grid(self.sums, win_h + 1, win_w + 1),
                                 grid(self.squared_sums, win_h + 1, win_w + 1))
-            if len(self._levels) >= LEVEL_MEMO:
-                del self._levels[next(iter(self._levels))]
-            self._levels[key] = level
-        return self._levels[key]
+            if len(self._levels) < LEVEL_MEMO:
+                self._levels[key] = level
+        return level
 
     def window(self, win: Rect) -> "WindowStack":
         """The single window ``win`` of this frame, with no leading axis."""

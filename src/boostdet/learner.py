@@ -3,10 +3,14 @@
 A mu+lambda loop: keep the best quarter of the population, refill with
 mutated elites plus a trickle of fresh random genomes, stop on stall or
 generation budget. Every genome is drawn from its own RNG stream derived
-from (seed, candidate index). The initial population and each
-generation's offspring are scored by one ``features.eval_features`` call
-on the calling thread; each candidate's two errors are then summed from
-its own row, in index order.
+from (seed, candidate index). A mutated child takes its moves on the
+parent's constructor fields, each proposal checked by the one field rule
+it changes (``features.FIELD_RULES``), and is built once, after its last
+move. The initial population and each generation's offspring are scored
+by one ``features.eval_features`` call on the calling thread; each
+candidate's two errors are then summed from its own row, in index order,
+into a plain ``(epsilon, id, feature, polarity)`` row. Only the winner
+becomes a ``WeakClassifier`` and a ``Candidate``.
 
 ``search_best`` takes only what the search reads: the distribution, the
 window stack with its labels (built once by ``boosting.train``) and the
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +29,7 @@ from .boosting import WeakClassifier, WeightDistribution
 from .features import (
     CANONICAL_H,
     CANONICAL_W,
+    FIELD_RULES,
     MAX_CHAIN_LEN,
     MAX_CLASS_POINTS,
     MIN_CHAIN_LEN,
@@ -37,6 +42,7 @@ from .features import (
     WindowStack,
     eval_batch,  # noqa: F401  boostbench/tracing.py wraps learner.eval_batch
     eval_features,
+    field_values,
     kind_of,
 )
 from .imaging import Rect
@@ -75,6 +81,13 @@ class LearnerConfig:
     parallel_workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.family, FeatureKind):
+            raise ValueError(f"family must be a FeatureKind, got {self.family!r}")
+        for name in ("population_size", "generations", "stall_limit", "seed",
+                     "parallel_workers"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
@@ -178,61 +191,58 @@ def random_feature(family: FeatureKind, rng: random.Random) -> Feature:
 
 _MAX_MUTATE_TRIES = 25
 
+# A move proposes (field index, value) for one field of a genome held as
+# its constructor fields; ``mutate`` keeps the proposal only if that
+# field's rule in ``features.FIELD_RULES`` passes. A nudged rect is an
+# (x, y, w, h) tuple, which the child's constructor makes a Rect.
 
-def _nudged_rect(r: Rect, rng: random.Random) -> Rect:
-    coords = [r.x, r.y, r.w, r.h]
+
+def _nudged_rect(r: Rect | tuple[int, int, int, int],
+                 rng: random.Random) -> tuple[int, int, int, int]:
+    coords = [r.x, r.y, r.w, r.h] if type(r) is Rect else list(r)
     coords[rng.choice((0, 1, 2, 3))] += rng.choice((-1, 1))
-    return Rect(*coords)
+    return tuple(coords)
 
 
-def _mutate_haar(f: HaarFeature, rng: random.Random) -> HaarFeature:
-    move = rng.randrange(3)
-    if move == 0:
-        return HaarFeature(rect_a=_nudged_rect(f.rect_a, rng), rect_b=f.rect_b,
-                           threshold=f.threshold)
-    if move == 1:
-        return HaarFeature(rect_a=f.rect_a, rect_b=_nudged_rect(f.rect_b, rng),
-                           threshold=f.threshold)
-    return HaarFeature(rect_a=f.rect_a, rect_b=f.rect_b,
-                       threshold=f.threshold * rng.choice((0.9, 1.1)))
+def _nudged_separation(sep: int, rng: random.Random) -> int:
+    return min(255, max(1, sep + rng.choice((-1, 1)) * rng.randint(1, 8)))
 
 
-def _mutate_control_points(f: ControlPointsFeature,
-                           rng: random.Random) -> ControlPointsFeature:
-    pos, neg = list(f.pos_points), list(f.neg_points)
-    sep = f.separation
+def _move_haar(g: list, rng: random.Random) -> tuple[int, Any]:
+    move = rng.randrange(3)  # nudge rect_a, nudge rect_b or scale the threshold
+    if move < 2:
+        return move, _nudged_rect(g[move], rng)
+    return 2, g[2] * rng.choice((0.9, 1.1))
+
+
+def _move_control_points(g: list, rng: random.Random) -> tuple[int, Any]:
     move = rng.randrange(4)
-    side = rng.choice((pos, neg))
+    side = rng.choice((0, 1))  # the pos or the neg class
+    points = list(g[side])
     if move == 0:
-        i = rng.randrange(len(side))
+        i = rng.randrange(len(points))
         dx, dy = rng.choice(_NEIGHBORS)
-        side[i] = (side[i][0] + dx, side[i][1] + dy)
+        points[i] = (points[i][0] + dx, points[i][1] + dy)
     elif move == 1:
-        side.append((rng.randint(0, CANONICAL_W - 1), rng.randint(0, CANONICAL_H - 1)))
+        points.append((rng.randint(0, CANONICAL_W - 1), rng.randint(0, CANONICAL_H - 1)))
     elif move == 2:
-        side.pop(rng.randrange(len(side)))
+        points.pop(rng.randrange(len(points)))
     else:
-        sep = min(255, max(1, sep + rng.choice((-1, 1)) * rng.randint(1, 8)))
-    return ControlPointsFeature(pos_points=tuple(pos), neg_points=tuple(neg),
-                                separation=sep)
+        return 2, _nudged_separation(g[2], rng)
+    return side, tuple(points)
 
 
-def _mutate_symmetric(f: SymmetricHaarFeature,
-                      rng: random.Random) -> SymmetricHaarFeature:
+def _move_symmetric(g: list, rng: random.Random) -> tuple[int, Any]:
     # constructor order: four rects, then five thresholds
-    fields = [f.left_a, f.left_b, f.mid_a, f.mid_b,
-              f.t_left, f.t_right, f.t_mid, f.sym_tol, f.mid_margin]
     if rng.randrange(2) == 0:
         which = rng.choice((0, 1, 2, 3))
-        fields[which] = _nudged_rect(fields[which], rng)
-    else:
-        fields[rng.choice((4, 5, 6, 7, 8))] *= rng.choice((0.9, 1.1))
-    return SymmetricHaarFeature(*fields)
+        return which, _nudged_rect(g[which], rng)
+    which = rng.choice((4, 5, 6, 7, 8))
+    return which, g[which] * rng.choice((0.9, 1.1))
 
 
-def _mutate_chain(f: ChainFeature, rng: random.Random) -> ChainFeature:
-    chain = list(f.chain)
-    sep = f.separation
+def _move_chain(g: list, rng: random.Random) -> tuple[int, Any]:
+    chain = list(g[0])
     move = rng.randrange(5)
     if move == 0:  # move an endpoint next to its neighbor
         end = rng.choice((0, len(chain) - 1))
@@ -259,52 +269,63 @@ def _mutate_chain(f: ChainFeature, rng: random.Random) -> ChainFeature:
         x, y, t = chain[i]
         chain[i] = (x, y, not t)
     else:
-        sep = min(255, max(1, sep + rng.choice((-1, 1)) * rng.randint(1, 8)))
-    return ChainFeature(chain=tuple(chain), separation=sep)
+        return 1, _nudged_separation(g[1], rng)
+    return 0, tuple(chain)
 
 
-_MUTATORS: dict[type, Callable] = {
-    HaarFeature: _mutate_haar,
-    ControlPointsFeature: _mutate_control_points,
-    SymmetricHaarFeature: _mutate_symmetric,
-    ChainFeature: _mutate_chain,
+_MOVES: dict[type, Callable[[list, random.Random], tuple[int, Any]]] = {
+    HaarFeature: _move_haar,
+    ControlPointsFeature: _move_control_points,
+    SymmetricHaarFeature: _move_symmetric,
+    ChainFeature: _move_chain,
 }
 
 
-def mutate(feature: Feature, rng: random.Random) -> Feature:
-    """One random move on ``feature``; invalid proposals are re-drawn.
+def mutate(feature: Feature, rng: random.Random, moves: int = 1) -> Feature:
+    """``moves`` random moves on ``feature``, one after another.
 
-    Falls back to the unchanged input when every retry lands on an
-    invalid genome.
+    An invalid proposal is re-drawn; a move whose every retry is invalid
+    leaves the genome as it was. The child is built once, after the last
+    move, and the input itself comes back when no move landed.
     """
-    mutator = _MUTATORS[type(feature)]
-    for _ in range(_MAX_MUTATE_TRIES):
-        try:
-            return mutator(feature, rng)
-        except ValueError:
-            continue
-    return feature
+    family = type(feature)
+    move, rules = _MOVES[family], FIELD_RULES[family]
+    genome = list(field_values(feature))
+    landed = False
+    for _ in range(moves):
+        for _ in range(_MAX_MUTATE_TRIES):
+            i, value = move(genome, rng)
+            if rules[i](value) is None:
+                genome[i] = value
+                landed = True
+                break
+    if not landed:
+        return feature
+    return family(*genome)
 
 
 # ---------------------------------------------------------------------------
 # the search itself
 # ---------------------------------------------------------------------------
 
-def _score(genomes: Sequence[tuple[int, Feature]], stack: WindowStack,
-           weights: np.ndarray, labels: np.ndarray) -> list[tuple[int, Candidate]]:
-    """(id, candidate) per (id, feature), all features evaluated in one call."""
-    ids, features = zip(*genomes)
-    mistakes_plus = np.where(eval_features(features, stack), 1, -1) != labels
-    scored = []
+# (epsilon, id, feature, polarity): rows sort by error, then by id; ids are
+# unique, so a feature is never compared
+Row = tuple[float, int, Feature, int]
+
+
+def _score(ids: Sequence[int], features: Sequence[Feature], stack: WindowStack,
+           weights: np.ndarray, labels: np.ndarray) -> list[Row]:
+    """One row per feature, all features evaluated in one call."""
+    mistakes = np.where(eval_features(features, stack), 1, -1) != labels
+    rows = []
     # each error sums the selected weights of its own row, which rounds
     # as a one-feature evaluation does; a matrix product would not
-    for cid, feature, mistakes in zip(ids, features, mistakes_plus):
-        eps_plus = float(weights[mistakes].sum())
-        eps_minus = float(weights[~mistakes].sum())
-        polarity, eps = (-1, eps_minus) if eps_minus < eps_plus else (1, eps_plus)
-        weak = WeakClassifier(feature=feature, polarity=polarity)
-        scored.append((cid, Candidate(weak=weak, epsilon=eps)))
-    return scored
+    for cid, feature, wrong, right in zip(ids, features, mistakes, ~mistakes):
+        eps_plus = float(weights[wrong].sum())
+        eps_minus = float(weights[right].sum())
+        rows.append((eps_minus, cid, feature, -1) if eps_minus < eps_plus
+                    else (eps_plus, cid, feature, 1))
+    return rows
 
 
 def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray,
@@ -330,63 +351,56 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
 
     # every candidate gets a unique id; its RNG stream derives from the id,
     # and ties in epsilon resolve by id, so the search is reproducible
-    next_id = 0
-
-    def new_id() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
     def stream(candidate_id: int) -> random.Random:
         return random.Random(derive_seed(config.seed, candidate_id))
 
-    genomes: list[tuple[int, Feature]] = [
-        (new_id(), f) for f in list(seed_features or [])[:config.population_size]]
-    while len(genomes) < config.population_size:
-        cid = new_id()
-        genomes.append((cid, random_feature(config.family, stream(cid))))
-    population = _score(genomes, stack, weights, labels)
+    size = config.population_size
+    features = list(seed_features or [])[:size]
+    features += [random_feature(config.family, stream(cid))
+                 for cid in range(len(features), size)]
+    population = _score(range(size), features, stack, weights, labels)
+    next_id = size
 
-    elite_n = max(1, config.population_size // 4)
-    fresh_n = max(1, round(config.population_size * 0.10))
-    child_n = config.population_size - elite_n
+    elite_n = max(1, size // 4)
+    fresh_n = max(1, round(size * 0.10))
+    child_n = size - elite_n
 
     def report(generation: int, best_eps: float) -> None:
         if progress is not None:
-            mean_eps = sum(c.epsilon for _, c in population) / len(population)
-            progress(generation, best_eps, mean_eps)
+            progress(generation, best_eps, sum(row[0] for row in population) / size)
 
-    best = min(population, key=lambda ic: (ic[1].epsilon, ic[0]))[1]
-    report(0, best.epsilon)
+    best = min(population)
+    report(0, best[0])
     stall = 0
 
     for gen in range(1, config.generations + 1):
-        if best.epsilon == 0.0 or stall >= config.stall_limit:
+        if best[0] == 0.0 or stall >= config.stall_limit:
             break
 
-        population.sort(key=lambda ic: (ic[1].epsilon, ic[0]))
+        population.sort()
         elites = population[:elite_n]
 
-        offspring: list[tuple[int, Feature]] = []
-        for k in range(child_n):
-            cid = new_id()
+        ids = range(next_id, next_id + child_n)
+        next_id += child_n
+        offspring: list[Feature] = []
+        for k, cid in enumerate(ids):
             rng = stream(cid)
             if k < fresh_n:
-                offspring.append((cid, random_feature(config.family, rng)))
+                offspring.append(random_feature(config.family, rng))
             else:
-                child = elites[(k - fresh_n) % elite_n][1].weak.feature
-                for _ in range(rng.randint(*MUTATIONS_PER_CHILD)):
-                    child = mutate(child, rng)
-                offspring.append((cid, child))
+                parent = elites[(k - fresh_n) % elite_n][2]
+                offspring.append(mutate(parent, rng, rng.randint(*MUTATIONS_PER_CHILD)))
 
-        population = elites + _score(offspring, stack, weights, labels)
+        population = elites + _score(ids, offspring, stack, weights, labels)
 
-        gen_best = min(population, key=lambda ic: (ic[1].epsilon, ic[0]))[1]
-        if gen_best.epsilon < best.epsilon:
+        gen_best = min(population)
+        if gen_best[0] < best[0]:
             best = gen_best
             stall = 0
         else:
             stall += 1
-        report(gen, best.epsilon)
+        report(gen, best[0])
 
-    return best
+    epsilon, _, feature, polarity = best
+    return Candidate(weak=WeakClassifier(feature=feature, polarity=polarity),
+                     epsilon=epsilon)

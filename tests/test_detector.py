@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boostdet import imaging
 from boostdet.boosting import Stage, StrongClassifier, WeakClassifier, vote
 from boostdet.detector import (
     MAX_COORD,
@@ -32,7 +33,7 @@ from boostdet.features import (
     kind_of,
     mirror_rect,
 )
-from boostdet.imaging import GrayImage, Rect, build_integral
+from boostdet.imaging import LEVEL_MEMO, GrayImage, Rect, build_integral
 from boostdet.learner import LearnerConfig, random_feature
 from boostdet.modelio import parse_model
 from boostdet.pipeline import train_detector
@@ -590,6 +591,24 @@ def test_models_sharing_a_stack_scan_as_with_their_own(rng):
             found += len(got)
         assert len(ii._levels) == len(pyramid_levels(frame.width, frame.height, cfg))
     assert found > 0
+
+
+def test_models_sharing_a_stack_share_its_first_levels(monkeypatch, rng):
+    # 69 levels: the first LEVEL_MEMO are built once for all four models,
+    # the other 37 once per model, so 32 + 4 * 37 = 180 builds, not 4 * 69
+    calls = []
+    real = imaging.sliding_window_view
+    monkeypatch.setattr(imaging, "sliding_window_view",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    frame = rand_image(rng, 128, 96)
+    cfg = ScanConfig(scale_factor=1.02, bias=-1.0)
+    levels = len(pyramid_levels(frame.width, frame.height, cfg))
+    assert levels == 69
+    ii = build_integral(frame)
+    for family in ("haar", "cp", "symhaar", "nconnex"):
+        scan(parse_model(fixture_model_text(family)), frame, cfg, ii=ii)
+    assert len(calls) == 3 * 180  # pixels and both tables per level
+    assert len(ii._levels) == LEVEL_MEMO
 
 
 def test_scan_geometry_memo_stays_bounded(rng):

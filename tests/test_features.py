@@ -53,6 +53,22 @@ def test_haar_feature_rejects_out_of_window():
         HaarFeature(rect_a=Rect(0, 0, 1, 1), rect_b=Rect(0, 0, 1, 1), threshold=-0.1)
 
 
+def test_rect_fields_take_xywh_tuples():
+    # as the point families take lists, the rect families take plain tuples,
+    # checked by the same rule and stored as Rects
+    f = HaarFeature(rect_a=(0, 0, 4, 4), rect_b=Rect(4, 0, 4, 4), threshold=0.5)
+    assert f == HaarFeature(rect_a=Rect(0, 0, 4, 4), rect_b=Rect(4, 0, 4, 4), threshold=0.5)
+    assert type(f.rect_a) is Rect
+    for bad, message in (((30, 0, 4, 4), "exceeds the canonical"),
+                         ((-1, 0, 4, 4), "offsets must be >= 0"),
+                         ((0, 0, 0, 4), "extents must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            HaarFeature(rect_a=bad, rect_b=Rect(0, 0, 1, 1), threshold=0.5)
+    with pytest.raises(ValueError, match="not centered"):
+        SymmetricHaarFeature(Rect(0, 0, 8, 8), Rect(8, 0, 8, 8), (0, 0, 8, 8),
+                             Rect(12, 8, 8, 8), 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
 def test_thresholds_must_be_finite_and_non_negative(bad):
     # NaN passes a plain `< 0` check, and a NaN threshold never fires

@@ -155,12 +155,25 @@ def test_level_is_built_once_and_the_memo_stays_bounded(rng):
     for key in keys:
         ii.level(*key)
         assert len(ii._levels) <= LEVEL_MEMO
-    assert list(ii._levels) == keys[-LEVEL_MEMO:]
-    # an evicted level is rebuilt as a stack with no memo builds it
+    assert list(ii._levels) == [(32, 24, 2)] + keys[:LEVEL_MEMO - 1]
+    # a kept level is built as a stack with no memo builds it
     rebuilt = ii.level(*keys[0])
     fresh = WindowStack(ii.pixels, ii.sums, ii.squared_sums).level(*keys[0])
     for name in ("pixels", "sums", "squared_sums", "sigma"):
         assert np.array_equal(getattr(rebuilt, name), getattr(fresh, name)), name
+
+
+def test_levels_past_the_memo_are_built_on_every_call(rng):
+    ii = build_integral(rand_image(rng, 80, 60))
+    keys = [(8 + k, 6, 1 + k % 3) for k in range(LEVEL_MEMO + 5)]
+    for key in keys:
+        ii.level(*key)
+    late = keys[-1]
+    assert ii.level(*late) is not ii.level(*late)
+    assert ii.level(*keys[0]) is ii.level(*keys[0])
+    fresh = WindowStack(ii.pixels, ii.sums, ii.squared_sums).level(*late)
+    for name in ("pixels", "sums", "squared_sums", "sigma"):
+        assert np.array_equal(getattr(ii.level(*late), name), getattr(fresh, name)), name
 
 
 def test_extract_window_identity(rng):

@@ -3,10 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boostdet import learner
 from boostdet.boosting import LabeledSample, WeightDistribution
 from boostdet.features import (
+    CANONICAL_H,
     CANONICAL_W,
     ChainFeature,
     ControlPointsFeature,
@@ -17,6 +20,7 @@ from boostdet.features import (
     eval_batch,
     validate_chain,
 )
+from boostdet.imaging import Rect
 from boostdet.learner import (
     Candidate,
     LearnerConfig,
@@ -90,19 +94,139 @@ def test_mutate_changes_or_returns_valid(rng):
 def test_mutate_redraws_only_invalid_genomes(monkeypatch):
     f = random_feature(FeatureKind.HAAR, random.Random(3))
 
-    def invalid(feature, rng):
-        raise ValueError("invalid genome")
+    def invalid(genome, rng):
+        return 2, -1.0  # a negative threshold, which its field rule rejects
 
-    monkeypatch.setitem(learner._MUTATORS, HaarFeature, invalid)
+    monkeypatch.setitem(learner._MOVES, HaarFeature, invalid)
     assert mutate(f, random.Random(9)) == f  # every retry invalid: the input comes back
 
-    def out_of_range(feature, rng):
+    def out_of_range(genome, rng):
         raise IndexError("move indexed out of range")
 
     # no move can index out of range, so one that does is a defect to surface
-    monkeypatch.setitem(learner._MUTATORS, HaarFeature, out_of_range)
+    monkeypatch.setitem(learner._MOVES, HaarFeature, out_of_range)
     with pytest.raises(IndexError, match="out of range"):
         mutate(f, random.Random(9))
+
+
+# reference: the construct-and-catch mutation of the earlier learner, each
+# move building its Feature and an invalid one re-drawn on ValueError
+
+def _ref_nudged_rect(r, rng):
+    coords = [r.x, r.y, r.w, r.h]
+    coords[rng.choice((0, 1, 2, 3))] += rng.choice((-1, 1))
+    return Rect(*coords)
+
+
+def _ref_mutate_haar(f, rng):
+    move = rng.randrange(3)
+    if move == 0:
+        return HaarFeature(rect_a=_ref_nudged_rect(f.rect_a, rng), rect_b=f.rect_b,
+                           threshold=f.threshold)
+    if move == 1:
+        return HaarFeature(rect_a=f.rect_a, rect_b=_ref_nudged_rect(f.rect_b, rng),
+                           threshold=f.threshold)
+    return HaarFeature(rect_a=f.rect_a, rect_b=f.rect_b,
+                       threshold=f.threshold * rng.choice((0.9, 1.1)))
+
+
+def _ref_mutate_control_points(f, rng):
+    pos, neg = list(f.pos_points), list(f.neg_points)
+    sep = f.separation
+    move = rng.randrange(4)
+    side = rng.choice((pos, neg))
+    if move == 0:
+        i = rng.randrange(len(side))
+        dx, dy = rng.choice(learner._NEIGHBORS)
+        side[i] = (side[i][0] + dx, side[i][1] + dy)
+    elif move == 1:
+        side.append((rng.randint(0, CANONICAL_W - 1), rng.randint(0, CANONICAL_H - 1)))
+    elif move == 2:
+        side.pop(rng.randrange(len(side)))
+    else:
+        sep = min(255, max(1, sep + rng.choice((-1, 1)) * rng.randint(1, 8)))
+    return ControlPointsFeature(pos_points=tuple(pos), neg_points=tuple(neg),
+                                separation=sep)
+
+
+def _ref_mutate_symmetric(f, rng):
+    fields = [f.left_a, f.left_b, f.mid_a, f.mid_b,
+              f.t_left, f.t_right, f.t_mid, f.sym_tol, f.mid_margin]
+    if rng.randrange(2) == 0:
+        which = rng.choice((0, 1, 2, 3))
+        fields[which] = _ref_nudged_rect(fields[which], rng)
+    else:
+        fields[rng.choice((4, 5, 6, 7, 8))] *= rng.choice((0.9, 1.1))
+    return SymmetricHaarFeature(*fields)
+
+
+def _ref_mutate_chain(f, rng):
+    chain = list(f.chain)
+    sep = f.separation
+    move = rng.randrange(5)
+    if move == 0:
+        end = rng.choice((0, len(chain) - 1))
+        anchor = chain[1] if end == 0 else chain[-2]
+        occupied = {(x, y) for x, y, _ in chain}
+        options = [(anchor[0] + dx, anchor[1] + dy) for dx, dy in learner._NEIGHBORS
+                   if (anchor[0] + dx, anchor[1] + dy) not in occupied]
+        nx, ny = rng.choice(options) if options else chain[end][:2]
+        chain[end] = (nx, ny, chain[end][2])
+    elif move == 1:
+        end = rng.choice((0, len(chain) - 1))
+        ax, ay, _ = chain[end]
+        occupied = {(x, y) for x, y, _ in chain}
+        options = [(ax + dx, ay + dy) for dx, dy in learner._NEIGHBORS
+                   if (ax + dx, ay + dy) not in occupied]
+        if options:
+            nx, ny = rng.choice(options)
+            new_pt = (nx, ny, rng.random() < 0.5)
+            chain = [new_pt] + chain if end == 0 else chain + [new_pt]
+    elif move == 2:
+        chain.pop(rng.choice((0, len(chain) - 1)))
+    elif move == 3:
+        i = rng.randrange(len(chain))
+        x, y, t = chain[i]
+        chain[i] = (x, y, not t)
+    else:
+        sep = min(255, max(1, sep + rng.choice((-1, 1)) * rng.randint(1, 8)))
+    return ChainFeature(chain=tuple(chain), separation=sep)
+
+
+_REF_MUTATORS = {
+    HaarFeature: _ref_mutate_haar,
+    ControlPointsFeature: _ref_mutate_control_points,
+    SymmetricHaarFeature: _ref_mutate_symmetric,
+    ChainFeature: _ref_mutate_chain,
+}
+
+
+def _ref_mutate(feature, rng):
+    mutator = _REF_MUTATORS[type(feature)]
+    for _ in range(25):
+        try:
+            return mutator(feature, rng)
+        except ValueError:
+            continue
+    return feature
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(list(FeatureKind)), seed=st.integers(0, 2**64 - 1),
+       children=st.lists(st.integers(1, 3), min_size=1, max_size=40))
+def test_mutate_matches_construct_and_catch_reference(family, seed, children):
+    # a walk of children, each 1-3 moves; the walk reaches long chains,
+    # full point classes and rects at the window's edges
+    feature = random_feature(family, random.Random(seed))
+    want_rng, got_rng = random.Random(seed + 1), random.Random(seed + 1)
+    want = feature
+    for moves in children:
+        for _ in range(moves):
+            want = _ref_mutate(want, want_rng)
+        feature = mutate(feature, got_rng, moves)
+        assert feature == want
+        assert type(feature) is type(want)
+        assert got_rng.getstate() == want_rng.getstate()
 
 
 def _uniform(samples):
@@ -206,6 +330,29 @@ def test_search_draws_from_config_family(small_set, family):
     assert isinstance(best.weak.feature, FAMILY_TYPES[family])
 
 
+def test_search_builds_one_weak_classifier_and_one_candidate(monkeypatch, small_set):
+    # every other candidate stays a plain (epsilon, id, feature, polarity) row
+    built = []
+
+    class CountingWeak(learner.WeakClassifier):
+        def __post_init__(self):
+            built.append("weak")
+            super().__post_init__()
+
+    class CountingCandidate(learner.Candidate):
+        def __post_init__(self):
+            built.append("candidate")
+            super().__post_init__()
+
+    monkeypatch.setattr(learner, "WeakClassifier", CountingWeak)
+    monkeypatch.setattr(learner, "Candidate", CountingCandidate)
+    config = LearnerConfig(family=FeatureKind.SYMMETRIC_HAAR, population_size=20,
+                           generations=6, seed=31)
+    best = search_best(_uniform(small_set), *_stack_labels(small_set), config)
+    assert sorted(built) == ["candidate", "weak"]
+    assert isinstance(best, CountingCandidate) and isinstance(best.weak, CountingWeak)
+
+
 def test_search_rejects_mismatched_lengths(small_set):
     config = LearnerConfig(family=FeatureKind.HAAR, population_size=4, generations=1)
     stack, labels = _stack_labels(small_set)
@@ -239,6 +386,15 @@ def test_config_validation():
     for stall_limit in (0, -1):
         with pytest.raises(ValueError, match="stall_limit"):
             LearnerConfig(family=FeatureKind.HAAR, stall_limit=stall_limit)
+    for family in ("haar", None, HaarFeature):
+        with pytest.raises(ValueError, match="family must be a FeatureKind"):
+            LearnerConfig(family=family)
+    # a float count used to pass the range checks and die inside search_best
+    for name in ("population_size", "generations", "stall_limit", "seed",
+                 "parallel_workers"):
+        for value in (2.5, 8.0, "8", True, None):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                LearnerConfig(family=FeatureKind.HAAR, **{name: value})
 
 
 def test_derive_seed_distinct():
