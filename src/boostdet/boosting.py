@@ -3,7 +3,7 @@
 The update multiplies correctly classified weights by beta = e/(1-e) and
 renormalizes, which is the standard discrete update and makes the
 weighted error of the round's weak classifier exactly 1/2 under the next
-distribution. A ``literal_zero_update`` option zeroes misclassified
+distribution. ``train(..., literal_zero_update=True)`` zeroes misclassified
 weights instead (a destructive variant kept for study, off by default).
 
 A weak classifier with zero error is kept with its error floored at
@@ -197,11 +197,6 @@ def update_weights(dist: WeightDistribution, correct: Sequence[bool], beta_value
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    literal_zero_update: bool = False
-
-
-@dataclass(frozen=True)
 class RoundLog:
     t: int
     epsilon: float
@@ -223,7 +218,7 @@ WeakLearner = Callable[[WindowStack, np.ndarray, WeightDistribution, int], WeakC
 
 
 def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
-          config: TrainConfig = TrainConfig()) -> TrainResult:
+          literal_zero_update: bool = False) -> TrainResult:
     """Run up to ``rounds`` boosting rounds over ``samples``.
 
     Each round asks ``learner`` for a weak classifier on the crop stack
@@ -280,8 +275,7 @@ def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
 
         if eps == 0.0:
             break
-        dist = update_weights(dist, ~mistakes, b,
-                              literal_zero_update=config.literal_zero_update)
+        dist = update_weights(dist, ~mistakes, b, literal_zero_update)
 
     model = StrongClassifier(stages=tuple(stages)) if stages else None
     return TrainResult(model=model, rounds=rows, stop_reason=stop_reason)

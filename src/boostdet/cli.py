@@ -25,7 +25,7 @@ import math
 import os
 import sys
 
-from .boosting import LabeledSample, TrainConfig
+from .boosting import LabeledSample
 from .dataset import AnnotationError, list_pgm_files, parse_annotations, read_text
 from .detector import MAX_COORD, Detections, ScanConfig, check_iou_threshold, nms, scan
 from .evalkit import auc, pr_curve, roc_curve, write_curves
@@ -144,10 +144,9 @@ def cmd_train(args) -> int:
             learner_log.write(f"{t},{gen},{best!r},{mean!r}\n")
 
     try:
-        result = train_detector(
-            samples, args.rounds, learner_config,
-            TrainConfig(literal_zero_update=args.literal_zero_update),
-            progress=progress)
+        result = train_detector(samples, args.rounds, learner_config,
+                                literal_zero_update=args.literal_zero_update,
+                                progress=progress)
     finally:
         if learner_log is not None:
             learner_log.close()

@@ -114,11 +114,10 @@ class Candidate:
 # random genomes
 # ---------------------------------------------------------------------------
 
-def _random_rect(rng: random.Random, max_w: int = CANONICAL_W,
-                 max_h: int = CANONICAL_H) -> Rect:
+def _random_rect(rng: random.Random, max_w: int = CANONICAL_W) -> Rect:
     w = rng.randint(1, max_w)
-    h = rng.randint(1, max_h)
-    return Rect(x=rng.randint(0, max_w - w), y=rng.randint(0, max_h - h), w=w, h=h)
+    h = rng.randint(1, CANONICAL_H)
+    return Rect(x=rng.randint(0, max_w - w), y=rng.randint(0, CANONICAL_H - h), w=w, h=h)
 
 
 def _random_mid_rect(rng: random.Random) -> Rect:

@@ -162,9 +162,10 @@ def _header_number(text: str, where: str) -> int:
 
 
 def parse_model(text: str, source: str = "<model>") -> StrongClassifier:
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ModelFormatError(f"{source}:1: empty model file")
+    # not splitlines(), which also breaks at "\x0c", "\x85", "\u2028", ...
+    lines = text.removesuffix("\n").split("\n")
     header = lines[0].split()
     if len(header) != 2 or header[0] != MAGIC or not header[1].startswith("format="):
         raise ModelFormatError(f"{source}:1: not a {MAGIC} file")

@@ -1,8 +1,10 @@
 """Glue binding the boosting loop to the evolutionary weak learner.
 
-``search_best`` and ``train`` are called through this module's names, so
-a wrapper installed on ``pipeline.search_best`` or ``pipeline.train``
-sees every call that ``train_detector`` makes.
+``train_detector`` runs ``boosting.train`` with ``learner.search_best``
+as its weak learner and passes ``literal_zero_update`` straight through
+to ``train``. Both are called through this module's names, so a wrapper
+installed on ``pipeline.search_best`` or ``pipeline.train`` sees every
+call that ``train_detector`` makes.
 """
 
 from __future__ import annotations
@@ -10,13 +12,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .boosting import LabeledSample, TrainConfig, TrainResult, train
+from .boosting import LabeledSample, TrainResult, train
 from .learner import LearnerConfig, derive_seed, search_best
 
 
 def train_detector(samples: Sequence[LabeledSample], rounds: int,
                    learner_config: LearnerConfig,
-                   train_config: TrainConfig = TrainConfig(),
+                   literal_zero_update: bool = False,
                    progress: Callable[[int, int, float, float], None] | None = None,
                    ) -> TrainResult:
     """Boost ``rounds`` weak classifiers found by the evolutionary search.
@@ -34,4 +36,4 @@ def train_detector(samples: Sequence[LabeledSample], rounds: int,
         cfg = replace(learner_config, seed=derive_seed(learner_config.seed, t))
         return search_best(dist, stack, labels, cfg, progress=sink).weak
 
-    return train(samples, rounds, learner, train_config)
+    return train(samples, rounds, learner, literal_zero_update)

@@ -85,16 +85,15 @@ def training_samples(n_pos: int, n_neg: int, seed: int) -> list[LabeledSample]:
     return samples
 
 
-def make_frame(rng: np.random.Generator, frame_w: int = 128, frame_h: int = 96,
-               max_targets: int = 2,
-               scale_range: tuple[float, float] = (1.0, 1.6)) -> tuple[GrayImage, list[Rect]]:
-    """A noise frame with 1..max_targets planted, non-overlapping targets."""
+def make_frame(rng: np.random.Generator, frame_w: int = 128,
+               frame_h: int = 96) -> tuple[GrayImage, list[Rect]]:
+    """A noise frame with 1-2 planted, non-overlapping targets of 1.0-1.6x canonical size."""
     px = rng.integers(NOISE_LO, NOISE_HI, (frame_h, frame_w)).astype(np.uint8)
     boxes: list[Rect] = []
-    n_targets = int(rng.integers(1, max_targets + 1))
+    n_targets = int(rng.integers(1, 3))
     for _ in range(n_targets):
         for _attempt in range(20):
-            s = rng.uniform(*scale_range)
+            s = rng.uniform(1.0, 1.6)
             w = int(round(CANONICAL_W * s))
             h = int(round(CANONICAL_H * s))
             if w > frame_w or h > frame_h:

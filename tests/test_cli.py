@@ -3,10 +3,15 @@ import re
 
 import pytest
 
+from boostdet.boosting import LabeledSample
 from boostdet.cli import main, parse_detections_csv
+from boostdet.dataset import list_pgm_files
 from boostdet.detector import MAX_COORD, Detections
+from boostdet.features import FeatureKind
 from boostdet.imaging import GrayImage
-from boostdet.pgm import save_pgm
+from boostdet.learner import LearnerConfig
+from boostdet.pgm import load_pgm, save_pgm
+from boostdet.pipeline import train_detector
 
 FAST_TRAIN = ["--rounds", "4", "--population", "25", "--generations", "5"]
 
@@ -67,6 +72,25 @@ def test_train_determinism_across_workers(dataset, tmp_path):
     assert run_train(dataset, b, ["--workers", "4"]) == 0
     assert a.read_bytes() == b.read_bytes()
 
+
+
+def test_literal_zero_update_flag_reaches_the_update(dataset, tmp_path):
+    logs = {}
+    for name, extra in (("default", []), ("literal", ["--literal-zero-update"])):
+        assert run_train(dataset, tmp_path / f"{name}.txt", extra) == 0
+        logs[name] = (tmp_path / f"{name}.txt.log.csv").read_text()
+    samples = [LabeledSample(load_pgm(path), label)
+               for folder, label in (("pos", 1), ("neg", -1))
+               for path in list_pgm_files(dataset / folder)]
+    result = train_detector(samples, 4, LearnerConfig(family=FeatureKind.HAAR,
+                                                      population_size=25, generations=5,
+                                                      seed=9),
+                            literal_zero_update=True)
+    expected = "t,epsilon,beta,alpha,bound,train_error\n" + "".join(
+        f"{r.t},{r.epsilon!r},{r.beta!r},{r.alpha!r},{r.bound!r},{r.train_error!r}\n"
+        for r in result.rounds)
+    assert logs["literal"] == expected
+    assert logs["literal"] != logs["default"]
 
 def test_rounds_zero_is_usage_error(dataset, tmp_path):
     rc = main(["train", "--family", "haar", "--positives", str(dataset / "pos"),

@@ -207,3 +207,17 @@ def test_parse_model_fuzz_only_raises_model_format_error(text):
     except ModelFormatError:
         return
     assert isinstance(model, StrongClassifier) and model.stages
+
+
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"], ids=lambda c: f"U+{ord(c):04X}")
+def test_lines_break_only_at_newline(char):
+    # str.splitlines() also breaks at these characters, which pushed every
+    # later line number one too far
+    lines = dump_model(mixed_model(random.Random(21), stages_per_family=1)).split("\n")
+    haar = lines[3]
+    assert "family=haar" in haar
+    bad = " ".join("t=-1" if tok.startswith("t=") else tok for tok in haar.split())
+    text = "\n".join(lines[:2] + ["stages 2", f"{haar} {char}", bad]) + "\n"
+    with pytest.raises(ModelFormatError, match=r"^m:5: threshold must be"):
+        parse_model(text, source="m")

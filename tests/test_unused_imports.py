@@ -2,8 +2,7 @@
 
 No linter ships with the test environment, so this is pyflakes' F401 for
 top-level imports in a few lines of ``ast``. An alias on a line marked
-``# noqa: F401`` is exempt (the benchmark tracer patches those names), and
-``__init__.py``, which imports only to re-export, is not checked.
+``# noqa: F401`` is exempt (the benchmark tracer patches those names).
 """
 
 import ast
@@ -13,8 +12,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "boostdet"
-MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted((ROOT / "scripts").glob("*.py")))
+MODULES = sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
