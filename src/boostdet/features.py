@@ -12,7 +12,9 @@ that each carry their own pixels and integral tables: training crops
 stacked along one axis, a pyramid level as a strided grid of views into a
 frame's stack, or a single window sliced out of one. Area families read
 the tables and point families the pixels of the same stack, all P at a
-time, and geometry is scaled once per window size (``GEOMETRY_MEMO``).
+time. Geometry is scaled once per window size (``GEOMETRY_MEMO``) and
+kept in the form the evaluator reads: each rect's corners and area, each
+point's column and row.
 ``eval_features`` and its one-feature call ``eval_batch`` build a batch
 per call; one window is scored as ``eval_batch(f, frame.window(win))``, so
 every path performs the same IEEE operations in the same order. The
@@ -285,23 +287,28 @@ def _check(feature: Feature) -> None:
 # geometry scaling: canonical coordinates -> a concrete window
 # ---------------------------------------------------------------------------
 
-def _coords(rects: Iterable[Rect]) -> np.ndarray:
-    return np.array([(r.x, r.y, r.w, r.h) for r in rects])
+_RECT_FIELDS = operator.attrgetter("x", "y", "w", "h")
 
 
-def _local_rects(coords: np.ndarray, win_w: int,
-                 win_h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # (n, 4) canonical rows -> x, y, w, h arrays: offsets scale with floor
-    # rounding, extents clamp to >= 1
+def _coords(rects: Sequence[Rect]) -> np.ndarray:
+    # (n, 4) int64 rows (x, y, w, h), filled straight from the fields
+    return np.fromiter(itertools.chain.from_iterable(map(_RECT_FIELDS, rects)),
+                       dtype=np.int64, count=4 * len(rects)).reshape(-1, 4)
+
+
+def _local_rects(coords: np.ndarray, win_w: int, win_h: int) -> tuple[np.ndarray, ...]:
+    # (n, 4) canonical rows -> corner arrays x0, y0, x1, y1 and float64
+    # areas: offsets scale with floor rounding, extents clamp to >= 1
     x, y, w, h = coords.T
-    x, y = x * win_w // CANONICAL_W, y * win_h // CANONICAL_H
+    x0, y0 = x * win_w // CANONICAL_W, y * win_h // CANONICAL_H
     w = np.maximum(w * win_w // CANONICAL_W, 1)
     h = np.maximum(h * win_h // CANONICAL_H, 1)
-    leaks = (x + w > win_w) | (y + h > win_h)
+    x1, y1 = x0 + w, y0 + h
+    leaks = (x1 > win_w) | (y1 > win_h)
     if leaks.any():
         raise BoundsError(f"{Rect(*coords[leaks.argmax()].tolist())} scaled to "
                           f"{win_w}x{win_h} window leaks out of bounds")
-    return x, y, w, h
+    return x0, y0, x1, y1, (w * h).astype(np.float64)
 
 
 def _local_points(points: np.ndarray, win_w: int,
@@ -325,11 +332,17 @@ def _padded(classes: list[tuple[tuple[int, int], ...]]) -> np.ndarray:
     return np.array([points + (points[0],) * (longest - len(points)) for points in classes])
 
 
-def _normed_diffs(stack: WindowStack, x: np.ndarray, y: np.ndarray, w: np.ndarray,
-                  h: np.ndarray) -> np.ndarray:
-    # |mean(a[k]) - mean(b[k])| / sigma, (*lead, P), from 2P rects a then b
-    mean, p = corner_sum(stack.sums, x, y, w, h) / (w * h), len(x) // 2
-    return np.abs(mean[..., :p] - mean[..., p:]) / stack.sigma[..., None]
+def _normed_diffs(stack: WindowStack, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray,
+                  y1: np.ndarray, area: np.ndarray) -> np.ndarray:
+    # |mean(a[k]) - mean(b[k])| / sigma, (*lead, P), from 2P rects a then
+    # b; sums and areas are integers exact in float64, so dividing by the
+    # float64 areas gives the quotients of the integers
+    mean, p = corner_sum(stack.sums, x0, y0, x1, y1) / area, len(area) // 2
+    diff = mean[..., :p] - mean[..., p:]
+    del mean
+    np.abs(diff, out=diff)
+    diff /= stack.sigma[..., None]
+    return diff
 
 
 def _point_extremes(stack: WindowStack, cols: np.ndarray, rows: np.ndarray) -> tuple:
@@ -395,11 +408,20 @@ class FeatureBatch:
         if self.family is HaarFeature:
             fired = next(self.responses(stack)) > self._limits[0]
         elif self.family is SymmetricHaarFeature:
-            d_left, d_right, d_mid = self.responses(stack)
+            responses = self.responses(stack)
             t_left, t_right, t_mid, sym_tol, mid_margin = self._limits
-            ok = (d_left > t_left) & (d_right > t_right) & (d_mid > t_mid)
-            drift = np.abs(d_left - d_right)
-            fired = ok & (drift < sym_tol) & (d_mid - drift > mid_margin)
+            d_left, d_right = next(responses), next(responses)
+            fired = (d_left > t_left) & (d_right > t_right)
+            # the drift |d_left - d_right| takes d_left's buffer, and d_right
+            # is freed before the middle pair is gathered
+            drift = np.subtract(d_left, d_right, out=d_left)
+            del d_left, d_right
+            np.abs(drift, out=drift)
+            fired &= drift < sym_tol
+            d_mid = next(responses)
+            fired &= d_mid > t_mid
+            d_mid -= drift
+            fired &= d_mid > mid_margin
         else:
             (min_pos, max_pos), (min_neg, max_neg) = self.responses(stack)
             (separation,) = self._limits

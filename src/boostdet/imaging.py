@@ -1,9 +1,14 @@
 """Grayscale rasters, integral images and window stacks.
 
-Everything here is integer-exact where the contract says so: integral
-tables are int64 (large enough for 4096x4096 frames of squared 8-bit
-values) and rectangle sums are recovered with four lookups, bit-equal
-to a direct pixel loop.
+Everything here is integer-exact where the contract says so, and
+rectangle sums are recovered with four lookups, bit-equal to a direct
+pixel loop. The plain summed-area table is uint32 and ``corner_sum``
+subtracts its corners mod 2**32, which gives the exact sum of any
+rectangle whose true sum is below 2**32. That holds for every rectangle
+of a frame of at most ``MAX_PIXELS`` = (2**32 - 1) // 255 = 16,843,009
+pixels (4096x4096 fits), and ``summed_area_tables`` rejects larger
+frames. The squared table is int64, which holds the squared sums of any
+such frame.
 
 ``summed_area_tables``, ``corner_sum`` and ``mean_and_sigma`` are the one
 copy of the table arithmetic; they take any leading axes. A
@@ -29,6 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Flat windows would otherwise divide by zero during normalization; with
 # the floor they behave as unnormalized.
 SIGMA_MIN = 1.0
+MAX_PIXELS = (2 ** 32 - 1) // 255  # pixels per table whose 8-bit sums fit uint32
 LEVEL_MEMO = 32  # pyramid levels a WindowStack keeps, the first it builds
 
 
@@ -105,31 +111,43 @@ class GrayImage:
 
 
 def summed_area_tables(pixels: np.ndarray, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
-    """Plain and squared int64 tables over the last two axes, zero first row/column.
+    """Plain uint32 and squared int64 tables over the last two axes, zero first row/column.
 
+    ``pixels`` hold values in [0, 255]. A table over more than
+    ``MAX_PIXELS`` pixels raises ValueError, before anything is allocated.
     ``order`` is the memory layout of the tables, as for ``np.zeros``.
     """
-    px = pixels.astype(np.int64)
-    shape = px.shape[:-2] + (px.shape[-2] + 1, px.shape[-1] + 1)
-    sums = np.zeros(shape, dtype=np.int64, order=order)
-    sq = np.zeros_like(sums)
-    for values, table in ((px, sums), (px * px, sq)):
-        np.cumsum(np.cumsum(values, axis=-2), axis=-1, out=table[..., 1:, 1:])
+    h, w = pixels.shape[-2:]
+    if h * w > MAX_PIXELS:
+        raise ValueError(f"a {w}x{h} frame has {h * w} pixels, more than the "
+                         f"{MAX_PIXELS} whose rectangle sums a uint32 table holds exactly")
+    shape = pixels.shape[:-2] + (h + 1, w + 1)
+    sums = np.zeros(shape, dtype=np.uint32, order=order)
+    sq = np.zeros(shape, dtype=np.int64, order=order)
+    np.cumsum(np.cumsum(pixels, axis=-2, dtype=np.uint32), axis=-1, out=sums[..., 1:, 1:])
+    np.cumsum(np.cumsum(np.square(pixels, dtype=np.int64), axis=-2), axis=-1,
+              out=sq[..., 1:, 1:])
     return sums, sq
 
 
-def corner_sum(table: np.ndarray, x: int | np.ndarray, y: int | np.ndarray,
-               w: int | np.ndarray, h: int | np.ndarray) -> np.ndarray:
-    """Exact sum over the rect (x, y, w, h) of every table in a stack.
+def corner_sum(table: np.ndarray, x0: int | np.ndarray, y0: int | np.ndarray,
+               x1: int | np.ndarray, y1: int | np.ndarray) -> np.ndarray:
+    """Exact sum over the rect with corners (x0, y0) and (x1, y1), x1 and y1
+    excluded, of every table in a stack.
 
-    ``x``, ``y``, ``w`` and ``h`` are ints or equal-length index arrays;
-    arrays sum every rect in one gather and add their axis last.
+    The corners are ints or equal-length index arrays; arrays sum every
+    rect in one gather and add their axis last. On a uint32 table the
+    subtractions wrap mod 2**32, which leaves every sum of a frame of at
+    most ``MAX_PIXELS`` pixels exact.
     """
-    # one copy, then updated in place: at most two gathers are alive
-    total = np.array(table[..., y + h, x + w])
-    total -= table[..., y, x + w]
-    total -= table[..., y + h, x]
-    total += table[..., y, x]
+    # the first gather is updated in place, so at most two are alive: a
+    # fancy gather is already fresh, an int lookup is a view and is copied
+    total = table[..., y1, x1]
+    if not isinstance(x1, np.ndarray):
+        total = np.array(total)
+    total -= table[..., y0, x1]
+    total -= table[..., y1, x0]
+    total += table[..., y0, x0]
     return total
 
 
@@ -141,8 +159,8 @@ def mean_and_sigma(sums: np.ndarray, squared_sums: np.ndarray, x: int, y: int,
     can leave on flat windows is clamped at zero before the square root.
     """
     area = w * h
-    mean = corner_sum(sums, x, y, w, h) / area
-    var = corner_sum(squared_sums, x, y, w, h) / area - mean * mean
+    mean = corner_sum(sums, x, y, x + w, y + h) / area
+    var = corner_sum(squared_sums, x, y, x + w, y + h) / area - mean * mean
     return mean, np.maximum(SIGMA_MIN, np.sqrt(np.maximum(0.0, var)))
 
 
@@ -150,8 +168,10 @@ def mean_and_sigma(sums: np.ndarray, squared_sums: np.ndarray, x: int, y: int,
 class WindowStack:
     """Same-size windows, each with views of its own integral tables.
 
-    ``sums`` and ``squared_sums`` are int64 and shaped ``(..., h+1, w+1)``
-    (``sums[..., y, x]`` adds up the pixels above and left of (x, y)),
+    ``sums`` (uint32, summed mod 2**32) and ``squared_sums`` (int64) are
+    shaped ``(..., h+1, w+1)`` (``sums[..., y, x]`` adds up the pixels
+    above and left of (x, y)); a table covers at most ``MAX_PIXELS``
+    pixels, the limit within which ``corner_sum`` is exact.
     ``pixels`` is int16 (safe for subtraction) and shaped ``(..., h, w)``.
     The leading axes index the windows: none for a frame or a single
     window, one axis for stacked crops, (row, column) for a pyramid level.
@@ -189,8 +209,9 @@ class WindowStack:
         The arrays are Fortran-ordered, image axis innermost, so reading
         one table cell or pixel of every image copies a contiguous run.
         """
-        px = np.asfortranarray(np.stack([w.pixels for w in windows]), dtype=np.int16)
-        return cls(px, *summed_area_tables(px, order="F"))
+        stacked = np.asfortranarray(np.stack([w.pixels for w in windows]))
+        sums, squared_sums = summed_area_tables(stacked, order="F")
+        return cls(stacked.astype(np.int16), sums, squared_sums)
 
     @functools.cached_property
     def _levels(self) -> dict[tuple[int, int, int], "WindowStack"]:
@@ -233,9 +254,12 @@ class WindowStack:
 def build_integral(img: GrayImage) -> WindowStack:
     """The frame ``img`` as one window: int16 pixels and both summed-area tables.
 
-    Pure: the same image always yields identical arrays.
+    Pure: the same image always yields identical arrays. A frame of more
+    than ``MAX_PIXELS`` pixels raises ValueError, before anything is
+    allocated.
     """
-    return WindowStack(img.pixels.astype(np.int16), *summed_area_tables(img.pixels))
+    sums, squared_sums = summed_area_tables(img.pixels)
+    return WindowStack(img.pixels.astype(np.int16), sums, squared_sums)
 
 
 def extract_window(img: GrayImage, win: Rect, target_w: int, target_h: int) -> GrayImage:

@@ -8,10 +8,11 @@ from boostdet.cli import main, parse_detections_csv
 from boostdet.dataset import list_pgm_files
 from boostdet.detector import MAX_COORD, Detections
 from boostdet.features import FeatureKind
-from boostdet.imaging import GrayImage
+from boostdet.imaging import MAX_PIXELS, GrayImage
 from boostdet.learner import LearnerConfig
 from boostdet.pgm import load_pgm, save_pgm
 from boostdet.pipeline import train_detector
+from conftest import fixture_model_text
 
 FAST_TRAIN = ["--rounds", "4", "--population", "25", "--generations", "5"]
 
@@ -279,6 +280,19 @@ def test_detect_skips_too_small_frames(tmp_path, dataset):
     assert main(["detect", "--model", str(model), "--frames", str(frames),
                  "--out", str(out)]) == 0
     assert out.read_text() == "frame_id,x,y,w,h,margin\n"
+
+
+def test_detect_rejects_a_frame_past_the_pixel_limit(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text(fixture_model_text("haar"), encoding="utf-8")
+    frames = tmp_path / "huge"
+    frames.mkdir()
+    width = MAX_PIXELS + 1
+    (frames / "wide.pgm").write_bytes(f"P5\n{width} 1\n255\n".encode("ascii") + bytes(width))
+    out = tmp_path / "d.csv"
+    assert main(["detect", "--model", str(model), "--frames", str(frames),
+                 "--out", str(out)]) == 2
+    assert f"{width} pixels, more than the {MAX_PIXELS}" in capsys.readouterr().err
 
 
 def test_wrong_canonical_model_rejected(tmp_path, dataset):

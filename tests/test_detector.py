@@ -640,15 +640,32 @@ def _traced_peak(fn) -> int:
 
 
 # tracemalloc peak of scanning a random 512x512 frame with a freshly parsed
-# symhaar fixture model (tables included), measured when ``vote`` still
-# rebuilt its stage arrays on every call
-SYMHAAR_512_PEAK = 52_121_082
+# symhaar fixture model (tables included), measured with the uint32 plain
+# table and the in-place rectangle responses
+SYMHAAR_512_PEAK = 35_963_429
 
 
 def test_scan_peak_memory_on_a_large_frame():
     frame = rand_image(np.random.default_rng(1234), 512, 512)
     model = parse_model(fixture_model_text("symhaar"))
     assert _traced_peak(lambda: scan(model, frame)) <= 1.1 * SYMHAAR_512_PEAK
+
+
+# peak of one chunk's ``fired`` on the largest level of a 512x512 frame, in
+# units of P features x windows x 8 bytes: a uint32 gather of the 2P rects
+# is one unit, the float64 means two and each pair's response one
+CHUNK_PEAK_UNITS = {"haar": 3.5, "symhaar": 4.5}
+
+
+@pytest.mark.parametrize("family", sorted(CHUNK_PEAK_UNITS))
+def test_area_chunk_peak_in_feature_window_units(family):
+    ii = build_integral(rand_image(np.random.default_rng(1234), 512, 512))
+    level = ii.level(CANONICAL_W, CANONICAL_H, 2)
+    model = parse_model(fixture_model_text(family))
+    vote(model, ii.window(Rect(0, 0, CANONICAL_W, CANONICAL_H)))  # plan and geometry
+    batch, fired_vote, _ = model._plan[0]
+    unit = len(fired_vote) * level.sigma.size * 8
+    assert _traced_peak(lambda: batch.fired(level)) <= CHUNK_PEAK_UNITS[family] * unit
 
 
 def test_vote_buffer_is_not_the_largest_temporary():

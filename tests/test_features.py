@@ -481,6 +481,33 @@ def test_feature_batch_keeps_no_geometry_that_leaks():
         assert batch._scaled == {}
 
 
+@pytest.mark.parametrize("family", [FeatureKind.HAAR, FeatureKind.SYMMETRIC_HAAR],
+                         ids=lambda k: k.value)
+def test_feature_batch_rect_geometry_is_the_feature_fields(family):
+    py = random.Random(71)
+    features = [random_feature(family, py) for _ in range(7)]
+    batch = FeatureBatch(features)
+    if family is FeatureKind.HAAR:
+        groups = [[f.rect_a for f in features] + [f.rect_b for f in features]]
+    else:
+        left = [f.left_a for f in features] + [f.left_b for f in features]
+        groups = [left, [mirror_rect(r, CANONICAL_W) for r in left],
+                  [f.mid_a for f in features] + [f.mid_b for f in features]]
+    assert len(batch._groups) == len(groups)
+    for coords, rects in zip(batch._groups, groups):
+        assert coords.dtype == np.int64
+        assert coords.tolist() == [[r.x, r.y, r.w, r.h] for r in rects]
+    # a window size keeps each rect's scaled corners and float64 area
+    win = Rect(0, 0, 45, 37)
+    batch.fired(build_integral(rand_image(np.random.default_rng(5), win.w, win.h)))
+    for (x0, y0, x1, y1, area), rects in zip(batch._scaled[(win.w, win.h)], groups):
+        local = [scale_rect(r, win) for r in rects]
+        assert area.dtype == np.float64
+        assert [x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist(), area.tolist()] == [
+            [r.x for r in local], [r.y for r in local], [r.x + r.w for r in local],
+            [r.y + r.h for r in local], [float(r.area) for r in local]]
+
+
 def test_window_outside_image_is_bounds_error(rng):
     # a slice of the tables would silently truncate such a window
     img = rand_window(rng)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from boostdet.imaging import (
     LEVEL_MEMO,
+    MAX_PIXELS,
     SIGMA_MIN,
     BoundsError,
     GrayImage,
@@ -14,6 +17,7 @@ from boostdet.imaging import (
     corner_sum,
     extract_window,
     mean_and_sigma,
+    summed_area_tables,
 )
 from conftest import rand_image, rand_rect
 from oracles import brute_rect_sum, resample_index, two_pass_std
@@ -79,8 +83,65 @@ def test_integral_is_pure(rng):
 
 
 def test_int64_capacity_for_worst_case():
-    # squared table corner of a 4096x4096 all-255 frame stays in range
+    # the squared table (int64) of an all-255 frame at the pixel limit, or
+    # of a 4096x4096 one, stays in range; the plain table is uint32
     assert 4096 * 4096 * 255 ** 2 < 2 ** 63
+    assert MAX_PIXELS * 255 ** 2 < 2 ** 63
+
+
+def test_pixel_limit_is_the_uint32_capacity():
+    assert MAX_PIXELS == 16_843_009
+    assert MAX_PIXELS * 255 <= 2 ** 32 - 1 < (MAX_PIXELS + 1) * 255
+    assert 4096 * 4096 <= MAX_PIXELS
+
+
+@pytest.mark.parametrize("shape", [(1, MAX_PIXELS + 1), (4105, 4104), (3, 2, 4105, 4104)])
+def test_frame_past_the_pixel_limit_is_rejected_before_any_allocation(shape):
+    # a broadcast view: the pixels themselves take no memory
+    pixels = np.broadcast_to(np.uint8(255), shape)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"more than the {MAX_PIXELS} "):
+            summed_area_tables(pixels)
+        if len(shape) == 2:
+            with pytest.raises(ValueError, match=str(MAX_PIXELS)):
+                build_integral(GrayImage.from_array(pixels))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_corner_sum_on_wrapping_uint32_tables_is_exact(data):
+    # A window of a large frame's table: each cell is the window's own
+    # summed-area table plus what lies above its row and left of its
+    # column, all mod 2**32, so cells sit anywhere up to 2**32 and the
+    # subtractions wrap. A cell of ``px`` may stand for a block of pixels,
+    # so rectangle sums reach up to 2**32 - 1; each stays exact.
+    w = data.draw(st.integers(1, 8))
+    h = data.draw(st.integers(1, 8))
+    cell = st.integers(0, 255) | st.integers(0, (2 ** 32 - 1) // (w * h))
+    px = np.array(data.draw(st.lists(cell, min_size=w * h, max_size=w * h)),
+                  dtype=np.int64).reshape(h, w)
+    near_top = st.integers(2 ** 32 - 2 ** 20, 2 ** 32 - 1) | st.integers(0, 2 ** 32 - 1)
+    above = np.array(data.draw(st.lists(near_top, min_size=h + 1, max_size=h + 1)))
+    left = np.array(data.draw(st.lists(near_top, min_size=w + 1, max_size=w + 1)))
+    own = np.zeros((h + 1, w + 1), dtype=np.int64)
+    own[1:, 1:] = px.cumsum(axis=0).cumsum(axis=1)
+    table = ((own + above[:, None] + left[None, :]) % 2 ** 32).astype(np.uint32)
+    x0 = data.draw(st.integers(0, w - 1))
+    y0 = data.draw(st.integers(0, h - 1))
+    x1 = data.draw(st.integers(x0 + 1, w))
+    y1 = data.draw(st.integers(y0 + 1, h))
+    exact = sum(int(v) for v in px[y0:y1, x0:x1].ravel())
+    assert int(corner_sum(table, x0, y0, x1, y1)) == exact
+    # the index-array path, on this rect and the whole window
+    rects = [np.array([a, b]) for a, b in ((x0, 0), (y0, 0), (x1, w), (y1, h))]
+    sums = corner_sum(table, *rects)
+    assert sums.dtype == np.uint32
+    assert sums.tolist() == [exact, sum(int(v) for v in px.ravel())]
 
 
 def test_rect_sum_constant():
