@@ -353,9 +353,9 @@ def _point_extremes(stack: WindowStack, cols: np.ndarray, rows: np.ndarray) -> t
 
 class FeatureBatch:
     """P features of one family as canonical arrays: ``(2P, 4)`` per rect
-    pair or padded ``(P, k, 2)`` per point class, ``(P,)`` per threshold.
-    Geometry scaled to a window size is kept, read-only, for the last
-    ``GEOMETRY_MEMO`` sizes; a size it leaks out of (BoundsError) is not.
+    pair, padded ``(P, k, 2)`` per point class, ``(P,)`` per threshold, int16
+    separations. Geometry scaled to a window size is kept, read-only, for
+    the last ``GEOMETRY_MEMO`` sizes, but not a size it leaks out of (BoundsError).
     """
 
     def __init__(self, features: Sequence[Feature]):
@@ -384,7 +384,8 @@ class FeatureBatch:
             raise TypeError(f"not a feature: {features[0]!r}")
         self.family = family
         self._groups = groups
-        self._limits = tuple(np.array([getattr(f, n) for f in features]) for n in limits)
+        self._limits = tuple(np.array([getattr(f, n) for f in features],
+                                      np.int16 if n == "separation" else None) for n in limits)
         self._scaled: dict[tuple[int, int], tuple] = {}
 
     def responses(self, stack: WindowStack) -> Iterable:
@@ -424,8 +425,8 @@ class FeatureBatch:
             fired &= d_mid > mid_margin
         else:
             (min_pos, max_pos), (min_neg, max_neg) = self.responses(stack)
-            (separation,) = self._limits
-            fired = (min_pos - max_neg > separation) | (min_neg - max_pos > separation)
+            (separation,) = self._limits  # int16: uint8 + separation cannot wrap
+            fired = (min_pos > max_neg + separation) | (min_neg > max_pos + separation)
         return np.moveaxis(fired, -1, 0)
 
 

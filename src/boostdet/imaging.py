@@ -13,13 +13,12 @@ such frame.
 ``summed_area_tables``, ``corner_sum`` and ``mean_and_sigma`` are the one
 copy of the table arithmetic; they take any leading axes. A
 ``WindowStack`` carries the pixels and both tables of a set of same-size
-windows: ``build_integral`` makes one for a whole frame, the only place a
-frame's int16 pixels are made, and a pyramid level (``WindowStack.level``)
-or a single window (``WindowStack.window``) is a view into it, so the
-point families and the area families always read the same image. A
-frame's stack keeps the first LEVEL_MEMO levels it built, so the models
-scanned through one stack build each of those levels, and its ``sigma``,
-once.
+windows: ``build_integral`` makes one around a frame's own uint8 array,
+not a copy, and a pyramid level (``WindowStack.level``) or a single window
+(``WindowStack.window``) is a view into it, so the point families and the
+area families always read the same image. A frame's stack keeps the first
+LEVEL_MEMO levels it built, so the models scanned through one stack build
+each of those levels, and its ``sigma``, once.
 """
 
 from __future__ import annotations
@@ -75,39 +74,42 @@ class Rect:
 
 @dataclass(frozen=True)
 class GrayImage:
-    """8-bit grayscale raster. ``pixels`` is a read-only (height, width) array."""
+    """8-bit grayscale raster: ``pixels``, one read-only (height, width) uint8
+    array. Other arrays of whole numbers in [0, 255] are converted once."""
 
-    width: int
-    height: int
     pixels: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image extents must be >= 1, got {self.width}x{self.height}")
-        if self.pixels.shape != (self.height, self.width):
-            raise ValueError(
-                f"pixel grid {self.pixels.shape} does not match {self.width}x{self.height}"
-            )
-        if self.pixels.dtype != np.uint8:
-            arr = np.asarray(self.pixels)
-            if arr.min(initial=0) < 0 or arr.max(initial=0) > 255:
-                raise ValueError("pixel values must lie in [0, 255]")
-            object.__setattr__(self, "pixels", arr.astype(np.uint8))
-        self.pixels.setflags(write=False)
+        px = np.asarray(self.pixels)
+        if px.ndim != 2 or px.size == 0:
+            raise ValueError(f"pixels must be a non-empty 2-d grid, got shape {px.shape}")
+        if px.dtype != np.uint8 and not np.isin(px, np.arange(256)).all():
+            raise ValueError("pixel values must be whole numbers in [0, 255]")
+        px = px.astype(np.uint8, copy=False)
+        px.setflags(write=False)
+        object.__setattr__(self, "pixels", px)
 
-    @classmethod
-    def from_array(cls, arr) -> "GrayImage":
-        a = np.asarray(arr)
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-        return cls(width=a.shape[1], height=a.shape[0], pixels=a)
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
 
     @classmethod
     def constant(cls, width: int, height: int, value: int) -> "GrayImage":
-        return cls.from_array(np.full((height, width), value, dtype=np.uint8))
+        return cls(np.full((height, width), value, dtype=np.uint8))
 
     def pixel(self, x: int, y: int) -> int:
         return int(self.pixels[y, x])
+
+
+def check_pixel_count(w: int, h: int, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the limit if a ``w`` x ``h`` frame has more than ``MAX_PIXELS``."""
+    if w * h > MAX_PIXELS:
+        raise error(f"a {w}x{h} frame has {w * h} pixels, more than the "
+                    f"{MAX_PIXELS} whose rectangle sums a uint32 table holds exactly")
 
 
 def summed_area_tables(pixels: np.ndarray, order: str = "C") -> tuple[np.ndarray, np.ndarray]:
@@ -118,9 +120,7 @@ def summed_area_tables(pixels: np.ndarray, order: str = "C") -> tuple[np.ndarray
     ``order`` is the memory layout of the tables, as for ``np.zeros``.
     """
     h, w = pixels.shape[-2:]
-    if h * w > MAX_PIXELS:
-        raise ValueError(f"a {w}x{h} frame has {h * w} pixels, more than the "
-                         f"{MAX_PIXELS} whose rectangle sums a uint32 table holds exactly")
+    check_pixel_count(w, h)
     shape = pixels.shape[:-2] + (h + 1, w + 1)
     sums = np.zeros(shape, dtype=np.uint32, order=order)
     sq = np.zeros(shape, dtype=np.int64, order=order)
@@ -172,7 +172,7 @@ class WindowStack:
     shaped ``(..., h+1, w+1)`` (``sums[..., y, x]`` adds up the pixels
     above and left of (x, y)); a table covers at most ``MAX_PIXELS``
     pixels, the limit within which ``corner_sum`` is exact.
-    ``pixels`` is int16 (safe for subtraction) and shaped ``(..., h, w)``.
+    ``pixels`` is uint8, shaped ``(..., h, w)``, and a frame's is its image's array.
     The leading axes index the windows: none for a frame or a single
     window, one axis for stacked crops, (row, column) for a pyramid level.
     ``sigma`` is the clamped whole-window std dev every feature normalizes
@@ -206,12 +206,13 @@ class WindowStack:
     def from_images(cls, windows: Sequence[GrayImage]) -> "WindowStack":
         """Same-size images stacked along one axis.
 
-        The arrays are Fortran-ordered, image axis innermost, so reading
-        one table cell or pixel of every image copies a contiguous run.
+        The pixels, stacked straight into one uint8 buffer, and the tables are
+        Fortran-ordered, image axis innermost, so reading one table cell or
+        pixel of every image copies a contiguous run.
         """
-        stacked = np.asfortranarray(np.stack([w.pixels for w in windows]))
-        sums, squared_sums = summed_area_tables(stacked, order="F")
-        return cls(stacked.astype(np.int16), sums, squared_sums)
+        stacked = np.empty((len(windows),) + windows[0].pixels.shape, np.uint8, order="F")
+        np.stack([w.pixels for w in windows], out=stacked)
+        return cls(stacked, *summed_area_tables(stacked, order="F"))
 
     @functools.cached_property
     def _levels(self) -> dict[tuple[int, int, int], "WindowStack"]:
@@ -252,14 +253,13 @@ class WindowStack:
 
 
 def build_integral(img: GrayImage) -> WindowStack:
-    """The frame ``img`` as one window: int16 pixels and both summed-area tables.
+    """The frame ``img`` as one window: its own pixels and both summed-area tables.
 
     Pure: the same image always yields identical arrays. A frame of more
     than ``MAX_PIXELS`` pixels raises ValueError, before anything is
     allocated.
     """
-    sums, squared_sums = summed_area_tables(img.pixels)
-    return WindowStack(img.pixels.astype(np.int16), sums, squared_sums)
+    return WindowStack(img.pixels, *summed_area_tables(img.pixels))
 
 
 def extract_window(img: GrayImage, win: Rect, target_w: int, target_h: int) -> GrayImage:
@@ -274,5 +274,4 @@ def extract_window(img: GrayImage, win: Rect, target_w: int, target_h: int) -> G
         raise ValueError("target extents must be >= 1")
     xi = (2 * np.arange(target_w) + 1) * win.w // (2 * target_w)
     yi = (2 * np.arange(target_h) + 1) * win.h // (2 * target_h)
-    out = img.pixels[np.ix_(win.y + yi, win.x + xi)]
-    return GrayImage(width=target_w, height=target_h, pixels=out)
+    return GrayImage(img.pixels[np.ix_(win.y + yi, win.x + xi)])

@@ -1,14 +1,15 @@
 """Binary PGM (P5, maxval 255) reading and writing.
 
 The reader is strict: anything off-grammar raises PgmError with the byte
-offset where parsing gave up.
+offset where parsing gave up, as does a frame past ``imaging.MAX_PIXELS``
+before its payload is read. A frame's pixels are a view of the bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .imaging import GrayImage
+from .imaging import GrayImage, check_pixel_count
 
 
 class PgmError(ValueError):
@@ -57,13 +58,12 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise PgmError(f"expected single whitespace after maxval at byte {pos}")
     pos += 1
     expected = width * height
-    payload = data[pos:pos + expected]
-    if len(payload) != expected:
+    check_pixel_count(width, height, PgmError)
+    if len(data) - pos < expected:
         raise PgmError(
-            f"truncated pixel payload at byte {pos + len(payload)}: "
-            f"expected {expected} bytes, got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return GrayImage(width=width, height=height, pixels=pixels.copy())
+            f"truncated pixel payload at byte {len(data)}: "
+            f"expected {expected} bytes, got {len(data) - pos}")
+    return GrayImage(np.frombuffer(data, np.uint8, expected, pos).reshape(height, width))
 
 
 def load_pgm(path) -> GrayImage:

@@ -55,7 +55,7 @@ def target_window(rng: np.random.Generator) -> GrayImage:
     px[y0:y1, xl:xr] = body + rng.integers(-12, 13, (y1 - y0, xr - xl))
     px[y1:bar_end, xl:xr] = bar + rng.integers(-8, 9, (bar_end - y1, xr - xl))
     px = _salted(px, rng)
-    return GrayImage.from_array(np.clip(px, 0, 255).astype(np.uint8))
+    return GrayImage(np.clip(px, 0, 255).astype(np.uint8))
 
 
 def _paint_block(px: np.ndarray, rng: np.random.Generator) -> None:
@@ -74,7 +74,7 @@ def noise_window(rng: np.random.Generator) -> GrayImage:
     if rng.random() < CONFUSER_FRACTION:
         for _ in range(int(rng.integers(1, 3))):
             _paint_block(px, rng)
-    return GrayImage.from_array(np.clip(px, 0, 255).astype(np.uint8))
+    return GrayImage(np.clip(px, 0, 255).astype(np.uint8))
 
 
 def training_samples(n_pos: int, n_neg: int, seed: int) -> list[LabeledSample]:
@@ -108,7 +108,7 @@ def make_frame(rng: np.random.Generator, frame_w: int = 128,
             px[y:y + h, x:x + w] = scaled.pixels
             boxes.append(box)
             break
-    return GrayImage.from_array(px), boxes
+    return GrayImage(px), boxes
 
 
 def frame_sequence(n_frames: int, seed: int, frame_w: int = 128,

@@ -14,7 +14,7 @@ def rng():
 
 
 def rand_image(rng, width, height, lo=0, hi=256) -> GrayImage:
-    return GrayImage.from_array(rng.integers(lo, hi, (height, width)).astype(np.uint8))
+    return GrayImage(rng.integers(lo, hi, (height, width)).astype(np.uint8))
 
 
 def rand_window(rng, lo=0, hi=256) -> GrayImage:

@@ -183,7 +183,7 @@ def test_criterion_4_symmetry_property():
     eval_checked = 0
     for _ in range(1000):
         img = rand_window(rng)
-        mirrored = GrayImage.from_array(np.fliplr(img.pixels).copy())
+        mirrored = GrayImage(np.fliplr(img.pixels).copy())
         f = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
         d1, d2, _ = symmetric_responses(f, img)
         m1, m2, _ = symmetric_responses(f, mirrored)

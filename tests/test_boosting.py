@@ -50,7 +50,7 @@ def probe_window(fires: bool) -> GrayImage:
     if fires:
         px[0, 0] = 255
         px[1, 1] = 0
-    return GrayImage.from_array(px)
+    return GrayImage(px)
 
 
 def probe_sample(fires: bool, label: int) -> LabeledSample:

@@ -171,7 +171,7 @@ def test_scan_matches_per_window_reference(rng):
 def _oracle_fires(feature, frame: GrayImage, win: Rect) -> bool:
     """``feature`` on ``win`` from the pixel-loop oracles, scaled geometry."""
     if isinstance(feature, (ControlPointsFeature, ChainFeature)):
-        crop = GrayImage.from_array(
+        crop = GrayImage(
             frame.pixels[win.y:win.y + win.h, win.x:win.x + win.w])
         local = Rect(0, 0, win.w, win.h)
         return points_rule(crop,

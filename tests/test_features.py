@@ -178,7 +178,7 @@ def test_eval_haar_planted_contrast(rng):
     px[0:8, 0:8] = 255
     px[8:16, 8:16] = 0
     f = HaarFeature(rect_a=Rect(0, 0, 8, 8), rect_b=Rect(8, 8, 8, 8), threshold=1.0)
-    assert fires(f, GrayImage.from_array(px)) is True
+    assert fires(f, GrayImage(px)) is True
 
 
 def test_eval_haar_additive_shift_invariant(rng):
@@ -186,7 +186,7 @@ def test_eval_haar_additive_shift_invariant(rng):
     for _ in range(200):
         base = rand_window(rng, lo=50, hi=206)
         c = int(rng.integers(-50, 51))
-        shifted = GrayImage.from_array((base.pixels.astype(np.int16) + c).astype(np.uint8))
+        shifted = GrayImage((base.pixels.astype(np.int16) + c).astype(np.uint8))
         f = random_feature(FeatureKind.HAAR, py)
         assert fires(f, base) == fires(f, shifted)
 
@@ -196,7 +196,7 @@ def test_eval_haar_additive_shift_invariant(rng):
 def test_eval_haar_affine_invariant(seed, a, b):
     rng = np.random.default_rng(seed)
     base = rand_window(rng, lo=5, hi=80)
-    mapped = GrayImage.from_array((base.pixels.astype(np.int32) * a + b).astype(np.uint8))
+    mapped = GrayImage((base.pixels.astype(np.int32) * a + b).astype(np.uint8))
     f = random_feature(FeatureKind.HAAR, random.Random(seed))
     sigma = max(1.0, np.std(base.pixels.astype(np.float64)))
     ma = abs(np.mean(base.pixels[f.rect_a.y:f.rect_a.y + f.rect_a.h,
@@ -224,7 +224,7 @@ def test_control_points_separated_true():
     px[5, 5] = px[5, 6] = 50
     f = ControlPointsFeature(pos_points=((0, 0), (1, 0)), neg_points=((5, 5), (6, 5)),
                              separation=100)
-    assert fires(f, GrayImage.from_array(px)) is True
+    assert fires(f, GrayImage(px)) is True
 
 
 def test_control_points_equal_values_false():
@@ -237,7 +237,7 @@ def test_control_points_second_clause():
     px[0, 0] = 50
     px[5, 5] = 200
     f = ControlPointsFeature(pos_points=((0, 0),), neg_points=((5, 5),), separation=100)
-    assert fires(f, GrayImage.from_array(px)) is True
+    assert fires(f, GrayImage(px)) is True
 
 
 def test_control_points_matches_oracle(rng):
@@ -260,7 +260,7 @@ def test_control_points_rejects_non_canonical():
 def test_point_families_shift_invariant(seed, c):
     rng = np.random.default_rng(seed)
     base = rand_window(rng, lo=50, hi=206)
-    shifted = GrayImage.from_array((base.pixels.astype(np.int16) + c).astype(np.uint8))
+    shifted = GrayImage((base.pixels.astype(np.int16) + c).astype(np.uint8))
     py = random.Random(seed)
     cp = random_feature(FeatureKind.CONTROL_POINTS, py)
     ch = random_feature(FeatureKind.CHAIN, py)
@@ -273,7 +273,7 @@ def test_chain_trivial_cases():
     px[0, 0] = 200
     px[1, 1] = 50
     f = ChainFeature(chain=((0, 0, True), (1, 1, False)), separation=100)
-    assert fires(f, GrayImage.from_array(px)) is True
+    assert fires(f, GrayImage(px)) is True
     assert fires(f, _uniform_window(70)) is False
 
 
@@ -285,12 +285,52 @@ def test_chain_matches_control_points_oracle(rng):
         assert fires(f, img) == points_rule(img, f.pos_points, f.neg_points, f.separation)
 
 
+def _extreme_point_features() -> dict[str, list]:
+    """cp and nconnex features on three chained points, both class orders,
+    at separations 1, 254 and 255."""
+    features = {"cp": [], "nconnex": []}
+    for pos_first in (True, False):
+        tags = (pos_first, pos_first, not pos_first)
+        chain = tuple((x, y, t) for (x, y), t in zip(((3, 4), (4, 4), (5, 5)), tags))
+        for separation in (1, 254, 255):
+            f = ChainFeature(chain=chain, separation=separation)
+            features["nconnex"].append(f)
+            features["cp"].append(ControlPointsFeature(f.pos_points, f.neg_points, separation))
+    return features
+
+
+@pytest.mark.parametrize("path", ["crops", "level", "window"])
+def test_point_rule_is_exact_at_the_uint8_extremes(path):
+    rng = np.random.default_rng(71)
+    frame = GrayImage(rng.choice(np.array([0, 1, 254, 255], np.uint8), (48, 64)))
+    origins = [(x, y) for y in range(48 - CANONICAL_H + 1) for x in range(64 - CANONICAL_W + 1)]
+    crops = [GrayImage(frame.pixels[y:y + CANONICAL_H, x:x + CANONICAL_W]) for x, y in origins]
+    # every value pattern of the three points occurs, so each class order
+    # meets 0 against 255 and 254 against 255, where uint8 differences wrap
+    assert len({(c.pixel(3, 4), c.pixel(4, 4), c.pixel(5, 5)) for c in crops}) == 4 ** 3
+    ii = build_integral(frame)
+    for family, features in _extreme_point_features().items():
+        want = np.array([[points_rule(c, f.pos_points, f.neg_points, f.separation)
+                          for c in crops] for f in features])
+        if path == "crops":
+            got = eval_features(features, WindowStack.from_images(crops))
+        elif path == "level":
+            level = ii.level(CANONICAL_W, CANONICAL_H, 1)
+            got = eval_features(features, level).reshape(len(features), -1)
+        else:
+            got = np.array([eval_features(features, ii.window(Rect(x, y, CANONICAL_W,
+                                                                   CANONICAL_H)))
+                            for x, y in origins]).T
+        assert want.any() and not want.all()
+        assert np.array_equal(got, want), family
+
+
 # ---------------------------------------------------------------------------
 # symmetric Haar evaluation
 # ---------------------------------------------------------------------------
 
 def _mirror_image(img: GrayImage) -> GrayImage:
-    return GrayImage.from_array(np.fliplr(img.pixels).copy())
+    return GrayImage(np.fliplr(img.pixels).copy())
 
 
 def _self_mirror_feature(py: random.Random) -> SymmetricHaarFeature:
@@ -313,7 +353,7 @@ def _self_mirror_feature(py: random.Random) -> SymmetricHaarFeature:
 def test_symmetric_window_gives_equal_left_right(rng):
     py = random.Random(3)
     half = rng.integers(0, 256, (CANONICAL_H, CANONICAL_W // 2)).astype(np.uint8)
-    img = GrayImage.from_array(np.hstack([half, np.fliplr(half)]))
+    img = GrayImage(np.hstack([half, np.fliplr(half)]))
     f = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
     d1, d2, _ = diffs(f, img)
     assert d1 == d2
@@ -345,7 +385,7 @@ def test_symmetric_condition5_literal_flips():
     px[:, 28:32] = 96
     px[0:12, 12:20] = 136  # middle: weakest contrast
     px[12:24, 12:20] = 120
-    img = GrayImage.from_array(px)
+    img = GrayImage(px)
     probe = SymmetricHaarFeature(
         left_a=Rect(0, 0, 4, 24), left_b=Rect(4, 0, 4, 24),
         mid_a=Rect(12, 0, 8, 12), mid_b=Rect(12, 12, 8, 12),
@@ -472,7 +512,7 @@ def test_feature_batch_keeps_no_geometry_that_leaks():
     # floor scaling fits every rect into a window of 1x1 or more, so only
     # an empty window makes the geometry leak
     with np.errstate(invalid="ignore"):  # its sigma divides by a zero area
-        empty = WindowStack(np.zeros((0, 0), np.int16), np.zeros((1, 1), np.int64),
+        empty = WindowStack(np.zeros((0, 0), np.uint8), np.zeros((1, 1), np.int64),
                             np.zeros((1, 1), np.int64))
     batch = FeatureBatch([random_feature(FeatureKind.HAAR, random.Random(61))])
     for _ in range(2):

@@ -46,17 +46,43 @@ def test_rect_validation():
 
 def test_gray_image_validation():
     with pytest.raises(ValueError):
-        GrayImage.from_array(np.array([[300, 0]]))
-    with pytest.raises(ValueError):
-        GrayImage(width=2, height=2, pixels=np.zeros((1, 2), dtype=np.uint8))
-    img = GrayImage.from_array(np.array([[7]], dtype=np.uint8))
+        GrayImage(np.array([[300, 0]]))
+    img = GrayImage(np.array([[7]], dtype=np.uint8))
     assert img.pixel(0, 0) == 7
     with pytest.raises(ValueError):
         img.pixels[0, 0] = 1  # read-only after construction
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 3.7, 0.5, -1, 256, 1e300],
+                         ids=["nan", "inf", "-inf", "3.7", "0.5", "-1", "256", "1e300"])
+def test_gray_image_rejects_values_that_are_not_8_bit_whole_numbers(value):
+    with pytest.raises(ValueError, match="whole numbers in \\[0, 255\\]"):
+        GrayImage(np.array([[7, value]]))
+
+
+@pytest.mark.parametrize("value, pixel", [(True, 1), (3.0, 3), (255.0, 255), (np.int64(0), 0)],
+                         ids=["True", "3.0", "255.0", "int64-0"])
+def test_gray_image_converts_whole_numbers_once(value, pixel):
+    img = GrayImage(np.array([[value]]))
+    assert img.pixels.dtype == np.uint8 and img.pixel(0, 0) == pixel
+    assert (img.width, img.height) == (1, 1)
+
+
+def test_frame_stack_holds_the_images_own_array(rng):
+    img = rand_image(rng, 9, 5)
+    assert np.shares_memory(build_integral(img).pixels, img.pixels)
+
+
+def test_crop_stack_is_one_fortran_ordered_uint8_buffer(rng):
+    crops = [rand_image(rng, 6, 4) for _ in range(3)]
+    stack = WindowStack.from_images(crops)
+    assert stack.pixels.dtype == np.uint8 and stack.pixels.flags.f_contiguous
+    assert stack.sums.flags.f_contiguous and stack.squared_sums.flags.f_contiguous
+    assert np.array_equal(stack.pixels, np.stack([c.pixels for c in crops]))
+
+
 def test_integral_2x2_corners():
-    img = GrayImage.from_array(np.array([[1, 2], [3, 4]], dtype=np.uint8))
+    img = GrayImage(np.array([[1, 2], [3, 4]], dtype=np.uint8))
     ii = build_integral(img)
     assert ii.sums[2, 2] == 10
     assert ii.squared_sums[2, 2] == 30
@@ -105,7 +131,7 @@ def test_frame_past_the_pixel_limit_is_rejected_before_any_allocation(shape):
             summed_area_tables(pixels)
         if len(shape) == 2:
             with pytest.raises(ValueError, match=str(MAX_PIXELS)):
-                build_integral(GrayImage.from_array(pixels))
+                build_integral(GrayImage(pixels))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -150,7 +176,7 @@ def test_rect_sum_constant():
 
 
 def test_rect_sum_single_pixel():
-    ii = build_integral(GrayImage.from_array(np.array([[7]], dtype=np.uint8)))
+    ii = build_integral(GrayImage(np.array([[7]], dtype=np.uint8)))
     assert window_sum(ii, Rect(0, 0, 1, 1)) == 7
 
 
@@ -184,7 +210,7 @@ def test_window_stats_constant_clamps():
 
 
 def test_window_stats_two_pixel_extremes():
-    img = GrayImage.from_array(np.array([[0, 255]], dtype=np.uint8))
+    img = GrayImage(np.array([[0, 255]], dtype=np.uint8))
     mean, std_dev = window_stats(img, Rect(0, 0, 2, 1))
     assert mean == 127.5
     assert std_dev == 127.5
@@ -203,7 +229,7 @@ def test_window_stats_bounds(data):
     w = data.draw(st.integers(1, 12))
     h = data.draw(st.integers(1, 12))
     values = data.draw(st.lists(st.integers(0, 255), min_size=w * h, max_size=w * h))
-    img = GrayImage.from_array(np.array(values, dtype=np.uint8).reshape(h, w))
+    img = GrayImage(np.array(values, dtype=np.uint8).reshape(h, w))
     mean, std_dev = window_stats(img, Rect(0, 0, w, h))
     assert SIGMA_MIN <= std_dev <= 127.5
     assert 0.0 <= mean <= 255.0
@@ -244,7 +270,7 @@ def test_extract_window_identity(rng):
 
 
 def test_extract_window_upsample_blocks():
-    img = GrayImage.from_array(np.array([[0, 255], [255, 0]], dtype=np.uint8))
+    img = GrayImage(np.array([[0, 255], [255, 0]], dtype=np.uint8))
     out = extract_window(img, Rect(0, 0, 2, 2), 4, 4)
     expected = np.array([[0, 0, 255, 255],
                          [0, 0, 255, 255],

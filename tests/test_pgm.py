@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from boostdet.imaging import MAX_PIXELS
 from boostdet.pgm import PgmError, load_pgm, parse_pgm, save_pgm
 from conftest import rand_image
 
@@ -31,6 +32,20 @@ def test_wrong_maxval_rejected():
 def test_truncated_payload_names_byte():
     with pytest.raises(PgmError, match="byte"):
         parse_pgm(b"P5\n2 2\n255\n" + bytes(3))
+
+
+def test_parsed_pixels_are_a_view_of_the_payload():
+    data = b"P5\n3 2\n255\n" + bytes(range(6))
+    img = parse_pgm(data)
+    assert np.shares_memory(img.pixels, np.frombuffer(data, np.uint8))
+    assert not img.pixels.flags.writeable
+    assert img.pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+def test_frame_past_the_pixel_limit_is_rejected_before_its_payload():
+    # no payload at all: the header alone decides
+    with pytest.raises(PgmError, match=f"{4097 * 4112} pixels, more than the {MAX_PIXELS}"):
+        parse_pgm(b"P5\n4097 4112\n255\n")
 
 
 def test_garbage_header_errors():
