@@ -3,7 +3,7 @@
 
 Annotation grammar, one box per line, '#' starts a comment:
 
-    frame_path x y w h
+    frame_path x y w h      (each of x y w h below ``MAX_COORD``)
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import os
 
+from .detector import box_rows
 from .evalkit import GroundTruthFrame
 from .imaging import Rect
 
@@ -55,6 +56,7 @@ def parse_annotations(path) -> list[GroundTruthFrame]:
                 f"{path}:{lineno}: box coordinates must be integers") from None
         try:
             rect = Rect(x=x, y=y, w=w, h=h)
+            box_rows([rect])  # raises past MAX_COORD
         except ValueError as exc:
             raise AnnotationError(f"{path}:{lineno}: {exc}") from None
         boxes_by_frame.setdefault(frame_id, []).append(rect)

@@ -19,19 +19,20 @@ any other sequence of ``Detection`` once, through ``Detections.of``.
 
 ``nms`` is greedy suppression in suppress-forward form, the vectorised
 greedy NMS of the DPM release code (Felzenszwalb et al., TPAMI 2010):
-boxes are ordered by descending margin, ties in input order, and each box
-still alive is kept and removes every later box it overlaps at or above
-the threshold in one array expression. Its IoU divides the same integers
-as ``iou``, all exact in float64, and both Python and numpy round that
-division correctly, so it keeps exactly what the loop over kept boxes
-keeps.
+boxes are taken in ``margin_order`` (descending margin, ties in input
+order), and each box still alive is kept and removes every later box it
+overlaps at or above the threshold in one array expression. Its
+``corner_iou`` divides the same integers as ``iou``, all exact in float64,
+and both Python and numpy round that division correctly, so it keeps
+exactly what the loop over kept boxes keeps. ``evalkit`` matches
+detections to truth boxes with the same order and the same IoU.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,17 +110,11 @@ class Detections(Sequence[Detection]):
     @classmethod
     def of(cls, detections: Sequence[Detection]) -> Detections:
         """``detections`` as a record: a ``Detections`` as it is, any other
-        sequence of ``Detection`` converted once. A box offset or extent of
-        ``MAX_COORD`` or more in such a sequence raises ValueError.
+        sequence of ``Detection`` converted once, its boxes by ``box_rows``.
         """
         if isinstance(detections, Detections):
             return detections
-        flat = [v for d in detections for v in (d.box.x, d.box.y, d.box.w, d.box.h)]
-        # checked here, before a Python int too large for int64 reaches numpy
-        if max(flat, default=0) >= MAX_COORD:
-            raise ValueError(_BOX_LIMIT)
-        return cls(np.array(flat, dtype=np.int64).reshape(-1, 4),
-                   [d.margin for d in detections])
+        return cls(box_rows(d.box for d in detections), [d.margin for d in detections])
 
     def __eq__(self, other):
         if isinstance(other, Sequence):
@@ -142,6 +137,10 @@ class ScanConfig:
         if not 1.0 < self.scale_factor < MAX_COORD:
             raise ValueError(f"scale_factor must lie in (1, {MAX_COORD}), "
                              f"got {self.scale_factor}")
+        for name in ("stride", "min_window_w"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.stride < MAX_COORD:
             raise ValueError(f"stride must lie in [1, {MAX_COORD}), got {self.stride}")
         if self.min_window_w < 1:
@@ -158,6 +157,48 @@ def iou(a: Rect, b: Rect) -> float:
     if inter == 0:
         return 0.0
     return inter / (a.area + b.area - inter)
+
+
+def box_rows(rects: Iterable[Rect]) -> np.ndarray:
+    """``rects`` as (n, 4) int64 rows ``(x, y, w, h)``.
+
+    An offset or extent of ``MAX_COORD`` or more raises ValueError, checked
+    before a Python int too large for int64 reaches numpy.
+    """
+    flat = [v for r in rects for v in (r.x, r.y, r.w, r.h)]
+    if max(flat, default=0) >= MAX_COORD:
+        raise ValueError(_BOX_LIMIT)
+    return np.array(flat, dtype=np.int64).reshape(-1, 4)
+
+
+def box_corners(boxes: np.ndarray) -> np.ndarray:
+    """(5, n) int64 rows x0, y0, x1, y1 and area of (n, 4) rows ``(x, y, w, h)``.
+
+    An offset or extent of ``MAX_COORD`` or more raises ValueError.
+    """
+    if boxes.max(initial=0) >= MAX_COORD:
+        raise ValueError(_BOX_LIMIT)
+    x0, y0, w, h = boxes.T
+    return np.stack([x0, y0, x0 + w, y0 + h, w * h])
+
+
+def corner_iou(a, b) -> np.ndarray:
+    """IoU of ``box_corners`` columns ``a`` and ``b``, broadcast together.
+
+    It divides the integers that ``iou`` divides, so each value equals
+    ``iou``'s for the same two boxes.
+    """
+    ax0, ay0, ax1, ay1, a_area = a
+    bx0, by0, bx1, by1, b_area = b
+    ix = np.maximum(0, np.minimum(ax1, bx1) - np.maximum(ax0, bx0))
+    iy = np.maximum(0, np.minimum(ay1, by1) - np.maximum(ay0, by0))
+    inter = ix * iy
+    return inter / (a_area + b_area - inter)
+
+
+def margin_order(margins: np.ndarray) -> np.ndarray:
+    """Row indices by descending margin, ties in input order."""
+    return np.lexsort((np.arange(len(margins)), -margins))
 
 
 def pyramid_levels(frame_w: int, frame_h: int, cfg: ScanConfig) -> list[tuple[int, int, int]]:
@@ -238,22 +279,15 @@ def check_margins(detections: Detections, source: str = "detections") -> None:
 
 def _kept_rows(dets: Detections, overlap_threshold: float) -> np.ndarray:
     """Row indices that greedy suppression keeps, in margin order."""
-    if dets.boxes.max(initial=0) >= MAX_COORD:
-        raise ValueError(_BOX_LIMIT)
-    order = np.lexsort((np.arange(len(dets)), -dets.margins))
-    x0, y0, w, h = dets.boxes[order].T
-    # one column per live box, in margin order: row index, corners, area
-    live = np.stack([order, x0, y0, x0 + w, y0 + h, w * h])
+    order = margin_order(dets.margins)
+    # one column per live box, in margin order: row index, then its corners
+    live = np.vstack([order, box_corners(dets.boxes)[:, order]])
     kept = []
     while live.shape[1]:
-        i, kx0, ky0, kx1, ky1, k_area = live[:, 0].tolist()
+        i, *keep = live[:, 0].tolist()
         kept.append(i)
         live = live[:, 1:]
-        _, x0, y0, x1, y1, area = live
-        ix = np.maximum(0, np.minimum(x1, kx1) - np.maximum(x0, kx0))
-        iy = np.maximum(0, np.minimum(y1, ky1) - np.maximum(y0, ky0))
-        inter = ix * iy
-        live = live[:, inter / (area + k_area - inter) < overlap_threshold]
+        live = live[:, corner_iou(keep, live[1:]) < overlap_threshold]
     return np.array(kept, dtype=np.intp)
 
 

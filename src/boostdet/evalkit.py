@@ -1,11 +1,12 @@
 """Ground-truth matching and ROC / Precision-Recall curve generation.
 
-Matching is greedy one-to-one: detections claim truth boxes in descending
-margin order, each taking the unclaimed box of highest IoU at or above
-the threshold. Because a bias sweep only ever removes a suffix of the
-margin-sorted detection list, the greedy claims are computed once per
-frame, every frame's detections are ranked together by margin, and each
-sweep point is one bisection into the cumulative claim counts.
+Matching is greedy one-to-one (PASCAL VOC, Everingham et al., IJCV 2010):
+detections claim truth boxes in ``nms``'s margin order, each taking the
+unclaimed box of highest ``corner_iou`` (one detections x truth matrix
+per frame) at or above the threshold. A bias sweep only ever removes a
+suffix of the margin-sorted detection list, so the greedy claims are
+computed once per frame, every frame's detections are ranked together by
+margin, and each sweep point is one search into the cumulative claims.
 
 Each entry point converts a frame's detections once, through
 ``Detections.of``, to the record that the claims and the sweep read.
@@ -14,23 +15,28 @@ Each entry point converts a frame's detections once, through
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .detector import Detection, Detections, check_iou_threshold, check_margins, iou
+import numpy as np
+
+from .detector import (Detection, Detections, box_corners, box_rows, check_iou_threshold,
+                       check_margins, corner_iou, margin_order)
 from .imaging import Rect
 
 
 @dataclass(frozen=True)
 class GroundTruthFrame:
+    """One frame's truth boxes; an offset or extent of ``MAX_COORD`` or more
+    raises ValueError, as it does for a detection box."""
+
     frame_id: str
     boxes: tuple[Rect, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
+        box_rows(self.boxes)
 
 
 @dataclass(frozen=True)
@@ -54,31 +60,26 @@ class PrPoint:
     precision: float
 
 
-def _greedy_claims(dets: Sequence[Detection], boxes: Sequence[Rect],
-                   iou_threshold: float) -> tuple[list[int], list[bool]]:
+def _greedy_claims(dets: Detections, boxes: Sequence[Rect],
+                   iou_threshold: float) -> tuple[np.ndarray, list[bool]]:
     """Margin order of the detections, and whether each in turn claims a box.
 
     Detections are processed in descending margin order (ties by input
     order); IoU ties between truth boxes go to the lower index.
     """
-    check_iou_threshold("iou_threshold", iou_threshold)
-    dets = Detections.of(dets)
-    margins = dets.margins.tolist()
-    det_boxes = [Rect(*row) for row in dets.boxes.tolist()]
-    order = sorted(range(len(margins)), key=lambda i: (-margins[i], i))
-    taken = [False] * len(boxes)
-    claims = []
-    for i in order:
-        best_j, best_iou = -1, 0.0
-        for j, box in enumerate(boxes):
-            if not taken[j]:
-                v = iou(det_boxes[i], box)
-                if v > best_iou:
-                    best_j, best_iou = j, v
-        claimed = best_j >= 0 and best_iou >= iou_threshold
-        if claimed:
-            taken[best_j] = True
-        claims.append(claimed)
+    order = margin_order(dets.margins)
+    ious = corner_iou(box_corners(dets.boxes)[:, order, None],
+                      box_corners(box_rows(boxes))[:, None, :])
+    claims, taken = [False] * len(order), []
+    # a row with no IoU at the threshold can never claim; walk the others
+    hits = np.flatnonzero(ious.max(axis=1, initial=0.0) >= iou_threshold)
+    for i, row in zip(hits.tolist(), ious[hits].tolist()):
+        for j in taken:
+            row[j] = 0.0
+        best = max(row)
+        if best >= iou_threshold:
+            claims[i] = True
+            taken.append(row.index(best))
     return order, claims
 
 
@@ -90,15 +91,18 @@ def match_frame(dets: Sequence[Detection], truth: GroundTruthFrame,
     """
     dets = Detections.of(dets)
     check_margins(dets)
-    _, claims = _greedy_claims(dets, truth.boxes, iou_threshold)
-    tp = sum(claims)
+    check_iou_threshold("iou_threshold", iou_threshold)
+    tp = sum(_greedy_claims(dets, truth.boxes, iou_threshold)[1])
     return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(truth.boxes) - tp)
 
 
 def default_bias_sweep(detections: Mapping[str, Sequence[Detection]]) -> list[float]:
     """Descending unique margins wrapped in +/- infinity sentinels."""
-    margins = sorted({m for dets in detections.values()
-                      for m in Detections.of(dets).margins.tolist()}, reverse=True)
+    return _sentinel_sweep(map(Detections.of, detections.values()))
+
+
+def _sentinel_sweep(records: Iterable[Detections]) -> list[float]:
+    margins = sorted({m for dets in records for m in dets.margins.tolist()}, reverse=True)
     return [math.inf] + margins + [-math.inf]
 
 
@@ -108,29 +112,39 @@ def _sweep(detections: Mapping[str, Sequence[Detection]],
     """(bias, tp, fp) per sweep point, the truth-box count and the frame count.
 
     Frames are the union of annotated frames and frames with detections;
-    without any frame the sweep is empty. A NaN margin raises ValueError.
+    without any frame the sweep is empty. A NaN margin or bias, or a
+    frame id repeated in ``truths``, raises ValueError.
     """
     check_iou_threshold("iou_threshold", iou_threshold)
-    truth_by_id = {t.frame_id: t.boxes for t in truths}
+    if bias_sweep is not None:
+        bias_sweep = list(bias_sweep)
+        bad = np.flatnonzero(np.isnan(np.array(bias_sweep, dtype=np.float64)))
+        if bad.size:
+            raise ValueError(f"bias_sweep[{bad[0]}] is NaN")
+    truth_by_id = {}
+    for t in truths:
+        if t.frame_id in truth_by_id:
+            raise ValueError(f"truths repeat frame_id {t.frame_id!r}")
+        truth_by_id[t.frame_id] = t.boxes
     frame_ids = sorted(set(truth_by_id) | set(detections))
     if not frame_ids:
         return [], 0, 0
-    ranked = []
+    records, margins, claims = {}, [], []
     for fid in frame_ids:
-        dets = Detections.of(detections.get(fid, ()))
+        dets = records[fid] = Detections.of(detections.get(fid, ()))
         check_margins(dets, f"detections[{fid!r}]")
-        order, claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
-        ranked += zip((-m for m in dets.margins[order].tolist()), claims)
-    # negated margins ascend; the detections kept at a bias form a prefix
-    ranked.sort()
-    neg_margins = [m for m, _ in ranked]
-    cum_tp = list(itertools.accumulate((c for _, c in ranked), initial=0))
+        order, frame_claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
+        margins.append(dets.margins[order])
+        claims += frame_claims
     if bias_sweep is None:
-        bias_sweep = default_bias_sweep(detections)
-    points = []
-    for bias in bias_sweep:
-        kept = bisect.bisect_left(neg_margins, -bias)
-        points.append((bias, cum_tp[kept], kept - cum_tp[kept]))
+        # in the caller's order, which decides the signed zero a tie keeps
+        bias_sweep = _sentinel_sweep(records[fid] for fid in detections)
+    # negated margins ascend; the detections kept at a bias form a prefix
+    neg_margins = -np.concatenate(margins)
+    rank = np.argsort(neg_margins, kind="stable")
+    cum_tp = [0] + np.cumsum(np.array(claims, dtype=bool)[rank]).tolist()
+    kept = np.searchsorted(neg_margins[rank], -np.array(bias_sweep, dtype=np.float64), "left")
+    points = [(bias, cum_tp[k], k - cum_tp[k]) for bias, k in zip(bias_sweep, kept.tolist())]
     return points, sum(map(len, truth_by_id.values())), len(frame_ids)
 
 

@@ -62,6 +62,11 @@ def test_scan_config_validation():
             ScanConfig(scale_factor=bad)
     with pytest.raises(ValueError, match="min_window_w"):
         ScanConfig(min_window_w=0)
+    for name, bad in (("stride", 2.5), ("stride", True), ("stride", 2.0),
+                      ("min_window_w", float("nan")), ("min_window_w", 24.0),
+                      ("min_window_w", False)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ScanConfig(**{name: bad})
     with pytest.raises(ValueError, match="bias"):
         ScanConfig(bias=float("nan"))
     assert ScanConfig(bias=float("-inf")).bias == float("-inf")

@@ -2,17 +2,21 @@ import bisect
 import itertools
 import math
 import random
+import re
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boostdet import evalkit
-from boostdet.detector import Detection, Detections
+from boostdet.dataset import AnnotationError, parse_annotations
+from boostdet.detector import MAX_COORD, Detection, Detections
 from boostdet.evalkit import (
     GroundTruthFrame,
     MatchResult,
+    PrPoint,
     RocPoint,
     _greedy_claims,
     auc,
@@ -22,6 +26,7 @@ from boostdet.evalkit import (
     roc_curve,
 )
 from boostdet.imaging import Rect
+from oracles import greedy_match
 
 BOX = Rect(10, 10, 20, 20)
 
@@ -257,7 +262,7 @@ def _per_frame_sweep(detections, truths, bias_sweep, iou_threshold):
     frame_ids = sorted(set(truth_by_id) | set(detections))
     frames = []
     for fid in frame_ids:
-        dets = detections.get(fid, ())
+        dets = Detections.of(detections.get(fid, ()))
         order, claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
         frames.append(([-dets[i].margin for i in order],
                        list(itertools.accumulate(claims, initial=0))))
@@ -287,9 +292,10 @@ _frame_ids = st.sampled_from(["a", "b", "c", "d"])
 @given(detections=st.dictionaries(_frame_ids, st.lists(
            st.builds(Detection, _small_box, _margin), max_size=8), max_size=4),
        truths=st.lists(st.builds(GroundTruthFrame, _frame_ids,
-                                 st.lists(_small_box, max_size=4)), max_size=4),
+                                 st.lists(_small_box, max_size=4)), max_size=4,
+                       unique_by=lambda t: t.frame_id),
        bias_sweep=st.none() | st.lists(
-           _margin | st.sampled_from([math.inf, -math.inf, math.nan]), max_size=8),
+           _margin | st.sampled_from([math.inf, -math.inf]), max_size=8),
        iou_threshold=st.sampled_from([0.1, 0.5, 1.0]))
 @settings(max_examples=300, deadline=None)
 def test_curves_match_per_frame_sweep(detections, truths, bias_sweep, iou_threshold):
@@ -305,7 +311,8 @@ def test_curves_match_per_frame_sweep(detections, truths, bias_sweep, iou_thresh
 @given(detections=st.dictionaries(_frame_ids, st.lists(
            st.builds(Detection, _small_box, _margin), max_size=8), max_size=4),
        truths=st.lists(st.builds(GroundTruthFrame, _frame_ids,
-                                 st.lists(_small_box, max_size=4)), max_size=4),
+                                 st.lists(_small_box, max_size=4)), max_size=4,
+                       unique_by=lambda t: t.frame_id),
        bias_sweep=st.none() | st.lists(_margin, max_size=8),
        iou_threshold=st.sampled_from([0.1, 0.5, 1.0]))
 @settings(max_examples=200, deadline=None)
@@ -333,3 +340,148 @@ def test_arrays_with_nan_margin_are_rejected():
                   [det(0, 0, 8, 10, 1.0), det(1, 0, 10, 10, math.nan)]):
         with pytest.raises(ValueError, match="has a NaN margin"):
             match_frame(Detections.of(order), t)
+
+
+# few boxes, so equal boxes and IoU ties between truth boxes are common:
+# (1, 0, 4, 4) overlaps (0, 0, 4, 4) and (2, 0, 4, 4) equally
+_tie_box = st.sampled_from([Rect(0, 0, 4, 4), Rect(2, 0, 4, 4), Rect(1, 0, 4, 4),
+                            Rect(0, 2, 4, 4), Rect(1, 1, 2, 2)]) | _small_box
+# few margins, both signed zeros among them
+_tie_margin = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+_tie_frame_ids = st.sampled_from(["a", "b"])
+
+
+def _reference_curves(detections, truths, bias_sweep, iou_threshold):
+    """Both curves recounted at every bias by ``oracles.greedy_match``."""
+    truth_by_id = {t.frame_id: t.boxes for t in truths}
+    frame_ids = sorted(set(truth_by_id) | set(detections))
+    if bias_sweep is None:
+        margins = {d.margin for dets in detections.values() for d in dets}
+        bias_sweep = [math.inf] + sorted(margins, reverse=True) + [-math.inf]
+    total_truth = sum(map(len, truth_by_id.values()))
+    roc, pr = [], []
+    for bias in bias_sweep if frame_ids else ():
+        tp = fp = 0
+        for fid in frame_ids:
+            kept = [d for d in detections.get(fid, ()) if d.margin > bias]
+            claims = greedy_match(kept, truth_by_id.get(fid, ()), iou_threshold)
+            tp += sum(claims)
+            fp += len(claims) - sum(claims)
+        tpr = tp / total_truth if total_truth else 0.0
+        roc.append(RocPoint(bias, fp / len(frame_ids), tpr))
+        pr.append(PrPoint(bias, tpr, tp / (tp + fp) if tp + fp else 1.0))
+    return roc, pr
+
+
+def test_match_breaks_iou_ties_by_lower_truth_index():
+    # the first detection overlaps both truths by 0.6; the box it takes
+    # decides whether the second, equal to (0, 0, 4, 4), finds a match
+    dets = [det(1, 0, 4, 4, margin=2.0), det(0, 0, 4, 4, margin=0.5)]
+    left, right = Rect(0, 0, 4, 4), Rect(2, 0, 4, 4)
+    assert match_frame(dets, truth(left, right)) == MatchResult(1, 1, 1)
+    assert match_frame(dets, truth(right, left)) == MatchResult(2, 0, 0)
+
+
+def test_match_takes_equal_margins_in_input_order():
+    # the same pair as above, with margins that tie (both signed zeros)
+    dets = [det(1, 0, 4, 4, margin=0.0), det(0, 0, 4, 4, margin=-0.0)]
+    boxes = Rect(0, 0, 4, 4), Rect(2, 0, 4, 4)
+    assert match_frame(dets, truth(*boxes)) == MatchResult(1, 1, 1)
+    assert match_frame(dets[::-1], truth(*boxes)) == MatchResult(2, 0, 0)
+
+
+@example(detections={"a": [Detection(Rect(1, 0, 4, 4), 2.0), Detection(Rect(0, 0, 4, 4), 0.5)]},
+         truths=[GroundTruthFrame("a", (Rect(0, 0, 4, 4), Rect(2, 0, 4, 4)))],
+         bias_sweep=None, iou_threshold=0.5, as_records=True)
+@example(detections={"a": [Detection(Rect(1, 0, 4, 4), 0.0), Detection(Rect(0, 0, 4, 4), -0.0)]},
+         truths=[GroundTruthFrame("a", (Rect(0, 0, 4, 4), Rect(2, 0, 4, 4)))],
+         bias_sweep=[1.0, -0.0, -1.0], iou_threshold=0.5, as_records=False)
+@given(detections=st.dictionaries(_tie_frame_ids, st.lists(
+           st.builds(Detection, _tie_box, _tie_margin), max_size=8), max_size=2),
+       truths=st.lists(st.builds(GroundTruthFrame, _tie_frame_ids,
+                                 st.lists(_tie_box, max_size=4)), max_size=2,
+                       unique_by=lambda t: t.frame_id),
+       bias_sweep=st.none() | st.lists(
+           _tie_margin | st.sampled_from([math.inf, -math.inf]), max_size=6),
+       iou_threshold=st.sampled_from([5e-324, 0.1, 0.5, 1.0]),
+       as_records=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_matching_and_curves_match_greedy_reference(detections, truths, bias_sweep,
+                                                    iou_threshold, as_records):
+    given_form = ({fid: Detections.of(dets) for fid, dets in detections.items()}
+                  if as_records else detections)
+    for t in truths:
+        claims = greedy_match(detections.get(t.frame_id, []), t.boxes, iou_threshold)
+        tp = sum(claims)
+        assert (match_frame(given_form.get(t.frame_id, []), t, iou_threshold)
+                == MatchResult(tp, len(claims) - tp, len(t.boxes) - tp))
+    want_roc, want_pr = _reference_curves(detections, truths, bias_sweep, iou_threshold)
+    # repr, so a bias keeps its sign and type, and every count is a Python int
+    assert repr(roc_curve(given_form, truths, bias_sweep, iou_threshold)) == repr(want_roc)
+    assert repr(pr_curve(given_form, truths, bias_sweep, iou_threshold)) == repr(want_pr)
+
+
+@pytest.mark.parametrize("curve", [roc_curve, pr_curve])
+def test_nan_bias_is_rejected_by_index(curve):
+    dets = {"f0": [det(10, 10, 20, 20)]}
+    with pytest.raises(ValueError, match=r"bias_sweep\[2\] is NaN"):
+        curve(dets, [truth(BOX)], bias_sweep=[1.0, math.inf, math.nan, -math.inf])
+    with pytest.raises(ValueError, match=r"bias_sweep\[0\] is NaN"):
+        curve({}, [], bias_sweep=[math.nan])
+    # the infinities stay valid: nothing kept, then everything
+    assert [p.bias for p in curve(dets, [truth(BOX)], [math.inf, -math.inf])] == [
+        math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("curve", [roc_curve, pr_curve])
+def test_repeated_truth_frame_id_is_rejected(curve):
+    hit, far = Rect(10, 10, 20, 20), Rect(100, 100, 20, 20)
+    with pytest.raises(ValueError, match="truths repeat frame_id 'a'"):
+        curve({"a": [det(10, 10, 20, 20)]}, [truth(hit, frame_id="a"), truth(far, frame_id="a")])
+    # both boxes in one record: one of two truths is found
+    assert roc_curve({"a": [det(10, 10, 20, 20)]}, [truth(hit, far, frame_id="a")], [0.0]) == [
+        RocPoint(0.0, 0.0, 0.5)]
+
+
+@pytest.mark.parametrize("value", [MAX_COORD, 10 ** 30], ids=["2^26", "10^30"])
+@pytest.mark.parametrize("field", range(4), ids=list("xywh"))
+def test_truth_boxes_are_held_to_the_detection_bound(tmp_path, field, value):
+    edge = [MAX_COORD - 1] * 4
+    beyond = edge[:field] + [value] + edge[field + 1:]
+    frame = GroundTruthFrame("f0", (Rect(*edge),))
+    assert match_frame([Detection(Rect(*edge), 1.0)], frame) == MatchResult(1, 0, 0)
+    with pytest.raises(ValueError, match="must lie below"):
+        GroundTruthFrame("f0", (Rect(*edge), Rect(*beyond)))
+    path = tmp_path / "annotations.txt"
+    lines = [f"f0 {' '.join(map(str, box))}\n" for box in (edge, beyond)]
+    path.write_text("# frame x y w h\n" + lines[0])
+    assert parse_annotations(path) == [frame]
+    path.write_text("# frame x y w h\n" + "".join(lines))
+    with pytest.raises(AnnotationError, match=rf"{re.escape(str(path))}:3: .*must lie below"):
+        parse_annotations(path)
+
+
+def test_evaluation_rejects_record_boxes_beyond_exact_iou():
+    far = Detections(np.array([[10, 10, 20, 20], [MAX_COORD, 0, 1, 1]]), [1.0, 0.5])
+    for evaluate in (lambda: match_frame(far, truth(BOX)),
+                     lambda: roc_curve({"f0": far}, [truth(BOX)]),
+                     lambda: pr_curve({"f0": far}, [truth(BOX)])):
+        with pytest.raises(ValueError, match="must lie below"):
+            evaluate()
+
+
+def test_each_frame_is_converted_once_and_no_rect_is_built():
+    records = {f"f{i}": Detections.of([det(10 + i, 10, 20, 20, 1.0), det(0, i, 20, 20, 0.5)])
+               for i in range(3)}
+    truths = [truth(BOX, frame_id=f"f{i}") for i in range(4)]
+    for evaluate, frames in ((lambda: roc_curve(records, truths), 4),
+                             (lambda: pr_curve(records, truths, [0.75]), 4),
+                             (lambda: match_frame(records["f1"], truths[1]), 1)):
+        with (mock.patch.object(Detections, "of", side_effect=Detections.of) as of,
+              mock.patch.object(evalkit, "check_margins",
+                                side_effect=evalkit.check_margins) as margins,
+              mock.patch.object(Rect, "__post_init__", autospec=True,
+                                side_effect=Rect.__post_init__) as rect):
+            evaluate()
+        assert of.call_count == margins.call_count == frames
+        assert rect.call_count == 0

@@ -1,8 +1,12 @@
-"""No module of the package, and no script, imports a name it never uses.
+"""No module of the package, and no script, imports a name it never uses,
+or defines a private top-level name that it never reads.
 
 No linter ships with the test environment, so this is pyflakes' F401 for
 top-level imports in a few lines of ``ast``. An alias on a line marked
 ``# noqa: F401`` is exempt (the benchmark tracer patches those names).
+A private name (``_func``, ``_Class``, ``_CONST``) is one no other module
+should import, so one its own module never reads is dead code, such as a
+helper a refactor left behind.
 """
 
 import ast
@@ -50,3 +54,41 @@ def test_unused_imports_finds_what_pyflakes_would():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Private names bound at the top level of ``source`` and never read there."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            bound.append(node.name)
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_unread_private_names_finds_stranded_helpers():
+    source = ("_LIMIT = 3\n"
+              "_A, (_B, c) = 1, (2, 3)\n"
+              "_T: int = 0\n"
+              "__all__ = []\n"
+              "def _used(x):\n"
+              "    return x + _LIMIT + _A\n"
+              "def _stranded():\n"
+              "    _local = 1\n"
+              "    return _local\n"
+              "class _Row:\n"
+              "    pass\n"
+              "def public():\n"
+              "    return _used(1)\n")
+    assert unread_private_names(source) == ["_B", "_T", "_stranded", "_Row"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_top_level_names(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
