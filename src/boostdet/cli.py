@@ -10,12 +10,13 @@ kept rows by their positions in the scan's ``Detections``. A sort on the
 box values would not do, because two levels can share a window size and
 differ only in stride. Margins are formatted from Python floats
 (``.tolist()``), whose ``repr`` round-trips, since NumPy 2 writes the
-``repr`` of a ``numpy.float64`` as ``np.float64(...)``.
+``repr`` of a ``numpy.float64`` as ``np.float64(...)``. The file is opened
+only after every frame is scanned, so a failed run leaves ``--out`` as it was.
 
 ``eval`` reads the CSV back as one ``Detections`` record per frame, with
-no ``Detection`` per row; a box the record cannot hold (an offset or
-extent of ``MAX_COORD`` or more) is rejected with its file and line.
-Rows split from the right, so a frame id may contain commas.
+no ``Detection`` per row; a box that ``imaging.rect_problem`` rejects is
+an error naming its file and line. Rows split from the right, so a frame
+id may contain commas.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import sys
 
 from .boosting import LabeledSample
 from .dataset import AnnotationError, list_pgm_files, parse_annotations, read_text
-from .detector import MAX_COORD, Detections, ScanConfig, check_iou_threshold, nms, scan
+from .detector import Detections, ScanConfig, check_iou_threshold, nms, scan
 from .evalkit import auc, pr_curve, roc_curve, write_curves
 from .features import FeatureKind
+from .imaging import rect_problem
 from .learner import LearnerConfig
 from .modelio import ModelFormatError, load_model, save_model
 from .pgm import PgmError, load_pgm
@@ -175,16 +177,16 @@ def cmd_detect(args) -> int:
     cfg = ScanConfig(scale_factor=args.scale_factor, stride=args.stride,
                      min_window_w=args.min_window_w, bias=args.bias)
     check_iou_threshold("--nms-iou", args.nms_iou)
+    rows = ["frame_id,x,y,w,h,margin\n"]
+    for path in list_pgm_files(args.frames):
+        frame = load_pgm(path)
+        # rows go out in scan order, not in the margin order nms ranks by
+        kept = nms(scan(model, frame, cfg), overlap_threshold=args.nms_iou, input_order=True)
+        frame_id = os.path.basename(path)
+        rows += [f"{frame_id},{x},{y},{w},{h},{margin!r}\n"
+                 for (x, y, w, h), margin in zip(kept.boxes.tolist(), kept.margins.tolist())]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frame_id,x,y,w,h,margin\n")
-        for path in list_pgm_files(args.frames):
-            frame = load_pgm(path)
-            # rows go out in scan order, not in the margin order nms ranks by
-            kept = nms(scan(model, frame, cfg), overlap_threshold=args.nms_iou,
-                       input_order=True)
-            frame_id = os.path.basename(path)
-            for (x, y, w, h), margin in zip(kept.boxes.tolist(), kept.margins.tolist()):
-                fh.write(f"{frame_id},{x},{y},{w},{h},{margin!r}\n")
+        fh.writelines(rows)
     return 0
 
 
@@ -192,8 +194,8 @@ def parse_detections_csv(path) -> dict[str, Detections]:
     """Read a detect-command CSV back into one ``Detections`` per frame.
 
     Lines end as in a text-mode file. Anything malformed, bytes that are
-    not UTF-8 and boxes a record cannot hold included, raises ValueError
-    naming the file and line.
+    not UTF-8 and boxes ``imaging.rect_problem`` rejects included, raises
+    ValueError naming the file and line.
     """
     lines = read_text(path).split("\n")
     header = lines[0].strip()
@@ -208,13 +210,13 @@ def parse_detections_csv(path) -> dict[str, Detections]:
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
         try:
-            x, y, w, h = box = [int(p) for p in parts[1:5]]
+            box = [int(p) for p in parts[1:5]]
             margin = float(parts[5])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if min(x, y) < 0 or min(w, h) < 1 or max(box) >= MAX_COORD:
-            raise ValueError(f"{path}:{lineno}: box {x},{y},{w},{h} needs offsets >= 0, "
-                             f"extents >= 1 and all four below {MAX_COORD}")
+        problem = rect_problem(*box)
+        if problem is not None:
+            raise ValueError(f"{path}:{lineno}: {problem}, got {','.join(parts[1:5])}")
         if not math.isfinite(margin):
             raise ValueError(f"{path}:{lineno}: margin must be finite, got {parts[5]!r}")
         boxes, margins = rows.setdefault(parts[0], ([], []))

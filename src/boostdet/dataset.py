@@ -3,7 +3,8 @@
 
 Annotation grammar, one box per line, '#' starts a comment:
 
-    frame_path x y w h      (each of x y w h below ``MAX_COORD``)
+    frame_path x y w h      (integers ``imaging.rect_problem`` accepts, else
+                             an ``AnnotationError`` names path:line)
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import io
 import os
 
-from .detector import box_rows
 from .evalkit import GroundTruthFrame
 from .imaging import Rect
 
@@ -56,7 +56,6 @@ def parse_annotations(path) -> list[GroundTruthFrame]:
                 f"{path}:{lineno}: box coordinates must be integers") from None
         try:
             rect = Rect(x=x, y=y, w=w, h=h)
-            box_rows([rect])  # raises past MAX_COORD
         except ValueError as exc:
             raise AnnotationError(f"{path}:{lineno}: {exc}") from None
         boxes_by_frame.setdefault(frame_id, []).append(rect)

@@ -15,7 +15,9 @@ Detections leave ``scan`` as one ``Detections`` record: an int64
 of margins, in scan order. It is a sequence of ``Detection`` values, but
 a ``Detection`` and its ``Rect`` are built only for the rows a caller
 indexes or iterates. ``nms`` and the evaluation read the arrays, and take
-any other sequence of ``Detection`` once, through ``Detections.of``.
+any other sequence of ``Detection`` once, through ``Detections.of``. A
+record holds only boxes that ``imaging.rect_problem`` accepts, as a
+``Rect`` does, so nothing downstream checks a box again.
 
 ``nms`` is greedy suppression in suppress-forward form, the vectorised
 greedy NMS of the DPM release code (Felzenszwalb et al., TPAMI 2010):
@@ -32,19 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .boosting import StrongClassifier, vote
 from .features import CANONICAL_H, CANONICAL_W
-from .imaging import GrayImage, Rect, WindowStack, build_integral
-
-
-# Box offsets and extents stay below this, so every area, and any two
-# areas summed, lies below 2**53 and converts to float64 exactly.
-MAX_COORD = 2 ** 26
-_BOX_LIMIT = f"box offsets and extents must lie below {MAX_COORD}"
+from .imaging import (MAX_COORD, GrayImage, Rect, WindowStack, build_integral, rect_rows,
+                      rect_rows_problem)
 
 
 @dataclass(frozen=True)
@@ -64,8 +61,8 @@ class Detections(Sequence[Detection]):
     slice, an index array or a boolean mask gives another ``Detections``.
     ``==`` compares row by row with another ``Detections`` or with any
     sequence of ``Detection``. Boxes that are not integers of shape
-    (n, 4), a box with a negative offset or an extent below 1, or a
-    margin count other than n raise ValueError.
+    (n, 4), a box that ``imaging.rect_rows_problem`` rejects, or a margin
+    count other than n raise ValueError.
     """
 
     __slots__ = ("boxes", "margins")
@@ -83,11 +80,10 @@ class Detections(Sequence[Detection]):
                              f"got {margins.shape}")
         if margins.size and margins.dtype.kind not in "iuf":
             raise ValueError(f"margins must be real numbers, got dtype {margins.dtype}")
+        problem = rect_rows_problem(boxes)
+        if problem is not None:
+            raise ValueError(problem)
         boxes = boxes.astype(np.int64)
-        bad = np.flatnonzero((boxes[:, :2] < 0).any(axis=1) | (boxes[:, 2:] < 1).any(axis=1))
-        if bad.size:
-            raise ValueError(f"boxes[{bad[0]}] = {boxes[bad[0]].tolist()} needs offsets "
-                             "that are >= 0 and extents that are >= 1")
         margins = margins.astype(np.float64)
         boxes.flags.writeable = False
         margins.flags.writeable = False
@@ -110,11 +106,11 @@ class Detections(Sequence[Detection]):
     @classmethod
     def of(cls, detections: Sequence[Detection]) -> Detections:
         """``detections`` as a record: a ``Detections`` as it is, any other
-        sequence of ``Detection`` converted once, its boxes by ``box_rows``.
+        sequence of ``Detection`` converted once, its boxes by ``rect_rows``.
         """
         if isinstance(detections, Detections):
             return detections
-        return cls(box_rows(d.box for d in detections), [d.margin for d in detections])
+        return cls(rect_rows([d.box for d in detections]), [d.margin for d in detections])
 
     def __eq__(self, other):
         if isinstance(other, Sequence):
@@ -159,25 +155,8 @@ def iou(a: Rect, b: Rect) -> float:
     return inter / (a.area + b.area - inter)
 
 
-def box_rows(rects: Iterable[Rect]) -> np.ndarray:
-    """``rects`` as (n, 4) int64 rows ``(x, y, w, h)``.
-
-    An offset or extent of ``MAX_COORD`` or more raises ValueError, checked
-    before a Python int too large for int64 reaches numpy.
-    """
-    flat = [v for r in rects for v in (r.x, r.y, r.w, r.h)]
-    if max(flat, default=0) >= MAX_COORD:
-        raise ValueError(_BOX_LIMIT)
-    return np.array(flat, dtype=np.int64).reshape(-1, 4)
-
-
 def box_corners(boxes: np.ndarray) -> np.ndarray:
-    """(5, n) int64 rows x0, y0, x1, y1 and area of (n, 4) rows ``(x, y, w, h)``.
-
-    An offset or extent of ``MAX_COORD`` or more raises ValueError.
-    """
-    if boxes.max(initial=0) >= MAX_COORD:
-        raise ValueError(_BOX_LIMIT)
+    """(5, n) int64 rows x0, y0, x1, y1 and area of (n, 4) rows ``(x, y, w, h)``."""
     x0, y0, w, h = boxes.T
     return np.stack([x0, y0, x0 + w, y0 + h, w * h])
 
@@ -301,8 +280,7 @@ def nms(detections: Sequence[Detection], overlap_threshold: float = 0.5,
     before it overlaps it that much. The live boxes are compacted after
     every keep, so memory stays O(n). The kept rows come back as a
     ``Detections``, in margin order, or with ``input_order`` in the order
-    of the input. A NaN margin, or a box offset or extent of ``MAX_COORD``
-    or more, raises ValueError.
+    of the input. A NaN margin raises ValueError.
     """
     check_iou_threshold("overlap_threshold", overlap_threshold)
     dets = Detections.of(detections)

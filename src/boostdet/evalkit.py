@@ -10,6 +10,8 @@ margin, and each sweep point is one search into the cumulative claims.
 
 Each entry point converts a frame's detections once, through
 ``Detections.of``, to the record that the claims and the sweep read.
+Truth boxes are ``Rect`` values, held to ``imaging.rect_problem`` as a
+record's rows are, so no box is checked here.
 ``write_curves`` writes both curves as CSV for ``eval`` and the desk script.
 """
 
@@ -21,22 +23,20 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .detector import (Detection, Detections, box_corners, box_rows, check_iou_threshold,
+from .detector import (Detection, Detections, box_corners, check_iou_threshold,
                        check_margins, corner_iou, margin_order)
-from .imaging import Rect
+from .imaging import Rect, rect_rows
 
 
 @dataclass(frozen=True)
 class GroundTruthFrame:
-    """One frame's truth boxes; an offset or extent of ``MAX_COORD`` or more
-    raises ValueError, as it does for a detection box."""
+    """One frame's truth boxes, held as a tuple."""
 
     frame_id: str
     boxes: tuple[Rect, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))
-        box_rows(self.boxes)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def _greedy_claims(dets: Detections, boxes: Sequence[Rect],
     """
     order = margin_order(dets.margins)
     ious = corner_iou(box_corners(dets.boxes)[:, order, None],
-                      box_corners(box_rows(boxes))[:, None, :])
+                      box_corners(rect_rows(boxes))[:, None, :])
     claims, taken = [False] * len(order), []
     # a row with no IoU at the threshold can never claim; walk the others
     hits = np.flatnonzero(ious.max(axis=1, initial=0.0) >= iou_threshold)

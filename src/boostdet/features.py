@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .imaging import BoundsError, Rect, WindowStack, corner_sum, rect_problem
+from .imaging import BoundsError, Rect, WindowStack, corner_sum, rect_problem, rect_rows
 
 CANONICAL_W = 32
 CANONICAL_H = 24
@@ -287,15 +287,6 @@ def _check(feature: Feature) -> None:
 # geometry scaling: canonical coordinates -> a concrete window
 # ---------------------------------------------------------------------------
 
-_RECT_FIELDS = operator.attrgetter("x", "y", "w", "h")
-
-
-def _coords(rects: Sequence[Rect]) -> np.ndarray:
-    # (n, 4) int64 rows (x, y, w, h), filled straight from the fields
-    return np.fromiter(itertools.chain.from_iterable(map(_RECT_FIELDS, rects)),
-                       dtype=np.int64, count=4 * len(rects)).reshape(-1, 4)
-
-
 def _local_rects(coords: np.ndarray, win_w: int, win_h: int) -> tuple[np.ndarray, ...]:
     # (n, 4) canonical rows -> corner arrays x0, y0, x1, y1 and float64
     # areas: offsets scale with floor rounding, extents clamp to >= 1
@@ -366,7 +357,7 @@ class FeatureBatch:
         family = families.pop()
 
         def pair(a: str, b: str) -> np.ndarray:
-            return _coords([getattr(f, name) for name in (a, b) for f in features])
+            return rect_rows([getattr(f, name) for name in (a, b) for f in features])
 
         if family is HaarFeature:
             groups, limits = (pair("rect_a", "rect_b"),), ("threshold",)

@@ -1,4 +1,9 @@
-"""Grayscale rasters, integral images and window stacks.
+"""Boxes, grayscale rasters, integral images and window stacks.
+
+``rect_problem`` is the one box rule: offsets >= 0, extents >= 1, all four
+below ``MAX_COORD``. A ``Rect`` runs it when built, and ``rect_rows_problem``
+on the (n, 4) int rows ``(x, y, w, h)`` that ``rect_rows`` makes of Rects and
+the detector and evaluation read, so no other module checks a box.
 
 Everything here is integer-exact where the contract says so, and
 rectangle sums are recovered with four lookups, bit-equal to a direct
@@ -24,6 +29,8 @@ each of those levels, and its ``sigma``, once.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,6 +42,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 SIGMA_MIN = 1.0
 MAX_PIXELS = (2 ** 32 - 1) // 255  # pixels per table whose 8-bit sums fit uint32
 LEVEL_MEMO = 32  # pyramid levels a WindowStack keeps, the first it builds
+# Box offsets and extents stay below this, so every area, and any two
+# areas summed, lies below 2**53 and converts to float64 exactly. Every
+# rect of a frame of at most MAX_PIXELS pixels lies below it.
+MAX_COORD = 2 ** 26
 
 
 class BoundsError(ValueError):
@@ -43,16 +54,27 @@ class BoundsError(ValueError):
 
 def rect_problem(x: int, y: int, w: int, h: int) -> str | None:
     """What keeps offsets x, y and extents w, h from making a ``Rect``, or None."""
+    if 0 <= x < MAX_COORD and 0 <= y < MAX_COORD and 1 <= w < MAX_COORD and 1 <= h < MAX_COORD:
+        return None
     if x < 0 or y < 0:
         return "rect offsets must be >= 0"
     if w < 1 or h < 1:
         return "rect extents must be >= 1"
-    return None
+    return f"rect offsets and extents must lie below {MAX_COORD}"
+
+
+def rect_rows_problem(rows: np.ndarray) -> str | None:
+    """``rect_problem`` of the first (n, 4) integer row ``(x, y, w, h)`` it rejects, or None."""
+    bad = np.flatnonzero(~((rows >= (0, 0, 1, 1)) & (rows < MAX_COORD)).all(axis=1))
+    if not bad.size:
+        return None
+    row = rows[bad[0]].tolist()
+    return f"boxes[{bad[0]}] = {row}: {rect_problem(*row)}"
 
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle: offsets x, y and extents w, h (pixels)."""
+    """Axis-aligned rectangle: offsets x, y and extents w, h (pixels), held to ``rect_problem``."""
 
     x: int
     y: int
@@ -70,6 +92,13 @@ class Rect:
 
     def fits_in(self, width: int, height: int) -> bool:
         return self.x + self.w <= width and self.y + self.h <= height
+
+
+def rect_rows(rects: Sequence[Rect]) -> np.ndarray:
+    """``rects`` as (n, 4) int64 rows ``(x, y, w, h)``, filled straight from the fields."""
+    fields = map(operator.attrgetter("x", "y", "w", "h"), rects)
+    return np.fromiter(itertools.chain.from_iterable(fields), dtype=np.int64,
+                       count=4 * len(rects)).reshape(-1, 4)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ becomes a ``WeakClassifier`` and a ``Candidate``.
 
 ``search_best`` takes only what the search reads: the distribution, the
 window stack with its labels (built once by ``boosting.train``) and the
-config, whose ``family`` is the family drawn from.
+config, whose ``family`` is the family every genome, the initial
+population's included, is drawn from.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .features import (
     eval_batch,  # noqa: F401  boostbench/tracing.py wraps learner.eval_batch
     eval_features,
     field_values,
-    kind_of,
 )
 from .imaging import Rect
 
@@ -329,23 +329,17 @@ def _score(ids: Sequence[int], features: Sequence[Feature], stack: WindowStack,
 
 def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray,
                 config: LearnerConfig,
-                seed_features: Sequence[Feature] | None = None,
                 progress: Callable[[int, float, float], None] | None = None) -> Candidate:
     """Best weak classifier of ``config.family`` on ``stack`` under ``dist``.
 
     ``labels`` holds the -1/+1 label of each window of ``stack``. Both
     polarities are scored for every genome, so the returned error never
-    exceeds 0.5. ``seed_features``, all of ``config.family``, are planted
-    into the initial population (ahead of the random draws), ``progress``
-    receives (generation, best_epsilon, mean_epsilon) once per generation.
+    exceeds 0.5. ``progress`` receives (generation, best_epsilon,
+    mean_epsilon) once per generation.
     """
     if not len(dist) == len(stack) == len(labels):
         raise ValueError(f"{len(dist)} weights, {len(stack)} windows and "
                          f"{len(labels)} labels must match")
-    foreign = [f for f in seed_features or () if kind_of(f) is not config.family]
-    if foreign:
-        raise ValueError(f"seed feature {foreign[0]!r} is not of family "
-                         f"{config.family.value}")
     weights = dist.weights
 
     # every candidate gets a unique id; its RNG stream derives from the id,
@@ -354,9 +348,7 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
         return random.Random(derive_seed(config.seed, candidate_id))
 
     size = config.population_size
-    features = list(seed_features or [])[:size]
-    features += [random_feature(config.family, stream(cid))
-                 for cid in range(len(features), size)]
+    features = [random_feature(config.family, stream(cid)) for cid in range(size)]
     population = _score(range(size), features, stack, weights, labels)
     next_id = size
 

@@ -6,9 +6,9 @@ import pytest
 from boostdet.boosting import LabeledSample
 from boostdet.cli import main, parse_detections_csv
 from boostdet.dataset import list_pgm_files
-from boostdet.detector import MAX_COORD, Detections
+from boostdet.detector import Detections
 from boostdet.features import FeatureKind
-from boostdet.imaging import MAX_PIXELS, GrayImage
+from boostdet.imaging import MAX_COORD, MAX_PIXELS, GrayImage
 from boostdet.learner import LearnerConfig
 from boostdet.pgm import load_pgm, save_pgm
 from boostdet.pipeline import train_detector
@@ -293,6 +293,28 @@ def test_detect_rejects_a_frame_past_the_pixel_limit(tmp_path, capsys):
     assert main(["detect", "--model", str(model), "--frames", str(frames),
                  "--out", str(out)]) == 2
     assert f"{width} pixels, more than the {MAX_PIXELS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [None, "frame_id,x,y,w,h,margin\nold,1,2,3,4,0.5\n"],
+                         ids=["absent", "existing"])
+def test_detect_failing_on_a_later_frame_writes_nothing(tmp_path, dataset, capsys, existing):
+    model = tmp_path / "model.txt"
+    model.write_text(fixture_model_text("haar"), encoding="utf-8")
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    good = (dataset / "frames" / "frame_0000.pgm").read_bytes()
+    (frames / "a.pgm").write_bytes(good)
+    (frames / "b.pgm").write_bytes(good[:-10])  # truncated payload
+    out = tmp_path / "d.csv"
+    if existing is not None:
+        out.write_text(existing)
+    argv = ["detect", "--model", str(model), "--out", str(out), "--bias", "-1"]
+    assert main(argv + ["--frames", str(frames)]) == 2
+    assert "b.pgm" in capsys.readouterr().err
+    assert (out.read_text() if out.exists() else None) == existing
+    (frames / "b.pgm").unlink()  # the first frame alone detects something
+    assert main(argv + ["--frames", str(frames)]) == 0
+    assert len(out.read_text().splitlines()) > 1
 
 
 def test_wrong_canonical_model_rejected(tmp_path, dataset):

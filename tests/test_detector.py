@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from boostdet import imaging
 from boostdet.boosting import Stage, StrongClassifier, WeakClassifier, vote
 from boostdet.detector import (
-    MAX_COORD,
     Detection,
     Detections,
     ScanConfig,
@@ -33,7 +32,7 @@ from boostdet.features import (
     kind_of,
     mirror_rect,
 )
-from boostdet.imaging import LEVEL_MEMO, GrayImage, Rect, build_integral
+from boostdet.imaging import LEVEL_MEMO, MAX_COORD, GrayImage, Rect, build_integral
 from boostdet.learner import LearnerConfig, random_feature
 from boostdet.modelio import parse_model
 from boostdet.pipeline import train_detector
@@ -391,11 +390,12 @@ def test_nms_orders_infinite_margins():
     assert nms([low, apart, high]) == [high, apart]
 
 
-@pytest.mark.parametrize("box", [Rect(MAX_COORD, 0, 1, 1), Rect(0, 0, 1, MAX_COORD),
-                                 Rect(2 ** 64, 0, 1, 1)])
+@pytest.mark.parametrize("box", [(MAX_COORD, 0, 1, 1), (0, 0, 1, MAX_COORD),
+                                 (2 ** 64, 0, 1, 1)])
 def test_nms_rejects_boxes_beyond_exact_iou(box):
+    # the Rect itself refuses the box, before nms sees it
     with pytest.raises(ValueError, match="must lie below"):
-        nms([Detection(Rect(0, 0, 10, 10), 1.0), Detection(box, 0.5)])
+        nms([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(*box), 0.5)])
     edge = Detection(Rect(MAX_COORD - 1, 0, MAX_COORD - 1, MAX_COORD - 1), 0.5)
     assert nms([edge, edge]) == [edge]
 
@@ -541,9 +541,9 @@ def test_nms_rejects_nan_margin_in_arrays():
 
 def test_nms_rejects_array_boxes_beyond_exact_iou():
     dets = Detections.of([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(0, 0, 1, 1), 0.5)])
-    far = Detections(np.array([[0, 0, 10, 10], [MAX_COORD, 0, 1, 1]]), [1.0, 0.5])
+    # the record itself refuses the box, before nms sees it
     with pytest.raises(ValueError, match="must lie below"):
-        nms(far)
+        nms(Detections(np.array([[0, 0, 10, 10], [MAX_COORD, 0, 1, 1]]), [1.0, 0.5]))
     assert nms(dets) == list(dets)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from boostdet import evalkit
 from boostdet.dataset import AnnotationError, parse_annotations
-from boostdet.detector import MAX_COORD, Detection, Detections
+from boostdet.detector import Detection, Detections
 from boostdet.evalkit import (
     GroundTruthFrame,
     MatchResult,
@@ -25,7 +25,7 @@ from boostdet.evalkit import (
     pr_curve,
     roc_curve,
 )
-from boostdet.imaging import Rect
+from boostdet.imaging import MAX_COORD, Rect
 from oracles import greedy_match
 
 BOX = Rect(10, 10, 20, 20)
@@ -462,10 +462,12 @@ def test_truth_boxes_are_held_to_the_detection_bound(tmp_path, field, value):
 
 
 def test_evaluation_rejects_record_boxes_beyond_exact_iou():
-    far = Detections(np.array([[10, 10, 20, 20], [MAX_COORD, 0, 1, 1]]), [1.0, 0.5])
-    for evaluate in (lambda: match_frame(far, truth(BOX)),
-                     lambda: roc_curve({"f0": far}, [truth(BOX)]),
-                     lambda: pr_curve({"f0": far}, [truth(BOX)])):
+    # the record itself refuses the box, before the evaluation sees it
+    def far():
+        return Detections(np.array([[10, 10, 20, 20], [MAX_COORD, 0, 1, 1]]), [1.0, 0.5])
+    for evaluate in (lambda: match_frame(far(), truth(BOX)),
+                     lambda: roc_curve({"f0": far()}, [truth(BOX)]),
+                     lambda: pr_curve({"f0": far()}, [truth(BOX)])):
         with pytest.raises(ValueError, match="must lie below"):
             evaluate()
 

@@ -244,31 +244,6 @@ def small_set():
     return training_samples(30, 60, seed=5)
 
 
-def test_planted_perfect_feature_is_kept(small_set):
-    # a control-points probe that reads body vs bar pixels of every target
-    # is not available in closed form, so plant a feature found by a
-    # previous search and check elitism preserves a zero-error plant
-    config = LearnerConfig(family=FeatureKind.CONTROL_POINTS, population_size=20,
-                           generations=4, seed=1)
-    best = search_best(_uniform(small_set), *_stack_labels(small_set), config)
-    planted = best.weak.feature
-    again = search_best(_uniform(small_set), *_stack_labels(small_set),
-                        replace(config, seed=999), seed_features=[planted])
-    assert again.epsilon <= best.epsilon
-
-
-def test_search_never_beats_planted_zero(small_set):
-    config = LearnerConfig(family=FeatureKind.HAAR, population_size=30,
-                           generations=10, seed=2)
-    best = search_best(_uniform(small_set), *_stack_labels(small_set), config)
-    if best.epsilon == 0.0:
-        replay = search_best(_uniform(small_set), *_stack_labels(small_set),
-                             replace(config, generations=1),
-                             seed_features=[best.weak.feature])
-        assert replay.epsilon == 0.0
-        assert replay.weak.feature == best.weak.feature
-
-
 def test_result_not_worse_than_initial_population(small_set):
     config = LearnerConfig(family=FeatureKind.CHAIN, population_size=50,
                            generations=12, seed=11)
@@ -360,15 +335,6 @@ def test_search_rejects_mismatched_lengths(small_set):
         search_best(_uniform(small_set[1:]), stack, labels, config)
     with pytest.raises(ValueError, match="must match"):
         search_best(_uniform(small_set), stack, labels[1:], config)
-
-
-def test_search_rejects_seed_of_another_family(small_set):
-    # a generation is scored in one call, which takes one family only
-    config = LearnerConfig(family=FeatureKind.HAAR, population_size=4, generations=1)
-    chain = random_feature(FeatureKind.CHAIN, random.Random(5))
-    with pytest.raises(ValueError, match="not of family haar"):
-        search_best(_uniform(small_set), *_stack_labels(small_set), config,
-                    seed_features=[chain])
 
 
 def test_candidate_validation():
