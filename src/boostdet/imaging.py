@@ -1,9 +1,10 @@
 """Boxes, grayscale rasters, integral images and window stacks.
 
-``rect_problem`` is the one box rule: offsets >= 0, extents >= 1, all four
-below ``MAX_COORD``. A ``Rect`` runs it when built, and ``rect_rows_problem``
-on the (n, 4) int rows ``(x, y, w, h)`` that ``rect_rows`` makes of Rects and
-the detector and evaluation read, so no other module checks a box.
+``rect_problem`` is the one box rule: integer offsets >= 0 and extents >= 1,
+all four below ``MAX_COORD``. A ``Rect`` runs it when built, and
+``rect_rows_problem`` on the (n, 4) int rows ``(x, y, w, h)`` that
+``rect_rows`` makes of Rects and the detector and evaluation read, so no
+other module checks a box.
 
 Everything here is integer-exact where the contract says so, and
 rectangle sums are recovered with four lookups, bit-equal to a direct
@@ -53,7 +54,15 @@ class BoundsError(ValueError):
 
 
 def rect_problem(x: int, y: int, w: int, h: int) -> str | None:
-    """What keeps offsets x, y and extents w, h from making a ``Rect``, or None."""
+    """What keeps offsets x, y and extents w, h from making a ``Rect``, or None.
+
+    They must be integers (``int`` or a numpy integer; not ``bool``), since a
+    float would be truncated when the box becomes a row of ``rect_rows``.
+    """
+    # four Python ints, the common case, skip the slower isinstance tests
+    if not (type(x) is type(y) is type(w) is type(h) is int) and not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (x, y, w, h)):
+        return "rect offsets and extents must be integers, not bool or float"
     if 0 <= x < MAX_COORD and 0 <= y < MAX_COORD and 1 <= w < MAX_COORD and 1 <= h < MAX_COORD:
         return None
     if x < 0 or y < 0:

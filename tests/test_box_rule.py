@@ -75,3 +75,18 @@ def test_rows_problem_names_the_first_bad_row():
     assert rect_rows_problem(bad) == "boxes[1] = [0, 0, 0, 1]: rect extents must be >= 1"
     assert rect_rows_problem(bad[::2]) == (f"boxes[1] = [{MAX_COORD}, 0, 1, 1]: rect offsets "
                                            f"and extents must lie below {MAX_COORD}")
+
+
+@pytest.mark.parametrize("box", [(0.5, 0, 1.5, 1), (0, 0, 2.0, 1), (True, 0, 1, 1),
+                                 (0, 0, 1, np.True_), (0, float("nan"), 1, 1),
+                                 (0, 0, np.float64(3), 1), ("0", 0, 1, 1)])
+def test_a_box_of_floats_or_bools_is_refused(box):
+    # rect_rows would truncate a float, and a bool would be read as 0 or 1
+    assert rect_problem(*box) == "rect offsets and extents must be integers, not bool or float"
+    with pytest.raises(ValueError, match="must be integers"):
+        Rect(*box)
+
+
+def test_numpy_integers_make_a_box():
+    box = Rect(np.int64(1), np.int32(2), np.uint16(3), 4)
+    assert rect_rows([box]).tolist() == [[1, 2, 3, 4]]

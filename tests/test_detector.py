@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from boostdet import imaging
 from boostdet.boosting import Stage, StrongClassifier, WeakClassifier, vote
 from boostdet.detector import (
+    NMS_BLOCK,
     Detection,
     Detections,
     ScanConfig,
+    box_corners,
+    corner_iou,
     iou,
     nms,
     pyramid_levels,
@@ -32,7 +35,7 @@ from boostdet.features import (
     kind_of,
     mirror_rect,
 )
-from boostdet.imaging import LEVEL_MEMO, MAX_COORD, GrayImage, Rect, build_integral
+from boostdet.imaging import LEVEL_MEMO, MAX_COORD, GrayImage, Rect, build_integral, rect_rows
 from boostdet.learner import LearnerConfig, random_feature
 from boostdet.modelio import parse_model
 from boostdet.pipeline import train_detector
@@ -446,6 +449,81 @@ def _assert_nms_keeps_the_loop_rows(form, dets, thr):
     position = {id(d): i for i, d in enumerate(dets)}
     in_input_order = sorted(want, key=lambda d: position[id(d)])
     assert nms(form, overlap_threshold=thr, input_order=True) == in_input_order
+
+
+# margins with many ties and both signed zeros
+_TIED_MARGINS = (-1.5, -0.0, 0.0, 0.5, 2.0)
+
+
+@pytest.fixture(scope="module")
+def frame_windows():
+    """Every window an all-pass scan of a 128x96 frame reports, in scan order."""
+    return [Rect(x, y, w, h) for w, h, stride in pyramid_levels(128, 96, ScanConfig())
+            for y in range(0, 96 - h + 1, stride) for x in range(0, 128 - w + 1, stride)]
+
+
+@pytest.mark.parametrize("thr", [0.5, 1 / 3, 1.0, 5e-324])
+def test_nms_is_exact_on_every_window_of_a_frame(frame_windows, thr):
+    py = random.Random(41)
+    dets = [Detection(box, py.choice(_TIED_MARGINS)) for box in frame_windows]
+    assert len(dets) >= 4000
+    _assert_nms_keeps_the_loop_rows(Detections.of(dets), dets, thr)
+
+
+@pytest.mark.parametrize("n", [NMS_BLOCK - 1, NMS_BLOCK, NMS_BLOCK + 1, 2 * NMS_BLOCK])
+@pytest.mark.parametrize("thr", [0.5, 1 / 3, 1.0, 5e-324])
+def test_nms_is_exact_around_the_block_size(n, thr):
+    # boxes crowded into a small square, so most pairs overlap and some repeat
+    py = random.Random(n)
+    for _ in range(40):
+        dets = [Detection(Rect(py.randint(0, 6), py.randint(0, 6), py.randint(1, 6),
+                               py.randint(1, 6)), py.choice(_TIED_MARGINS)) for _ in range(n)]
+        _assert_nms_keeps_the_loop_rows(Detections.of(dets), dets, thr)
+
+
+_far_box = st.builds(Rect, st.integers(0, MAX_COORD - 1), st.integers(0, MAX_COORD - 1),
+                     st.integers(1, MAX_COORD - 1), st.integers(1, MAX_COORD - 1))
+# boxes near one another, so that most pairs overlap
+_near_box = st.builds(Rect, st.integers(MAX_COORD - 40, MAX_COORD - 1),
+                      st.integers(0, 40), st.integers(1, MAX_COORD - 1), st.integers(1, 40))
+
+
+@given(dets=st.lists(_far_box | _near_box, min_size=1, max_size=6),
+       truth=st.lists(_far_box | _near_box, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_corner_iou_is_iou_bit_for_bit(dets, truth):
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+    # one keep against the live rows, as in nms
+    rows = box_corners(rect_rows(dets))
+    got = corner_iou(rows[:, :1, None], rows[:, None, :])
+    assert bits(got) == bits([[iou(dets[0], b) for b in dets]])
+    # detections x truth, as in the evaluation's matching
+    got = corner_iou(rows[:, :, None], box_corners(rect_rows(truth))[:, None, :])
+    assert bits(got) == bits(np.reshape([[iou(d, t) for t in truth] for d in dets],
+                                        (len(dets), len(truth))))
+
+
+def test_indexing_detections_checks_no_row_again(rng, monkeypatch):
+    dets = scan(random_model(random.Random(23), n_stages=3), rand_image(rng, 60, 44),
+                ScanConfig(bias=float("-inf")))
+    calls = []
+    monkeypatch.setattr("boostdet.detector.rect_rows_problem", calls.append)
+    rows = list(dets)
+    picks = [dets[1:7:2], dets[np.array([4, 0, 4])], dets[dets.margins > 0], dets[...],
+             nms(dets)]
+    assert calls == []
+    assert picks[:3] == [rows[1:7:2], [rows[4], rows[0], rows[4]],
+                         [d for d in rows if d.margin > 0]]
+    for picked in picks:
+        # read-only copies, never views of the source record
+        for array, source in ((picked.boxes, dets.boxes), (picked.margins, dets.margins)):
+            assert not array.flags.writeable and not np.shares_memory(array, source)
+        assert picked.boxes.dtype == np.int64 and picked.margins.dtype == np.float64
+    for bad in (None, np.zeros((2, 2), dtype=np.intp), (Ellipsis, None)):
+        with pytest.raises(IndexError, match="must select rows"):
+            dets[bad]
 
 
 def _scan_reference(model, frame, cfg):
