@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .imaging import BoundsError, Rect, WindowStack, corner_sum, rect_problem, rect_rows
+from .imaging import BoundsError, Rect, WindowStack, corner_sum, integers, rect_problem
 
 CANONICAL_W = 32
 CANONICAL_H = 24
@@ -134,11 +134,17 @@ class ChainFeature:
 
     @property
     def pos_points(self) -> tuple[tuple[int, int], ...]:
-        return tuple((x, y) for x, y, t in self.chain if t)
+        return _chain_class(self.chain, True)
 
     @property
     def neg_points(self) -> tuple[tuple[int, int], ...]:
-        return tuple((x, y) for x, y, t in self.chain if not t)
+        return _chain_class(self.chain, False)
+
+
+def _chain_class(chain: tuple[tuple[int, int, bool], ...],
+                 positive: bool) -> tuple[tuple[int, int], ...]:
+    # the points of a chain whose tag is ``positive``
+    return tuple((x, y) for x, y, t in chain if bool(t) is positive)
 
 
 Feature = Union[HaarFeature, ControlPointsFeature, SymmetricHaarFeature, ChainFeature]
@@ -171,16 +177,21 @@ def validate_chain(points: Sequence[tuple[int, int]],
     if not MIN_CHAIN_LEN <= n <= MAX_CHAIN_LEN or len(set(map(tuple, points))) != n:
         return False
     px, py = points[0]
-    if not (0 <= px < width and 0 <= py < height):
+    if not _pixel(px, py, width, height):
         return False
     # the points are distinct, so Chebyshev distance 1 from the previous
     # point is a step of at most 1 along each axis
     for x, y in points[1:]:
-        if not (0 <= x < width and 0 <= y < height and -1 <= x - px <= 1
-                and -1 <= y - py <= 1):
+        if not (_pixel(x, y, width, height) and -1 <= x - px <= 1 and -1 <= y - py <= 1):
             return False
         px, py = x, y
     return True
+
+
+def _pixel(x, y, width: int, height: int) -> bool:
+    # integer coordinates inside the window; the evaluator reads points as
+    # int64 indices, which would truncate a float
+    return (type(x) is type(y) is int or integers(x, y)) and 0 <= x < width and 0 <= y < height
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +200,8 @@ def validate_chain(points: Sequence[tuple[int, int]],
 # A rule returns what is wrong with its field's value, or None; a rect
 # field's value may be a ``Rect`` or its (x, y, w, h) tuple. A genome is
 # valid iff every field passes its own rule, and no rule reads another
-# field. ``__post_init__`` raises the first problem found, and
-# ``learner.mutate`` checks only the field a move changes, before any
-# object is built.
+# field. ``__post_init__`` raises the first problem found, and the
+# learner checks only the field a move changes, and builds no object.
 
 Rule = Callable[[Any], Union[str, None]]
 
@@ -235,8 +245,8 @@ def _point_class(name: str) -> Rule:
         if len(set(points)) != len(points):
             return f"duplicate point in {name} class"
         for x, y in points:
-            if not (0 <= x < CANONICAL_W and 0 <= y < CANONICAL_H):
-                return f"point ({x}, {y}) outside canonical window"
+            if not _pixel(x, y, CANONICAL_W, CANONICAL_H):
+                return f"point ({x}, {y}) is not a pixel of the canonical window"
         return None
     return problem
 
@@ -316,11 +326,23 @@ def _local_points(points: np.ndarray, win_w: int,
 GEOMETRY_MEMO = 32  # window sizes a FeatureBatch keeps geometry for, oldest out first
 
 
+def _rect_pair(genomes: Sequence[tuple], a: int, b: int) -> np.ndarray:
+    # (2P, 4) int64 rows (x, y, w, h): rect field a of every genome, then
+    # rect field b; a field is a Rect or its (x, y, w, h) tuple
+    rects = [g[a] for g in genomes] + [g[b] for g in genomes]
+    coords = itertools.chain.from_iterable(
+        r if type(r) is tuple else (r.x, r.y, r.w, r.h) for r in rects)
+    return np.fromiter(coords, np.int64, count=4 * len(rects)).reshape(-1, 4)
+
+
 def _padded(classes: list[tuple[tuple[int, int], ...]]) -> np.ndarray:
-    # (P, k, 2): repeating a class's first point changes neither extreme,
-    # so classes padded to the longest are read in one gather
-    longest = max(len(points) for points in classes)
-    return np.array([points + (points[0],) * (longest - len(points)) for points in classes])
+    # (P, k, 2) int64: repeating a class's first point changes neither
+    # extreme, so classes padded to the longest are read in one gather
+    longest = max(map(len, classes))
+    padded = itertools.chain.from_iterable(
+        points + (points[0],) * (longest - len(points)) for points in classes)
+    return np.fromiter(itertools.chain.from_iterable(padded), np.int64,
+                       count=2 * longest * len(classes)).reshape(len(classes), longest, 2)
 
 
 def _normed_diffs(stack: WindowStack, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray,
@@ -343,10 +365,14 @@ def _point_extremes(stack: WindowStack, cols: np.ndarray, rows: np.ndarray) -> t
 
 
 class FeatureBatch:
-    """P features of one family as canonical arrays: ``(2P, 4)`` per rect
-    pair, padded ``(P, k, 2)`` per point class, ``(P,)`` per threshold, int16
-    separations. Geometry scaled to a window size is kept, read-only, for
-    the last ``GEOMETRY_MEMO`` sizes, but not a size it leaks out of (BoundsError).
+    """P features of one family as canonical arrays: int64 ``(2P, 4)`` per
+    rect pair, int64 padded ``(P, k, 2)`` per point class, float64 ``(P,)``
+    per threshold, int16 separations, each filled in one pass over the
+    features' constructor fields. ``FeatureBatch(features)`` reads the
+    fields of built features; ``from_fields`` takes the fields themselves,
+    as the learner holds its genomes, so no ``Feature`` is built. Geometry
+    scaled to a window size is kept, read-only, for the last
+    ``GEOMETRY_MEMO`` sizes, but not a size it leaks out of (BoundsError).
     """
 
     def __init__(self, features: Sequence[Feature]):
@@ -355,28 +381,43 @@ class FeatureBatch:
             names = ", ".join(sorted(t.__name__ for t in families))
             raise ValueError(f"expected features of one family, got [{names}]")
         family = families.pop()
+        if family not in FIELD_RULES:
+            raise TypeError(f"not a feature: {features[0]!r}")
+        self._fill(family, [field_values(f) for f in features])
 
-        def pair(a: str, b: str) -> np.ndarray:
-            return rect_rows([getattr(f, name) for name in (a, b) for f in features])
+    @classmethod
+    def from_fields(cls, family: type, genomes: Sequence[tuple]) -> "FeatureBatch":
+        """A batch of P ``family`` features, each given as its constructor
+        fields (``field_values``) that passed their ``FIELD_RULES``, so no
+        ``Feature`` is built; a rect field may be a Rect or an (x, y, w, h) tuple.
+        """
+        batch = cls.__new__(cls)
+        batch._fill(family, genomes)
+        return batch
 
+    def _fill(self, family: type, genomes: Sequence[tuple]) -> None:
+        # each array is filled in one pass over the fields
         if family is HaarFeature:
-            groups, limits = (pair("rect_a", "rect_b"),), ("threshold",)
+            groups, limits = (_rect_pair(genomes, 0, 1),), (2,)
         elif family is SymmetricHaarFeature:
-            left = pair("left_a", "left_b")
+            left = _rect_pair(genomes, 0, 1)
             x, y, w, h = left.T  # mirror_rect on every row
             groups = (left, np.stack([CANONICAL_W - x - w, y, w, h], axis=1),
-                      pair("mid_a", "mid_b"))
-            limits = ("t_left", "t_right", "t_mid", "sym_tol", "mid_margin")
-        elif family in (ControlPointsFeature, ChainFeature):
-            groups = (_padded([f.pos_points for f in features]),
-                      _padded([f.neg_points for f in features]))
-            limits = ("separation",)
-        else:
-            raise TypeError(f"not a feature: {features[0]!r}")
+                      _rect_pair(genomes, 2, 3))
+            limits = (4, 5, 6, 7, 8)
+        elif family is ControlPointsFeature:
+            groups = (_padded([g[0] for g in genomes]), _padded([g[1] for g in genomes]))
+            limits = (2,)
+        else:  # ChainFeature
+            groups = tuple(_padded([_chain_class(g[0], positive) for g in genomes])
+                           for positive in (True, False))
+            limits = (1,)
+        # a point family's one limit is its int16 separation, the rest are thresholds
+        dtype = np.int16 if family in (ControlPointsFeature, ChainFeature) else np.float64
         self.family = family
         self._groups = groups
-        self._limits = tuple(np.array([getattr(f, n) for f in features],
-                                      np.int16 if n == "separation" else None) for n in limits)
+        self._limits = tuple(np.fromiter((g[i] for g in genomes), dtype, count=len(genomes))
+                             for i in limits)
         self._scaled: dict[tuple[int, int], tuple] = {}
 
     def responses(self, stack: WindowStack) -> Iterable:

@@ -53,6 +53,11 @@ class BoundsError(ValueError):
     """A rectangle or window does not fit inside its image."""
 
 
+def integers(*values) -> bool:
+    """True iff every value is an ``int`` or a numpy integer, and none is a bool."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
 def rect_problem(x: int, y: int, w: int, h: int) -> str | None:
     """What keeps offsets x, y and extents w, h from making a ``Rect``, or None.
 
@@ -60,8 +65,7 @@ def rect_problem(x: int, y: int, w: int, h: int) -> str | None:
     float would be truncated when the box becomes a row of ``rect_rows``.
     """
     # four Python ints, the common case, skip the slower isinstance tests
-    if not (type(x) is type(y) is type(w) is type(h) is int) and not all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (x, y, w, h)):
+    if not (type(x) is type(y) is type(w) is type(h) is int) and not integers(x, y, w, h):
         return "rect offsets and extents must be integers, not bool or float"
     if 0 <= x < MAX_COORD and 0 <= y < MAX_COORD and 1 <= w < MAX_COORD and 1 <= h < MAX_COORD:
         return None
@@ -94,6 +98,10 @@ class Rect:
         problem = rect_problem(self.x, self.y, self.w, self.h)
         if problem is not None:
             raise ValueError(f"{problem}, got {self}")
+        # numpy integers become ints, so the box's own sums cannot wrap
+        if not (type(self.x) is type(self.y) is type(self.w) is type(self.h) is int):
+            for name in ("x", "y", "w", "h"):
+                object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def area(self) -> int:

@@ -3,14 +3,20 @@
 A mu+lambda loop: keep the best quarter of the population, refill with
 mutated elites plus a trickle of fresh random genomes, stop on stall or
 generation budget. Every genome is drawn from its own RNG stream derived
-from (seed, candidate index). A mutated child takes its moves on the
-parent's constructor fields, each proposal checked by the one field rule
-it changes (``features.FIELD_RULES``), and is built once, after its last
-move. The initial population and each generation's offspring are scored
-by one ``features.eval_features`` call on the calling thread; each
-candidate's two errors are then summed from its own row, in index order,
-into a plain ``(epsilon, id, feature, polarity)`` row. Only the winner
-becomes a ``WeakClassifier`` and a ``Candidate``.
+from (seed, candidate index). A genome is a feature's constructor fields
+(``features.field_values``). A fresh one is drawn by ``random_feature``,
+which builds and checks a ``Feature``; a mutated child takes its moves on
+its parent's fields, each proposal checked by the one field rule it
+changes (``features.FIELD_RULES``), and is never built. The initial
+population and each generation's offspring are scored by one
+``FeatureBatch.from_fields`` on the calling thread, read straight from
+the genomes, into plain ``(epsilon, id, genome, polarity)`` rows. Each
+candidate's two errors are summed over consecutive slices of one masked
+weight array, which hold the same values in the same order as the
+candidate's own row, so they round as a one-feature evaluation does. Only
+the winner becomes a ``Feature`` (with the constructor's full check), a
+``WeakClassifier`` and a ``Candidate``. ``mutate`` is the same moves on a
+``Feature``.
 
 ``search_best`` takes only what the search reads: the distribution, the
 window stack with its labels (built once by ``boosting.train``) and the
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,12 +43,12 @@ from .features import (
     ChainFeature,
     ControlPointsFeature,
     Feature,
+    FeatureBatch,
     FeatureKind,
     HaarFeature,
     SymmetricHaarFeature,
     WindowStack,
     eval_batch,  # noqa: F401  boostbench/tracing.py wraps learner.eval_batch
-    eval_features,
     field_values,
 )
 from .imaging import Rect
@@ -191,9 +197,10 @@ def random_feature(family: FeatureKind, rng: random.Random) -> Feature:
 _MAX_MUTATE_TRIES = 25
 
 # A move proposes (field index, value) for one field of a genome held as
-# its constructor fields; ``mutate`` keeps the proposal only if that
+# its constructor fields; ``_mutated`` keeps the proposal only if that
 # field's rule in ``features.FIELD_RULES`` passes. A nudged rect is an
-# (x, y, w, h) tuple, which the child's constructor makes a Rect.
+# (x, y, w, h) tuple, which ``FeatureBatch.from_fields`` reads as it is
+# and a constructor makes a Rect.
 
 
 def _nudged_rect(r: Rect | tuple[int, int, int, int],
@@ -280,6 +287,22 @@ _MOVES: dict[type, Callable[[list, random.Random], tuple[int, Any]]] = {
 }
 
 
+def _mutated(family: type, genome: tuple, rng: random.Random, moves: int) -> tuple:
+    # ``moves`` moves on a genome held as its constructor fields; the
+    # genome itself comes back when no move landed
+    move, rules = _MOVES[family], FIELD_RULES[family]
+    child = list(genome)
+    landed = False
+    for _ in range(moves):
+        for _ in range(_MAX_MUTATE_TRIES):
+            i, value = move(child, rng)
+            if rules[i](value) is None:
+                child[i] = value
+                landed = True
+                break
+    return tuple(child) if landed else genome
+
+
 def mutate(feature: Feature, rng: random.Random, moves: int = 1) -> Feature:
     """``moves`` random moves on ``feature``, one after another.
 
@@ -287,44 +310,48 @@ def mutate(feature: Feature, rng: random.Random, moves: int = 1) -> Feature:
     leaves the genome as it was. The child is built once, after the last
     move, and the input itself comes back when no move landed.
     """
-    family = type(feature)
-    move, rules = _MOVES[family], FIELD_RULES[family]
-    genome = list(field_values(feature))
-    landed = False
-    for _ in range(moves):
-        for _ in range(_MAX_MUTATE_TRIES):
-            i, value = move(genome, rng)
-            if rules[i](value) is None:
-                genome[i] = value
-                landed = True
-                break
-    if not landed:
-        return feature
-    return family(*genome)
+    genome = field_values(feature)
+    child = _mutated(type(feature), genome, rng, moves)
+    return feature if child is genome else type(feature)(*child)
 
 
 # ---------------------------------------------------------------------------
 # the search itself
 # ---------------------------------------------------------------------------
 
-# (epsilon, id, feature, polarity): rows sort by error, then by id; ids are
-# unique, so a feature is never compared
-Row = tuple[float, int, Feature, int]
+# (epsilon, id, genome, polarity): rows sort by error, then by id; ids are
+# unique, so a genome is never compared
+Row = tuple[float, int, tuple, int]
 
 
-def _score(ids: Sequence[int], features: Sequence[Feature], stack: WindowStack,
+def _score(ids: Sequence[int], family: type, genomes: Sequence[tuple], stack: WindowStack,
            weights: np.ndarray, labels: np.ndarray) -> list[Row]:
-    """One row per feature, all features evaluated in one call."""
-    mistakes = np.where(eval_features(features, stack), 1, -1) != labels
-    rows = []
-    # each error sums the selected weights of its own row, which rounds
-    # as a one-feature evaluation does; a matrix product would not
-    for cid, feature, wrong, right in zip(ids, features, mistakes, ~mistakes):
-        eps_plus = float(weights[wrong].sum())
-        eps_minus = float(weights[right].sum())
-        rows.append((eps_minus, cid, feature, -1) if eps_minus < eps_plus
-                    else (eps_plus, cid, feature, 1))
-    return rows
+    """One row per genome, all genomes evaluated by one batch."""
+    mistakes = FeatureBatch.from_fields(family, genomes).fired(stack) != (labels == 1)
+    return [(eps_minus, cid, genome, -1) if eps_minus < eps_plus
+            else (eps_plus, cid, genome, 1)
+            for cid, genome, (eps_plus, eps_minus)
+            in zip(ids, genomes, _errors(mistakes, weights))]
+
+
+def _errors(mistakes: np.ndarray, weights: np.ndarray) -> Iterator[tuple[float, float]]:
+    """Per row of ``mistakes``, the weight it gets wrong and the weight it
+    gets right, each as ``float(weights[row_mask].sum())`` would round it.
+
+    Row k's selected weights are one contiguous slice of one masked
+    array, the same values in the same order as ``weights[row_mask]``, so
+    numpy's pairwise sum adds them the same way; ``np.add.reduceat`` and a
+    matrix product would not.
+    """
+    every = np.broadcast_to(weights, mistakes.shape)
+    wrong, right = every[mistakes], every[~mistakes]
+    ends = np.cumsum(np.count_nonzero(mistakes, axis=1)).tolist()
+    n = mistakes.shape[1]
+    total = np.add.reduce  # what ndarray.sum calls, less its Python wrapper
+    start = 0
+    for k, end in enumerate(ends):
+        yield float(total(wrong[start:end])), float(total(right[k * n - start:(k + 1) * n - end]))
+        start = end
 
 
 def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray,
@@ -348,8 +375,10 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
         return random.Random(derive_seed(config.seed, candidate_id))
 
     size = config.population_size
-    features = [random_feature(config.family, stream(cid)) for cid in range(size)]
-    population = _score(range(size), features, stack, weights, labels)
+    initial = [random_feature(config.family, stream(cid)) for cid in range(size)]
+    family = type(initial[0])
+    population = _score(range(size), family, [field_values(f) for f in initial], stack,
+                        weights, labels)
     next_id = size
 
     elite_n = max(1, size // 4)
@@ -373,16 +402,17 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
 
         ids = range(next_id, next_id + child_n)
         next_id += child_n
-        offspring: list[Feature] = []
+        offspring: list[tuple] = []
         for k, cid in enumerate(ids):
             rng = stream(cid)
             if k < fresh_n:
-                offspring.append(random_feature(config.family, rng))
+                offspring.append(field_values(random_feature(config.family, rng)))
             else:
                 parent = elites[(k - fresh_n) % elite_n][2]
-                offspring.append(mutate(parent, rng, rng.randint(*MUTATIONS_PER_CHILD)))
+                offspring.append(_mutated(family, parent, rng,
+                                          rng.randint(*MUTATIONS_PER_CHILD)))
 
-        population = elites + _score(ids, offspring, stack, weights, labels)
+        population = elites + _score(ids, family, offspring, stack, weights, labels)
 
         gen_best = min(population)
         if gen_best[0] < best[0]:
@@ -392,6 +422,7 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
             stall += 1
         report(gen, best[0])
 
-    epsilon, _, feature, polarity = best
-    return Candidate(weak=WeakClassifier(feature=feature, polarity=polarity),
+    # the winner is the one genome the search builds, with every check
+    epsilon, _, genome, polarity = best
+    return Candidate(weak=WeakClassifier(feature=family(*genome), polarity=polarity),
                      epsilon=epsilon)

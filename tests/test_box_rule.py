@@ -90,3 +90,15 @@ def test_a_box_of_floats_or_bools_is_refused(box):
 def test_numpy_integers_make_a_box():
     box = Rect(np.int64(1), np.int32(2), np.uint16(3), 4)
     assert rect_rows([box]).tolist() == [[1, 2, 3, 4]]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_box_of_narrow_numpy_integers_does_not_wrap():
+    # uint8 fields would wrap 250 + 10 to 4 and 10 * 30 to 44, with a
+    # RuntimeWarning; the box holds them as ints
+    box = Rect(np.uint8(250), np.uint8(0), np.uint8(10), np.uint8(30))
+    assert all(type(v) is int for v in (box.x, box.y, box.w, box.h))
+    assert not box.fits_in(255, 255)
+    assert box.fits_in(260, 30)
+    assert box.area == 300
+    assert box == Rect(250, 0, 10, 30) and hash(box) == hash(Rect(250, 0, 10, 30))

@@ -20,6 +20,7 @@ from boostdet.features import (
     WindowStack,
     eval_batch,
     eval_features,
+    field_values,
     mirror_rect,
     validate_chain,
 )
@@ -114,6 +115,26 @@ def test_chain_feature_rules():
         ChainFeature(chain=((0, 0, True), (1, 0, True)), separation=10)
     f = ChainFeature(chain=((0, 0, True), (1, 1, False)), separation=10)
     assert f.pos_points == ((0, 0),) and f.neg_points == ((1, 1),)
+
+
+@pytest.mark.parametrize("point", [(1.5, 2), (1, 2.0), (True, 2), (1, np.float64(2)),
+                                   (1, np.True_), ("1", 2)])
+def test_a_point_of_floats_or_bools_is_refused(point):
+    # the evaluator reads points as int64 indices, which would truncate a float
+    with pytest.raises(ValueError, match="not a pixel"):
+        ControlPointsFeature(pos_points=(point,), neg_points=((0, 0),), separation=10)
+    x, y = point
+    with pytest.raises(ValueError, match="invalid 8-connected chain"):
+        ChainFeature(chain=((x, y, True), (2, 2, False)), separation=10)
+    assert not validate_chain([(2, 2), point])
+
+
+def test_numpy_integer_points_make_a_feature():
+    f = ControlPointsFeature(pos_points=((np.int64(1), np.uint8(2)),), neg_points=((0, 0),),
+                             separation=10)
+    assert FeatureBatch([f])._groups[0].tolist() == [[[1, 2]]]
+    assert ChainFeature(chain=((np.int16(1), 2, True), (2, np.int32(2), False)),
+                        separation=10).neg_points == ((2, 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -607,3 +628,32 @@ def test_scale_rect_always_fits(seed):
     assert _haar_response(r, r, frame, win) == 0.0
     assert (_haar_response(r, FULL, frame, win)
             == _oracle_response(scaled, scale_rect(FULL, win), frame, win))
+
+
+@pytest.mark.parametrize("family", list(FeatureKind), ids=lambda k: k.value)
+def test_batch_from_fields_is_the_batch_of_the_features(rng, family):
+    py = random.Random(83)
+    features = [random_feature(family, py) for _ in range(9)]
+    if family is FeatureKind.CONTROL_POINTS:  # classes of 1 and 6 points
+        features.append(ControlPointsFeature(pos_points=((3, 4),),
+                                             neg_points=tuple((i, 5) for i in range(6)),
+                                             separation=7))
+    # every other genome holds its rects as (x, y, w, h) tuples, as a nudge leaves them
+    genomes = [tuple((v.x, v.y, v.w, v.h) if k % 2 and isinstance(v, Rect) else v for v in g)
+               for k, g in enumerate(map(field_values, features))]
+    if family in (FeatureKind.HAAR, FeatureKind.SYMMETRIC_HAAR):
+        assert any(type(v) is tuple for g in genomes for v in g)
+    else:
+        assert len({len(f.pos_points) for f in features} | {len(f.neg_points)
+                                                             for f in features}) > 1
+    want = FeatureBatch(features)
+    got = FeatureBatch.from_fields(type(features[0]), genomes)
+    assert got.family is want.family
+    assert len(got._groups) == len(want._groups) and len(got._limits) == len(want._limits)
+    for a, b in zip(got._groups + got._limits, want._groups + want._limits):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    assert all(g.dtype == np.int64 for g in got._groups)
+    point = family in (FeatureKind.CONTROL_POINTS, FeatureKind.CHAIN)
+    assert all(t.dtype == (np.int16 if point else np.float64) for t in got._limits)
+    stack = WindowStack.from_images([rand_window(rng) for _ in range(20)])
+    assert np.array_equal(got.fired(stack), want.fired(stack))

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -326,6 +327,78 @@ def test_search_builds_one_weak_classifier_and_one_candidate(monkeypatch, small_
     best = search_best(_uniform(small_set), *_stack_labels(small_set), config)
     assert sorted(built) == ["candidate", "weak"]
     assert isinstance(best, CountingCandidate) and isinstance(best.weak, CountingWeak)
+
+
+@pytest.mark.parametrize("family", list(FeatureKind), ids=lambda k: k.value)
+def test_search_builds_a_feature_per_fresh_draw_and_one_for_the_winner(monkeypatch, small_set,
+                                                                       family):
+    # mutated children stay genomes: only random_feature's draws and the
+    # winner go through the constructor's full check
+    built, drawn, children = [], [], []
+    cls = FAMILY_TYPES[family]
+    post_init, draw, mutated = cls.__post_init__, learner.random_feature, learner._mutated
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_draw(*args):
+        drawn.append(args)
+        return draw(*args)
+
+    def counting_mutated(*args):
+        children.append(args)
+        return mutated(*args)
+
+    monkeypatch.setattr(cls, "__post_init__", counting_post_init)
+    monkeypatch.setattr(learner, "random_feature", counting_draw)
+    monkeypatch.setattr(learner, "_mutated", counting_mutated)
+    config = LearnerConfig(family=family, population_size=20, generations=6, seed=31)
+    best = search_best(_uniform(small_set), *_stack_labels(small_set), config)
+    assert children and len(drawn) > config.population_size
+    assert len(built) == len(drawn) + 1
+    assert best.weak.feature is built[-1]
+
+
+_SELECTED = (0, 1, 7, 8, 9, 128, 129, 300)
+
+
+class _FiredBatch:
+    """Stands in for FeatureBatch: ``fired`` returns the masks it was given."""
+
+    masks = None
+
+    @classmethod
+    def from_fields(cls, family, genomes):
+        return cls()
+
+    def fired(self, stack):
+        return self.masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), skew=st.floats(0.0, 40.0),
+       order=st.permutations(_SELECTED))
+def test_score_errors_are_the_row_sums_bit_for_bit(seed, skew, order):
+    # rows selecting 0, 1, 7, 8, 9, 128, 129 and all 300 windows, the
+    # block edges of numpy's pairwise sum, under weights spread over up
+    # to ~70 orders of magnitude
+    rng = np.random.default_rng(seed)
+    weights = np.exp(rng.normal(0.0, skew, 300))
+    weights /= weights.sum()
+    masks = np.zeros((len(order), 300), bool)
+    for row, count in zip(masks, order):
+        row[rng.choice(300, count, replace=False)] = True
+    want = [(float(weights[m].sum()), float(weights[~m].sum())) for m in masks]
+    got = list(learner._errors(masks, weights))
+    assert [(a.hex(), b.hex()) for a, b in got] == [(a.hex(), b.hex()) for a, b in want]
+    # every label -1: a window counts as a mistake exactly where it fires
+    with mock.patch.object(_FiredBatch, "masks", masks), \
+            mock.patch.object(learner, "FeatureBatch", _FiredBatch):
+        rows = learner._score(range(len(masks)), HaarFeature, [()] * len(masks), None,
+                              weights, np.full(300, -1))
+    assert [(eps.hex(), polarity) for eps, _, _, polarity in rows] == [
+        (minus.hex(), -1) if minus < plus else (plus.hex(), 1) for plus, minus in want]
 
 
 def test_search_rejects_mismatched_lengths(small_set):
