@@ -16,12 +16,13 @@ learner, so the learner searches the same stack that scores its answer.
 
 ``weak_predictions`` (+/-polarity per window of a ``WindowStack``) and
 ``vote`` (stage-ordered sum of alpha * prediction) are the one prediction
-and vote path: training, ``score``/``classify`` and ``detector.scan`` use
-them. A model builds its vote plan on the first ``vote`` and keeps it: one
-``FeatureBatch`` per VOTE_CHUNK same-family stages at most. ``vote``
-selects a chunk's stage votes in one ``np.where`` and adds their rows to
-the margins one stage at a time (the pairwise order of ``sum`` or
-``np.add.reduce`` moves bits).
+and vote path: training uses the first, ``detector.scan`` votes each
+pyramid level with the second, and a single window (``WindowStack.window``)
+is voted the same way. A model builds its vote plan on the first ``vote``
+and keeps it: one ``FeatureBatch`` per VOTE_CHUNK same-family stages at
+most. ``vote`` selects a chunk's stage votes in one ``np.where`` and adds
+their rows to the margins one stage at a time (the pairwise order of
+``sum`` or ``np.add.reduce`` moves bits).
 """
 
 from __future__ import annotations
@@ -280,12 +281,3 @@ def train(samples: Sequence[LabeledSample], rounds: int, learner: WeakLearner,
     model = StrongClassifier(stages=tuple(stages)) if stages else None
     return TrainResult(model=model, rounds=rows, stop_reason=stop_reason)
 
-
-def score(model: StrongClassifier, sample: LabeledSample) -> float:
-    """Margin of the weighted vote over all stages."""
-    return float(vote(model, WindowStack.from_images([sample.window]))[0])
-
-
-def classify(model: StrongClassifier, sample: LabeledSample, bias: float = 0.0) -> int:
-    """+1 iff the margin strictly exceeds ``bias``; ties reject."""
-    return 1 if score(model, sample) > bias else -1

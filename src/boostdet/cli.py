@@ -10,8 +10,10 @@ kept rows by their positions in the scan's ``Detections``. A sort on the
 box values would not do, because two levels can share a window size and
 differ only in stride. Margins are formatted from Python floats
 (``.tolist()``), whose ``repr`` round-trips, since NumPy 2 writes the
-``repr`` of a ``numpy.float64`` as ``np.float64(...)``. The file is opened
-only after every frame is scanned, so a failed run leaves ``--out`` as it was.
+``repr`` of a ``numpy.float64`` as ``np.float64(...)``. Each frame's rows
+are written once it is scanned, to a new file beside ``--out`` that
+replaces ``--out`` only when every frame is done, so a failed run leaves
+``--out`` as it was and nothing else behind.
 
 ``eval`` reads the CSV back as one ``Detections`` record per frame, with
 no ``Detection`` per row; a box that ``imaging.rect_problem`` rejects is
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 
 from .boosting import LabeledSample
@@ -177,16 +180,28 @@ def cmd_detect(args) -> int:
     cfg = ScanConfig(scale_factor=args.scale_factor, stride=args.stride,
                      min_window_w=args.min_window_w, bias=args.bias)
     check_iou_threshold("--nms-iou", args.nms_iou)
-    rows = ["frame_id,x,y,w,h,margin\n"]
-    for path in list_pgm_files(args.frames):
-        frame = load_pgm(path)
-        # rows go out in scan order, not in the margin order nms ranks by
-        kept = nms(scan(model, frame, cfg), overlap_threshold=args.nms_iou, input_order=True)
-        frame_id = os.path.basename(path)
-        rows += [f"{frame_id},{x},{y},{w},{h},{margin!r}\n"
-                 for (x, y, w, h), margin in zip(kept.boxes.tolist(), kept.margins.tolist())]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(rows)
+    paths = list_pgm_files(args.frames)
+    tmp = f"{args.out}.{os.urandom(4).hex()}.tmp"
+    # 0o666 less the umask, the mode ``open(args.out, "w")`` creates a file with
+    # (``tempfile`` makes 0o600); an existing ``--out`` keeps its own mode
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            if os.path.exists(args.out):
+                os.chmod(tmp, stat.S_IMODE(os.stat(args.out).st_mode))
+            fh.write("frame_id,x,y,w,h,margin\n")
+            for path in paths:
+                frame = load_pgm(path)
+                # rows go out in scan order, not in the margin order nms ranks by
+                kept = nms(scan(model, frame, cfg), overlap_threshold=args.nms_iou,
+                           input_order=True)
+                frame_id = os.path.basename(path)
+                fh.writelines(f"{frame_id},{x},{y},{w},{h},{margin!r}\n" for (x, y, w, h), margin
+                              in zip(kept.boxes.tolist(), kept.margins.tolist()))
+        os.replace(tmp, args.out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return 0
 
 

@@ -6,18 +6,17 @@ integral tables) serves every level and feature geometry stays integer.
 Each level is that stack's strided view ``WindowStack.level``, built once
 per stack and kept there, so the models scanned through one caller's
 stack share its views and ``sigma``. Its margins come from
-``boosting.vote``, the same vote that ``score`` and ``classify`` apply to
-a single crop. The model keeps its vote plan and each level's scaled
-geometry, so frames of one size scale it once.
+``boosting.vote``, which also scores a single window
+(``WindowStack.window``). The model keeps its vote plan and each level's
+scaled geometry, so frames of one size scale it once.
 
 Detections leave ``scan`` as one ``Detections`` record: an int64
 ``(n, 4)`` array of ``(x, y, w, h)`` boxes and a float64 ``(n,)`` array
-of margins, in scan order. It is a sequence of ``Detection`` values, but
-a ``Detection`` and its ``Rect`` are built only for the rows a caller
-indexes or iterates. ``nms`` and the evaluation read the arrays, and take
-any other sequence of ``Detection`` once, through ``Detections.of``. A
-record holds only boxes that ``imaging.rect_problem`` accepts, as a
-``Rect`` does, so nothing downstream checks a box again.
+of margins, in scan order. ``nms`` and the evaluation take records and
+read their arrays. A record is also a sequence of ``Detection`` values,
+each built, with its ``Rect``, only for a row a caller indexes or
+iterates. A record holds only boxes that ``imaging.rect_problem``
+accepts, as a ``Rect`` does, so nothing downstream checks a box again.
 
 ``nms`` is greedy suppression in suppress-forward form, the vectorised
 greedy NMS of the DPM release code (Felzenszwalb et al., TPAMI 2010):
@@ -45,8 +44,7 @@ import numpy as np
 
 from .boosting import StrongClassifier, vote
 from .features import CANONICAL_H, CANONICAL_W
-from .imaging import (MAX_COORD, GrayImage, Rect, WindowStack, build_integral, rect_rows,
-                      rect_rows_problem)
+from .imaging import MAX_COORD, GrayImage, Rect, WindowStack, build_integral, rect_rows_problem
 
 # live boxes ``nms`` resolves against each other at once: of 4 to 32, the
 # fastest on all-pass scans of 128x96 frames and near it at bias -1
@@ -120,15 +118,6 @@ class Detections(Sequence[Detection]):
     def __iter__(self):
         for (x, y, w, h), margin in zip(self.boxes.tolist(), self.margins.tolist()):
             yield Detection(Rect(x, y, w, h), margin)
-
-    @classmethod
-    def of(cls, detections: Sequence[Detection]) -> Detections:
-        """``detections`` as a record: a ``Detections`` as it is, any other
-        sequence of ``Detection`` converted once, its boxes by ``rect_rows``.
-        """
-        if isinstance(detections, Detections):
-            return detections
-        return cls(rect_rows([d.box for d in detections]), [d.margin for d in detections])
 
     def __eq__(self, other):
         if isinstance(other, Sequence):
@@ -309,7 +298,7 @@ def _kept_rows(dets: Detections, overlap_threshold: float) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
-def nms(detections: Sequence[Detection], overlap_threshold: float = 0.5,
+def nms(detections: Detections, overlap_threshold: float = 0.5,
         input_order: bool = False) -> Detections:
     """Greedy suppression: higher margins win, ties keep input order.
 
@@ -319,14 +308,13 @@ def nms(detections: Sequence[Detection], overlap_threshold: float = 0.5,
     before it overlaps it that much. The top ``NMS_BLOCK`` live boxes are
     resolved among themselves, then their keeps suppress the rest and the
     live boxes are compacted, so memory stays O(NMS_BLOCK * n), never
-    n x n. The kept rows come back as a
+    n x n. The kept rows of the record ``detections`` come back as a
     ``Detections``, in margin order, or with ``input_order`` in the order
     of the input. A NaN margin raises ValueError.
     """
     check_iou_threshold("overlap_threshold", overlap_threshold)
-    dets = Detections.of(detections)
-    check_margins(dets)
-    kept = _kept_rows(dets, overlap_threshold)
+    check_margins(detections)
+    kept = _kept_rows(detections, overlap_threshold)
     if input_order:
         kept.sort()
-    return dets[kept]
+    return detections[kept]

@@ -8,10 +8,11 @@ suffix of the margin-sorted detection list, so the greedy claims are
 computed once per frame, every frame's detections are ranked together by
 margin, and each sweep point is one search into the cumulative claims.
 
-Each entry point converts a frame's detections once, through
-``Detections.of``, to the record that the claims and the sweep read.
-Truth boxes are ``Rect`` values, held to ``imaging.rect_problem`` as a
-record's rows are, so no box is checked here.
+Every entry point takes each frame's detections as one ``Detections``
+record, whose arrays the claims and the sweep read; a frame with truth
+boxes but no detections reads an empty record. Truth boxes are ``Rect``
+values, held to ``imaging.rect_problem`` as a record's rows are, so no
+box is checked here.
 ``write_curves`` writes both curves as CSV for ``eval`` and the desk script.
 """
 
@@ -19,13 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detector import (Detection, Detections, box_corners, check_iou_threshold,
-                       check_margins, corner_iou, margin_order)
+from .detector import (Detections, box_corners, check_iou_threshold, check_margins, corner_iou,
+                       margin_order)
 from .imaging import Rect, rect_rows
+
+# the record of a frame with truth boxes but no detections
+_NO_DETECTIONS = Detections(np.empty((0, 4), dtype=np.int64), np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -83,37 +87,27 @@ def _greedy_claims(dets: Detections, boxes: Sequence[Rect],
     return order, claims
 
 
-def match_frame(dets: Sequence[Detection], truth: GroundTruthFrame,
+def match_frame(dets: Detections, truth: GroundTruthFrame,
                 iou_threshold: float = 0.5) -> MatchResult:
-    """One-to-one greedy match of detections against one frame's truth.
+    """One-to-one greedy match of a frame's record against its truth.
 
     A NaN margin raises ValueError.
     """
-    dets = Detections.of(dets)
     check_margins(dets)
     check_iou_threshold("iou_threshold", iou_threshold)
     tp = sum(_greedy_claims(dets, truth.boxes, iou_threshold)[1])
     return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(truth.boxes) - tp)
 
 
-def default_bias_sweep(detections: Mapping[str, Sequence[Detection]]) -> list[float]:
-    """Descending unique margins wrapped in +/- infinity sentinels."""
-    return _sentinel_sweep(map(Detections.of, detections.values()))
-
-
-def _sentinel_sweep(records: Iterable[Detections]) -> list[float]:
-    margins = sorted({m for dets in records for m in dets.margins.tolist()}, reverse=True)
-    return [math.inf] + margins + [-math.inf]
-
-
-def _sweep(detections: Mapping[str, Sequence[Detection]],
+def _sweep(detections: Mapping[str, Detections],
            truths: Sequence[GroundTruthFrame], bias_sweep: Sequence[float] | None,
            iou_threshold: float) -> tuple[list[tuple[float, int, int]], int, int]:
     """(bias, tp, fp) per sweep point, the truth-box count and the frame count.
 
     Frames are the union of annotated frames and frames with detections;
-    without any frame the sweep is empty. A NaN margin or bias, or a
-    frame id repeated in ``truths``, raises ValueError.
+    without any frame the sweep is empty. Without ``bias_sweep`` the sweep
+    is every distinct margin, descending, between +inf and -inf. A NaN
+    margin or bias, or a frame id repeated in ``truths``, raises ValueError.
     """
     check_iou_threshold("iou_threshold", iou_threshold)
     if bias_sweep is not None:
@@ -129,16 +123,17 @@ def _sweep(detections: Mapping[str, Sequence[Detection]],
     frame_ids = sorted(set(truth_by_id) | set(detections))
     if not frame_ids:
         return [], 0, 0
-    records, margins, claims = {}, [], []
+    margins, claims = [], []
     for fid in frame_ids:
-        dets = records[fid] = Detections.of(detections.get(fid, ()))
+        dets = detections.get(fid, _NO_DETECTIONS)
         check_margins(dets, f"detections[{fid!r}]")
         order, frame_claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
         margins.append(dets.margins[order])
         claims += frame_claims
     if bias_sweep is None:
         # in the caller's order, which decides the signed zero a tie keeps
-        bias_sweep = _sentinel_sweep(records[fid] for fid in detections)
+        distinct = {m for dets in detections.values() for m in dets.margins.tolist()}
+        bias_sweep = [math.inf] + sorted(distinct, reverse=True) + [-math.inf]
     # negated margins ascend; the detections kept at a bias form a prefix
     neg_margins = -np.concatenate(margins)
     rank = np.argsort(neg_margins, kind="stable")
@@ -148,7 +143,7 @@ def _sweep(detections: Mapping[str, Sequence[Detection]],
     return points, sum(map(len, truth_by_id.values())), len(frame_ids)
 
 
-def roc_curve(detections: Mapping[str, Sequence[Detection]],
+def roc_curve(detections: Mapping[str, Detections],
               truths: Sequence[GroundTruthFrame],
               bias_sweep: Sequence[float] | None = None,
               iou_threshold: float = 0.5) -> list[RocPoint]:
@@ -159,7 +154,7 @@ def roc_curve(detections: Mapping[str, Sequence[Detection]],
             for bias, tp, fp in points]
 
 
-def pr_curve(detections: Mapping[str, Sequence[Detection]],
+def pr_curve(detections: Mapping[str, Detections],
              truths: Sequence[GroundTruthFrame],
              bias_sweep: Sequence[float] | None = None,
              iou_threshold: float = 0.5) -> list[PrPoint]:

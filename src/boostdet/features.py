@@ -15,9 +15,9 @@ the tables and point families the pixels of the same stack, all P at a
 time. Geometry is scaled once per window size (``GEOMETRY_MEMO``) and
 kept in the form the evaluator reads: each rect's corners and area, each
 point's column and row.
-``eval_features`` and its one-feature call ``eval_batch`` build a batch
-per call; one window is scored as ``eval_batch(f, frame.window(win))``, so
-every path performs the same IEEE operations in the same order. The
+``eval_batch(f, stack)`` is the one-feature call, a batch of one built for
+that call; one window is scored as ``eval_batch(f, frame.window(win))``,
+so every path performs the same IEEE operations in the same order. The
 stacks, rectangle sums and window sigma come from ``imaging``;
 ``WindowStack`` is re-exported here.
 """
@@ -159,11 +159,6 @@ _KIND_BY_TYPE = {
 
 def kind_of(feature: Feature) -> FeatureKind:
     return _KIND_BY_TYPE[type(feature)]
-
-
-def mirror_rect(r: Rect, window_w: int) -> Rect:
-    """Reflect ``r`` across the vertical axis of a ``window_w`` wide window."""
-    return Rect(x=window_w - r.x - r.w, y=r.y, w=r.w, h=r.h)
 
 
 def validate_chain(points: Sequence[tuple[int, int]],
@@ -401,7 +396,7 @@ class FeatureBatch:
             groups, limits = (_rect_pair(genomes, 0, 1),), (2,)
         elif family is SymmetricHaarFeature:
             left = _rect_pair(genomes, 0, 1)
-            x, y, w, h = left.T  # mirror_rect on every row
+            x, y, w, h = left.T  # each left rect mirrored across the window's axis
             groups = (left, np.stack([CANONICAL_W - x - w, y, w, h], axis=1),
                       _rect_pair(genomes, 2, 3))
             limits = (4, 5, 6, 7, 8)
@@ -462,18 +457,8 @@ class FeatureBatch:
         return np.moveaxis(fired, -1, 0)
 
 
-def eval_features(features: Sequence[Feature], stack: WindowStack) -> np.ndarray:
-    """``FeatureBatch(features).fired(stack)``, built for this one call: row
-    k is bit-equal to ``eval_batch(features[k], stack)``, for far less cost.
-    """
-    return FeatureBatch(features).fired(stack)
-
-
 def eval_batch(feature: Feature, stack: WindowStack) -> np.ndarray:
-    """Evaluate ``feature`` on every window of ``stack``.
-
-    The one-feature call of ``eval_features``: returns booleans shaped
-    like the stack's leading axes.
-    """
-    return eval_features([feature], stack)[0]
+    """Evaluate ``feature`` on every window of ``stack``: booleans shaped
+    like the stack's leading axes, from a ``FeatureBatch`` of one."""
+    return FeatureBatch([feature]).fired(stack)[0]
 

@@ -143,13 +143,6 @@ class GrayImage:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    @classmethod
-    def constant(cls, width: int, height: int, value: int) -> "GrayImage":
-        return cls(np.full((height, width), value, dtype=np.uint8))
-
-    def pixel(self, x: int, y: int) -> int:
-        return int(self.pixels[y, x])
-
 
 def check_pixel_count(w: int, h: int, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` naming the limit if a ``w`` x ``h`` frame has more than ``MAX_PIXELS``."""

@@ -1,8 +1,10 @@
 """Binary PGM (P5, maxval 255) reading and writing.
 
 The reader is strict: anything off-grammar raises PgmError with the byte
-offset where parsing gave up, as does a frame past ``imaging.MAX_PIXELS``
-before its payload is read. A frame's pixels are a view of the bytes.
+offset where parsing gave up, as does a frame past ``imaging.MAX_PIXELS``.
+``load_pgm`` checks that limit on a first read of ``HEADER_BYTES``, before
+it reads the payload; a header longer than that is checked on the whole
+file, as ``parse_pgm`` does. A frame's pixels are a view of the bytes.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .imaging import GrayImage, check_pixel_count
+
+HEADER_BYTES = 4096  # what ``load_pgm`` reads first, to check a frame's size
 
 
 class PgmError(ValueError):
@@ -43,7 +47,9 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise PgmError(f"expected integer {what} near byte {pos}, got {token!r}") from None
 
 
-def parse_pgm(data: bytes) -> GrayImage:
+def _header(data: bytes) -> tuple[int, int, int]:
+    """Width, height and the offset of the payload, from a header that
+    ``data`` holds whole, with the whitespace after maxval."""
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
         raise PgmError(f"unsupported format {magic!r} at byte 0, only binary P5 is accepted")
@@ -56,7 +62,11 @@ def parse_pgm(data: bytes) -> GrayImage:
         raise PgmError(f"maxval must be 255, got {maxval} (header ends at byte {pos})")
     if pos >= len(data) or not data[pos:pos + 1].isspace():
         raise PgmError(f"expected single whitespace after maxval at byte {pos}")
-    pos += 1
+    return width, height, pos + 1
+
+
+def parse_pgm(data: bytes) -> GrayImage:
+    width, height, pos = _header(data)
     expected = width * height
     check_pixel_count(width, height, PgmError)
     if len(data) - pos < expected:
@@ -67,9 +77,23 @@ def parse_pgm(data: bytes) -> GrayImage:
 
 
 def load_pgm(path) -> GrayImage:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """``parse_pgm`` of the file at ``path``, with errors naming it.
+
+    A header that ends within the first ``HEADER_BYTES`` has its pixel
+    count checked before the rest is read; every token of such a header
+    ends inside that read, so it parses as in the whole file. Any other
+    header is checked by ``parse_pgm`` on the whole file.
+    """
     try:
+        with open(path, "rb") as fh:
+            try:
+                width, height, _ = _header(fh.read(HEADER_BYTES))
+            except PgmError:
+                pass
+            else:
+                check_pixel_count(width, height, PgmError)
+            fh.seek(0)
+            data = fh.read()
         return parse_pgm(data)
     except PgmError as exc:
         raise PgmError(f"{path}: {exc}") from None

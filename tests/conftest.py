@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from boostdet.boosting import LabeledSample, StrongClassifier, vote
+from boostdet.detector import Detections
 from boostdet.features import CANONICAL_H, CANONICAL_W
-from boostdet.imaging import GrayImage, Rect
+from boostdet.imaging import GrayImage, Rect, WindowStack, rect_rows
 
 
 @pytest.fixture
@@ -19,6 +21,30 @@ def rand_image(rng, width, height, lo=0, hi=256) -> GrayImage:
 
 def rand_window(rng, lo=0, hi=256) -> GrayImage:
     return rand_image(rng, CANONICAL_W, CANONICAL_H, lo, hi)
+
+
+def constant_image(width: int, height: int, value: int) -> GrayImage:
+    return GrayImage(np.full((height, width), value, dtype=np.uint8))
+
+
+def record(dets) -> Detections:
+    """``dets``, a sequence of ``Detection``, as one ``Detections`` record."""
+    return Detections(rect_rows([d.box for d in dets]), [d.margin for d in dets])
+
+
+def records(detections) -> dict[str, Detections]:
+    """A frame id -> ``Detection`` list mapping as one record per frame, in its order."""
+    return {fid: record(dets) for fid, dets in detections.items()}
+
+
+def score(model: StrongClassifier, sample: LabeledSample) -> float:
+    """The vote margin of one crop."""
+    return float(vote(model, WindowStack.from_images([sample.window]))[0])
+
+
+def classify(model: StrongClassifier, sample: LabeledSample, bias: float = 0.0) -> int:
+    """+1 iff the margin strictly exceeds ``bias``; ties reject."""
+    return 1 if score(model, sample) > bias else -1
 
 
 def rand_rect(rng, width, height) -> Rect:

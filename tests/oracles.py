@@ -78,6 +78,11 @@ def points_rule(window: GrayImage, pos_points, neg_points, separation: int) -> b
     return (min(pos) - max(neg) > separation) or (min(neg) - max(pos) > separation)
 
 
+def mirror_rect(r: Rect, window_w: int) -> Rect:
+    """Reflect ``r`` across the vertical axis of a ``window_w`` wide window."""
+    return Rect(x=window_w - r.x - r.w, y=r.y, w=r.w, h=r.h)
+
+
 def symmetric_rule(img: GrayImage, win: Rect, f, condition5_literal: bool = False) -> bool:
     """The five conditions spelled out one by one, canonical scale."""
     sigma = brute_std(img, win)
@@ -88,11 +93,8 @@ def symmetric_rule(img: GrayImage, win: Rect, f, condition5_literal: bool = Fals
         return abs(brute_rect_sum(img, abs_a) / abs_a.area
                    - brute_rect_sum(img, abs_b) / abs_b.area) / sigma
 
-    def mirrored(r: Rect) -> Rect:
-        return Rect(CANONICAL_W - r.x - r.w, r.y, r.w, r.h)
-
     d1 = normed_diff(f.left_a, f.left_b)
-    d2 = normed_diff(mirrored(f.left_a), mirrored(f.left_b))
+    d2 = normed_diff(mirror_rect(f.left_a, CANONICAL_W), mirror_rect(f.left_b, CANONICAL_W))
     d3 = normed_diff(f.mid_a, f.mid_b)
     if not d1 > f.t_left:
         return False

@@ -21,7 +21,6 @@ from boostdet.boosting import (
     WeightDistribution,
     alpha,
     beta,
-    score,
     update_weights,
     weak_predictions,
 )
@@ -42,7 +41,7 @@ from boostdet.learner import LearnerConfig, derive_seed, random_feature, search_
 from boostdet.modelio import dump_model, parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples, write_dataset
-from conftest import rand_image, rand_window
+from conftest import rand_image, rand_window, record, records, score
 from oracles import haar_rule, points_rule, symmetric_rule
 
 FULL = Rect(0, 0, CANONICAL_W, CANONICAL_H)
@@ -329,7 +328,7 @@ def test_criterion_9_evaluation_arithmetic():
     truths = []
     tp = fp = fn = 0
     for fid, (dets, boxes, expected) in fixture.items():
-        got = match_frame(dets, GroundTruthFrame(frame_id=fid, boxes=tuple(boxes)))
+        got = match_frame(record(dets), GroundTruthFrame(frame_id=fid, boxes=tuple(boxes)))
         assert got == expected, fid
         detections[fid] = dets
         truths.append(GroundTruthFrame(frame_id=fid, boxes=tuple(boxes)))
@@ -338,7 +337,7 @@ def test_criterion_9_evaluation_arithmetic():
         fn += expected.fn
     assert (tp, fp, fn) == (9, 5, 4)
 
-    roc = roc_curve(detections, truths, bias_sweep=[-math.inf])
+    roc = roc_curve(records(detections), truths, bias_sweep=[-math.inf])
     assert roc[0].tpr == pytest.approx(9 / 13)
     assert roc[0].fp_per_frame == pytest.approx(5 / 10)
 
@@ -346,7 +345,7 @@ def test_criterion_9_evaluation_arithmetic():
     boxes10 = [Rect(i * 100, 0, 40, 40) for i in range(10)]
     dets8 = [_d(i * 100, 0, margin=2.0) for i in range(8)]
     dets8 += [_d(i * 100, 500, margin=1.5) for i in range(2)]
-    pr = pr_curve({"g": dets8}, [GroundTruthFrame(frame_id="g", boxes=tuple(boxes10))],
+    pr = pr_curve({"g": record(dets8)}, [GroundTruthFrame(frame_id="g", boxes=tuple(boxes10))],
                   bias_sweep=[0.0])
     assert pr[0].precision == pytest.approx(0.8)
     assert pr[0].recall == pytest.approx(0.8)

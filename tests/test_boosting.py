@@ -19,8 +19,6 @@ from boostdet.boosting import (
     WeightDistribution,
     alpha,
     beta,
-    classify,
-    score,
     train,
     update_weights,
     vote,
@@ -40,7 +38,7 @@ from boostdet.learner import LearnerConfig, derive_seed, random_feature, search_
 from boostdet.modelio import dump_model, parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import training_samples
-from conftest import fixture_model_text, rand_image, rand_window
+from conftest import classify, constant_image, fixture_model_text, rand_image, rand_window, score
 
 PROBE = ControlPointsFeature(pos_points=((0, 0),), neg_points=((1, 1),), separation=100)
 
@@ -70,7 +68,7 @@ def weighted_error(h: WeakClassifier, dist: WeightDistribution, samples) -> floa
 
 def test_labeled_sample_validation(rng):
     with pytest.raises(ValueError):
-        LabeledSample(GrayImage.constant(8, 8, 0), 1)
+        LabeledSample(constant_image(8, 8, 0), 1)
     with pytest.raises(ValueError):
         LabeledSample(rand_window(rng), 0)
 

@@ -8,11 +8,11 @@ from boostdet.cli import main, parse_detections_csv
 from boostdet.dataset import list_pgm_files
 from boostdet.detector import Detections
 from boostdet.features import FeatureKind
-from boostdet.imaging import MAX_COORD, MAX_PIXELS, GrayImage
+from boostdet.imaging import MAX_COORD, MAX_PIXELS
 from boostdet.learner import LearnerConfig
 from boostdet.pgm import load_pgm, save_pgm
 from boostdet.pipeline import train_detector
-from conftest import fixture_model_text
+from conftest import constant_image, fixture_model_text
 
 FAST_TRAIN = ["--rounds", "4", "--population", "25", "--generations", "5"]
 
@@ -129,8 +129,8 @@ def test_non_canonical_crop_is_data_error(tmp_path):
     neg = tmp_path / "neg"
     pos.mkdir()
     neg.mkdir()
-    save_pgm(GrayImage.constant(8, 8, 0), pos / "a.pgm")
-    save_pgm(GrayImage.constant(32, 24, 0), neg / "b.pgm")
+    save_pgm(constant_image(8, 8, 0), pos / "a.pgm")
+    save_pgm(constant_image(32, 24, 0), neg / "b.pgm")
     rc = main(["train", "--family", "haar", "--positives", str(pos),
                "--negatives", str(neg), "--rounds", "1",
                "--out", str(tmp_path / "m.txt")])
@@ -145,7 +145,7 @@ def test_bad_crop_is_named_once(tmp_path, capsys, crop):
     pos.mkdir()
     neg.mkdir()
     (pos / "a.pgm").write_bytes(crop)
-    save_pgm(GrayImage.constant(32, 24, 0), neg / "b.pgm")
+    save_pgm(constant_image(32, 24, 0), neg / "b.pgm")
     capsys.readouterr()
     rc = main(["train", "--family", "haar", "--positives", str(pos),
                "--negatives", str(neg), "--rounds", "1",
@@ -275,7 +275,7 @@ def test_detect_skips_too_small_frames(tmp_path, dataset):
     assert run_train(dataset, model) == 0
     frames = tmp_path / "tiny"
     frames.mkdir()
-    save_pgm(GrayImage.constant(16, 12, 100), frames / "small.pgm")
+    save_pgm(constant_image(16, 12, 100), frames / "small.pgm")
     out = tmp_path / "d.csv"
     assert main(["detect", "--model", str(model), "--frames", str(frames),
                  "--out", str(out)]) == 0
@@ -330,13 +330,13 @@ def test_manifest_validates_files(tmp_path, capsys):
     neg = tmp_path / "neg"
     pos.mkdir()
     neg.mkdir()
-    save_pgm(GrayImage.constant(32, 24, 0), neg / "b.pgm")
+    save_pgm(constant_image(32, 24, 0), neg / "b.pgm")
     argv = ["train", "--family", "haar", "--positives", str(pos), "--negatives", str(neg),
             "--rounds", "1", "--out", str(tmp_path / "m.txt")]
     assert main(argv) == 2
     assert f"no positive crops found in {pos}" in capsys.readouterr().err
 
-    save_pgm(GrayImage.constant(32, 24, 0), pos / "a.pgm")
+    save_pgm(constant_image(32, 24, 0), pos / "a.pgm")
     (neg / "x.pgm").mkdir()  # listed as a crop, but not a file
     assert main(argv) == 2
     assert str(neg / "x.pgm") in capsys.readouterr().err
@@ -415,3 +415,43 @@ def test_frame_ids_with_commas_round_trip(tmp_path, dataset, capsys):
                  "--roc-out", str(tmp_path / "roc.csv"),
                  "--pr-out", str(tmp_path / "pr.csv")]) == 0
     assert "roc_auc" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("failure", ["later frame", "out is a directory"])
+def test_detect_failure_leaves_nothing_new_beside_out(tmp_path, dataset, capsys, failure):
+    model = tmp_path / "model.txt"
+    model.write_text(fixture_model_text("haar"), encoding="utf-8")
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    good = (dataset / "frames" / "frame_0000.pgm").read_bytes()
+    (frames / "a.pgm").write_bytes(good)
+    (frames / "b.pgm").write_bytes(good if failure == "out is a directory" else good[:-10])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "d.csv"
+    if failure == "out is a directory":
+        out.mkdir()
+    else:
+        out.write_text("frame_id,x,y,w,h,margin\n")
+    before = sorted(os.listdir(out_dir))
+    assert main(["detect", "--model", str(model), "--frames", str(frames), "--out", str(out),
+                 "--bias", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert sorted(os.listdir(out_dir)) == before
+
+
+def test_detect_out_has_the_mode_a_plain_open_gives(tmp_path, dataset):
+    model = tmp_path / "model.txt"
+    model.write_text(fixture_model_text("haar"), encoding="utf-8")
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w"):
+        pass
+    argv = ["detect", "--model", str(model), "--frames", str(dataset / "frames")]
+    out = tmp_path / "d.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert os.stat(out).st_mode == os.stat(reference).st_mode
+    # an existing file keeps its mode, as opening it for writing keeps it
+    os.chmod(out, 0o640)
+    assert main(argv + ["--out", str(out)]) == 0
+    assert os.stat(out).st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "model.txt", "reference.csv"]

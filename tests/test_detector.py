@@ -33,15 +33,14 @@ from boostdet.features import (
     HaarFeature,
     eval_batch,
     kind_of,
-    mirror_rect,
 )
 from boostdet.imaging import LEVEL_MEMO, MAX_COORD, GrayImage, Rect, build_integral, rect_rows
 from boostdet.learner import LearnerConfig, random_feature
 from boostdet.modelio import parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples
-from conftest import fixture_model_text, rand_image
-from oracles import brute_rect_sum, brute_std, points_rule, scale_point, scale_rect
+from conftest import constant_image, fixture_model_text, rand_image, record
+from oracles import brute_rect_sum, brute_std, mirror_rect, points_rule, scale_point, scale_rect
 
 
 def random_model(py: random.Random, n_stages: int = 5) -> StrongClassifier:
@@ -145,7 +144,7 @@ def test_scan_small_frame_is_empty(rng):
 def test_scan_constant_frame_all_below_bias(rng):
     f = HaarFeature(rect_a=Rect(0, 0, 8, 8), rect_b=Rect(8, 0, 8, 8), threshold=0.5)
     model = StrongClassifier(stages=(Stage(1.0, WeakClassifier(f, 1)),))
-    frame = GrayImage.constant(64, 48, 120)
+    frame = constant_image(64, 48, 120)
     assert scan(model, frame, ScanConfig(bias=0.0)) == []
 
 
@@ -307,20 +306,20 @@ def test_detection_on_planted_target():
 def test_nms_single_and_disjoint():
     d1 = Detection(Rect(0, 0, 10, 10), 1.0)
     d2 = Detection(Rect(50, 50, 10, 10), 0.5)
-    assert nms([d1]) == [d1]
-    assert nms([d1, d2]) == [d1, d2]
+    assert nms(record([d1])) == [d1]
+    assert nms(record([d1, d2])) == [d1, d2]
 
 
 def test_nms_identical_boxes_keeps_higher_margin():
     weak = Detection(Rect(4, 4, 10, 10), 0.5)
     strong = Detection(Rect(4, 4, 10, 10), 2.0)
-    assert nms([weak, strong]) == [strong]
+    assert nms(record([weak, strong])) == [strong]
 
 
 def test_nms_tie_prefers_scan_order():
     first = Detection(Rect(0, 0, 10, 10), 1.0)
     second = Detection(Rect(1, 0, 10, 10), 1.0)
-    assert nms([first, second]) == [first]
+    assert nms(record([first, second])) == [first]
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), thr=st.floats(0.1, 0.9))
@@ -333,7 +332,7 @@ def test_nms_output_properties(seed, thr):
         h = py.randint(1, 30)
         dets.append(Detection(Rect(py.randint(0, 40), py.randint(0, 40), w, h),
                               py.uniform(-3, 3)))
-    kept = nms(dets, overlap_threshold=thr)
+    kept = nms(record(dets), overlap_threshold=thr)
     assert all(d in dets for d in kept)
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
@@ -346,7 +345,7 @@ def test_nms_output_properties(seed, thr):
 
 @pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.5, 1.5, float("inf")])
 def test_nms_rejects_threshold_outside_unit_interval(bad):
-    disjoint = [Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(50, 50, 10, 10), 0.5)]
+    disjoint = record([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(50, 50, 10, 10), 0.5)])
     with pytest.raises(ValueError, match="overlap_threshold"):
         nms(disjoint, overlap_threshold=bad)
     assert nms(disjoint, overlap_threshold=1.0) == disjoint
@@ -375,22 +374,22 @@ _nms_threshold = (st.floats(0.0, 1.0, exclude_min=True)
 def test_nms_signed_zero_margins_tie():
     # equal rows, so only the sign of the kept zero shows which one was kept
     dets = [Detection(Rect(0, 0, 10, 10), 0.0), Detection(Rect(0, 0, 10, 10), -0.0)]
-    kept = nms(dets)
+    kept = nms(record(dets))
     assert len(kept) == 1 and math.copysign(1.0, kept[0].margin) == 1.0
-    assert math.copysign(1.0, nms(dets[::-1])[0].margin) == -1.0
+    assert math.copysign(1.0, nms(record(dets[::-1]))[0].margin) == -1.0
 
 
 def test_nms_rejects_nan_margin():
     dets = [Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(50, 50, 10, 10), math.nan)]
     with pytest.raises(ValueError, match=r"detections\[1\] has a NaN margin: Detection\("):
-        nms(dets)
+        nms(record(dets))
 
 
 def test_nms_orders_infinite_margins():
     low = Detection(Rect(0, 0, 10, 10), -math.inf)
     high = Detection(Rect(1, 0, 10, 10), math.inf)
     apart = Detection(Rect(50, 50, 10, 10), 0.0)
-    assert nms([low, apart, high]) == [high, apart]
+    assert nms(record([low, apart, high])) == [high, apart]
 
 
 @pytest.mark.parametrize("box", [(MAX_COORD, 0, 1, 1), (0, 0, 1, MAX_COORD),
@@ -398,16 +397,16 @@ def test_nms_orders_infinite_margins():
 def test_nms_rejects_boxes_beyond_exact_iou(box):
     # the Rect itself refuses the box, before nms sees it
     with pytest.raises(ValueError, match="must lie below"):
-        nms([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(*box), 0.5)])
+        nms(record([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(*box), 0.5)]))
     edge = Detection(Rect(MAX_COORD - 1, 0, MAX_COORD - 1, MAX_COORD - 1), 0.5)
-    assert nms([edge, edge]) == [edge]
+    assert nms(record([edge, edge])) == [edge]
 
 
 def test_nms_memory_stays_linear():
     # 6,400 overlapping boxes on a 2-pixel grid: an n x n float IoU
     # matrix alone would be 330 MB
-    dets = [Detection(Rect(2 * (i % 80), 2 * (i // 80), 16, 12), float(i % 7))
-            for i in range(6400)]
+    dets = record([Detection(Rect(2 * (i % 80), 2 * (i // 80), 16, 12), float(i % 7))
+                   for i in range(6400)])
     tracemalloc.start()
     try:
         kept = nms(dets)
@@ -425,7 +424,7 @@ def test_nms_memory_stays_linear():
 def test_nms_matches_loop_over_kept_boxes(boxes, picks, thr):
     # drawing from a few boxes makes duplicates common
     dets = [Detection(boxes[i % len(boxes)], m) for i, m in picks]
-    _assert_nms_keeps_the_loop_rows(dets, dets, thr)
+    _assert_nms_keeps_the_loop_rows(dets, thr)
 
 
 @given(boxes=st.lists(_nms_box, min_size=1, max_size=12),
@@ -433,12 +432,17 @@ def test_nms_matches_loop_over_kept_boxes(boxes, picks, thr):
        thr=_nms_threshold)
 @settings(max_examples=300, deadline=None)
 def test_nms_on_arrays_keeps_the_loop_rows(boxes, picks, thr):
+    # a record built straight from int32 box rows and a margin list, not
+    # through ``record``: the stored copies are int64 and float64 all the same
     dets = [Detection(boxes[i % len(boxes)], m) for i, m in picks]
-    _assert_nms_keeps_the_loop_rows(Detections.of(dets), dets, thr)
+    form = Detections(np.array([astuple(d.box) for d in dets], dtype=np.int32).reshape(-1, 4),
+                      [d.margin for d in dets])
+    _assert_nms_keeps_the_loop_rows(dets, thr, form)
 
 
-def _assert_nms_keeps_the_loop_rows(form, dets, thr):
+def _assert_nms_keeps_the_loop_rows(dets, thr, form=None):
     want = _loop_nms(dets, thr)
+    form = record(dets) if form is None else form
     got = nms(form, overlap_threshold=thr)
     assert isinstance(got, Detections)
     # equal rows in the same order; the signed zeros must agree too
@@ -467,7 +471,7 @@ def test_nms_is_exact_on_every_window_of_a_frame(frame_windows, thr):
     py = random.Random(41)
     dets = [Detection(box, py.choice(_TIED_MARGINS)) for box in frame_windows]
     assert len(dets) >= 4000
-    _assert_nms_keeps_the_loop_rows(Detections.of(dets), dets, thr)
+    _assert_nms_keeps_the_loop_rows(dets, thr)
 
 
 @pytest.mark.parametrize("n", [NMS_BLOCK - 1, NMS_BLOCK, NMS_BLOCK + 1, 2 * NMS_BLOCK])
@@ -478,7 +482,7 @@ def test_nms_is_exact_around_the_block_size(n, thr):
     for _ in range(40):
         dets = [Detection(Rect(py.randint(0, 6), py.randint(0, 6), py.randint(1, 6),
                                py.randint(1, 6)), py.choice(_TIED_MARGINS)) for _ in range(n)]
-        _assert_nms_keeps_the_loop_rows(Detections.of(dets), dets, thr)
+        _assert_nms_keeps_the_loop_rows(dets, thr)
 
 
 _far_box = st.builds(Rect, st.integers(0, MAX_COORD - 1), st.integers(0, MAX_COORD - 1),
@@ -609,16 +613,16 @@ def test_detections_reject_malformed_arrays(boxes, margins, message):
 
 
 def test_nms_rejects_nan_margin_in_arrays():
-    dets = Detections.of([Detection(Rect(0, 0, 10, 10), 1.0),
-                       Detection(Rect(50, 50, 10, 10), 0.5),
-                       Detection(Rect(9, 9, 10, 10), math.nan),
-                       Detection(Rect(3, 3, 10, 10), math.nan)])
+    dets = record([Detection(Rect(0, 0, 10, 10), 1.0),
+                   Detection(Rect(50, 50, 10, 10), 0.5),
+                   Detection(Rect(9, 9, 10, 10), math.nan),
+                   Detection(Rect(3, 3, 10, 10), math.nan)])
     with pytest.raises(ValueError, match=r"detections\[2\] has a NaN margin: Detection\("):
         nms(dets)
 
 
 def test_nms_rejects_array_boxes_beyond_exact_iou():
-    dets = Detections.of([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(0, 0, 1, 1), 0.5)])
+    dets = record([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(0, 0, 1, 1), 0.5)])
     # the record itself refuses the box, before nms sees it
     with pytest.raises(ValueError, match="must lie below"):
         nms(Detections(np.array([[0, 0, 10, 10], [MAX_COORD, 0, 1, 1]]), [1.0, 0.5]))

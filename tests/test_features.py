@@ -19,15 +19,13 @@ from boostdet.features import (
     SymmetricHaarFeature,
     WindowStack,
     eval_batch,
-    eval_features,
     field_values,
-    mirror_rect,
     validate_chain,
 )
 from boostdet.imaging import BoundsError, GrayImage, Rect, build_integral
 from boostdet.learner import random_feature
-from conftest import rand_image, rand_window
-from oracles import (brute_rect_sum, brute_std, haar_rule, points_rule, scale_rect,
+from conftest import constant_image, rand_image, rand_window
+from oracles import (brute_rect_sum, brute_std, haar_rule, mirror_rect, points_rule, scale_rect,
                      symmetric_rule)
 
 FULL = Rect(0, 0, CANONICAL_W, CANONICAL_H)
@@ -181,7 +179,7 @@ def test_chain_constraint_shrinks_search_space():
 # ---------------------------------------------------------------------------
 
 def test_eval_haar_constant_window_is_false():
-    img = GrayImage.constant(CANONICAL_W, CANONICAL_H, 90)
+    img = constant_image(CANONICAL_W, CANONICAL_H, 90)
     f = HaarFeature(rect_a=Rect(0, 0, 8, 8), rect_b=Rect(8, 8, 8, 8), threshold=0.0)
     assert fires(f, img) is False
 
@@ -236,7 +234,7 @@ def test_eval_haar_affine_invariant(seed, a, b):
 # ---------------------------------------------------------------------------
 
 def _uniform_window(value):
-    return GrayImage.constant(CANONICAL_W, CANONICAL_H, value)
+    return constant_image(CANONICAL_W, CANONICAL_H, value)
 
 
 def test_control_points_separated_true():
@@ -273,7 +271,7 @@ def test_control_points_matches_oracle(rng):
 def test_control_points_rejects_non_canonical():
     # a training window of another size never reaches the evaluator
     with pytest.raises(ValueError, match="canonical"):
-        LabeledSample(GrayImage.constant(8, 8, 0), 1)
+        LabeledSample(constant_image(8, 8, 0), 1)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), c=st.integers(-50, 50))
@@ -328,19 +326,19 @@ def test_point_rule_is_exact_at_the_uint8_extremes(path):
     crops = [GrayImage(frame.pixels[y:y + CANONICAL_H, x:x + CANONICAL_W]) for x, y in origins]
     # every value pattern of the three points occurs, so each class order
     # meets 0 against 255 and 254 against 255, where uint8 differences wrap
-    assert len({(c.pixel(3, 4), c.pixel(4, 4), c.pixel(5, 5)) for c in crops}) == 4 ** 3
+    assert len({(c.pixels[4, 3], c.pixels[4, 4], c.pixels[5, 5]) for c in crops}) == 4 ** 3
     ii = build_integral(frame)
     for family, features in _extreme_point_features().items():
         want = np.array([[points_rule(c, f.pos_points, f.neg_points, f.separation)
                           for c in crops] for f in features])
         if path == "crops":
-            got = eval_features(features, WindowStack.from_images(crops))
+            got = FeatureBatch(features).fired(WindowStack.from_images(crops))
         elif path == "level":
             level = ii.level(CANONICAL_W, CANONICAL_H, 1)
-            got = eval_features(features, level).reshape(len(features), -1)
+            got = FeatureBatch(features).fired(level).reshape(len(features), -1)
         else:
-            got = np.array([eval_features(features, ii.window(Rect(x, y, CANONICAL_W,
-                                                                   CANONICAL_H)))
+            got = np.array([FeatureBatch(features).fired(ii.window(Rect(x, y, CANONICAL_W,
+                                                                          CANONICAL_H)))
                             for x, y in origins]).T
         assert want.any() and not want.all()
         assert np.array_equal(got, want), family
@@ -382,7 +380,7 @@ def test_symmetric_window_gives_equal_left_right(rng):
 
 def test_symmetric_constant_window_false():
     py = random.Random(5)
-    img = GrayImage.constant(CANONICAL_W, CANONICAL_H, 100)
+    img = constant_image(CANONICAL_W, CANONICAL_H, 100)
     for _ in range(20):
         f = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
         if f.t_left > 0 and f.t_right > 0 and f.t_mid > 0:
@@ -495,7 +493,7 @@ def test_eval_features_rows_match_eval_batch(rng, family):
         assert len({len(f.pos_points) for f in features}) > 1
         assert len({len(f.neg_points) for f in features}) > 1
     for name, stack in _stacks(rng).items():
-        batch = eval_features(features, stack)
+        batch = FeatureBatch(features).fired(stack)
         assert batch.shape == (len(features),) + stack.sigma.shape, name
         for f, row in zip(features, batch):
             single = eval_batch(f, stack)
@@ -506,10 +504,10 @@ def test_eval_features_rows_match_eval_batch(rng, family):
 def test_eval_features_rejects_mixed_families():
     py = random.Random(43)
     mixed = [random_feature(FeatureKind.HAAR, py), random_feature(FeatureKind.CHAIN, py)]
-    stack = WindowStack.from_images([GrayImage.constant(CANONICAL_W, CANONICAL_H, 7)])
+    stack = WindowStack.from_images([constant_image(CANONICAL_W, CANONICAL_H, 7)])
     for features in (mixed, []):
         with pytest.raises(ValueError, match="one family"):
-            eval_features(features, stack)
+            FeatureBatch(features).fired(stack)
 
 
 @pytest.mark.parametrize("family", list(FeatureKind), ids=lambda k: k.value)
@@ -521,7 +519,7 @@ def test_feature_batch_memo_is_read_only_and_bounded(rng, family):
     sizes = [(CANONICAL_W + k, CANONICAL_H + k) for k in range(GEOMETRY_MEMO + 5)]
     for w, h in sizes:
         level = frame.level(w, h, 4)
-        assert np.array_equal(batch.fired(level), eval_features(features, level))
+        assert np.array_equal(batch.fired(level), FeatureBatch(features).fired(level))
         assert len(batch._scaled) <= GEOMETRY_MEMO
     assert list(batch._scaled) == sizes[-GEOMETRY_MEMO:]
     for geometry in batch._scaled.values():

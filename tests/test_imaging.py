@@ -19,7 +19,7 @@ from boostdet.imaging import (
     mean_and_sigma,
     summed_area_tables,
 )
-from conftest import rand_image, rand_rect
+from conftest import constant_image, rand_image, rand_rect
 from oracles import brute_rect_sum, resample_index, two_pass_std
 
 
@@ -48,7 +48,7 @@ def test_gray_image_validation():
     with pytest.raises(ValueError):
         GrayImage(np.array([[300, 0]]))
     img = GrayImage(np.array([[7]], dtype=np.uint8))
-    assert img.pixel(0, 0) == 7
+    assert img.pixels[0, 0] == 7
     with pytest.raises(ValueError):
         img.pixels[0, 0] = 1  # read-only after construction
 
@@ -64,7 +64,7 @@ def test_gray_image_rejects_values_that_are_not_8_bit_whole_numbers(value):
                          ids=["True", "3.0", "255.0", "int64-0"])
 def test_gray_image_converts_whole_numbers_once(value, pixel):
     img = GrayImage(np.array([[value]]))
-    assert img.pixels.dtype == np.uint8 and img.pixel(0, 0) == pixel
+    assert img.pixels.dtype == np.uint8 and img.pixels[0, 0] == pixel
     assert (img.width, img.height) == (1, 1)
 
 
@@ -90,7 +90,7 @@ def test_integral_2x2_corners():
 
 
 def test_integral_zero_image():
-    ii = build_integral(GrayImage.constant(5, 4, 0))
+    ii = build_integral(constant_image(5, 4, 0))
     assert not ii.sums.any()
     assert not ii.squared_sums.any()
 
@@ -171,7 +171,7 @@ def test_corner_sum_on_wrapping_uint32_tables_is_exact(data):
 
 
 def test_rect_sum_constant():
-    ii = build_integral(GrayImage.constant(10, 10, 5))
+    ii = build_integral(constant_image(10, 10, 5))
     assert window_sum(ii, Rect(2, 3, 3, 4)) == 60
 
 
@@ -181,7 +181,7 @@ def test_rect_sum_single_pixel():
 
 
 def test_rect_sum_out_of_bounds_names_rect():
-    ii = build_integral(GrayImage.constant(4, 4, 1))
+    ii = build_integral(constant_image(4, 4, 1))
     with pytest.raises(BoundsError, match="Rect"):
         window_sum(ii, Rect(2, 2, 3, 1))
 
@@ -204,7 +204,7 @@ def test_rect_sum_monotone_under_growth(rng):
 
 
 def test_window_stats_constant_clamps():
-    mean, std_dev = window_stats(GrayImage.constant(8, 8, 42), Rect(0, 0, 8, 8))
+    mean, std_dev = window_stats(constant_image(8, 8, 42), Rect(0, 0, 8, 8))
     assert mean == 42.0
     assert std_dev == SIGMA_MIN
 
@@ -287,11 +287,11 @@ def test_extract_window_matches_index_oracle(rng):
         for i in range(13):
             sx = win.x + resample_index(i, win.w, 13)
             sy = win.y + resample_index(j, win.h, 7)
-            assert out.pixel(i, j) == img.pixel(sx, sy)
+            assert out.pixels[j, i] == img.pixels[sy, sx]
 
 
 def test_extract_window_out_of_bounds():
-    img = GrayImage.constant(8, 8, 1)
+    img = constant_image(8, 8, 1)
     with pytest.raises(BoundsError):
         extract_window(img, Rect(4, 4, 8, 8), 4, 4)
     with pytest.raises(ValueError):

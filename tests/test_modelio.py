@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boostdet.boosting import LabeledSample, Stage, StrongClassifier, WeakClassifier, score
+from boostdet.boosting import LabeledSample, Stage, StrongClassifier, WeakClassifier
 from boostdet.features import FeatureKind
 from boostdet.learner import random_feature
 from boostdet.modelio import (
@@ -17,7 +17,7 @@ from boostdet.modelio import (
     parse_model,
     save_model,
 )
-from conftest import rand_window
+from conftest import rand_window, score
 
 
 def mixed_model(py: random.Random, stages_per_family: int = 2) -> StrongClassifier:
