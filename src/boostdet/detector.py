@@ -13,10 +13,9 @@ scaled geometry, so frames of one size scale it once.
 Detections leave ``scan`` as one ``Detections`` record: an int64
 ``(n, 4)`` array of ``(x, y, w, h)`` boxes and a float64 ``(n,)`` array
 of margins, in scan order. ``nms`` and the evaluation take records and
-read their arrays. A record is also a sequence of ``Detection`` values,
-each built, with its ``Rect``, only for a row a caller indexes or
-iterates. A record holds only boxes that ``imaging.rect_problem``
-accepts, as a ``Rect`` does, so nothing downstream checks a box again.
+read their arrays. A record holds only boxes that ``imaging.rect_problem``
+accepts, as a ``Rect`` does, and no NaN margin, so nothing downstream
+checks a row again.
 
 ``nms`` is greedy suppression in suppress-forward form, the vectorised
 greedy NMS of the DPM release code (Felzenszwalb et al., TPAMI 2010):
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -59,23 +57,23 @@ class Detection:
     margin: float
 
 
-class Detections(Sequence[Detection]):
+class Detections:
     """Detections as arrays: ``boxes`` (n, 4) int64 rows ``(x, y, w, h)``
     and ``margins`` (n,) float64, both read-only copies of the inputs.
 
-    As a sequence, ``len``, iteration and an integer index give
-    ``Detection`` values with Python ints and floats, built on access; a
-    slice, an index array or a boolean mask gives another ``Detections``
-    of copies of the selected rows, which are not checked again. An index
-    that selects no row axis (``None``, a 2-d index array) raises IndexError.
-    ``==`` compares row by row with another ``Detections`` or with any
-    sequence of ``Detection``. Boxes that are not integers of shape
-    (n, 4), a box that ``imaging.rect_rows_problem`` rejects, or a margin
-    count other than n raise ValueError.
+    A slice, an index array or a boolean mask gives another ``Detections``
+    of copies of the selected rows, which are not checked again; any other
+    index (an integer, ``None``, a 2-d index array) raises IndexError.
+    Boxes that are not integers of shape (n, 4), a box that
+    ``imaging.rect_rows_problem`` rejects, a margin count other than n or
+    a NaN margin raise ValueError; a NaN has no place in a margin order,
+    while +-inf are accepted, because their order is well defined.
+    Iteration gives ``Detection`` values with Python ints and floats; it
+    and ``Detection`` stay only for ``boostbench``'s
+    ``workloads.detections_text``, until the benchmark reads the arrays.
     """
 
     __slots__ = ("boxes", "margins")
-    __hash__ = None
 
     def __init__(self, boxes, margins):
         boxes = np.asarray(boxes)
@@ -92,7 +90,11 @@ class Detections(Sequence[Detection]):
         problem = rect_rows_problem(boxes)
         if problem is not None:
             raise ValueError(problem)
-        self._hold(boxes.astype(np.int64), margins.astype(np.float64))
+        margins = margins.astype(np.float64)
+        nan = np.flatnonzero(np.isnan(margins))
+        if nan.size:
+            raise ValueError(f"margins[{nan[0]}] is NaN")
+        self._hold(boxes.astype(np.int64), margins)
 
     def _hold(self, boxes: np.ndarray, margins: np.ndarray) -> None:
         boxes.flags.writeable = False
@@ -103,10 +105,7 @@ class Detections(Sequence[Detection]):
     def __len__(self) -> int:
         return len(self.margins)
 
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            x, y, w, h = self.boxes[key].tolist()
-            return Detection(Rect(x, y, w, h), self.margins[key].item())
+    def __getitem__(self, key) -> Detections:
         margins = self.margins[key]
         if np.ndim(margins) != 1:
             raise IndexError(f"a Detections index must select rows, got {key!r}")
@@ -118,11 +117,6 @@ class Detections(Sequence[Detection]):
     def __iter__(self):
         for (x, y, w, h), margin in zip(self.boxes.tolist(), self.margins.tolist()):
             yield Detection(Rect(x, y, w, h), margin)
-
-    def __eq__(self, other):
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
 
     def __repr__(self) -> str:
         return f"Detections(boxes={self.boxes!r}, margins={self.margins!r})"
@@ -265,17 +259,6 @@ def check_iou_threshold(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
-def check_margins(detections: Detections, source: str = "detections") -> None:
-    """Raise ValueError naming the first detection with a NaN margin.
-
-    A NaN compares false with everything, so it has no place in a margin
-    order; +-inf are accepted, because their order is well defined.
-    """
-    bad = np.flatnonzero(np.isnan(detections.margins))
-    if bad.size:
-        raise ValueError(f"{source}[{bad[0]}] has a NaN margin: {detections[int(bad[0])]}")
-
-
 def _kept_rows(dets: Detections, overlap_threshold: float) -> np.ndarray:
     """Row indices that greedy suppression keeps, in margin order."""
     order = margin_order(dets.margins)
@@ -310,10 +293,9 @@ def nms(detections: Detections, overlap_threshold: float = 0.5,
     live boxes are compacted, so memory stays O(NMS_BLOCK * n), never
     n x n. The kept rows of the record ``detections`` come back as a
     ``Detections``, in margin order, or with ``input_order`` in the order
-    of the input. A NaN margin raises ValueError.
+    of the input.
     """
     check_iou_threshold("overlap_threshold", overlap_threshold)
-    check_margins(detections)
     kept = _kept_rows(detections, overlap_threshold)
     if input_order:
         kept.sort()

@@ -10,9 +10,10 @@ margin, and each sweep point is one search into the cumulative claims.
 
 Every entry point takes each frame's detections as one ``Detections``
 record, whose arrays the claims and the sweep read; a frame with truth
-boxes but no detections reads an empty record. Truth boxes are ``Rect``
-values, held to ``imaging.rect_problem`` as a record's rows are, so no
-box is checked here.
+boxes but no detections reads an empty record. A record holds no NaN
+margin, and truth boxes are ``Rect`` values, held to
+``imaging.rect_problem`` as a record's rows are, so no row or box is
+checked here.
 ``write_curves`` writes both curves as CSV for ``eval`` and the desk script.
 """
 
@@ -24,8 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detector import (Detections, box_corners, check_iou_threshold, check_margins, corner_iou,
-                       margin_order)
+from .detector import Detections, box_corners, check_iou_threshold, corner_iou, margin_order
 from .imaging import Rect, rect_rows
 
 # the record of a frame with truth boxes but no detections
@@ -89,11 +89,7 @@ def _greedy_claims(dets: Detections, boxes: Sequence[Rect],
 
 def match_frame(dets: Detections, truth: GroundTruthFrame,
                 iou_threshold: float = 0.5) -> MatchResult:
-    """One-to-one greedy match of a frame's record against its truth.
-
-    A NaN margin raises ValueError.
-    """
-    check_margins(dets)
+    """One-to-one greedy match of a frame's record against its truth."""
     check_iou_threshold("iou_threshold", iou_threshold)
     tp = sum(_greedy_claims(dets, truth.boxes, iou_threshold)[1])
     return MatchResult(tp=tp, fp=len(dets) - tp, fn=len(truth.boxes) - tp)
@@ -107,7 +103,7 @@ def _sweep(detections: Mapping[str, Detections],
     Frames are the union of annotated frames and frames with detections;
     without any frame the sweep is empty. Without ``bias_sweep`` the sweep
     is every distinct margin, descending, between +inf and -inf. A NaN
-    margin or bias, or a frame id repeated in ``truths``, raises ValueError.
+    bias, or a frame id repeated in ``truths``, raises ValueError.
     """
     check_iou_threshold("iou_threshold", iou_threshold)
     if bias_sweep is not None:
@@ -126,7 +122,6 @@ def _sweep(detections: Mapping[str, Detections],
     margins, claims = [], []
     for fid in frame_ids:
         dets = detections.get(fid, _NO_DETECTIONS)
-        check_margins(dets, f"detections[{fid!r}]")
         order, frame_claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
         margins.append(dets.margins[order])
         claims += frame_claims

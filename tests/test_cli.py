@@ -213,7 +213,7 @@ def test_parse_detections_round_trip(tmp_path):
     parsed = parse_detections_csv(dets)
     assert all(isinstance(frame, Detections) for frame in parsed.values())
     assert len(parsed["f0"]) == 2
-    assert parsed["f0"][1].margin == -1.25
+    assert parsed["f0"].margins.tolist() == [0.5, -1.25]
 
 
 @pytest.mark.parametrize("value", [MAX_COORD, 10 ** 30], ids=["2^26", "10^30"])

@@ -138,14 +138,14 @@ def test_pyramid_levels_skip_repeated_powers():
 def test_scan_small_frame_is_empty(rng):
     model = random_model(random.Random(3))
     frame = rand_image(rng, CANONICAL_W - 1, CANONICAL_H * 2)
-    assert scan(model, frame) == []
+    assert len(scan(model, frame)) == 0
 
 
 def test_scan_constant_frame_all_below_bias(rng):
     f = HaarFeature(rect_a=Rect(0, 0, 8, 8), rect_b=Rect(8, 0, 8, 8), threshold=0.5)
     model = StrongClassifier(stages=(Stage(1.0, WeakClassifier(f, 1)),))
     frame = constant_image(64, 48, 120)
-    assert scan(model, frame, ScanConfig(bias=0.0)) == []
+    assert len(scan(model, frame, ScanConfig(bias=0.0))) == 0
 
 
 def test_scan_matches_per_window_reference(rng):
@@ -256,14 +256,14 @@ def test_scan_is_deterministic(rng):
     frame = rand_image(rng, 96, 72)
     model = random_model(random.Random(11), n_stages=4)
     cfg = ScanConfig(bias=-10.0)
-    assert scan(model, frame, cfg) == scan(model, frame, cfg)
+    assert list(scan(model, frame, cfg)) == list(scan(model, frame, cfg))
 
 
 def test_scan_rejects_integral_of_another_size(rng):
     frame = rand_image(rng, 52, 40)
     model = random_model(random.Random(13), n_stages=4)
     cfg = ScanConfig(bias=float("-inf"))
-    assert scan(model, frame, cfg, ii=build_integral(frame)) == scan(model, frame, cfg)
+    assert list(scan(model, frame, cfg, ii=build_integral(frame))) == list(scan(model, frame, cfg))
     for w, h in ((40, 30), (52, 41), (60, 40)):
         with pytest.raises(ValueError, match=f"integral image is {w}x{h}, frame is 52x40"):
             scan(model, frame, cfg, ii=build_integral(rand_image(rng, w, h)))
@@ -275,7 +275,8 @@ def test_scan_rejects_integral_of_another_frame():
     cfg = ScanConfig(bias=-1.0)
     with pytest.raises(ValueError, match="other pixels than the frame"):
         scan(model, frame0, cfg, ii=build_integral(frame1))
-    assert scan(model, frame0, cfg, ii=build_integral(frame0)) == scan(model, frame0, cfg)
+    assert (list(scan(model, frame0, cfg, ii=build_integral(frame0)))
+            == list(scan(model, frame0, cfg)))
 
 
 def test_scan_bias_monotone(rng):
@@ -306,20 +307,20 @@ def test_detection_on_planted_target():
 def test_nms_single_and_disjoint():
     d1 = Detection(Rect(0, 0, 10, 10), 1.0)
     d2 = Detection(Rect(50, 50, 10, 10), 0.5)
-    assert nms(record([d1])) == [d1]
-    assert nms(record([d1, d2])) == [d1, d2]
+    assert list(nms(record([d1]))) == [d1]
+    assert list(nms(record([d1, d2]))) == [d1, d2]
 
 
 def test_nms_identical_boxes_keeps_higher_margin():
     weak = Detection(Rect(4, 4, 10, 10), 0.5)
     strong = Detection(Rect(4, 4, 10, 10), 2.0)
-    assert nms(record([weak, strong])) == [strong]
+    assert list(nms(record([weak, strong]))) == [strong]
 
 
 def test_nms_tie_prefers_scan_order():
     first = Detection(Rect(0, 0, 10, 10), 1.0)
     second = Detection(Rect(1, 0, 10, 10), 1.0)
-    assert nms(record([first, second])) == [first]
+    assert list(nms(record([first, second]))) == [first]
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), thr=st.floats(0.1, 0.9))
@@ -332,7 +333,7 @@ def test_nms_output_properties(seed, thr):
         h = py.randint(1, 30)
         dets.append(Detection(Rect(py.randint(0, 40), py.randint(0, 40), w, h),
                               py.uniform(-3, 3)))
-    kept = nms(record(dets), overlap_threshold=thr)
+    kept = list(nms(record(dets), overlap_threshold=thr))
     assert all(d in dets for d in kept)
     for i, a in enumerate(kept):
         for b in kept[i + 1:]:
@@ -348,7 +349,7 @@ def test_nms_rejects_threshold_outside_unit_interval(bad):
     disjoint = record([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(50, 50, 10, 10), 0.5)])
     with pytest.raises(ValueError, match="overlap_threshold"):
         nms(disjoint, overlap_threshold=bad)
-    assert nms(disjoint, overlap_threshold=1.0) == disjoint
+    assert list(nms(disjoint, overlap_threshold=1.0)) == list(disjoint)
 
 
 def _loop_nms(detections, overlap_threshold):
@@ -375,13 +376,14 @@ def test_nms_signed_zero_margins_tie():
     # equal rows, so only the sign of the kept zero shows which one was kept
     dets = [Detection(Rect(0, 0, 10, 10), 0.0), Detection(Rect(0, 0, 10, 10), -0.0)]
     kept = nms(record(dets))
-    assert len(kept) == 1 and math.copysign(1.0, kept[0].margin) == 1.0
-    assert math.copysign(1.0, nms(record(dets[::-1]))[0].margin) == -1.0
+    assert len(kept) == 1 and math.copysign(1.0, kept.margins[0]) == 1.0
+    assert math.copysign(1.0, nms(record(dets[::-1])).margins[0]) == -1.0
 
 
 def test_nms_rejects_nan_margin():
+    # the record itself refuses the NaN, before nms sees it
     dets = [Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(50, 50, 10, 10), math.nan)]
-    with pytest.raises(ValueError, match=r"detections\[1\] has a NaN margin: Detection\("):
+    with pytest.raises(ValueError, match=r"^margins\[1\] is NaN$"):
         nms(record(dets))
 
 
@@ -389,7 +391,7 @@ def test_nms_orders_infinite_margins():
     low = Detection(Rect(0, 0, 10, 10), -math.inf)
     high = Detection(Rect(1, 0, 10, 10), math.inf)
     apart = Detection(Rect(50, 50, 10, 10), 0.0)
-    assert nms(record([low, apart, high])) == [high, apart]
+    assert list(nms(record([low, apart, high]))) == [high, apart]
 
 
 @pytest.mark.parametrize("box", [(MAX_COORD, 0, 1, 1), (0, 0, 1, MAX_COORD),
@@ -399,7 +401,7 @@ def test_nms_rejects_boxes_beyond_exact_iou(box):
     with pytest.raises(ValueError, match="must lie below"):
         nms(record([Detection(Rect(0, 0, 10, 10), 1.0), Detection(Rect(*box), 0.5)]))
     edge = Detection(Rect(MAX_COORD - 1, 0, MAX_COORD - 1, MAX_COORD - 1), 0.5)
-    assert nms(record([edge, edge])) == [edge]
+    assert list(nms(record([edge, edge]))) == [edge]
 
 
 def test_nms_memory_stays_linear():
@@ -446,13 +448,13 @@ def _assert_nms_keeps_the_loop_rows(dets, thr, form=None):
     got = nms(form, overlap_threshold=thr)
     assert isinstance(got, Detections)
     # equal rows in the same order; the signed zeros must agree too
-    assert got == want
+    assert list(got) == want
     assert [math.copysign(1.0, m) for m in got.margins] == [
         math.copysign(1.0, d.margin) for d in want]
     # in input order, the same rows sorted by their input positions
     position = {id(d): i for i, d in enumerate(dets)}
     in_input_order = sorted(want, key=lambda d: position[id(d)])
-    assert nms(form, overlap_threshold=thr, input_order=True) == in_input_order
+    assert list(nms(form, overlap_threshold=thr, input_order=True)) == in_input_order
 
 
 # margins with many ties and both signed zeros
@@ -518,8 +520,8 @@ def test_indexing_detections_checks_no_row_again(rng, monkeypatch):
     picks = [dets[1:7:2], dets[np.array([4, 0, 4])], dets[dets.margins > 0], dets[...],
              nms(dets)]
     assert calls == []
-    assert picks[:3] == [rows[1:7:2], [rows[4], rows[0], rows[4]],
-                         [d for d in rows if d.margin > 0]]
+    assert [list(p) for p in picks[:3]] == [rows[1:7:2], [rows[4], rows[0], rows[4]],
+                                            [d for d in rows if d.margin > 0]]
     for picked in picks:
         # read-only copies, never views of the source record
         for array, source in ((picked.boxes, dets.boxes), (picked.margins, dets.margins)):
@@ -552,11 +554,9 @@ def test_scan_returns_detections_equal_to_the_list(rng):
         got = scan(model, frame, cfg)
         want = _scan_reference(model, frame, cfg)
         assert isinstance(got, Detections)
-        assert got == want and want == got and len(got) == len(want) > 0
-        assert list(got) == want
-        assert [got[i] for i in range(-len(got), len(got))] == want + want
+        assert list(got) == want and len(got) == len(want) > 0
         # values of Python types, as a list of Detection holds them
-        d = got[0]
+        d = next(iter(got))
         assert type(d.margin) is float and all(type(v) is int for v in astuple(d.box))
 
 
@@ -564,20 +564,18 @@ def test_detections_index_and_slice(rng):
     dets = scan(random_model(random.Random(23), n_stages=3), rand_image(rng, 60, 44),
                 ScanConfig(bias=float("-inf")))
     rows = list(dets)
-    assert isinstance(dets[1:7:2], Detections) and dets[1:7:2] == rows[1:7:2]
+    assert isinstance(dets[1:7:2], Detections) and list(dets[1:7:2]) == rows[1:7:2]
     picks = np.array([5, 0, 5, len(rows) - 1])
     assert isinstance(dets[picks], Detections)
-    assert dets[picks] == [rows[i] for i in picks]
+    assert list(dets[picks]) == [rows[i] for i in picks]
     mask = dets.margins > 0
-    assert dets[mask] == [d for d in rows if d.margin > 0]
-    assert dets[np.array([], dtype=np.intp)] == []
-    with pytest.raises(IndexError):
-        dets[len(rows)]
-    assert rows[3] in dets and dets.index(rows[3]) == rows.index(rows[3])
-    # == is by row, not by type or identity
-    assert dets != rows[:-1] and dets != rows[::-1]
-    assert dets[:0] == [] and dets[:0] == ()
-    assert (dets == 3) is False
+    assert list(dets[mask]) == [d for d in rows if d.margin > 0]
+    assert list(dets[np.array([], dtype=np.intp)]) == []
+    assert list(dets[:0]) == []
+    # a record is not a list of rows: an integer selects no row axis
+    for key in (0, len(rows)):
+        with pytest.raises(IndexError):
+            dets[key]
 
 
 def test_detections_arrays_are_read_only_copies():
@@ -586,13 +584,11 @@ def test_detections_arrays_are_read_only_copies():
     dets = Detections(boxes, margins)
     boxes[0, 0] = 7
     margins[0] = -1.0
-    assert dets[0] == Detection(Rect(0, 0, 10, 10), 1.0)
+    assert list(dets)[0] == Detection(Rect(0, 0, 10, 10), 1.0)
     assert dets.boxes.dtype == np.int64 and dets.margins.dtype == np.float64
     for array in (dets.boxes, dets.margins):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 3
-    with pytest.raises(TypeError):
-        hash(dets)
 
 
 @pytest.mark.parametrize("boxes, margins, message", [
@@ -606,6 +602,8 @@ def test_detections_arrays_are_read_only_copies():
     ([[0, 0, 1, 1]], ["1.0"], "real numbers"),
     ([[0, 0, 1, 1], [-1, 0, 1, 1]], [1.0, 2.0], r"boxes\[1\]"),
     ([[0, 0, 1, 0]], [1.0], r"boxes\[0\]"),
+    # two NaN rows: the first is named
+    ([[0, 0, 1, 1]] * 4, [1.0, 0.5, math.nan, math.nan], r"^margins\[2\] is NaN$"),
 ])
 def test_detections_reject_malformed_arrays(boxes, margins, message):
     with pytest.raises(ValueError, match=message):
@@ -613,12 +611,10 @@ def test_detections_reject_malformed_arrays(boxes, margins, message):
 
 
 def test_nms_rejects_nan_margin_in_arrays():
-    dets = record([Detection(Rect(0, 0, 10, 10), 1.0),
-                   Detection(Rect(50, 50, 10, 10), 0.5),
-                   Detection(Rect(9, 9, 10, 10), math.nan),
-                   Detection(Rect(3, 3, 10, 10), math.nan)])
-    with pytest.raises(ValueError, match=r"detections\[2\] has a NaN margin: Detection\("):
-        nms(dets)
+    # the record itself refuses the NaN, before nms sees it
+    boxes = np.array([[0, 0, 10, 10], [50, 50, 10, 10], [9, 9, 10, 10], [3, 3, 10, 10]])
+    with pytest.raises(ValueError, match=r"^margins\[2\] is NaN$"):
+        nms(Detections(boxes, np.array([1.0, 0.5, math.nan, math.nan], dtype=np.float32)))
 
 
 def test_nms_rejects_array_boxes_beyond_exact_iou():
@@ -626,7 +622,7 @@ def test_nms_rejects_array_boxes_beyond_exact_iou():
     # the record itself refuses the box, before nms sees it
     with pytest.raises(ValueError, match="must lie below"):
         nms(Detections(np.array([[0, 0, 10, 10], [MAX_COORD, 0, 1, 1]]), [1.0, 0.5]))
-    assert nms(dets) == list(dets)
+    assert list(nms(dets)) == list(dets)
 
 
 def test_scan_config_bounds_pyramid_arithmetic(rng):
@@ -639,7 +635,7 @@ def test_scan_config_bounds_pyramid_arithmetic(rng):
     model = random_model(random.Random(29), n_stages=2)
     cfg = ScanConfig(scale_factor=MAX_COORD - 1.0, stride=MAX_COORD - 1,
                      bias=float("-inf"))
-    assert scan(model, frame, cfg) == _scan_reference(model, frame, cfg)
+    assert list(scan(model, frame, cfg)) == _scan_reference(model, frame, cfg)
     assert len(scan(model, frame, cfg)) == 1
 
 

@@ -231,12 +231,10 @@ def test_iou_threshold_outside_unit_interval_is_rejected(bad):
 
 
 def test_curves_reject_nan_margin():
-    dets = records({"f0": [det(10, 10, 20, 20)],
-                    "f1": [det(10, 10, 20, 20), det(0, 0, 5, 5, math.nan)]})
-    for curve in (roc_curve, pr_curve):
-        with pytest.raises(ValueError,
-                           match=r"detections\['f1'\]\[1\] has a NaN margin: Detection\("):
-            curve(dets, [truth(BOX)])
+    # the frame's record refuses the NaN when it is built, before any curve
+    with pytest.raises(ValueError, match=r"^margins\[1\] is NaN$"):
+        records({"f0": [det(10, 10, 20, 20)],
+                 "f1": [det(10, 10, 20, 20), det(0, 0, 5, 5, math.nan)]})
 
 
 def test_match_rejects_nan_margin():
@@ -244,8 +242,9 @@ def test_match_rejects_nan_margin():
     t = truth(Rect(0, 0, 10, 10), Rect(3, 0, 10, 10))
     dets = [det(1, 0, 10, 10, math.nan), det(0, 0, 8, 10, 1.0)]
     assert match_frame(record(dets[1:]), t) == MatchResult(1, 0, 1)
-    for order in (dets, dets[::-1]):
-        with pytest.raises(ValueError, match="has a NaN margin"):
+    # in either order the record refuses the NaN, so no match sees it
+    for order, row in ((dets, 0), (dets[::-1], 1)):
+        with pytest.raises(ValueError, match=rf"^margins\[{row}\] is NaN$"):
             match_frame(record(order), t)
 
 
@@ -266,7 +265,7 @@ def _per_frame_sweep(detections, truths, bias_sweep, iou_threshold):
     for fid in frame_ids:
         dets = detections.get(fid, record([]))
         order, claims = _greedy_claims(dets, truth_by_id.get(fid, ()), iou_threshold)
-        frames.append(([-dets[i].margin for i in order],
+        frames.append(([-m for m in dets.margins[order].tolist()],
                        list(itertools.accumulate(claims, initial=0))))
     total_truth = sum(len(truth_by_id.get(fid, ())) for fid in frame_ids)
     if not frame_ids:
@@ -313,17 +312,11 @@ def test_curves_match_per_frame_sweep(detections, truths, bias_sweep, iou_thresh
 
 
 def test_arrays_with_nan_margin_are_rejected():
-    dets = {"f0": record([det(10, 10, 20, 20)]),
-            "f1": record([det(10, 10, 20, 20), det(0, 0, 5, 5, math.nan)])}
-    for curve in (roc_curve, pr_curve):
-        with pytest.raises(ValueError,
-                           match=r"detections\['f1'\]\[1\] has a NaN margin: Detection\("):
-            curve(dets, [truth(BOX)])
-    t = truth(Rect(0, 0, 10, 10), Rect(3, 0, 10, 10))
-    for order in ([det(1, 0, 10, 10, math.nan), det(0, 0, 8, 10, 1.0)],
-                  [det(0, 0, 8, 10, 1.0), det(1, 0, 10, 10, math.nan)]):
-        with pytest.raises(ValueError, match="has a NaN margin"):
-            match_frame(record(order), t)
+    # a record built straight from arrays refuses the NaN all the same
+    boxes = np.array([[10, 10, 20, 20], [0, 0, 5, 5]])
+    for margins, row in (([math.nan, 1.0], 0), ([1.0, math.nan], 1)):
+        with pytest.raises(ValueError, match=rf"^margins\[{row}\] is NaN$"):
+            Detections(boxes, np.array(margins))
 
 
 # few boxes, so equal boxes and IoU ties between truth boxes are common:
@@ -460,17 +453,14 @@ def test_each_frame_is_checked_once_and_no_rect_is_built():
     frame_records = {f"f{i}": record([det(10 + i, 10, 20, 20, 1.0), det(0, i, 20, 20, 0.5)])
                      for i in range(3)}
     truths = [truth(BOX, frame_id=f"f{i}") for i in range(4)]
-    for evaluate, frames in ((lambda: roc_curve(frame_records, truths), 4),
-                             (lambda: pr_curve(frame_records, truths, [0.75]), 4),
-                             (lambda: match_frame(frame_records["f1"], truths[1]), 1)):
+    for evaluate in (lambda: roc_curve(frame_records, truths),
+                     lambda: pr_curve(frame_records, truths, [0.75]),
+                     lambda: match_frame(frame_records["f1"], truths[1])):
         with (mock.patch.object(Detections, "__init__", autospec=True,
                                 side_effect=Detections.__init__) as build,
-              mock.patch.object(evalkit, "check_margins",
-                                side_effect=evalkit.check_margins) as margins,
               mock.patch.object(Rect, "__post_init__", autospec=True,
                                 side_effect=Rect.__post_init__) as rect):
             evaluate()
         # the caller's records are read as they are: none is built or converted
         assert build.call_count == 0
-        assert margins.call_count == frames
         assert rect.call_count == 0

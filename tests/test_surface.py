@@ -10,8 +10,9 @@ A reference is a name read, an attribute, an imported name or a string
 constant equal to the name, so the benchmark tracer's ``(module, name)``
 targets count. Matching is by bare name, not by what the name resolves
 to, so it can miss a case: ``WindowStack.window`` passes because
-``LabeledSample.window`` is a dataclass field that ``boosting`` reads, and
-``detector.iou`` passes because ``cli`` reads ``args.iou``.
+``LabeledSample.window`` is a dataclass field that ``boosting`` reads.
+``detector.iou`` has a caller of its own: ``synthetic.make_frame``
+keeps planted targets apart with it.
 """
 
 import ast
