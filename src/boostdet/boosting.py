@@ -35,16 +35,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .features import (
-    CANONICAL_H,
-    CANONICAL_W,
-    Feature,
-    FeatureBatch,
+from .features import CANONICAL_H, CANONICAL_W, Feature, FeatureBatch, eval_batch
+from .imaging import (
+    GrayImage,
     WindowStack,
-    eval_batch,
+    build_integral,  # noqa: F401  boostbench/tracing.py wraps boosting.build_integral
 )
-# build_integral is unused here, but boostbench/tracing.py wraps boosting.build_integral
-from .imaging import GrayImage, build_integral  # noqa: F401
 
 EPS_MIN = 1e-6
 # most same-family stages ``vote`` evaluates in one call

@@ -26,11 +26,11 @@ of the top ``NMS_BLOCK``: one IoU matrix among the block's boxes, walked
 greedily in Python, then one matrix of the block's keeps against the rest
 of the live boxes, whose survivors are compacted once. So memory stays
 O(NMS_BLOCK * n). Corners and areas are float64, exact because offsets
-and extents lie below ``MAX_COORD`` = 2**26, and ``corner_iou`` divides
-the same integers as ``iou``; both Python and numpy round that division
-correctly, so ``nms`` keeps exactly what the loop over kept boxes keeps.
-``evalkit`` matches detections to truth boxes with the same order and the
-same IoU.
+and extents lie below ``MAX_COORD`` = 2**26, so ``corner_iou``, the one
+IoU of the package, divides the exact integer intersection by the exact
+integer union, correctly rounded; ``nms`` keeps exactly what a loop over
+kept boxes with a scalar IoU of Python ints keeps. ``evalkit`` matches
+detections to truth boxes with the same order and the same IoU.
 """
 
 from __future__ import annotations
@@ -118,6 +118,10 @@ class Detections:
         for (x, y, w, h), margin in zip(self.boxes.tolist(), self.margins.tolist()):
             yield Detection(Rect(x, y, w, h), margin)
 
+    # without it, reversed() would fall back to integer indexing and stop
+    # at once, giving no rows and no error
+    __reversed__ = None
+
     def __repr__(self) -> str:
         return f"Detections(boxes={self.boxes!r}, margins={self.margins!r})"
 
@@ -146,16 +150,6 @@ class ScanConfig:
             raise ValueError("bias must not be NaN")
 
 
-def iou(a: Rect, b: Rect) -> float:
-    """Intersection-over-union of two rectangles."""
-    ix = max(0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
-    iy = max(0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
-    inter = ix * iy
-    if inter == 0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
-
-
 def box_corners(boxes: np.ndarray) -> np.ndarray:
     """(5, n) float64 rows x0, y0, x1, y1 and area of (n, 4) rows ``(x, y, w, h)``.
 
@@ -169,10 +163,10 @@ def box_corners(boxes: np.ndarray) -> np.ndarray:
 def corner_iou(a, b) -> np.ndarray:
     """IoU of ``box_corners`` columns ``a`` and ``b``, broadcast together.
 
-    It divides the integers that ``iou`` divides: an intersection lies
-    below 2**52 and a union below 2**53, so both are exact in float64 and
-    each quotient, correctly rounded, equals ``iou``'s for the same two
-    boxes. The arithmetic runs in place on the arrays it makes.
+    An intersection lies below 2**52 and a union below 2**53, so both are
+    exact in float64 and each quotient, correctly rounded, equals the one
+    Python computes from the same two boxes' integers. The arithmetic runs
+    in place on the arrays it makes.
     """
     ax0, ay0, ax1, ay1, a_area = a
     bx0, by0, bx1, by1, b_area = b

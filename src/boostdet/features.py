@@ -18,8 +18,12 @@ point's column and row.
 ``eval_batch(f, stack)`` is the one-feature call, a batch of one built for
 that call; one window is scored as ``eval_batch(f, frame.window(win))``,
 so every path performs the same IEEE operations in the same order. The
-stacks, rectangle sums and window sigma come from ``imaging``;
-``WindowStack`` is re-exported here.
+stacks, rectangle sums and window sigma come from ``imaging``.
+
+Each feature class names its own family as ``kind``, and
+``FEATURE_TYPES`` is the one table from a ``FeatureKind`` to its class.
+A rect field holds a ``Rect`` or the ``(x, y, w, h)`` tuple a mutation
+leaves; both unpack as ``x, y, w, h``, so every reader takes either.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Callable, ClassVar, Iterable, Sequence, Union, get_args
 
 import numpy as np
 
@@ -52,10 +56,10 @@ class FeatureKind(enum.Enum):
 
 
 def _rects_from_tuples(feature, *names: str) -> None:
-    # a rect field may be given as its (x, y, w, h) tuple
+    # a rect field may be given as its (x, y, w, h) tuple, and is held as a Rect
     for name in names:
         r = getattr(feature, name)
-        if type(r) is tuple:
+        if not isinstance(r, Rect):
             object.__setattr__(feature, name, Rect(*r))
 
 
@@ -67,6 +71,7 @@ class HaarFeature:
     sigma is the clamped std dev of the whole window.
     """
 
+    kind: ClassVar[FeatureKind] = FeatureKind.HAAR
     rect_a: Rect
     rect_b: Rect
     threshold: float
@@ -80,6 +85,7 @@ class HaarFeature:
 class ControlPointsFeature:
     """Two point classes whose raw pixel values must separate by ``separation``."""
 
+    kind: ClassVar[FeatureKind] = FeatureKind.CONTROL_POINTS
     pos_points: tuple[tuple[int, int], ...]
     neg_points: tuple[tuple[int, int], ...]
     separation: int
@@ -101,6 +107,7 @@ class SymmetricHaarFeature:
     the middle response must show over that drift.
     """
 
+    kind: ClassVar[FeatureKind] = FeatureKind.SYMMETRIC_HAAR
     left_a: Rect
     left_b: Rect
     mid_a: Rect
@@ -125,6 +132,7 @@ class ChainFeature:
     non-empty.
     """
 
+    kind: ClassVar[FeatureKind] = FeatureKind.CHAIN
     chain: tuple[tuple[int, int, bool], ...]
     separation: int
 
@@ -149,16 +157,8 @@ def _chain_class(chain: tuple[tuple[int, int, bool], ...],
 
 Feature = Union[HaarFeature, ControlPointsFeature, SymmetricHaarFeature, ChainFeature]
 
-_KIND_BY_TYPE = {
-    HaarFeature: FeatureKind.HAAR,
-    ControlPointsFeature: FeatureKind.CONTROL_POINTS,
-    SymmetricHaarFeature: FeatureKind.SYMMETRIC_HAAR,
-    ChainFeature: FeatureKind.CHAIN,
-}
-
-
-def kind_of(feature: Feature) -> FeatureKind:
-    return _KIND_BY_TYPE[type(feature)]
+# the class of each family
+FEATURE_TYPES: dict[FeatureKind, type] = {family.kind: family for family in get_args(Feature)}
 
 
 def validate_chain(points: Sequence[tuple[int, int]],
@@ -203,13 +203,10 @@ Rule = Callable[[Any], Union[str, None]]
 
 def _rect_within(limit_w: int, zone: str, centered: bool = False) -> Rule:
     def problem(r) -> str | None:
-        if type(r) is tuple:
-            x, y, w, h = r
-            no_rect = rect_problem(x, y, w, h)
-            if no_rect is not None:
-                return f"{no_rect}, got {r}"
-        else:  # a Rect, which checked itself
-            x, y, w, h = r.x, r.y, r.w, r.h
+        x, y, w, h = r
+        no_rect = rect_problem(x, y, w, h)
+        if no_rect is not None:
+            return f"{no_rect}, got {r}"
         if x + w > limit_w or y + h > CANONICAL_H:
             return f"{Rect(x, y, w, h)} exceeds the {zone} {CANONICAL_W}x{CANONICAL_H} window"
         # horizontal center within 1px of the axis: |x + w/2 - W/2| <= 1
@@ -325,9 +322,8 @@ def _rect_pair(genomes: Sequence[tuple], a: int, b: int) -> np.ndarray:
     # (2P, 4) int64 rows (x, y, w, h): rect field a of every genome, then
     # rect field b; a field is a Rect or its (x, y, w, h) tuple
     rects = [g[a] for g in genomes] + [g[b] for g in genomes]
-    coords = itertools.chain.from_iterable(
-        r if type(r) is tuple else (r.x, r.y, r.w, r.h) for r in rects)
-    return np.fromiter(coords, np.int64, count=4 * len(rects)).reshape(-1, 4)
+    return np.fromiter(itertools.chain.from_iterable(rects), np.int64,
+                       count=4 * len(rects)).reshape(-1, 4)
 
 
 def _padded(classes: list[tuple[tuple[int, int], ...]]) -> np.ndarray:

@@ -4,7 +4,8 @@
 all four below ``MAX_COORD``. A ``Rect`` runs it when built, and
 ``rect_rows_problem`` on the (n, 4) int rows ``(x, y, w, h)`` that
 ``rect_rows`` makes of Rects and the detector and evaluation read, so no
-other module checks a box.
+other module checks a box. A ``Rect`` unpacks as ``x, y, w, h``, the same
+as its ``(x, y, w, h)`` tuple, so a reader takes either form one way.
 
 Everything here is integer-exact where the contract says so, and
 rectangle sums are recovered with four lookups, bit-equal to a direct
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -103,6 +103,10 @@ class Rect:
             for name in ("x", "y", "w", "h"):
                 object.__setattr__(self, name, int(getattr(self, name)))
 
+    def __iter__(self):
+        # x, y, w, h: a Rect unpacks as its (x, y, w, h) tuple does
+        return iter((self.x, self.y, self.w, self.h))
+
     @property
     def area(self) -> int:
         return self.w * self.h
@@ -113,8 +117,7 @@ class Rect:
 
 def rect_rows(rects: Sequence[Rect]) -> np.ndarray:
     """``rects`` as (n, 4) int64 rows ``(x, y, w, h)``, filled straight from the fields."""
-    fields = map(operator.attrgetter("x", "y", "w", "h"), rects)
-    return np.fromiter(itertools.chain.from_iterable(fields), dtype=np.int64,
+    return np.fromiter(itertools.chain.from_iterable(rects), dtype=np.int64,
                        count=4 * len(rects)).reshape(-1, 4)
 
 

@@ -21,7 +21,9 @@ the winner becomes a ``Feature`` (with the constructor's full check), a
 ``search_best`` takes only what the search reads: the distribution, the
 window stack with its labels (built once by ``boosting.train``) and the
 config, whose ``family`` is the family every genome, the initial
-population's included, is drawn from.
+population's included, is drawn from; its class comes from
+``features.FEATURE_TYPES``. A rect field is read by unpacking, whether
+it holds a ``Rect`` or the ``(x, y, w, h)`` tuple a nudge leaves.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .boosting import WeakClassifier, WeightDistribution
 from .features import (
     CANONICAL_H,
     CANONICAL_W,
+    FEATURE_TYPES,
     FIELD_RULES,
     MAX_CHAIN_LEN,
     MAX_CLASS_POINTS,
@@ -47,11 +50,10 @@ from .features import (
     FeatureKind,
     HaarFeature,
     SymmetricHaarFeature,
-    WindowStack,
     eval_batch,  # noqa: F401  boostbench/tracing.py wraps learner.eval_batch
     field_values,
 )
-from .imaging import Rect
+from .imaging import Rect, WindowStack
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -205,7 +207,7 @@ _MAX_MUTATE_TRIES = 25
 
 def _nudged_rect(r: Rect | tuple[int, int, int, int],
                  rng: random.Random) -> tuple[int, int, int, int]:
-    coords = [r.x, r.y, r.w, r.h] if type(r) is Rect else list(r)
+    coords = list(r)
     coords[rng.choice((0, 1, 2, 3))] += rng.choice((-1, 1))
     return tuple(coords)
 
@@ -374,11 +376,9 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
     def stream(candidate_id: int) -> random.Random:
         return random.Random(derive_seed(config.seed, candidate_id))
 
-    size = config.population_size
-    initial = [random_feature(config.family, stream(cid)) for cid in range(size)]
-    family = type(initial[0])
-    population = _score(range(size), family, [field_values(f) for f in initial], stack,
-                        weights, labels)
+    size, family = config.population_size, FEATURE_TYPES[config.family]
+    initial = [field_values(random_feature(config.family, stream(cid))) for cid in range(size)]
+    population = _score(range(size), family, initial, stack, weights, labels)
     next_id = size
 
     elite_n = max(1, size // 4)

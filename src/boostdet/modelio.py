@@ -5,22 +5,15 @@ save/load round trip reproduces predictions exactly. The format is
 line-oriented and human-diffable; parse errors name their line.
 ``LAYOUT`` defines each family's stage fields once, for the writer and
 the reader alike, and the reader rejects a missing, unknown or repeated key.
+A feature names its family as ``kind``, and the reader builds the class
+``features.FEATURE_TYPES`` holds for the stage's family.
 """
 
 from __future__ import annotations
 
 from .boosting import Stage, StrongClassifier, WeakClassifier
 from .dataset import read_text
-from .features import (
-    CANONICAL_H,
-    CANONICAL_W,
-    ChainFeature,
-    ControlPointsFeature,
-    FeatureKind,
-    HaarFeature,
-    SymmetricHaarFeature,
-    kind_of,
-)
+from .features import CANONICAL_H, CANONICAL_W, FEATURE_TYPES, FeatureKind
 from .imaging import Rect
 
 FORMAT_VERSION = 1
@@ -82,22 +75,21 @@ _INT = (str, int)
 _POINTS = (_points_str, _parse_points)
 _CHAIN = (_chain_str, _parse_chain)
 
-# the model-file layout of each family: feature type and, in file order,
-# (key, attribute, codec) for every field of a stage line after the common
+# the model-file layout of each family: in file order, (key, attribute,
+# codec) for every field of a stage line after the common
 # family/polarity/alpha keys
 LAYOUT = {
-    FeatureKind.HAAR: (HaarFeature, (
-        ("a", "rect_a", _RECT), ("b", "rect_b", _RECT), ("t", "threshold", _FLOAT))),
-    FeatureKind.CONTROL_POINTS: (ControlPointsFeature, (
+    FeatureKind.HAAR: (
+        ("a", "rect_a", _RECT), ("b", "rect_b", _RECT), ("t", "threshold", _FLOAT)),
+    FeatureKind.CONTROL_POINTS: (
         ("pos", "pos_points", _POINTS), ("neg", "neg_points", _POINTS),
-        ("v", "separation", _INT))),
-    FeatureKind.SYMMETRIC_HAAR: (SymmetricHaarFeature, (
+        ("v", "separation", _INT)),
+    FeatureKind.SYMMETRIC_HAAR: (
         ("la", "left_a", _RECT), ("lb", "left_b", _RECT),
         ("ma", "mid_a", _RECT), ("mb", "mid_b", _RECT),
         ("t1", "t_left", _FLOAT), ("t2", "t_right", _FLOAT), ("t3", "t_mid", _FLOAT),
-        ("td1", "sym_tol", _FLOAT), ("td2", "mid_margin", _FLOAT))),
-    FeatureKind.CHAIN: (ChainFeature, (
-        ("chain", "chain", _CHAIN), ("v", "separation", _INT))),
+        ("td1", "sym_tol", _FLOAT), ("td2", "mid_margin", _FLOAT)),
+    FeatureKind.CHAIN: (("chain", "chain", _CHAIN), ("v", "separation", _INT)),
 }
 _COMMON_KEYS = ("family", "polarity", "alpha")
 
@@ -108,11 +100,10 @@ def dump_model(model: StrongClassifier) -> str:
              f"stages {len(model.stages)}"]
     for stage in model.stages:
         feature = stage.weak.feature
-        kind = kind_of(feature)
-        fields = [("family", kind.value), ("polarity", str(stage.weak.polarity)),
+        fields = [("family", feature.kind.value), ("polarity", str(stage.weak.polarity)),
                   ("alpha", repr(stage.alpha))]
         fields += [(key, write(getattr(feature, attr)))
-                   for key, attr, (write, _) in LAYOUT[kind][1]]
+                   for key, attr, (write, _) in LAYOUT[feature.kind]]
         lines.append("stage " + " ".join(f"{k}={v}" for k, v in fields))
     return "\n".join(lines) + "\n"
 
@@ -137,7 +128,7 @@ def _parse_stage(line: str, where: str) -> Stage:
         kind = FeatureKind(fields["family"])
     except ValueError:
         raise ModelFormatError(f"{where}: unknown family {fields['family']!r}") from None
-    feature_type, layout = LAYOUT[kind]
+    layout = LAYOUT[kind]
     keys = _COMMON_KEYS + tuple(key for key, _, _ in layout)
     for key in keys:
         if key not in fields:
@@ -146,8 +137,8 @@ def _parse_stage(line: str, where: str) -> Stage:
         if key not in keys:
             raise ModelFormatError(f"{where}: unknown key {key!r} for family {kind.value}")
     try:
-        feature = feature_type(**{attr: read(fields[key])
-                                  for key, attr, (_, read) in layout})
+        feature = FEATURE_TYPES[kind](**{attr: read(fields[key])
+                                         for key, attr, (_, read) in layout})
         weak = WeakClassifier(feature=feature, polarity=int(fields["polarity"]))
         return Stage(alpha=float(fields["alpha"]), weak=weak)
     except ValueError as exc:

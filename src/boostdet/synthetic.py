@@ -6,7 +6,8 @@ salt noise, so no single weak feature separates the classes perfectly.
 Negatives mix pure textured noise with "confuser" crops that contain
 bright/dark blocks in non-vehicle arrangements. Frames plant rescaled
 targets on plain textured noise at known boxes, which become the ground
-truth for evaluation runs.
+truth for evaluation runs. Planted boxes share no pixel, so any two have
+an IoU of 0.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .boosting import LabeledSample
 from .dataset import write_annotations
-from .detector import iou
 from .evalkit import GroundTruthFrame
 from .features import CANONICAL_H, CANONICAL_W
 from .imaging import GrayImage, Rect, extract_window
@@ -101,7 +101,9 @@ def make_frame(rng: np.random.Generator, frame_w: int = 128,
             x = int(rng.integers(0, frame_w - w + 1))
             y = int(rng.integers(0, frame_h - h + 1))
             box = Rect(x=x, y=y, w=w, h=h)
-            if any(iou(box, o) > 0 for o in boxes):
+            # redrawn while it shares a pixel with a box already planted
+            if any(x < ox + ow and ox < x + w and y < oy + oh and oy < y + h
+                   for ox, oy, ow, oh in boxes):
                 continue
             pattern = target_window(rng)
             scaled = extract_window(pattern, Rect(0, 0, CANONICAL_W, CANONICAL_H), w, h)

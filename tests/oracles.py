@@ -113,25 +113,30 @@ def resample_index(i: int, src_extent: int, target_extent: int) -> int:
     return math.floor((i + 0.5) * src_extent / target_extent)
 
 
+def iou(a: Rect, b: Rect) -> float:
+    """Intersection-over-union of two rectangles: one division of Python ints."""
+    ix = max(0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
+    iy = max(0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
+    inter = ix * iy
+    if inter == 0:
+        return 0.0
+    return inter / (a.area + b.area - inter)
+
+
 def greedy_match(detections, boxes, iou_threshold: float) -> list[bool]:
     """Whether each ``Detection`` claims a truth box, in greedy matching.
 
     Detections are taken by descending margin, ties in input order; each
     claims the unclaimed box of highest IoU, the lowest index on a tie, if
-    that IoU is at least ``iou_threshold``. The IoU is one division of
-    Python ints. Claims come back in input order.
+    that IoU is at least ``iou_threshold``. The IoU is ``iou``, one
+    division of Python ints. Claims come back in input order.
     """
-    def overlap(a: Rect, b: Rect) -> float:
-        ix = max(0, min(a.x + a.w, b.x + b.w) - max(a.x, b.x))
-        iy = max(0, min(a.y + a.h, b.y + b.h) - max(a.y, b.y))
-        return ix * iy / (a.w * a.h + b.w * b.h - ix * iy)
-
     claims = [False] * len(detections)
     taken = set()
     for i in sorted(range(len(detections)), key=lambda i: (-detections[i].margin, i)):
         best_j, best = None, 0.0
         for j, truth in enumerate(boxes):
-            v = overlap(detections[i].box, truth)
+            v = iou(detections[i].box, truth)
             if j not in taken and v > best:
                 best_j, best = j, v
         if best_j is not None and best >= iou_threshold:

@@ -32,11 +32,10 @@ from boostdet.features import (
     CANONICAL_W,
     FeatureBatch,
     FeatureKind,
-    WindowStack,
     eval_batch,
     validate_chain,
 )
-from boostdet.imaging import GrayImage, Rect, build_integral, corner_sum
+from boostdet.imaging import GrayImage, Rect, WindowStack, build_integral, corner_sum
 from boostdet.learner import LearnerConfig, derive_seed, random_feature, search_best
 from boostdet.modelio import dump_model, parse_model
 from boostdet.pipeline import train_detector

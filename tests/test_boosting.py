@@ -30,10 +30,9 @@ from boostdet.features import (
     ControlPointsFeature,
     FeatureBatch,
     FeatureKind,
-    WindowStack,
     eval_batch,
 )
-from boostdet.imaging import GrayImage, Rect, build_integral
+from boostdet.imaging import GrayImage, Rect, WindowStack, build_integral
 from boostdet.learner import LearnerConfig, derive_seed, random_feature, search_best
 from boostdet.modelio import dump_model, parse_model
 from boostdet.pipeline import train_detector

@@ -43,6 +43,7 @@ def test_every_entry_point_accepts_the_same_boxes(box_dir, box):
     assert (rect_problem(*box) is None) == accepted
 
     if accepted:
+        assert list(Rect(*box)) == list(box)
         assert rect_rows([Rect(*box)]).tolist() == [list(box)]
         assert Detections([box], [0.0]).boxes.tolist() == [list(box)]
     else:

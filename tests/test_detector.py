@@ -18,7 +18,6 @@ from boostdet.detector import (
     ScanConfig,
     box_corners,
     corner_iou,
-    iou,
     nms,
     pyramid_levels,
     scan,
@@ -32,7 +31,6 @@ from boostdet.features import (
     GEOMETRY_MEMO,
     HaarFeature,
     eval_batch,
-    kind_of,
 )
 from boostdet.imaging import LEVEL_MEMO, MAX_COORD, GrayImage, Rect, build_integral, rect_rows
 from boostdet.learner import LearnerConfig, random_feature
@@ -40,7 +38,8 @@ from boostdet.modelio import parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples
 from conftest import constant_image, fixture_model_text, rand_image, record
-from oracles import brute_rect_sum, brute_std, mirror_rect, points_rule, scale_point, scale_rect
+from oracles import (brute_rect_sum, brute_std, iou, mirror_rect, points_rule, scale_point,
+                     scale_rect)
 
 
 def random_model(py: random.Random, n_stages: int = 5) -> StrongClassifier:
@@ -234,7 +233,7 @@ def test_scan_matches_oracle_at_scaled_levels(rng):
                 for st_ in model.stages:
                     fired = _oracle_fires(st_.weak.feature, frame, win)
                     if win_w != CANONICAL_W:
-                        fired_on_scaled[kind_of(st_.weak.feature)].add(fired)
+                        fired_on_scaled[st_.weak.feature.kind].add(fired)
                     pol = st_.weak.polarity
                     margin += st_.alpha * (pol if fired else -pol)
                 expected.append((win, margin))
@@ -576,6 +575,9 @@ def test_detections_index_and_slice(rng):
     for key in (0, len(rows)):
         with pytest.raises(IndexError):
             dets[key]
+    # nor does reversed() fall back to integer indexing and give no rows
+    with pytest.raises(TypeError):
+        reversed(Detections([[0, 0, 1, 1], [2, 2, 3, 3]], [1.0, 2.0]))
 
 
 def test_detections_arrays_are_read_only_copies():

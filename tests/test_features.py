@@ -17,12 +17,11 @@ from boostdet.features import (
     GEOMETRY_MEMO,
     HaarFeature,
     SymmetricHaarFeature,
-    WindowStack,
     eval_batch,
     field_values,
     validate_chain,
 )
-from boostdet.imaging import BoundsError, GrayImage, Rect, build_integral
+from boostdet.imaging import BoundsError, GrayImage, Rect, WindowStack, build_integral
 from boostdet.learner import random_feature
 from conftest import constant_image, rand_image, rand_window
 from oracles import (brute_rect_sum, brute_std, haar_rule, mirror_rect, points_rule, scale_rect,

@@ -17,11 +17,10 @@ from boostdet.features import (
     FeatureKind,
     HaarFeature,
     SymmetricHaarFeature,
-    WindowStack,
     eval_batch,
     validate_chain,
 )
-from boostdet.imaging import Rect
+from boostdet.imaging import Rect, WindowStack
 from boostdet.learner import (
     Candidate,
     LearnerConfig,

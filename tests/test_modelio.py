@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boostdet.boosting import LabeledSample, Stage, StrongClassifier, WeakClassifier
-from boostdet.features import FeatureKind
+from boostdet.features import FEATURE_TYPES, FIELD_RULES, FeatureKind
 from boostdet.learner import random_feature
 from boostdet.modelio import (
     LAYOUT,
@@ -154,8 +154,14 @@ def test_unknown_key_names_line_and_key(extra):
 
 
 def test_layout_matches_feature_fields():
+    # one class per family, each naming its own family
+    assert set(FEATURE_TYPES) == set(FeatureKind) == set(LAYOUT)
+    types = list(FEATURE_TYPES.values())
+    assert len(set(types)) == len(types) and set(types) == set(FIELD_RULES)
+    assert all(FEATURE_TYPES[k].kind is k for k in FeatureKind)
     # every field of every feature type is written, under a distinct key
-    for kind, (feature_type, layout) in LAYOUT.items():
+    for kind, layout in LAYOUT.items():
+        feature_type = FEATURE_TYPES[kind]
         attrs = [attr for _, attr, _ in layout]
         assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(feature_type))
         keys = [key for key, _, _ in layout]

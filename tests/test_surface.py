@@ -11,8 +11,8 @@ constant equal to the name, so the benchmark tracer's ``(module, name)``
 targets count. Matching is by bare name, not by what the name resolves
 to, so it can miss a case: ``WindowStack.window`` passes because
 ``LabeledSample.window`` is a dataclass field that ``boosting`` reads.
-``detector.iou`` has a caller of its own: ``synthetic.make_frame``
-keeps planted targets apart with it.
+The scalar IoU that ``detector.corner_iou`` is proven against is a test
+reference, ``iou`` in ``tests/oracles.py``.
 """
 
 import ast

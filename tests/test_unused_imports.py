@@ -1,5 +1,6 @@
 """No module of the package, and no script, imports a name it never uses,
-or defines a private top-level name that it never reads.
+or defines a private top-level name that it never reads; and each name a
+module of the package imports from another is defined there, not passed on.
 
 No linter ships with the test environment, so this is pyflakes' F401 for
 top-level imports in a few lines of ``ast``. An alias on a line marked
@@ -56,19 +57,23 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unread_private_names(source: str) -> list[str]:
-    """Private names bound at the top level of ``source`` and never read there."""
-    tree = ast.parse(source)
+def defined_names(source: str) -> list[str]:
+    """Names a top-level ``def``, ``class`` or assignment of ``source`` binds."""
     bound = []
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
             bound.append(node.name)
         elif isinstance(node, ast.Assign | ast.AnnAssign):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    read = {node.id for node in ast.walk(tree)
+    return bound
+
+
+def unread_private_names(source: str) -> list[str]:
+    """Private names bound at the top level of ``source`` and never read there."""
+    read = {node.id for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [name for name in bound
+    return [name for name in defined_names(source)
             if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
@@ -92,3 +97,15 @@ def test_unread_private_names_finds_stranded_helpers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_private_top_level_names(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_relative_imports_name_the_defining_module():
+    # a name has one home: ``from .m import name`` only where m defines name
+    defined = {path.stem: set(defined_names(path.read_text(encoding="utf-8")))
+               for path in SRC.glob("*.py")}
+    passed_on = [f"{path.name}: from .{node.module} import {alias.name}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names if alias.name not in defined[node.module]]
+    assert passed_on == []
