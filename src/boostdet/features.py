@@ -22,6 +22,10 @@ stacks, rectangle sums and window sigma come from ``imaging``.
 
 Each feature class names its own family as ``kind``, and
 ``FEATURE_TYPES`` is the one table from a ``FeatureKind`` to its class.
+Each field is declared once, as ``name: Slot = _field(key, rule)``; the
+slot is ``Rect``, ``float``, ``int``, ``Points`` or ``Chain``. ``FIELDS``
+holds them; ``FIELD_RULES``, ``field_values``, ``__post_init__``, the
+batch's scalar arrays and ``modelio.LAYOUT`` are read from it.
 A rect field holds a ``Rect`` or the ``(x, y, w, h)`` tuple a mutation
 leaves; both unpack as ``x, y, w, h``, so every reader takes either.
 """
@@ -34,11 +38,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Iterable, Sequence, Union, get_args
+from typing import (Any, Callable, ClassVar, Iterable, NamedTuple, Sequence, Union, get_args,
+                    get_type_hints)
 
 import numpy as np
 
-from .imaging import BoundsError, Rect, WindowStack, corner_sum, integers, rect_problem
+from .imaging import BoundsError, Rect, WindowStack, corner_sum, integers, rect_problem, rect_rows
 
 CANONICAL_W = 32
 CANONICAL_H = 24
@@ -47,118 +52,16 @@ MIN_CHAIN_LEN = 2
 MAX_CHAIN_LEN = 12
 MAX_CLASS_POINTS = 6
 
+# the slots of a point class and of a chain of (x, y, is_pos) entries
+Points = tuple[tuple[int, int], ...]
+Chain = tuple[tuple[int, int, bool], ...]
+
 
 class FeatureKind(enum.Enum):
     HAAR = "haar"
     CONTROL_POINTS = "cp"
     SYMMETRIC_HAAR = "symhaar"
     CHAIN = "nconnex"
-
-
-def _rects_from_tuples(feature, *names: str) -> None:
-    # a rect field may be given as its (x, y, w, h) tuple, and is held as a Rect
-    for name in names:
-        r = getattr(feature, name)
-        if not isinstance(r, Rect):
-            object.__setattr__(feature, name, Rect(*r))
-
-
-@dataclass(frozen=True)
-class HaarFeature:
-    """Two rectangles compared by normalized mean difference.
-
-    True iff |mean(rect_a) - mean(rect_b)| / sigma > threshold, where
-    sigma is the clamped std dev of the whole window.
-    """
-
-    kind: ClassVar[FeatureKind] = FeatureKind.HAAR
-    rect_a: Rect
-    rect_b: Rect
-    threshold: float
-
-    def __post_init__(self):
-        _check(self)
-        _rects_from_tuples(self, "rect_a", "rect_b")
-
-
-@dataclass(frozen=True)
-class ControlPointsFeature:
-    """Two point classes whose raw pixel values must separate by ``separation``."""
-
-    kind: ClassVar[FeatureKind] = FeatureKind.CONTROL_POINTS
-    pos_points: tuple[tuple[int, int], ...]
-    neg_points: tuple[tuple[int, int], ...]
-    separation: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "pos_points", tuple(tuple(p) for p in self.pos_points))
-        object.__setattr__(self, "neg_points", tuple(tuple(p) for p in self.neg_points))
-        _check(self)
-
-
-@dataclass(frozen=True)
-class SymmetricHaarFeature:
-    """Three paired-rectangle tests: left, its horizontal mirror, and middle.
-
-    The left sub-feature is confined to the left half of the window; the
-    right one is derived by mirroring. The middle rects must be centered
-    within one pixel of the vertical axis. ``sym_tol`` bounds how far the
-    left/right responses may drift apart, ``mid_margin`` is the dominance
-    the middle response must show over that drift.
-    """
-
-    kind: ClassVar[FeatureKind] = FeatureKind.SYMMETRIC_HAAR
-    left_a: Rect
-    left_b: Rect
-    mid_a: Rect
-    mid_b: Rect
-    t_left: float
-    t_right: float
-    t_mid: float
-    sym_tol: float
-    mid_margin: float
-
-    def __post_init__(self):
-        _check(self)
-        _rects_from_tuples(self, "left_a", "left_b", "mid_a", "mid_b")
-
-
-@dataclass(frozen=True)
-class ChainFeature:
-    """Control-points variant whose points form an 8-connected chain.
-
-    ``chain`` is an ordered tuple of (x, y, is_pos) entries; consecutive
-    points sit at Chebyshev distance exactly 1 and both classes are
-    non-empty.
-    """
-
-    kind: ClassVar[FeatureKind] = FeatureKind.CHAIN
-    chain: tuple[tuple[int, int, bool], ...]
-    separation: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "chain", tuple((x, y, bool(t)) for x, y, t in self.chain))
-        _check(self)
-
-    @property
-    def pos_points(self) -> tuple[tuple[int, int], ...]:
-        return _chain_class(self.chain, True)
-
-    @property
-    def neg_points(self) -> tuple[tuple[int, int], ...]:
-        return _chain_class(self.chain, False)
-
-
-def _chain_class(chain: tuple[tuple[int, int, bool], ...],
-                 positive: bool) -> tuple[tuple[int, int], ...]:
-    # the points of a chain whose tag is ``positive``
-    return tuple((x, y) for x, y, t in chain if bool(t) is positive)
-
-
-Feature = Union[HaarFeature, ControlPointsFeature, SymmetricHaarFeature, ChainFeature]
-
-# the class of each family
-FEATURE_TYPES: dict[FeatureKind, type] = {family.kind: family for family in get_args(Feature)}
 
 
 def validate_chain(points: Sequence[tuple[int, int]],
@@ -231,7 +134,7 @@ def _threshold(name: str) -> Rule:
 
 
 def _point_class(name: str) -> Rule:
-    def problem(points: tuple[tuple[int, int], ...]) -> str | None:
+    def problem(points: Points) -> str | None:
         if not 1 <= len(points) <= MAX_CLASS_POINTS:
             return f"{name} class must hold 1..{MAX_CLASS_POINTS} points"
         if len(set(points)) != len(points):
@@ -243,7 +146,7 @@ def _point_class(name: str) -> Rule:
     return problem
 
 
-def _chain(chain: tuple[tuple[int, int, bool], ...]) -> str | None:
+def _chain(chain: Chain) -> str | None:
     pts = [(x, y) for x, y, _ in chain]
     if not validate_chain(pts):
         return f"invalid 8-connected chain: {pts}"
@@ -259,30 +162,129 @@ def _separation(value: int) -> str | None:
     return None
 
 
+def _field(key: str, rule: Rule) -> Any:
+    # a constructor field with its model-file key and its rule
+    return dataclasses.field(metadata={"key": key, "rule": rule})
+
+
+def _init_fields(feature: Feature) -> None:
+    # every family's __post_init__: point fields are made tuples, then each
+    # field passes its rule in constructor order, and a rect tuple that
+    # passed is made a Rect (a Rect is left as built)
+    made, checks = _INIT[type(feature)]
+    for name, make in made:
+        object.__setattr__(feature, name, make(getattr(feature, name)))
+    for name, rule, rect in checks:
+        value = getattr(feature, name)
+        problem = rule(value)
+        if problem is not None:
+            raise ValueError(problem)
+        if rect and not isinstance(value, Rect):
+            object.__setattr__(feature, name, Rect(*value))
+
+
+@dataclass(frozen=True)
+class HaarFeature:
+    """Two rectangles compared by normalized mean difference.
+
+    True iff |mean(rect_a) - mean(rect_b)| / sigma > threshold, where
+    sigma is the clamped std dev of the whole window.
+    """
+
+    kind: ClassVar[FeatureKind] = FeatureKind.HAAR
+    rect_a: Rect = _field("a", _canonical_rect)
+    rect_b: Rect = _field("b", _canonical_rect)
+    threshold: float = _field("t", _threshold("threshold"))
+    __post_init__ = _init_fields
+
+
+@dataclass(frozen=True)
+class ControlPointsFeature:
+    """Two point classes whose raw pixel values must separate by ``separation``."""
+
+    kind: ClassVar[FeatureKind] = FeatureKind.CONTROL_POINTS
+    pos_points: Points = _field("pos", _point_class("pos"))
+    neg_points: Points = _field("neg", _point_class("neg"))
+    separation: int = _field("v", _separation)
+    __post_init__ = _init_fields
+
+
+@dataclass(frozen=True)
+class SymmetricHaarFeature:
+    """Three paired-rectangle tests: left, its horizontal mirror, and middle.
+
+    The left sub-feature is confined to the left half of the window; the
+    right one is derived by mirroring. The middle rects must be centered
+    within one pixel of the vertical axis. ``sym_tol`` bounds how far the
+    left/right responses may drift apart, ``mid_margin`` is the dominance
+    the middle response must show over that drift.
+    """
+
+    kind: ClassVar[FeatureKind] = FeatureKind.SYMMETRIC_HAAR
+    left_a: Rect = _field("la", _left_rect)
+    left_b: Rect = _field("lb", _left_rect)
+    mid_a: Rect = _field("ma", _mid_rect)
+    mid_b: Rect = _field("mb", _mid_rect)
+    t_left: float = _field("t1", _threshold("t_left"))
+    t_right: float = _field("t2", _threshold("t_right"))
+    t_mid: float = _field("t3", _threshold("t_mid"))
+    sym_tol: float = _field("td1", _threshold("sym_tol"))
+    mid_margin: float = _field("td2", _threshold("mid_margin"))
+    __post_init__ = _init_fields
+
+
+@dataclass(frozen=True)
+class ChainFeature:
+    """Control-points variant whose points form an 8-connected chain.
+
+    ``chain`` is an ordered tuple of (x, y, is_pos) entries; consecutive
+    points sit at Chebyshev distance exactly 1 and both classes are
+    non-empty.
+    """
+
+    kind: ClassVar[FeatureKind] = FeatureKind.CHAIN
+    chain: Chain = _field("chain", _chain)
+    separation: int = _field("v", _separation)
+    __post_init__ = _init_fields
+
+
+def _chain_class(chain: Chain, positive: bool) -> Points:
+    # the points of a chain whose tag is ``positive``
+    return tuple((x, y) for x, y, t in chain if bool(t) is positive)
+
+
+Feature = Union[HaarFeature, ControlPointsFeature, SymmetricHaarFeature, ChainFeature]
+
+# the class of each family
+FEATURE_TYPES: dict[FeatureKind, type] = {family.kind: family for family in get_args(Feature)}
+
+# one constructor field; its slot is its annotation
+FieldSpec = NamedTuple("FieldSpec", [("name", str), ("key", str), ("slot", Any), ("rule", Rule)])
+
+# each family's fields, in constructor order
+FIELDS: dict[type, tuple[FieldSpec, ...]] = {
+    family: tuple(FieldSpec(f.name, f.metadata["key"], get_type_hints(family)[f.name],
+                            f.metadata["rule"]) for f in dataclasses.fields(family))
+    for family in FEATURE_TYPES.values()}
+
 # each family's rules, in constructor order
 FIELD_RULES: dict[type, tuple[Rule, ...]] = {
-    HaarFeature: (_canonical_rect, _canonical_rect, _threshold("threshold")),
-    ControlPointsFeature: (_point_class("pos"), _point_class("neg"), _separation),
-    SymmetricHaarFeature: (_left_rect, _left_rect, _mid_rect, _mid_rect,
-                           *map(_threshold, ("t_left", "t_right", "t_mid", "sym_tol",
-                                             "mid_margin"))),
-    ChainFeature: (_chain, _separation),
-}
+    family: tuple(spec.rule for spec in specs) for family, specs in FIELDS.items()}
 
-_FIELD_VALUES = {family: operator.attrgetter(*(f.name for f in dataclasses.fields(family)))
-                 for family in FIELD_RULES}
+_FIELD_VALUES = {family: operator.attrgetter(*(spec.name for spec in specs))
+                 for family, specs in FIELDS.items()}
+
+# what __post_init__ makes of a point slot given as any iterable
+_MAKE = {Points: lambda points: tuple(tuple(p) for p in points),
+         Chain: lambda chain: tuple((x, y, bool(t)) for x, y, t in chain)}
+_INIT = {family: (tuple((s.name, _MAKE[s.slot]) for s in specs if s.slot in _MAKE),
+                  tuple((s.name, s.rule, s.slot is Rect) for s in specs))
+         for family, specs in FIELDS.items()}
 
 
 def field_values(feature: Feature) -> tuple:
     """The fields of ``feature``, in constructor order."""
     return _FIELD_VALUES[type(feature)](feature)
-
-
-def _check(feature: Feature) -> None:
-    for rule, value in zip(FIELD_RULES[type(feature)], field_values(feature)):
-        problem = rule(value)
-        if problem is not None:
-            raise ValueError(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +319,16 @@ def _local_points(points: np.ndarray, win_w: int,
 
 GEOMETRY_MEMO = 32  # window sizes a FeatureBatch keeps geometry for, oldest out first
 
+# the dtype each scalar slot is read into
+_LIMIT_DTYPES = {float: np.float64, int: np.int16}
+
 
 def _rect_pair(genomes: Sequence[tuple], a: int, b: int) -> np.ndarray:
-    # (2P, 4) int64 rows (x, y, w, h): rect field a of every genome, then
-    # rect field b; a field is a Rect or its (x, y, w, h) tuple
-    rects = [g[a] for g in genomes] + [g[b] for g in genomes]
-    return np.fromiter(itertools.chain.from_iterable(rects), np.int64,
-                       count=4 * len(rects)).reshape(-1, 4)
+    # (2P, 4) int64 rows (x, y, w, h): rect field a of every genome, then b
+    return rect_rows([g[a] for g in genomes] + [g[b] for g in genomes])
 
 
-def _padded(classes: list[tuple[tuple[int, int], ...]]) -> np.ndarray:
+def _padded(classes: list[Points]) -> np.ndarray:
     # (P, k, 2) int64: repeating a class's first point changes neither
     # extreme, so classes padded to the longest are read in one gather
     longest = max(map(len, classes))
@@ -389,26 +391,23 @@ class FeatureBatch:
     def _fill(self, family: type, genomes: Sequence[tuple]) -> None:
         # each array is filled in one pass over the fields
         if family is HaarFeature:
-            groups, limits = (_rect_pair(genomes, 0, 1),), (2,)
+            groups = (_rect_pair(genomes, 0, 1),)
         elif family is SymmetricHaarFeature:
             left = _rect_pair(genomes, 0, 1)
             x, y, w, h = left.T  # each left rect mirrored across the window's axis
             groups = (left, np.stack([CANONICAL_W - x - w, y, w, h], axis=1),
                       _rect_pair(genomes, 2, 3))
-            limits = (4, 5, 6, 7, 8)
         elif family is ControlPointsFeature:
             groups = (_padded([g[0] for g in genomes]), _padded([g[1] for g in genomes]))
-            limits = (2,)
         else:  # ChainFeature
             groups = tuple(_padded([_chain_class(g[0], positive) for g in genomes])
                            for positive in (True, False))
-            limits = (1,)
-        # a point family's one limit is its int16 separation, the rest are thresholds
-        dtype = np.int16 if family in (ControlPointsFeature, ChainFeature) else np.float64
         self.family = family
         self._groups = groups
-        self._limits = tuple(np.fromiter((g[i] for g in genomes), dtype, count=len(genomes))
-                             for i in limits)
+        # one array per scalar field, in constructor order
+        self._limits = tuple(
+            np.fromiter((g[i] for g in genomes), _LIMIT_DTYPES[spec.slot], count=len(genomes))
+            for i, spec in enumerate(FIELDS[family]) if spec.slot in _LIMIT_DTYPES)
         self._scaled: dict[tuple[int, int], tuple] = {}
 
     def responses(self, stack: WindowStack) -> Iterable:

@@ -16,7 +16,7 @@ weight array, which hold the same values in the same order as the
 candidate's own row, so they round as a one-feature evaluation does. Only
 the winner becomes a ``Feature`` (with the constructor's full check), a
 ``WeakClassifier`` and a ``Candidate``. ``mutate`` is the same moves on a
-``Feature``.
+``Feature``. The symmetric moves read their field indices from ``features.FIELDS``.
 
 ``search_best`` takes only what the search reads: the distribution, the
 window stack with its labels (built once by ``boosting.train``) and the
@@ -40,6 +40,7 @@ from .features import (
     CANONICAL_W,
     FEATURE_TYPES,
     FIELD_RULES,
+    FIELDS,
     MAX_CHAIN_LEN,
     MAX_CLASS_POINTS,
     MIN_CHAIN_LEN,
@@ -197,6 +198,9 @@ def random_feature(family: FeatureKind, rng: random.Random) -> Feature:
 # ---------------------------------------------------------------------------
 
 _MAX_MUTATE_TRIES = 25
+# the field indices of the symmetric family's rects and of its thresholds
+_SYM_RECTS, _SYM_THRESHOLDS = (tuple(i for i, s in enumerate(FIELDS[SymmetricHaarFeature])
+                                     if s.slot is slot) for slot in (Rect, float))
 
 # A move proposes (field index, value) for one field of a genome held as
 # its constructor fields; ``_mutated`` keeps the proposal only if that
@@ -241,11 +245,10 @@ def _move_control_points(g: list, rng: random.Random) -> tuple[int, Any]:
 
 
 def _move_symmetric(g: list, rng: random.Random) -> tuple[int, Any]:
-    # constructor order: four rects, then five thresholds
     if rng.randrange(2) == 0:
-        which = rng.choice((0, 1, 2, 3))
+        which = rng.choice(_SYM_RECTS)
         return which, _nudged_rect(g[which], rng)
-    which = rng.choice((4, 5, 6, 7, 8))
+    which = rng.choice(_SYM_THRESHOLDS)
     return which, g[which] * rng.choice((0.9, 1.1))
 
 

@@ -3,17 +3,22 @@
 One stage per line, fields named, floats printed with repr so a
 save/load round trip reproduces predictions exactly. The format is
 line-oriented and human-diffable; parse errors name their line.
-``LAYOUT`` defines each family's stage fields once, for the writer and
-the reader alike, and the reader rejects a missing, unknown or repeated key.
-A feature names its family as ``kind``, and the reader builds the class
+``LAYOUT`` is read from ``features.FIELDS``: each field's key and
+attribute, and the codec ``CODECS`` holds for its slot. It serves the
+writer and the reader alike, and the reader rejects a missing, unknown or
+repeated key. Every integer, in a stage or in the header, is read as
+``dump_model`` writes it: ASCII digits after an optional minus sign. A
+feature names its family as ``kind``, and the reader builds the class
 ``features.FEATURE_TYPES`` holds for the stage's family.
 """
 
 from __future__ import annotations
 
+import re
+
 from .boosting import Stage, StrongClassifier, WeakClassifier
 from .dataset import read_text
-from .features import CANONICAL_H, CANONICAL_W, FEATURE_TYPES, FeatureKind
+from .features import CANONICAL_H, CANONICAL_W, FEATURE_TYPES, FIELDS, Chain, FeatureKind, Points
 from .imaging import Rect
 
 FORMAT_VERSION = 1
@@ -24,28 +29,34 @@ class ModelFormatError(ValueError):
     """Malformed model file; the message names the offending line."""
 
 
-def _rect_str(r: Rect) -> str:
-    return f"{r.x},{r.y},{r.w},{r.h}"
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    # int() alone also takes "+1", "1_0" and non-ASCII digits; a refusal
+    # reads as int()'s own, which cuts the text's repr at 200 characters
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
+    return int(text)
 
 
 def _parse_rect(text: str) -> Rect:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"rect needs 4 comma-separated integers, got {text!r}")
-    x, y, w, h = (int(p) for p in parts)
-    return Rect(x=x, y=y, w=w, h=h)
+    return Rect(*map(_integer, parts))
 
 
 def _points_str(points) -> str:
     return ";".join(f"{x}:{y}" for x, y in points)
 
 
-def _parse_points(text: str) -> tuple[tuple[int, int], ...]:
+def _parse_points(text: str) -> Points:
     points = []
     for item in text.split(";"):
         try:
             x, y = item.split(":")
-            points.append((int(x), int(y)))
+            points.append((_integer(x), _integer(y)))
         except ValueError:
             raise ValueError(f"bad point {item!r}") from None
     return tuple(points)
@@ -55,42 +66,27 @@ def _chain_str(chain) -> str:
     return ";".join(f"{x}:{y}:{'+' if t else '-'}" for x, y, t in chain)
 
 
-def _parse_chain(text: str) -> tuple[tuple[int, int, bool], ...]:
+def _parse_chain(text: str) -> Chain:
     chain = []
     for item in text.split(";"):
-        parts = item.split(":")
-        if len(parts) != 3 or parts[2] not in ("+", "-"):
-            raise ValueError(f"bad chain point {item!r}")
         try:
-            chain.append((int(parts[0]), int(parts[1]), parts[2] == "+"))
-        except ValueError:
+            x, y, tag = item.split(":")
+            chain.append((_integer(x), _integer(y), {"+": True, "-": False}[tag]))
+        except (KeyError, ValueError):
             raise ValueError(f"bad chain point {item!r}") from None
     return tuple(chain)
 
 
-# (write, read) pair per field type; a reader raises ValueError on bad text
-_RECT = (_rect_str, _parse_rect)
-_FLOAT = (repr, float)
-_INT = (str, int)
-_POINTS = (_points_str, _parse_points)
-_CHAIN = (_chain_str, _parse_chain)
+# the (write, read) pair of each slot; a reader raises ValueError on bad text
+CODECS = {Rect: (lambda r: ",".join(map(str, r)), _parse_rect), float: (repr, float),
+          int: (str, _integer), Points: (_points_str, _parse_points),
+          Chain: (_chain_str, _parse_chain)}
 
 # the model-file layout of each family: in file order, (key, attribute,
 # codec) for every field of a stage line after the common
 # family/polarity/alpha keys
-LAYOUT = {
-    FeatureKind.HAAR: (
-        ("a", "rect_a", _RECT), ("b", "rect_b", _RECT), ("t", "threshold", _FLOAT)),
-    FeatureKind.CONTROL_POINTS: (
-        ("pos", "pos_points", _POINTS), ("neg", "neg_points", _POINTS),
-        ("v", "separation", _INT)),
-    FeatureKind.SYMMETRIC_HAAR: (
-        ("la", "left_a", _RECT), ("lb", "left_b", _RECT),
-        ("ma", "mid_a", _RECT), ("mb", "mid_b", _RECT),
-        ("t1", "t_left", _FLOAT), ("t2", "t_right", _FLOAT), ("t3", "t_mid", _FLOAT),
-        ("td1", "sym_tol", _FLOAT), ("td2", "mid_margin", _FLOAT)),
-    FeatureKind.CHAIN: (("chain", "chain", _CHAIN), ("v", "separation", _INT)),
-}
+LAYOUT = {kind: tuple((spec.key, spec.name, CODECS[spec.slot]) for spec in FIELDS[family])
+          for kind, family in FEATURE_TYPES.items()}
 _COMMON_KEYS = ("family", "polarity", "alpha")
 
 
@@ -139,7 +135,7 @@ def _parse_stage(line: str, where: str) -> Stage:
     try:
         feature = FEATURE_TYPES[kind](**{attr: read(fields[key])
                                          for key, attr, (_, read) in layout})
-        weak = WeakClassifier(feature=feature, polarity=int(fields["polarity"]))
+        weak = WeakClassifier(feature=feature, polarity=_integer(fields["polarity"]))
         return Stage(alpha=float(fields["alpha"]), weak=weak)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
@@ -147,7 +143,7 @@ def _parse_stage(line: str, where: str) -> Stage:
 
 def _header_number(text: str, where: str) -> int:
     try:
-        return int(text)
+        return _integer(text)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: bad header number: {exc}") from None
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from boostdet.features import CANONICAL_H, CANONICAL_W
+from boostdet.features import CANONICAL_H, CANONICAL_W, ChainFeature, Points
 from boostdet.imaging import GrayImage, Rect, SIGMA_MIN
 
 
@@ -76,6 +76,15 @@ def points_rule(window: GrayImage, pos_points, neg_points, separation: int) -> b
     pos = [int(window.pixels[y, x]) for x, y in pos_points]
     neg = [int(window.pixels[y, x]) for x, y in neg_points]
     return (min(pos) - max(neg) > separation) or (min(neg) - max(pos) > separation)
+
+
+def point_classes(feature) -> tuple[Points, Points]:
+    """The pos and the neg points of a control-points feature, or of a chain
+    feature as its own tags sort them."""
+    if isinstance(feature, ChainFeature):
+        return (tuple((x, y) for x, y, is_pos in feature.chain if is_pos),
+                tuple((x, y) for x, y, is_pos in feature.chain if not is_pos))
+    return feature.pos_points, feature.neg_points
 
 
 def mirror_rect(r: Rect, window_w: int) -> Rect:

@@ -41,7 +41,7 @@ from boostdet.modelio import dump_model, parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples, write_dataset
 from conftest import rand_image, rand_window, record, records, score
-from oracles import haar_rule, points_rule, symmetric_rule
+from oracles import haar_rule, point_classes, points_rule, symmetric_rule
 
 FULL = Rect(0, 0, CANONICAL_W, CANONICAL_H)
 DATA_SEED = 7
@@ -98,8 +98,7 @@ def test_criterion_2_feature_oracle_equivalence():
         fs = random_feature(FeatureKind.SYMMETRIC_HAAR, py)
         assert eval_batch(fs, win) == symmetric_rule(img, FULL, fs)
         fn = random_feature(FeatureKind.CHAIN, py)
-        assert eval_batch(fn, win) == points_rule(img, fn.pos_points, fn.neg_points,
-                                                  fn.separation)
+        assert eval_batch(fn, win) == points_rule(img, *point_classes(fn), fn.separation)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     report(2, f"4 families x 1000 pairs, boolean-exact vs pixel loops, {elapsed:.2f}s")

@@ -38,8 +38,8 @@ from boostdet.modelio import parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples
 from conftest import constant_image, fixture_model_text, rand_image, record
-from oracles import (brute_rect_sum, brute_std, iou, mirror_rect, points_rule, scale_point,
-                     scale_rect)
+from oracles import (brute_rect_sum, brute_std, iou, mirror_rect, point_classes, points_rule,
+                     scale_point, scale_rect)
 
 
 def random_model(py: random.Random, n_stages: int = 5) -> StrongClassifier:
@@ -179,10 +179,9 @@ def _oracle_fires(feature, frame: GrayImage, win: Rect) -> bool:
         crop = GrayImage(
             frame.pixels[win.y:win.y + win.h, win.x:win.x + win.w])
         local = Rect(0, 0, win.w, win.h)
-        return points_rule(crop,
-                           [scale_point(x, y, local) for x, y in feature.pos_points],
-                           [scale_point(x, y, local) for x, y in feature.neg_points],
-                           feature.separation)
+        pos, neg = point_classes(feature)
+        return points_rule(crop, [scale_point(x, y, local) for x, y in pos],
+                           [scale_point(x, y, local) for x, y in neg], feature.separation)
     sigma = brute_std(frame, win)
 
     def normed_diff(a: Rect, b: Rect) -> float:

@@ -24,8 +24,8 @@ from boostdet.features import (
 from boostdet.imaging import BoundsError, GrayImage, Rect, WindowStack, build_integral
 from boostdet.learner import random_feature
 from conftest import constant_image, rand_image, rand_window
-from oracles import (brute_rect_sum, brute_std, haar_rule, mirror_rect, points_rule, scale_rect,
-                     symmetric_rule)
+from oracles import (brute_rect_sum, brute_std, haar_rule, mirror_rect, point_classes,
+                     points_rule, scale_rect, symmetric_rule)
 
 FULL = Rect(0, 0, CANONICAL_W, CANONICAL_H)
 
@@ -65,6 +65,36 @@ def test_rect_fields_take_xywh_tuples():
     with pytest.raises(ValueError, match="not centered"):
         SymmetricHaarFeature(Rect(0, 0, 8, 8), Rect(8, 0, 8, 8), (0, 0, 8, 8),
                              Rect(12, 8, 8, 8), 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: HaarFeature((30, 0, 4, 4), Rect(0, 0, 1, 1), -1.0), "exceeds the canonical"),
+    (lambda: HaarFeature(Rect(0, 0, 1, 1), (0, 0, 0, 4), float("nan")), "extents must be >= 1"),
+    (lambda: ControlPointsFeature((), ((0, 0), (0, 0)), 0), "pos class must hold"),
+    (lambda: ControlPointsFeature(((0, 0),), ((0, 0), (0, 0)), 0), "duplicate point in neg"),
+    (lambda: SymmetricHaarFeature(Rect(0, 0, 8, 8), Rect(8, 0, 8, 8), Rect(0, 0, 8, 8),
+                                  (0, 0, 0, 1), 1.0, -1.0, 1.0, 1.0, float("inf")),
+     "middle rect .* not centered"),
+    (lambda: SymmetricHaarFeature(Rect(0, 0, 8, 8), Rect(8, 0, 8, 8), Rect(12, 0, 8, 8),
+                                  Rect(12, 8, 8, 8), 1.0, -1.0, 1.0, 1.0, float("inf")),
+     "^t_right must be"),
+    (lambda: ChainFeature(((0, 0, True), (1, 1, True)), 300), "at least one pos and one neg"),
+])
+def test_the_first_bad_field_in_constructor_order_is_named(make, message):
+    # each feature has two bad fields; the earlier one's rule speaks
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_point_fields_are_made_tuples_before_their_rule_runs():
+    # a list is unhashable, so the duplicate test would raise TypeError on one
+    with pytest.raises(ValueError, match="duplicate point in pos class"):
+        ControlPointsFeature([[1, 2], [1, 2]], [[0, 0]], 10)
+    f = ControlPointsFeature([[1, 2]], [[0, 0], [3, 4]], 10)
+    assert f.pos_points == ((1, 2),) and f.neg_points == ((0, 0), (3, 4))
+    # the chain rule reads its value twice, which an iterator would not survive
+    f = ChainFeature(iter([[0, 0, 1], [1, 1, 0]]), 10)
+    assert f.chain == ((0, 0, True), (1, 1, False))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
@@ -111,7 +141,7 @@ def test_chain_feature_rules():
     with pytest.raises(ValueError):  # one class empty
         ChainFeature(chain=((0, 0, True), (1, 0, True)), separation=10)
     f = ChainFeature(chain=((0, 0, True), (1, 1, False)), separation=10)
-    assert f.pos_points == ((0, 0),) and f.neg_points == ((1, 1),)
+    assert point_classes(f) == (((0, 0),), ((1, 1),))
 
 
 @pytest.mark.parametrize("point", [(1.5, 2), (1, 2.0), (True, 2), (1, np.float64(2)),
@@ -130,8 +160,8 @@ def test_numpy_integer_points_make_a_feature():
     f = ControlPointsFeature(pos_points=((np.int64(1), np.uint8(2)),), neg_points=((0, 0),),
                              separation=10)
     assert FeatureBatch([f])._groups[0].tolist() == [[[1, 2]]]
-    assert ChainFeature(chain=((np.int16(1), 2, True), (2, np.int32(2), False)),
-                        separation=10).neg_points == ((2, 2),)
+    f = ChainFeature(chain=((np.int16(1), 2, True), (2, np.int32(2), False)), separation=10)
+    assert point_classes(f)[1] == ((2, 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +330,7 @@ def test_chain_matches_control_points_oracle(rng):
     for _ in range(1000):
         img = rand_window(rng)
         f = random_feature(FeatureKind.CHAIN, py)
-        assert fires(f, img) == points_rule(img, f.pos_points, f.neg_points, f.separation)
+        assert fires(f, img) == points_rule(img, *point_classes(f), f.separation)
 
 
 def _extreme_point_features() -> dict[str, list]:
@@ -313,7 +343,7 @@ def _extreme_point_features() -> dict[str, list]:
         for separation in (1, 254, 255):
             f = ChainFeature(chain=chain, separation=separation)
             features["nconnex"].append(f)
-            features["cp"].append(ControlPointsFeature(f.pos_points, f.neg_points, separation))
+            features["cp"].append(ControlPointsFeature(*point_classes(f), separation))
     return features
 
 
@@ -328,7 +358,7 @@ def test_point_rule_is_exact_at_the_uint8_extremes(path):
     assert len({(c.pixels[4, 3], c.pixels[4, 4], c.pixels[5, 5]) for c in crops}) == 4 ** 3
     ii = build_integral(frame)
     for family, features in _extreme_point_features().items():
-        want = np.array([[points_rule(c, f.pos_points, f.neg_points, f.separation)
+        want = np.array([[points_rule(c, *point_classes(f), f.separation)
                           for c in crops] for f in features])
         if path == "crops":
             got = FeatureBatch(features).fired(WindowStack.from_images(crops))
@@ -456,8 +486,7 @@ def test_dispatch_matches_family_ops(rng):
         assert fires(fc, img) == points_rule(img, fc.pos_points, fc.neg_points,
                                              fc.separation)
         assert fires(fs, img) == symmetric_rule(img, FULL, fs)
-        assert fires(fn, img) == points_rule(img, fn.pos_points, fn.neg_points,
-                                             fn.separation)
+        assert fires(fn, img) == points_rule(img, *point_classes(fn), fn.separation)
 
 
 def test_batch_matches_scalar_all_families(rng):
@@ -489,8 +518,8 @@ def test_eval_features_rows_match_eval_batch(rng, family):
     features = [random_feature(family, py) for _ in range(30)]
     if family in (FeatureKind.CONTROL_POINTS, FeatureKind.CHAIN):
         # the padding path: classes of several lengths in one call
-        assert len({len(f.pos_points) for f in features}) > 1
-        assert len({len(f.neg_points) for f in features}) > 1
+        assert len({len(point_classes(f)[0]) for f in features}) > 1
+        assert len({len(point_classes(f)[1]) for f in features}) > 1
     for name, stack in _stacks(rng).items():
         batch = FeatureBatch(features).fired(stack)
         assert batch.shape == (len(features),) + stack.sigma.shape, name
@@ -641,8 +670,7 @@ def test_batch_from_fields_is_the_batch_of_the_features(rng, family):
     if family in (FeatureKind.HAAR, FeatureKind.SYMMETRIC_HAAR):
         assert any(type(v) is tuple for g in genomes for v in g)
     else:
-        assert len({len(f.pos_points) for f in features} | {len(f.neg_points)
-                                                             for f in features}) > 1
+        assert len({len(points) for f in features for points in point_classes(f)}) > 1
     want = FeatureBatch(features)
     got = FeatureBatch.from_fields(type(features[0]), genomes)
     assert got.family is want.family

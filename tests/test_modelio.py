@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boostdet.boosting import LabeledSample, Stage, StrongClassifier, WeakClassifier
-from boostdet.features import FEATURE_TYPES, FIELD_RULES, FeatureKind
+from boostdet.features import FEATURE_TYPES, FIELD_RULES, FIELDS, FeatureKind, field_values
 from boostdet.learner import random_feature
 from boostdet.modelio import (
+    CODECS,
     LAYOUT,
     ModelFormatError,
     dump_model,
@@ -167,6 +168,40 @@ def test_layout_matches_feature_fields():
         keys = [key for key, _, _ in layout]
         assert len(set(keys)) == len(keys)
         assert not set(keys) & {"family", "polarity", "alpha"}
+    # every field declares a key, a rule and a slot with a codec, in
+    # constructor order, and the layout and the rules are read from them
+    for family, specs in FIELDS.items():
+        assert [spec.name for spec in specs] == [f.name for f in dataclasses.fields(family)]
+        for spec in specs:
+            assert isinstance(spec.key, str) and spec.key and callable(spec.rule)
+            assert spec.slot in CODECS
+        assert LAYOUT[family.kind] == tuple((spec.key, spec.name, CODECS[spec.slot])
+                                            for spec in specs)
+        assert FIELD_RULES[family] == tuple(spec.rule for spec in specs)
+        feature = random_feature(family.kind, random.Random(3))
+        assert field_values(feature) == tuple(getattr(feature, spec.name) for spec in specs)
+
+
+_ONE_STAGE = {"haar": "a=0,0,1,4 b=1,0,1,4 t=0.5", "cp": "pos=1:2 neg=3:4 v=3",
+              "nconnex": "chain=1:2:+;2:2:- v=3"}
+
+
+@pytest.mark.parametrize("family, old, new", [
+    ("haar", "a=0,0,1,4", "a=0,0,1_0,4"), ("haar", "a=0,0,1,4", "a=0,0,+1,4"),
+    ("haar", "polarity=1", "polarity=+1"), ("cp", "v=3", "v=\u0663"), ("cp", "v=3", "v=+3"),
+    ("cp", "pos=1:2", "pos=1:\uff12"), ("nconnex", "chain=1:2:+", "chain=1:+2:+"),
+    ("nconnex", "v=3", "v=0_3"), ("haar", "canonical 32 24", "canonical 32 +24"),
+    ("haar", "canonical 32 24", "canonical 3_2 24"), ("haar", "stages 1", "stages \u0661"),
+])
+def test_integers_are_read_as_written(family, old, new):
+    # int() alone takes a sign, underscores and non-ASCII digits, none of
+    # which dump_model writes; a model holding one is refused by line
+    text = ("boostdet-model format=1\ncanonical 32 24\nstages 1\n"
+            f"stage family={family} polarity=1 alpha=0.5 {_ONE_STAGE[family]}\n")
+    assert parse_model(text).stages
+    line = next(i for i, row in enumerate(text.split("\n"), start=1) if old in row)
+    with pytest.raises(ModelFormatError, match=rf"^m:{line}: "):
+        parse_model(text.replace(old, new), source="m")
 
 
 _VALID_DUMPS = [dump_model(mixed_model(random.Random(seed), stages_per_family=1))
