@@ -18,11 +18,17 @@ learner, so the learner searches the same stack that scores its answer.
 ``vote`` (stage-ordered sum of alpha * prediction) are the one prediction
 and vote path: training uses the first, ``detector.scan`` votes each
 pyramid level with the second, and a single window (``WindowStack.window``)
-is voted the same way. A model builds its vote plan on the first ``vote``
-and keeps it: one ``FeatureBatch`` per VOTE_CHUNK same-family stages at
-most. ``vote`` selects a chunk's stage votes in one ``np.where`` and adds
-their rows to the margins one stage at a time (the pairwise order of
-``sum`` or ``np.add.reduce`` moves bits).
+is voted the same way. A model keeps two vote plans, each built the
+first time ``vote`` needs it: one ``FeatureBatch`` per VOTE_CHUNK
+same-family stages at most, and one per same-family run. ``vote`` picks
+a plan by window count: the whole runs when the stack's windows times
+the model's longest run are at most VOTE_BUDGET stage-window
+evaluations, the chunks otherwise, so a small pyramid level or a single
+window costs one call per run and no call evaluates more pairs than a
+chunk on a 2,048-window level. Either way it selects a batch's stage
+votes in one ``np.where`` and adds their rows to the margins one stage
+at a time (the pairwise order of ``sum`` or ``np.add.reduce`` moves
+bits), so both plans give the same margins, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,8 +49,13 @@ from .imaging import (
 )
 
 EPS_MIN = 1e-6
-# most same-family stages ``vote`` evaluates in one call
+# most same-family stages ``vote`` evaluates in one call on a large stack
 VOTE_CHUNK = 16
+# most stage-window evaluations of a whole-run call: a chunk on 2,048 windows
+VOTE_BUDGET = VOTE_CHUNK * 2048
+
+# a vote plan: (batch, +alpha*polarity, -alpha*polarity) per batch, in stage order
+VotePlan = tuple[tuple[FeatureBatch, np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -120,19 +131,35 @@ class StrongClassifier:
             raise ValueError("a trained model holds at least one stage")
 
     @functools.cached_property
-    def _plan(self) -> tuple[tuple[FeatureBatch, np.ndarray, np.ndarray], ...]:
-        # (batch, +alpha*polarity, -alpha*polarity) per chunk of ``vote``
+    def _runs(self) -> tuple[tuple[Stage, ...], ...]:
+        # the maximal runs of same-family stages, in stage order
+        return tuple(tuple(run) for _, run in
+                     itertools.groupby(self.stages, key=lambda st: type(st.weak.feature)))
+
+    @functools.cached_property
+    def _longest_run(self) -> int:
+        return max(map(len, self._runs))
+
+    def _batches(self, size: int) -> VotePlan:
+        # one batch per ``size`` stages of a run at most
         plan = []
-        for _, run in itertools.groupby(self.stages, key=lambda st: type(st.weak.feature)):
-            run = list(run)
-            for chunk in (run[i:i + VOTE_CHUNK] for i in range(0, len(run), VOTE_CHUNK)):
+        for run in self._runs:
+            for chunk in (run[i:i + size] for i in range(0, len(run), size)):
                 fired_vote = np.array([st.alpha * st.weak.polarity for st in chunk])
                 batch = FeatureBatch([st.weak.feature for st in chunk])
                 plan.append((batch, fired_vote, -fired_vote))
         return tuple(plan)
 
+    @functools.cached_property
+    def _plan(self) -> VotePlan:
+        return self._batches(VOTE_CHUNK)  # chunks of at most VOTE_CHUNK stages
+
+    @functools.cached_property
+    def _run_plan(self) -> VotePlan:
+        return self._batches(self._longest_run)  # one batch per run
+
     def __getstate__(self):
-        return {"stages": self.stages}  # copies and pickles leave the plan out
+        return {"stages": self.stages}  # copies and pickles leave the plans out
 
 
 def weak_predictions(h: WeakClassifier, stack: WindowStack) -> np.ndarray:
@@ -143,12 +170,16 @@ def weak_predictions(h: WeakClassifier, stack: WindowStack) -> np.ndarray:
 def vote(model: StrongClassifier, stack: WindowStack) -> np.ndarray:
     """Vote margin per window: sum of alpha * prediction in stage order.
 
-    Each chunk's K stage votes are selected in one ``np.where`` into a
-    ``(K, *lead)`` array, whose rows are then added one stage at a time.
+    A stack whose windows times the model's longest run are at most
+    ``VOTE_BUDGET`` is voted one same-family run per batch, a larger one
+    ``VOTE_CHUNK`` stages per batch. Each batch's K stage votes are
+    selected in one ``np.where`` into a ``(K, *lead)`` array, whose rows
+    are then added one stage at a time.
     """
     margins = np.zeros(stack.sigma.shape)
     per_stage = (-1,) + (1,) * margins.ndim
-    for batch, fired_vote, quiet_vote in model._plan:
+    whole_runs = margins.size * model._longest_run <= VOTE_BUDGET
+    for batch, fired_vote, quiet_vote in (model._run_plan if whole_runs else model._plan):
         votes = np.where(batch.fired(stack), fired_vote.reshape(per_stage),
                          quiet_vote.reshape(per_stage))
         for row in votes:

@@ -241,8 +241,12 @@ def scan(model: StrongClassifier, frame: GrayImage, cfg: ScanConfig = ScanConfig
     for win_w, win_h, stride in pyramid_levels(frame.width, frame.height, cfg):
         level = vote(model, ii.level(win_w, win_h, stride))
         iy, ix = np.nonzero(level > cfg.bias)
-        boxes.append(np.column_stack((ix * stride, iy * stride,
-                                      np.full_like(ix, win_w), np.full_like(ix, win_h))))
+        rows = np.empty((len(ix), 4), dtype=np.int64)
+        np.multiply(ix, stride, out=rows[:, 0])
+        np.multiply(iy, stride, out=rows[:, 1])
+        rows[:, 2] = win_w
+        rows[:, 3] = win_h
+        boxes.append(rows)
         margins.append(level[iy, ix])
     return Detections(np.concatenate(boxes), np.concatenate(margins))
 

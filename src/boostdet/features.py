@@ -322,6 +322,9 @@ GEOMETRY_MEMO = 32  # window sizes a FeatureBatch keeps geometry for, oldest out
 # the dtype each scalar slot is read into
 _LIMIT_DTYPES = {float: np.float64, int: np.int16}
 
+# by ndim, the axes that move an array's last axis first (``np.moveaxis(a, -1, 0)``)
+_LAST_AXIS_FIRST = {n: (n - 1, *range(n - 1)) for n in range(1, 65)}
+
 
 def _rect_pair(genomes: Sequence[tuple], a: int, b: int) -> np.ndarray:
     # (2P, 4) int64 rows (x, y, w, h): rect field a of every genome, then b
@@ -449,7 +452,7 @@ class FeatureBatch:
             (min_pos, max_pos), (min_neg, max_neg) = self.responses(stack)
             (separation,) = self._limits  # int16: uint8 + separation cannot wrap
             fired = (min_pos > max_neg + separation) | (min_neg > max_pos + separation)
-        return np.moveaxis(fired, -1, 0)
+        return fired.transpose(_LAST_AXIS_FIRST[fired.ndim])
 
 
 def eval_batch(feature: Feature, stack: WindowStack) -> np.ndarray:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 # Flat windows would otherwise divide by zero during normalization; with
 # the floor they behave as unnormalized.
@@ -206,6 +206,23 @@ def mean_and_sigma(sums: np.ndarray, squared_sums: np.ndarray, x: int, y: int,
     return mean, np.maximum(SIGMA_MIN, np.sqrt(np.maximum(0.0, var)))
 
 
+def window_grid(table: np.ndarray, h: int, w: int, stride: int) -> np.ndarray:
+    """Read-only view of every ``h`` x ``w`` window of the 2-d ``table`` on a
+    ``stride`` grid, shaped (rows, columns, h, w): in one strided view, the
+    shape, strides and values of ``sliding_window_view(table, (h, w))[::stride, ::stride]``.
+    A window larger than the table, or a stride below 1, raises ValueError.
+    """
+    rows, cols = table.shape
+    if h > rows or w > cols:
+        raise ValueError(f"a {w}x{h} window is larger than the {cols}x{rows} table")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    row_step, col_step = table.strides
+    return as_strided(table, ((rows - h) // stride + 1, (cols - w) // stride + 1, h, w),
+                      (row_step * stride, col_step * stride, row_step, col_step),
+                      writeable=False)
+
+
 @dataclass(frozen=True)
 class WindowStack:
     """Same-size windows, each with views of its own integral tables.
@@ -274,12 +291,9 @@ class WindowStack:
         key = (win_w, win_h, stride)
         level = self._levels.get(key)
         if level is None:
-            def grid(table: np.ndarray, h: int, w: int) -> np.ndarray:
-                return sliding_window_view(table, (h, w))[::stride, ::stride]
-
-            level = WindowStack(grid(self.pixels, win_h, win_w),
-                                grid(self.sums, win_h + 1, win_w + 1),
-                                grid(self.squared_sums, win_h + 1, win_w + 1))
+            level = WindowStack(window_grid(self.pixels, win_h, win_w, stride),
+                                window_grid(self.sums, win_h + 1, win_w + 1, stride),
+                                window_grid(self.squared_sums, win_h + 1, win_w + 1, stride))
             if len(self._levels) < LEVEL_MEMO:
                 self._levels[key] = level
         return level

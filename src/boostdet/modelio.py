@@ -6,9 +6,12 @@ line-oriented and human-diffable; parse errors name their line.
 ``LAYOUT`` is read from ``features.FIELDS``: each field's key and
 attribute, and the codec ``CODECS`` holds for its slot. It serves the
 writer and the reader alike, and the reader rejects a missing, unknown or
-repeated key. Every integer, in a stage or in the header, is read as
-``dump_model`` writes it: ASCII digits after an optional minus sign. A
-feature names its family as ``kind``, and the reader builds the class
+repeated key. Every number, in a stage or in the header, is read only in
+the form ``dump_model`` writes it, or the reader refuses its line: an
+integer in ASCII ``-?(0|[1-9][0-9]*)``, but not ``-0``, and a float as
+``repr`` writes one, so ``032``, ``+1``, ``1_0.5`` and ``.5`` are
+refused, while ``inf`` and ``nan`` reach their field's rule. A feature
+names its family as ``kind``, and the reader builds the class
 ``features.FEATURE_TYPES`` holds for the stage's family.
 """
 
@@ -29,15 +32,22 @@ class ModelFormatError(ValueError):
     """Malformed model file; the message names the offending line."""
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
+def _number(form: str, convert, name: str):
+    # ``convert`` of text in ``form`` only: int() and float() alone also take
+    # "+1", "032", "-0", "1_0", ".5", "1E5", "Infinity" and non-ASCII digits
+    pattern = re.compile(form)
+
+    def read(text: str):
+        if pattern.fullmatch(text) is None:
+            raise ValueError(f"{text!r:.200} is not {name} in the form dump_model writes")
+        return convert(text)
+    return read
 
 
-def _integer(text: str) -> int:
-    # int() alone also takes "+1", "1_0" and non-ASCII digits; a refusal
-    # reads as int()'s own, which cuts the text's repr at 200 characters
-    if _INTEGER.fullmatch(text) is None:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
-    return int(text)
+# str's form of an int; repr's of a float ("-0.5", "1e-05", "inf", "nan"),
+# whose fraction and exponent may be left out
+_integer = _number(r"0|-?[1-9][0-9]*", int, "an integer")
+_float = _number(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?(e[-+][0-9]+)?|-?inf|nan", float, "a float")
 
 
 def _parse_rect(text: str) -> Rect:
@@ -78,7 +88,7 @@ def _parse_chain(text: str) -> Chain:
 
 
 # the (write, read) pair of each slot; a reader raises ValueError on bad text
-CODECS = {Rect: (lambda r: ",".join(map(str, r)), _parse_rect), float: (repr, float),
+CODECS = {Rect: (lambda r: ",".join(map(str, r)), _parse_rect), float: (repr, _float),
           int: (str, _integer), Points: (_points_str, _parse_points),
           Chain: (_chain_str, _parse_chain)}
 
@@ -136,7 +146,7 @@ def _parse_stage(line: str, where: str) -> Stage:
         feature = FEATURE_TYPES[kind](**{attr: read(fields[key])
                                          for key, attr, (_, read) in layout})
         weak = WeakClassifier(feature=feature, polarity=_integer(fields["polarity"]))
-        return Stage(alpha=float(fields["alpha"]), weak=weak)
+        return Stage(alpha=_float(fields["alpha"]), weak=weak)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
 

@@ -7,7 +7,7 @@ import pytest
 from boostdet.boosting import LabeledSample, StrongClassifier, vote
 from boostdet.detector import Detections
 from boostdet.features import CANONICAL_H, CANONICAL_W
-from boostdet.imaging import GrayImage, Rect, WindowStack, rect_rows
+from boostdet.imaging import GrayImage, Rect, WindowStack, build_integral, rect_rows
 
 
 @pytest.fixture
@@ -21,6 +21,12 @@ def rand_image(rng, width, height, lo=0, hi=256) -> GrayImage:
 
 def rand_window(rng, lo=0, hi=256) -> GrayImage:
     return rand_image(rng, CANONICAL_W, CANONICAL_H, lo, hi)
+
+
+def row_level(windows: int) -> WindowStack:
+    """One row of ``windows`` canonical windows at stride 1, a pyramid level of a random frame."""
+    frame = rand_image(np.random.default_rng(windows), CANONICAL_W + windows - 1, CANONICAL_H)
+    return build_integral(frame).level(CANONICAL_W, CANONICAL_H, 1)
 
 
 def constant_image(width: int, height: int, value: int) -> GrayImage:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from boostdet import boosting
 from boostdet.boosting import (
+    VOTE_BUDGET,
     VOTE_CHUNK,
     LabeledSample,
     Stage,
@@ -37,7 +38,8 @@ from boostdet.learner import LearnerConfig, derive_seed, random_feature, search_
 from boostdet.modelio import dump_model, parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import training_samples
-from conftest import classify, constant_image, fixture_model_text, rand_image, rand_window, score
+from conftest import (classify, constant_image, fixture_model_text, rand_image, rand_window,
+                      row_level, score)
 
 PROBE = ControlPointsFeature(pos_points=((0, 0),), neg_points=((1, 1),), separation=100)
 
@@ -424,6 +426,32 @@ def test_vote_plan_matches_stage_by_stage_sum(model):
         assert np.array_equal(got, _stage_by_stage(model, stack)), name
 
 
+@given(model=_models())
+@settings(max_examples=20, deadline=None)
+def test_vote_at_the_budget_edge_matches_stage_by_stage_sum(model):
+    # the largest stack that votes whole runs, and one window more, which
+    # votes in chunks; both give the stage-by-stage sum bit for bit
+    runs = [len(run) for run in model._runs]
+    longest = max(runs)
+    chunks = [min(VOTE_CHUNK, n - i) for n in runs for i in range(0, n, VOTE_CHUNK)]
+    built = []
+
+    class CountingBatch(FeatureBatch):
+        def __init__(self, features):
+            built.append(len(features))
+            super().__init__(features)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boosting, "FeatureBatch", CountingBatch)
+        for windows, batches in ((VOTE_BUDGET // longest, runs),
+                                 (VOTE_BUDGET // longest + 1, chunks)):
+            stack = row_level(windows)
+            assert len(stack) == windows
+            built.clear()
+            assert np.array_equal(vote(model, stack), _stage_by_stage(model, stack))
+            assert built == batches
+
+
 def test_model_with_a_plan_is_a_plain_value(rng):
     text = fixture_model_text("symhaar")
     model = parse_model(text)
@@ -457,7 +485,12 @@ def test_score_builds_each_batch_once(monkeypatch, rng, family):
     model = parse_model(fixture_model_text(family))
     samples = [LabeledSample(rand_window(rng), 1) for _ in range(10)]
     scores = [score(model, s) for s in samples]
-    # the fixtures are 50 stages of one family: chunks of 16, 16, 16 and 2
-    assert built == [VOTE_CHUNK] * 3 + [2]
+    # the fixtures are 50 stages of one family: one window votes the whole
+    # run in one batch, a stack above the budget in chunks of 16, 16, 16 and 2
+    assert built == [50]
     for s, got in zip(samples, scores):
         assert got == float(_stage_by_stage(model, WindowStack.from_images([s.window]))[0])
+    large = WindowStack.from_images([rand_window(rng) for _ in range(VOTE_BUDGET // 50 + 1)])
+    margins = vote(model, large)
+    assert built == [50] + [VOTE_CHUNK] * 3 + [2]
+    assert np.array_equal(margins, _stage_by_stage(model, large))

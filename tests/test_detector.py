@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boostdet import imaging
+from boostdet import boosting, imaging
 from boostdet.boosting import Stage, StrongClassifier, WeakClassifier, vote
 from boostdet.detector import (
     NMS_BLOCK,
@@ -37,7 +37,7 @@ from boostdet.learner import LearnerConfig, random_feature
 from boostdet.modelio import parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples
-from conftest import constant_image, fixture_model_text, rand_image, record
+from conftest import constant_image, fixture_model_text, rand_image, record, row_level
 from oracles import (brute_rect_sum, brute_std, iou, mirror_rect, point_classes, points_rule,
                      scale_point, scale_rect)
 
@@ -681,8 +681,8 @@ def test_models_sharing_a_stack_share_its_first_levels(monkeypatch, rng):
     # 69 levels: the first LEVEL_MEMO are built once for all four models,
     # the other 37 once per model, so 32 + 4 * 37 = 180 builds, not 4 * 69
     calls = []
-    real = imaging.sliding_window_view
-    monkeypatch.setattr(imaging, "sliding_window_view",
+    real = imaging.window_grid
+    monkeypatch.setattr(imaging, "window_grid",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     frame = rand_image(rng, 128, 96)
     cfg = ScanConfig(scale_factor=1.02, bias=-1.0)
@@ -695,22 +695,28 @@ def test_models_sharing_a_stack_share_its_first_levels(monkeypatch, rng):
     assert len(ii._levels) == LEVEL_MEMO
 
 
-def test_scan_geometry_memo_stays_bounded(rng):
+def test_scan_geometry_memo_stays_bounded(monkeypatch, rng):
     py = random.Random(67)
     model = StrongClassifier(stages=tuple(
         Stage(alpha=0.5 + k, weak=WeakClassifier(random_feature(kind, py), 1))
         for k, kind in enumerate(FeatureKind)))
     frame = rand_image(rng, 96, 72)
     sizes = set()
-    for factor in (1.01, 1.02, 1.05, 1.1, 1.25):
-        cfg = ScanConfig(scale_factor=factor, bias=-math.inf)
-        dets = scan(model, frame, cfg)
-        sizes |= {(w, h) for w, h, _ in pyramid_levels(frame.width, frame.height, cfg)}
-        assert all(len(batch._scaled) <= GEOMETRY_MEMO for batch, _, _ in model._plan)
-        # evicted and rebuilt geometry scores as a fresh model does
-        fresh = StrongClassifier(stages=model.stages)
-        assert np.array_equal(dets.margins, scan(fresh, frame, cfg).margins)
+    # a budget of 0 votes every level in chunks, the default in whole runs
+    for budget in (0, boosting.VOTE_BUDGET):
+        monkeypatch.setattr(boosting, "VOTE_BUDGET", budget)
+        for factor in (1.01, 1.02, 1.05, 1.1, 1.25):
+            cfg = ScanConfig(scale_factor=factor, bias=-math.inf)
+            dets = scan(model, frame, cfg)
+            sizes |= {(w, h) for w, h, _ in pyramid_levels(frame.width, frame.height, cfg)}
+            assert all(len(batch._scaled) <= GEOMETRY_MEMO
+                       for batch, _, _ in model._plan + model._run_plan)
+            # evicted and rebuilt geometry scores as a fresh model does
+            fresh = StrongClassifier(stages=model.stages)
+            assert np.array_equal(dets.margins, scan(fresh, frame, cfg).margins)
     assert len(sizes) > GEOMETRY_MEMO
+    assert all(len(batch._scaled) == GEOMETRY_MEMO
+               for batch, _, _ in model._plan + model._run_plan)
 
 
 def _traced_peak(fn) -> int:
@@ -764,6 +770,36 @@ def test_vote_buffer_is_not_the_largest_temporary():
     gather_peak = _traced_peak(lambda: batch.fired(level))
     vote_peak = _traced_peak(lambda: vote(model, level))
     assert vote_peak <= gather_peak + 2 * level.sigma.nbytes
+
+
+@pytest.mark.parametrize("family", ["haar", "cp", "symhaar", "nconnex"])
+def test_whole_run_vote_peak_stays_within_a_chunk_on_2048_windows(family):
+    # the largest stack that votes the 50-stage run in one batch may take
+    # no more memory than a VOTE_CHUNK chunk on a 2,048-window level
+    model = parse_model(fixture_model_text(family))
+    chunk = StrongClassifier(stages=model.stages[:boosting.VOTE_CHUNK])
+    whole, level = row_level(boosting.VOTE_BUDGET // 50), row_level(2048)
+    vote(model, whole)  # plan and geometry
+    vote(chunk, level)
+    assert [len(fired_vote) for _, fired_vote, _ in model._run_plan] == [50]
+    assert _traced_peak(lambda: vote(model, whole)) <= _traced_peak(lambda: vote(chunk, level))
+
+
+@pytest.mark.parametrize("family", ["haar", "cp", "symhaar", "nconnex"])
+def test_scan_does_not_depend_on_the_vote_budget(monkeypatch, family):
+    # no budget, the default and one that votes every level in whole runs
+    # give the same boxes and margins, byte for byte
+    model = parse_model(fixture_model_text(family))
+    frames = [frame for frame, _ in frame_sequence(2, seed=99)]
+    for bias in (-1.0, -math.inf):
+        results = []
+        for budget in (0, boosting.VOTE_BUDGET, 10 ** 9):
+            monkeypatch.setattr(boosting, "VOTE_BUDGET", budget)
+            results.append([(dets.boxes.tobytes(), dets.margins.tobytes())
+                            for dets in (scan(model, frame, ScanConfig(bias=bias))
+                                         for frame in frames)])
+        assert results[0] == results[1] == results[2], bias
+        assert results[0][0][0], bias  # some window passes
 
 
 def test_scan_keeps_only_level_sigmas_on_the_callers_stack():

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from boostdet.imaging import (
     extract_window,
     mean_and_sigma,
     summed_area_tables,
+    window_grid,
 )
 from conftest import constant_image, rand_image, rand_rect
 from oracles import brute_rect_sum, resample_index, two_pass_std
@@ -261,6 +263,44 @@ def test_levels_past_the_memo_are_built_on_every_call(rng):
     fresh = WindowStack(ii.pixels, ii.sums, ii.squared_sums).level(*late)
     for name in ("pixels", "sums", "squared_sums", "sigma"):
         assert np.array_equal(getattr(ii.level(*late), name), getattr(fresh, name)), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_level_views_are_sliding_window_views(data):
+    # random frames, windows and strides, a window as large as the frame
+    # among them: each view has the values, shape and strides of the
+    # sliced sliding_window_view, and stays read-only
+    frame_w, frame_h = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 30))
+    whole = data.draw(st.booleans())
+    win_w = frame_w if whole else data.draw(st.integers(1, frame_w))
+    win_h = frame_h if whole else data.draw(st.integers(1, frame_h))
+    stride = data.draw(st.integers(1, 12))
+    ii = build_integral(rand_image(np.random.default_rng(frame_w * 31 + frame_h), frame_w,
+                                   frame_h))
+    level = ii.level(win_w, win_h, stride)
+    for name, h, w in (("pixels", win_h, win_w), ("sums", win_h + 1, win_w + 1),
+                       ("squared_sums", win_h + 1, win_w + 1)):
+        table = getattr(ii, name)
+        want = sliding_window_view(table, (h, w))[::stride, ::stride]
+        for got in (getattr(level, name), window_grid(table, h, w, stride)):
+            assert got.shape == want.shape and got.strides == want.strides, name
+            assert np.array_equal(got, want), name
+            assert not got.flags.writeable, name
+    assert level.sigma.shape == level.pixels.shape[:2]
+
+
+def test_a_level_window_larger_than_the_frame_or_a_stride_below_1_is_refused(rng):
+    ii = build_integral(rand_image(rng, 40, 30))
+    ii.level(40, 30, 1)
+    for win_w, win_h in ((41, 30), (40, 31), (41, 31)):
+        with pytest.raises(ValueError, match="larger than"):
+            ii.level(win_w, win_h, 1)
+    with pytest.raises(ValueError, match="larger than"):
+        window_grid(ii.pixels, 31, 40, 2)
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            ii.level(32, 24, stride)
 
 
 def test_extract_window_identity(rng):

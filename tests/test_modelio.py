@@ -18,7 +18,7 @@ from boostdet.modelio import (
     parse_model,
     save_model,
 )
-from conftest import rand_window, score
+from conftest import fixture_model_text, rand_window, score
 
 
 def mixed_model(py: random.Random, stages_per_family: int = 2) -> StrongClassifier:
@@ -202,6 +202,73 @@ def test_integers_are_read_as_written(family, old, new):
     line = next(i for i, row in enumerate(text.split("\n"), start=1) if old in row)
     with pytest.raises(ModelFormatError, match=rf"^m:{line}: "):
         parse_model(text.replace(old, new), source="m")
+
+
+def _with_field(family: str, key: str, value: str) -> tuple[str, int]:
+    """A valid dump whose ``family`` stage line has ``key=value``, and that line's number."""
+    lines = dump_model(mixed_model(random.Random(29), stages_per_family=1)).split("\n")
+    line = next(i for i, row in enumerate(lines) if f"family={family} " in row)
+    lines[line] = " ".join(f"{key}={value}" if tok.startswith(f"{key}=") else tok
+                           for tok in lines[line].split())
+    return "\n".join(lines), line + 1
+
+
+@pytest.mark.parametrize("family, key, value", [
+    ("haar", "t", "1_0.5"), ("haar", "t", "\u0663.5"), ("haar", "t", "+0.5"),
+    ("haar", "t", ".5"), ("haar", "t", "5."), ("haar", "t", "1E5"), ("haar", "t", "01.5"),
+    ("haar", "t", "Infinity"), ("haar", "t", "-nan"), ("haar", "t", "+inf"),
+    ("haar", "alpha", "+0.5"), ("cp", "alpha", "1_0.5"), ("symhaar", "t1", "\u0663.5"),
+    ("symhaar", "td2", "1e+0_5"), ("nconnex", "alpha", "NaN"),
+])
+def test_floats_are_read_as_repr_writes_them(family, key, value):
+    # float() alone takes each of these; dump_model writes none of them
+    text, line = _with_field(family, key, "0.5")
+    assert parse_model(text).stages
+    with pytest.raises(ModelFormatError, match=rf"^m:{line}: .* is not a float in the form"):
+        parse_model(_with_field(family, key, value)[0], source="m")
+
+
+@pytest.mark.parametrize("family, key, value, message", [
+    ("haar", "alpha", "inf", "stage weight must be finite"),
+    ("cp", "alpha", "nan", "stage weight must be finite"),
+    ("haar", "t", "-inf", "threshold must be finite"),
+    ("symhaar", "t1", "nan", "t_left must be finite"),
+    ("symhaar", "td2", "inf", "mid_margin must be finite"),
+])
+def test_infinite_and_nan_floats_reach_their_field_rule(family, key, value, message):
+    text, line = _with_field(family, key, value)
+    with pytest.raises(ModelFormatError, match=rf"^m:{line}: {message}"):
+        parse_model(text, source="m")
+
+
+_NOT_AN_INTEGER = "is not an integer in the form"
+
+
+@pytest.mark.parametrize("family, old, new, message", [
+    ("haar", "canonical 32 24", "canonical 032 024", _NOT_AN_INTEGER),
+    ("haar", "stages 1", "stages 01", _NOT_AN_INTEGER),
+    ("haar", "a=0,0,1,4", "a=00,0,1,4", _NOT_AN_INTEGER),
+    ("haar", "a=0,0,1,4", "a=-0,0,1,4", _NOT_AN_INTEGER),
+    ("haar", "polarity=1", "polarity=01", _NOT_AN_INTEGER),
+    ("haar", "polarity=1", "polarity=-01", _NOT_AN_INTEGER),
+    ("cp", "v=3", "v=03", _NOT_AN_INTEGER), ("cp", "pos=1:2", "pos=1:-0", "bad point"),
+    ("nconnex", "chain=1:2:+", "chain=01:2:+", "bad chain point"),
+])
+def test_integers_take_no_leading_zero_and_no_minus_zero(family, old, new, message):
+    text = ("boostdet-model format=1\ncanonical 32 24\nstages 1\n"
+            f"stage family={family} polarity=1 alpha=0.5 {_ONE_STAGE[family]}\n")
+    assert parse_model(text).stages
+    line = next(i for i, row in enumerate(text.split("\n"), start=1) if old in row)
+    with pytest.raises(ModelFormatError, match=rf"^m:{line}: .*{message}"):
+        parse_model(text.replace(old, new), source="m")
+
+
+@pytest.mark.parametrize("family", ["haar", "cp", "symhaar", "nconnex"])
+def test_fixture_models_load_and_dump_as_written(family):
+    text = fixture_model_text(family)
+    model = parse_model(text)
+    assert len(model.stages) == 50
+    assert dump_model(model) == text
 
 
 _VALID_DUMPS = [dump_model(mixed_model(random.Random(seed), stages_per_family=1))
