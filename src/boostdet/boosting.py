@@ -20,7 +20,8 @@ and vote path: training uses the first, ``detector.scan`` votes each
 pyramid level with the second, and a single window (``WindowStack.window``)
 is voted the same way. A model keeps two vote plans, each built the
 first time ``vote`` needs it: one ``FeatureBatch`` per VOTE_CHUNK
-same-family stages at most, and one per same-family run. ``vote`` picks
+same-family stages at most, and one per same-family run, each built from
+the run's class and its stages' ``features.field_values``. ``vote`` picks
 a plan by window count: the whole runs when the stack's windows times
 the model's longest run are at most VOTE_BUDGET stage-window
 evaluations, the chunks otherwise, so a small pyramid level or a single
@@ -41,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .features import CANONICAL_H, CANONICAL_W, Feature, FeatureBatch, eval_batch
+from .features import CANONICAL_H, CANONICAL_W, Feature, FeatureBatch, eval_batch, field_values
 from .imaging import (
     GrayImage,
     WindowStack,
@@ -144,9 +145,10 @@ class StrongClassifier:
         # one batch per ``size`` stages of a run at most
         plan = []
         for run in self._runs:
+            family = type(run[0].weak.feature)
             for chunk in (run[i:i + size] for i in range(0, len(run), size)):
                 fired_vote = np.array([st.alpha * st.weak.polarity for st in chunk])
-                batch = FeatureBatch([st.weak.feature for st in chunk])
+                batch = FeatureBatch(family, [field_values(st.weak.feature) for st in chunk])
                 plan.append((batch, fired_vote, -fired_vote))
         return tuple(plan)
 

@@ -16,9 +16,11 @@ replaces ``--out`` only when every frame is done, so a failed run leaves
 ``--out`` as it was and nothing else behind.
 
 ``eval`` reads the CSV back as one ``Detections`` record per frame, with
-no ``Detection`` per row; a box that ``imaging.rect_problem`` rejects is
-an error naming its file and line. Rows split from the right, so a frame
-id may contain commas.
+no ``Detection`` per row. Its numbers are read by ``dataset.read_int``
+and ``dataset.read_float``, in the form ``detect`` writes them; any
+other form, and a box that ``imaging.rect_problem`` rejects, is an error
+naming its file and line. Rows split from the right, so a frame id may
+contain commas.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import stat
 import sys
 
 from .boosting import LabeledSample
-from .dataset import AnnotationError, list_pgm_files, parse_annotations, read_text
+from .dataset import (AnnotationError, list_pgm_files, parse_annotations, read_float, read_int,
+                      read_text)
 from .detector import Detections, ScanConfig, check_iou_threshold, nms, scan
 from .evalkit import auc, pr_curve, roc_curve, write_curves
 from .features import FeatureKind
@@ -225,8 +228,8 @@ def parse_detections_csv(path) -> dict[str, Detections]:
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
         try:
-            box = [int(p) for p in parts[1:5]]
-            margin = float(parts[5])
+            box = [read_int(p) for p in parts[1:5]]
+            margin = read_float(parts[5])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         problem = rect_problem(*box)

@@ -1,5 +1,12 @@
-"""Annotation files, the sorted ``.pgm`` listing of a directory, and
-``read_text``, the UTF-8 reading that every text reader shares.
+"""Annotation files, the sorted ``.pgm`` listing of a directory,
+``read_text``, the UTF-8 reading that every text reader shares, and
+``read_int`` and ``read_float``, the number reading they share.
+
+A number is read only in the form the package writes it: an integer as
+``str`` writes one, in ASCII ``0|-?[1-9][0-9]*``, and a float as
+``repr`` writes one, so ``032``, ``-0``, ``+1``, ``1_0``, ``.5``,
+``1E5`` and non-ASCII digits are refused, while ``inf`` and ``nan`` are
+read, for the caller's own check.
 
 Annotation grammar, one box per line, '#' starts a comment:
 
@@ -11,6 +18,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 
 from .evalkit import GroundTruthFrame
 from .imaging import Rect
@@ -37,6 +45,24 @@ def read_text(path, error: type[ValueError] = ValueError) -> str:
     return io.StringIO(text, newline=None).read()
 
 
+def _number(form: str, convert, name: str):
+    # ``convert`` of text in ``form`` only: int() and float() alone also take
+    # "+1", "032", "-0", "1_0", ".5", "1E5", "Infinity" and non-ASCII digits
+    match = re.compile(form).fullmatch
+
+    def read(text: str):
+        if match(text) is None:
+            raise ValueError(f"{text!r:.200} is not {name} in the form boostdet writes")
+        return convert(text)
+    return read
+
+
+# str's form of an int; repr's of a float ("-0.5", "1e-05", "inf", "nan"),
+# whose fraction and exponent may be left out
+read_int = _number(r"0|-?[1-9][0-9]*", int, "an integer")
+read_float = _number(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?(e[-+][0-9]+)?|-?inf|nan", float, "a float")
+
+
 def parse_annotations(path) -> list[GroundTruthFrame]:
     """Ground-truth boxes grouped by frame, in first-seen frame order."""
     boxes_by_frame: dict[str, list[Rect]] = {}
@@ -50,10 +76,10 @@ def parse_annotations(path) -> list[GroundTruthFrame]:
                 f"{path}:{lineno}: expected 'frame_path x y w h', got {raw.strip()!r}")
         frame_id = parts[0]
         try:
-            x, y, w, h = (int(p) for p in parts[1:])
-        except ValueError:
+            x, y, w, h = map(read_int, parts[1:])
+        except ValueError as exc:
             raise AnnotationError(
-                f"{path}:{lineno}: box coordinates must be integers") from None
+                f"{path}:{lineno}: box coordinates must be integers: {exc}") from None
         try:
             rect = Rect(x=x, y=y, w=w, h=h)
         except ValueError as exc:

@@ -15,10 +15,13 @@ the tables and point families the pixels of the same stack, all P at a
 time. Geometry is scaled once per window size (``GEOMETRY_MEMO``) and
 kept in the form the evaluator reads: each rect's corners and area, each
 point's column and row.
-``eval_batch(f, stack)`` is the one-feature call, a batch of one built for
-that call; one window is scored as ``eval_batch(f, frame.window(win))``,
-so every path performs the same IEEE operations in the same order. The
-stacks, rectangle sums and window sigma come from ``imaging``.
+A batch is built one way, ``FeatureBatch(family, genomes)``, from each
+feature's constructor fields: the learner's genomes, a model's stages
+through ``field_values``, or one feature. ``eval_batch(f, stack)`` is the
+one-feature call, a batch of one built for that call; one window is
+scored as ``eval_batch(f, frame.window(win))``, so every path performs
+the same IEEE operations in the same order. The stacks, rectangle sums
+and window sigma come from ``imaging``.
 
 Each feature class names its own family as ``kind``, and
 ``FEATURE_TYPES`` is the one table from a ``FeatureKind`` to its class.
@@ -364,35 +367,15 @@ class FeatureBatch:
     """P features of one family as canonical arrays: int64 ``(2P, 4)`` per
     rect pair, int64 padded ``(P, k, 2)`` per point class, float64 ``(P,)``
     per threshold, int16 separations, each filled in one pass over the
-    features' constructor fields. ``FeatureBatch(features)`` reads the
-    fields of built features; ``from_fields`` takes the fields themselves,
-    as the learner holds its genomes, so no ``Feature`` is built. Geometry
-    scaled to a window size is kept, read-only, for the last
-    ``GEOMETRY_MEMO`` sizes, but not a size it leaks out of (BoundsError).
+    genomes. ``FeatureBatch(family, genomes)`` takes each feature as its
+    constructor fields (``field_values``) that passed their ``FIELD_RULES``,
+    so no ``Feature`` is built; a rect field may be a Rect or an
+    (x, y, w, h) tuple. Geometry scaled to a window size is kept,
+    read-only, for the last ``GEOMETRY_MEMO`` sizes, but not a size it
+    leaks out of (BoundsError).
     """
 
-    def __init__(self, features: Sequence[Feature]):
-        families = {type(f) for f in features}
-        if len(families) != 1:
-            names = ", ".join(sorted(t.__name__ for t in families))
-            raise ValueError(f"expected features of one family, got [{names}]")
-        family = families.pop()
-        if family not in FIELD_RULES:
-            raise TypeError(f"not a feature: {features[0]!r}")
-        self._fill(family, [field_values(f) for f in features])
-
-    @classmethod
-    def from_fields(cls, family: type, genomes: Sequence[tuple]) -> "FeatureBatch":
-        """A batch of P ``family`` features, each given as its constructor
-        fields (``field_values``) that passed their ``FIELD_RULES``, so no
-        ``Feature`` is built; a rect field may be a Rect or an (x, y, w, h) tuple.
-        """
-        batch = cls.__new__(cls)
-        batch._fill(family, genomes)
-        return batch
-
-    def _fill(self, family: type, genomes: Sequence[tuple]) -> None:
-        # each array is filled in one pass over the fields
+    def __init__(self, family: type, genomes: Sequence[tuple]):
         if family is HaarFeature:
             groups = (_rect_pair(genomes, 0, 1),)
         elif family is SymmetricHaarFeature:
@@ -458,5 +441,5 @@ class FeatureBatch:
 def eval_batch(feature: Feature, stack: WindowStack) -> np.ndarray:
     """Evaluate ``feature`` on every window of ``stack``: booleans shaped
     like the stack's leading axes, from a ``FeatureBatch`` of one."""
-    return FeatureBatch([feature]).fired(stack)[0]
+    return FeatureBatch(type(feature), [field_values(feature)]).fired(stack)[0]
 

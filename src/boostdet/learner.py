@@ -9,8 +9,8 @@ which builds and checks a ``Feature``; a mutated child takes its moves on
 its parent's fields, each proposal checked by the one field rule it
 changes (``features.FIELD_RULES``), and is never built. The initial
 population and each generation's offspring are scored by one
-``FeatureBatch.from_fields`` on the calling thread, read straight from
-the genomes, into plain ``(epsilon, id, genome, polarity)`` rows. Each
+``FeatureBatch(family, genomes)`` on the calling thread, read straight
+from the genomes, into plain ``(epsilon, id, genome, polarity)`` rows. Each
 candidate's two errors are summed over consecutive slices of one masked
 weight array, which hold the same values in the same order as the
 candidate's own row, so they round as a one-feature evaluation does. Only
@@ -205,7 +205,7 @@ _SYM_RECTS, _SYM_THRESHOLDS = (tuple(i for i, s in enumerate(FIELDS[SymmetricHaa
 # A move proposes (field index, value) for one field of a genome held as
 # its constructor fields; ``_mutated`` keeps the proposal only if that
 # field's rule in ``features.FIELD_RULES`` passes. A nudged rect is an
-# (x, y, w, h) tuple, which ``FeatureBatch.from_fields`` reads as it is
+# (x, y, w, h) tuple, which ``FeatureBatch`` reads as it is
 # and a constructor makes a Rect.
 
 
@@ -252,23 +252,24 @@ def _move_symmetric(g: list, rng: random.Random) -> tuple[int, Any]:
     return which, g[which] * rng.choice((0.9, 1.1))
 
 
+def _free_neighbors(chain: list, entry: tuple) -> list[tuple[int, int]]:
+    # the 8-neighbors of a chain entry that hold no point of ``chain``, in _NEIGHBORS order
+    occupied = {(x, y) for x, y, _ in chain}
+    x, y, _ = entry
+    return [(x + dx, y + dy) for dx, dy in _NEIGHBORS if (x + dx, y + dy) not in occupied]
+
+
 def _move_chain(g: list, rng: random.Random) -> tuple[int, Any]:
     chain = list(g[0])
     move = rng.randrange(5)
     if move == 0:  # move an endpoint next to its neighbor
         end = rng.choice((0, len(chain) - 1))
-        anchor = chain[1] if end == 0 else chain[-2]
-        occupied = {(x, y) for x, y, _ in chain}
-        options = [(anchor[0] + dx, anchor[1] + dy) for dx, dy in _NEIGHBORS
-                   if (anchor[0] + dx, anchor[1] + dy) not in occupied]
+        options = _free_neighbors(chain, chain[1] if end == 0 else chain[-2])
         nx, ny = rng.choice(options) if options else chain[end][:2]
         chain[end] = (nx, ny, chain[end][2])
     elif move == 1:  # extend at an end
         end = rng.choice((0, len(chain) - 1))
-        ax, ay, _ = chain[end]
-        occupied = {(x, y) for x, y, _ in chain}
-        options = [(ax + dx, ay + dy) for dx, dy in _NEIGHBORS
-                   if (ax + dx, ay + dy) not in occupied]
+        options = _free_neighbors(chain, chain[end])
         if options:
             nx, ny = rng.choice(options)
             new_pt = (nx, ny, rng.random() < 0.5)
@@ -332,7 +333,7 @@ Row = tuple[float, int, tuple, int]
 def _score(ids: Sequence[int], family: type, genomes: Sequence[tuple], stack: WindowStack,
            weights: np.ndarray, labels: np.ndarray) -> list[Row]:
     """One row per genome, all genomes evaluated by one batch."""
-    mistakes = FeatureBatch.from_fields(family, genomes).fired(stack) != (labels == 1)
+    mistakes = FeatureBatch(family, genomes).fired(stack) != (labels == 1)
     return [(eps_minus, cid, genome, -1) if eps_minus < eps_plus
             else (eps_plus, cid, genome, 1)
             for cid, genome, (eps_plus, eps_minus)

@@ -6,21 +6,19 @@ line-oriented and human-diffable; parse errors name their line.
 ``LAYOUT`` is read from ``features.FIELDS``: each field's key and
 attribute, and the codec ``CODECS`` holds for its slot. It serves the
 writer and the reader alike, and the reader rejects a missing, unknown or
-repeated key. Every number, in a stage or in the header, is read only in
-the form ``dump_model`` writes it, or the reader refuses its line: an
-integer in ASCII ``-?(0|[1-9][0-9]*)``, but not ``-0``, and a float as
-``repr`` writes one, so ``032``, ``+1``, ``1_0.5`` and ``.5`` are
-refused, while ``inf`` and ``nan`` reach their field's rule. A feature
-names its family as ``kind``, and the reader builds the class
-``features.FEATURE_TYPES`` holds for the stage's family.
+repeated key. Every number, in a stage or in the header, is read by
+``dataset.read_int`` or ``dataset.read_float``, only in the form
+``dump_model`` writes it, or the reader refuses its line, so ``032``,
+``-0``, ``+1``, ``1_0.5`` and ``.5`` are refused, while ``inf`` and
+``nan`` reach their field's rule. A feature names its family as
+``kind``, and the reader builds the class ``features.FEATURE_TYPES``
+holds for the stage's family.
 """
 
 from __future__ import annotations
 
-import re
-
 from .boosting import Stage, StrongClassifier, WeakClassifier
-from .dataset import read_text
+from .dataset import read_float, read_int, read_text
 from .features import CANONICAL_H, CANONICAL_W, FEATURE_TYPES, FIELDS, Chain, FeatureKind, Points
 from .imaging import Rect
 
@@ -32,29 +30,11 @@ class ModelFormatError(ValueError):
     """Malformed model file; the message names the offending line."""
 
 
-def _number(form: str, convert, name: str):
-    # ``convert`` of text in ``form`` only: int() and float() alone also take
-    # "+1", "032", "-0", "1_0", ".5", "1E5", "Infinity" and non-ASCII digits
-    pattern = re.compile(form)
-
-    def read(text: str):
-        if pattern.fullmatch(text) is None:
-            raise ValueError(f"{text!r:.200} is not {name} in the form dump_model writes")
-        return convert(text)
-    return read
-
-
-# str's form of an int; repr's of a float ("-0.5", "1e-05", "inf", "nan"),
-# whose fraction and exponent may be left out
-_integer = _number(r"0|-?[1-9][0-9]*", int, "an integer")
-_float = _number(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?(e[-+][0-9]+)?|-?inf|nan", float, "a float")
-
-
 def _parse_rect(text: str) -> Rect:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"rect needs 4 comma-separated integers, got {text!r}")
-    return Rect(*map(_integer, parts))
+    return Rect(*map(read_int, parts))
 
 
 def _points_str(points) -> str:
@@ -66,7 +46,7 @@ def _parse_points(text: str) -> Points:
     for item in text.split(";"):
         try:
             x, y = item.split(":")
-            points.append((_integer(x), _integer(y)))
+            points.append((read_int(x), read_int(y)))
         except ValueError:
             raise ValueError(f"bad point {item!r}") from None
     return tuple(points)
@@ -81,15 +61,15 @@ def _parse_chain(text: str) -> Chain:
     for item in text.split(";"):
         try:
             x, y, tag = item.split(":")
-            chain.append((_integer(x), _integer(y), {"+": True, "-": False}[tag]))
+            chain.append((read_int(x), read_int(y), {"+": True, "-": False}[tag]))
         except (KeyError, ValueError):
             raise ValueError(f"bad chain point {item!r}") from None
     return tuple(chain)
 
 
 # the (write, read) pair of each slot; a reader raises ValueError on bad text
-CODECS = {Rect: (lambda r: ",".join(map(str, r)), _parse_rect), float: (repr, _float),
-          int: (str, _integer), Points: (_points_str, _parse_points),
+CODECS = {Rect: (lambda r: ",".join(map(str, r)), _parse_rect), float: (repr, read_float),
+          int: (str, read_int), Points: (_points_str, _parse_points),
           Chain: (_chain_str, _parse_chain)}
 
 # the model-file layout of each family: in file order, (key, attribute,
@@ -145,15 +125,15 @@ def _parse_stage(line: str, where: str) -> Stage:
     try:
         feature = FEATURE_TYPES[kind](**{attr: read(fields[key])
                                          for key, attr, (_, read) in layout})
-        weak = WeakClassifier(feature=feature, polarity=_integer(fields["polarity"]))
-        return Stage(alpha=_float(fields["alpha"]), weak=weak)
+        weak = WeakClassifier(feature=feature, polarity=read_int(fields["polarity"]))
+        return Stage(alpha=read_float(fields["alpha"]), weak=weak)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from None
 
 
 def _header_number(text: str, where: str) -> int:
     try:
-        return _integer(text)
+        return read_int(text)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: bad header number: {exc}") from None
 

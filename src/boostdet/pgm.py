@@ -1,7 +1,8 @@
 """Binary PGM (P5, maxval 255) reading and writing.
 
-The reader is strict: anything off-grammar raises PgmError with the byte
-offset where parsing gave up, as does a frame past ``imaging.MAX_PIXELS``.
+The reader is strict: anything off-grammar, a header number that is not
+ASCII digits included, raises PgmError with the byte offset where
+parsing gave up, as does a frame past ``imaging.MAX_PIXELS``.
 ``load_pgm`` checks that limit on a first read of ``HEADER_BYTES``, before
 it reads the payload; a header longer than that is checked on the whole
 file, as ``parse_pgm`` does. A frame's pixels are a view of the bytes.
@@ -42,6 +43,8 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     try:
+        if not token.isdigit():  # ASCII digits only: int() alone also takes b"+2" and b"1_0"
+            raise ValueError
         return int(token), pos
     except ValueError:
         raise PgmError(f"expected integer {what} near byte {pos}, got {token!r}") from None

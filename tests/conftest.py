@@ -6,7 +6,7 @@ import pytest
 
 from boostdet.boosting import LabeledSample, StrongClassifier, vote
 from boostdet.detector import Detections
-from boostdet.features import CANONICAL_H, CANONICAL_W
+from boostdet.features import CANONICAL_H, CANONICAL_W, FeatureBatch, field_values
 from boostdet.imaging import GrayImage, Rect, WindowStack, build_integral, rect_rows
 
 
@@ -27,6 +27,11 @@ def row_level(windows: int) -> WindowStack:
     """One row of ``windows`` canonical windows at stride 1, a pyramid level of a random frame."""
     frame = rand_image(np.random.default_rng(windows), CANONICAL_W + windows - 1, CANONICAL_H)
     return build_integral(frame).level(CANONICAL_W, CANONICAL_H, 1)
+
+
+def batch_of(features) -> FeatureBatch:
+    """The batch of built ``features``, all of one family, from their fields."""
+    return FeatureBatch(type(features[0]), [field_values(f) for f in features])
 
 
 def constant_image(width: int, height: int, value: int) -> GrayImage:

@@ -30,7 +30,6 @@ from boostdet.evalkit import GroundTruthFrame, MatchResult, auc, match_frame, pr
 from boostdet.features import (
     CANONICAL_H,
     CANONICAL_W,
-    FeatureBatch,
     FeatureKind,
     eval_batch,
     validate_chain,
@@ -40,7 +39,7 @@ from boostdet.learner import LearnerConfig, derive_seed, random_feature, search_
 from boostdet.modelio import dump_model, parse_model
 from boostdet.pipeline import train_detector
 from boostdet.synthetic import frame_sequence, training_samples, write_dataset
-from conftest import rand_image, rand_window, record, records, score
+from conftest import batch_of, rand_image, rand_window, record, records, score
 from oracles import haar_rule, point_classes, points_rule, symmetric_rule
 
 FULL = Rect(0, 0, CANONICAL_W, CANONICAL_H)
@@ -170,7 +169,7 @@ def test_criterion_3_adaboost_algebra(family, samples200):
 
 def symmetric_responses(f, img: GrayImage) -> list[float]:
     """The left, mirrored-right and middle responses of ``f`` on the window ``img``."""
-    return [float(d[0]) for d in FeatureBatch([f]).responses(build_integral(img))]
+    return [float(d[0]) for d in batch_of([f]).responses(build_integral(img))]
 
 
 def test_criterion_4_symmetry_property():

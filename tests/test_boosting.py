@@ -437,9 +437,9 @@ def test_vote_at_the_budget_edge_matches_stage_by_stage_sum(model):
     built = []
 
     class CountingBatch(FeatureBatch):
-        def __init__(self, features):
-            built.append(len(features))
-            super().__init__(features)
+        def __init__(self, family, genomes):
+            built.append(len(genomes))
+            super().__init__(family, genomes)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(boosting, "FeatureBatch", CountingBatch)
@@ -477,9 +477,9 @@ def test_score_builds_each_batch_once(monkeypatch, rng, family):
     built = []
 
     class CountingBatch(FeatureBatch):
-        def __init__(self, features):
-            built.append(len(features))
-            super().__init__(features)
+        def __init__(self, family, genomes):
+            built.append(len(genomes))
+            super().__init__(family, genomes)
 
     monkeypatch.setattr(boosting, "FeatureBatch", CountingBatch)
     model = parse_model(fixture_model_text(family))

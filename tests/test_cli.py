@@ -1,15 +1,22 @@
+import math
 import os
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boostdet.boosting import LabeledSample
 from boostdet.cli import main, parse_detections_csv
-from boostdet.dataset import list_pgm_files
-from boostdet.detector import Detections
+from boostdet.dataset import (AnnotationError, list_pgm_files, parse_annotations, read_float,
+                              read_int, write_annotations)
+from boostdet.detector import Detections, ScanConfig, nms, scan
+from boostdet.evalkit import GroundTruthFrame
 from boostdet.features import FeatureKind
-from boostdet.imaging import MAX_COORD, MAX_PIXELS
+from boostdet.imaging import MAX_COORD, MAX_PIXELS, Rect
 from boostdet.learner import LearnerConfig
+from boostdet.modelio import parse_model
 from boostdet.pgm import load_pgm, save_pgm
 from boostdet.pipeline import train_detector
 from conftest import constant_image, fixture_model_text
@@ -455,3 +462,114 @@ def test_detect_out_has_the_mode_a_plain_open_gives(tmp_path, dataset):
     assert main(argv + ["--out", str(out)]) == 0
     assert os.stat(out).st_mode & 0o777 == 0o640
     assert sorted(os.listdir(tmp_path)) == ["d.csv", "model.txt", "reference.csv"]
+
+
+# ---------------------------------------------------------------------------
+# numbers: read only in the form the package writes them
+# ---------------------------------------------------------------------------
+
+# int() takes each of these; none is what str() writes
+_NOT_INTEGERS = ["1_0", "\u0663", "+3", "04", "-0", "3.0", "0x1"]
+# float() takes each of these; none is what repr() writes
+_NOT_FLOATS = ["1_0.5", "\u0663.5", "+0.5", ".5", "5.", "1E5", "1e5", "Infinity", "NaN", " 0.5"]
+
+
+@pytest.mark.parametrize("text", _NOT_INTEGERS + [" 3"])  # a field is not stripped
+@pytest.mark.parametrize("field", range(4), ids=list("xywh"))
+def test_detections_csv_refuses_an_integer_detect_never_writes(tmp_path, field, text):
+    box = ["1", "2", "3", "4"]
+    box[field] = text
+    dets = tmp_path / "dets.csv"
+    dets.write_text(f"frame_id,x,y,w,h,margin\nf0.pgm,1,2,3,4,0.5\nf0.pgm,{','.join(box)},0.5\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(dets))}:3: "
+                                         rf"{re.escape(repr(text))} is not an integer in the form"):
+        parse_detections_csv(dets)
+
+
+@pytest.mark.parametrize("text", _NOT_FLOATS)
+def test_detections_csv_refuses_a_margin_detect_never_writes(tmp_path, text):
+    dets = tmp_path / "dets.csv"
+    dets.write_text(f"frame_id,x,y,w,h,margin\nf0.pgm,1,2,3,4,0.5\nf0.pgm,1,2,3,4,{text}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(dets))}:3: "
+                                         rf"{re.escape(repr(text))} is not a float in the form"):
+        parse_detections_csv(dets)
+
+
+def test_detections_csv_refuses_the_row_int_and_float_would_read(tmp_path):
+    # int() and float() alone read this row as box [10, 3, 3, 4] and margin 10.5
+    dets = tmp_path / "dets.csv"
+    dets.write_text("frame_id,x,y,w,h,margin\nf0.pgm,1_0,\u0663,+3,04,1_0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(dets))}:2: '1_0' is not an integer"):
+        parse_detections_csv(dets)
+
+
+@pytest.mark.parametrize("text", _NOT_INTEGERS)
+@pytest.mark.parametrize("field", range(4), ids=list("xywh"))
+def test_annotations_refuse_an_integer_write_annotations_never_writes(tmp_path, field, text):
+    box = ["1", "2", "3", "4"]
+    box[field] = text
+    notes = tmp_path / "ann.txt"
+    notes.write_text(f"f0.pgm 1 2 3 4\nf0.pgm {' '.join(box)}\n", encoding="utf-8")
+    with pytest.raises(AnnotationError,
+                       match=rf"^{re.escape(str(notes))}:2: box coordinates must be integers: "
+                             rf"{re.escape(repr(text))} is not an integer in the form"):
+        parse_annotations(notes)
+
+
+def test_annotations_refuse_the_line_int_would_read(tmp_path):
+    # int() alone reads this line as Rect(10, 3, 3, 4)
+    notes = tmp_path / "ann.txt"
+    notes.write_text("f0.pgm 1_0 \u0663 +3 04\n", encoding="utf-8")
+    with pytest.raises(AnnotationError, match=rf"^{re.escape(str(notes))}:1: .*'1_0'"):
+        parse_annotations(notes)
+
+
+@given(value=st.integers(-10 ** 30, 10 ** 30))
+def test_read_int_reads_what_str_writes(value):
+    assert read_int(str(value)) == value
+
+
+@given(value=st.floats(allow_nan=False))
+def test_read_float_reads_what_repr_writes(value):
+    back = read_float(repr(value))
+    assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+
+
+def test_read_float_reads_nan_for_the_callers_check():
+    assert math.isnan(read_float("nan")) and math.isnan(read_float(repr(-math.nan)))
+
+
+def test_detect_csv_reads_back_as_the_scan_wrote_it(tmp_path, dataset):
+    model_path = tmp_path / "model.txt"
+    model_path.write_text(fixture_model_text("haar"))
+    dets = tmp_path / "dets.csv"
+    assert main(["detect", "--model", str(model_path), "--frames", str(dataset / "frames"),
+                 "--out", str(dets), "--bias=-1e9"]) == 0
+    parsed = parse_detections_csv(dets)
+    model = parse_model(fixture_model_text("haar"))
+    cfg = ScanConfig(bias=-1e9)  # every window passes, so NMS keeps margins of both signs
+    paths = list_pgm_files(dataset / "frames")
+    assert list(parsed) == [os.path.basename(p) for p in paths]
+    for path in paths:
+        kept = nms(scan(model, load_pgm(path), cfg), overlap_threshold=0.5, input_order=True)
+        got = parsed[os.path.basename(path)]
+        assert np.array_equal(got.boxes, kept.boxes)
+        assert got.margins.tobytes() == kept.margins.tobytes()
+        assert (kept.margins < 0).any() and (kept.margins > 0).any()
+
+
+def test_written_annotations_read_back(tmp_path):
+    rng = np.random.default_rng(17)
+    frames = []
+    for k in range(5):
+        xy = rng.integers(0, MAX_COORD, (6, 2))
+        wh = rng.integers(1, MAX_COORD, (6, 2))
+        boxes = [Rect(*map(int, (x, y, w, h))) for (x, y), (w, h) in zip(xy, wh)]
+        frames.append(GroundTruthFrame(f"f{k},{k}.pgm", tuple(boxes)))
+    frames.append(GroundTruthFrame("edge.pgm", (Rect(0, 0, 1, 1),
+                                                Rect(*[MAX_COORD - 1] * 4))))
+    notes = tmp_path / "ann.txt"
+    write_annotations(frames, notes)
+    assert parse_annotations(notes) == frames

@@ -23,7 +23,7 @@ from boostdet.features import (
 )
 from boostdet.imaging import BoundsError, GrayImage, Rect, WindowStack, build_integral
 from boostdet.learner import random_feature
-from conftest import constant_image, rand_image, rand_window
+from conftest import batch_of, constant_image, rand_image, rand_window
 from oracles import (brute_rect_sum, brute_std, haar_rule, mirror_rect, point_classes,
                      points_rule, scale_rect, symmetric_rule)
 
@@ -37,7 +37,7 @@ def fires(feature, img: GrayImage, win: Rect = FULL) -> bool:
 
 def diffs(f: SymmetricHaarFeature, img: GrayImage) -> tuple[float, float, float]:
     """The left, mirrored-right and middle responses on the whole of ``img``."""
-    return tuple(float(d[0]) for d in FeatureBatch([f]).responses(build_integral(img)))
+    return tuple(float(d[0]) for d in batch_of([f]).responses(build_integral(img)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def test_a_point_of_floats_or_bools_is_refused(point):
 def test_numpy_integer_points_make_a_feature():
     f = ControlPointsFeature(pos_points=((np.int64(1), np.uint8(2)),), neg_points=((0, 0),),
                              separation=10)
-    assert FeatureBatch([f])._groups[0].tolist() == [[[1, 2]]]
+    assert batch_of([f])._groups[0].tolist() == [[[1, 2]]]
     f = ChainFeature(chain=((np.int16(1), 2, True), (2, np.int32(2), False)), separation=10)
     assert point_classes(f)[1] == ((2, 2),)
 
@@ -361,13 +361,13 @@ def test_point_rule_is_exact_at_the_uint8_extremes(path):
         want = np.array([[points_rule(c, *point_classes(f), f.separation)
                           for c in crops] for f in features])
         if path == "crops":
-            got = FeatureBatch(features).fired(WindowStack.from_images(crops))
+            got = batch_of(features).fired(WindowStack.from_images(crops))
         elif path == "level":
             level = ii.level(CANONICAL_W, CANONICAL_H, 1)
-            got = FeatureBatch(features).fired(level).reshape(len(features), -1)
+            got = batch_of(features).fired(level).reshape(len(features), -1)
         else:
-            got = np.array([FeatureBatch(features).fired(ii.window(Rect(x, y, CANONICAL_W,
-                                                                          CANONICAL_H)))
+            got = np.array([batch_of(features).fired(ii.window(Rect(x, y, CANONICAL_W,
+                                                                     CANONICAL_H)))
                             for x, y in origins]).T
         assert want.any() and not want.all()
         assert np.array_equal(got, want), family
@@ -521,7 +521,7 @@ def test_eval_features_rows_match_eval_batch(rng, family):
         assert len({len(point_classes(f)[0]) for f in features}) > 1
         assert len({len(point_classes(f)[1]) for f in features}) > 1
     for name, stack in _stacks(rng).items():
-        batch = FeatureBatch(features).fired(stack)
+        batch = batch_of(features).fired(stack)
         assert batch.shape == (len(features),) + stack.sigma.shape, name
         for f, row in zip(features, batch):
             single = eval_batch(f, stack)
@@ -529,25 +529,16 @@ def test_eval_features_rows_match_eval_batch(rng, family):
             assert np.array_equal(row, single), name
 
 
-def test_eval_features_rejects_mixed_families():
-    py = random.Random(43)
-    mixed = [random_feature(FeatureKind.HAAR, py), random_feature(FeatureKind.CHAIN, py)]
-    stack = WindowStack.from_images([constant_image(CANONICAL_W, CANONICAL_H, 7)])
-    for features in (mixed, []):
-        with pytest.raises(ValueError, match="one family"):
-            FeatureBatch(features).fired(stack)
-
-
 @pytest.mark.parametrize("family", list(FeatureKind), ids=lambda k: k.value)
 def test_feature_batch_memo_is_read_only_and_bounded(rng, family):
     py = random.Random(59)
     features = [random_feature(family, py) for _ in range(5)]
-    batch = FeatureBatch(features)
+    batch = batch_of(features)
     frame = build_integral(rand_image(rng, 96, 72))
     sizes = [(CANONICAL_W + k, CANONICAL_H + k) for k in range(GEOMETRY_MEMO + 5)]
     for w, h in sizes:
         level = frame.level(w, h, 4)
-        assert np.array_equal(batch.fired(level), FeatureBatch(features).fired(level))
+        assert np.array_equal(batch.fired(level), batch_of(features).fired(level))
         assert len(batch._scaled) <= GEOMETRY_MEMO
     assert list(batch._scaled) == sizes[-GEOMETRY_MEMO:]
     for geometry in batch._scaled.values():
@@ -561,7 +552,7 @@ def test_feature_batch_keeps_no_geometry_that_leaks():
     with np.errstate(invalid="ignore"):  # its sigma divides by a zero area
         empty = WindowStack(np.zeros((0, 0), np.uint8), np.zeros((1, 1), np.int64),
                             np.zeros((1, 1), np.int64))
-    batch = FeatureBatch([random_feature(FeatureKind.HAAR, random.Random(61))])
+    batch = batch_of([random_feature(FeatureKind.HAAR, random.Random(61))])
     for _ in range(2):
         with pytest.raises(BoundsError, match="leaks out of bounds"):
             batch.fired(empty)
@@ -573,7 +564,7 @@ def test_feature_batch_keeps_no_geometry_that_leaks():
 def test_feature_batch_rect_geometry_is_the_feature_fields(family):
     py = random.Random(71)
     features = [random_feature(family, py) for _ in range(7)]
-    batch = FeatureBatch(features)
+    batch = batch_of(features)
     if family is FeatureKind.HAAR:
         groups = [[f.rect_a for f in features] + [f.rect_b for f in features]]
     else:
@@ -607,14 +598,14 @@ def test_window_outside_image_is_bounds_error(rng):
         with pytest.raises(BoundsError):
             fires(fh, img, win)
         with pytest.raises(BoundsError):
-            next(FeatureBatch([fs]).responses(ii.window(win)))
+            next(batch_of([fs]).responses(ii.window(win)))
         for family in FeatureKind:
             with pytest.raises(BoundsError):
                 fires(random_feature(family, py), img, win)
 
 
 def _haar_response(rect_a: Rect, rect_b: Rect, frame: GrayImage, win: Rect) -> float:
-    (d,) = FeatureBatch([HaarFeature(rect_a, rect_b, 0.0)]).responses(
+    (d,) = batch_of([HaarFeature(rect_a, rect_b, 0.0)]).responses(
         build_integral(frame).window(win))
     return float(d[0])
 
@@ -671,8 +662,9 @@ def test_batch_from_fields_is_the_batch_of_the_features(rng, family):
         assert any(type(v) is tuple for g in genomes for v in g)
     else:
         assert len({len(points) for f in features for points in point_classes(f)}) > 1
-    want = FeatureBatch(features)
-    got = FeatureBatch.from_fields(type(features[0]), genomes)
+    cls = type(features[0])
+    want = FeatureBatch(cls, [field_values(f) for f in features])
+    got = FeatureBatch(cls, genomes)
     assert got.family is want.family
     assert len(got._groups) == len(want._groups) and len(got._limits) == len(want._limits)
     for a, b in zip(got._groups + got._limits, want._groups + want._limits):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,6 +66,36 @@ def test_save_load_round_trip(tmp_path, rng):
     save_pgm(img, path)
     back = load_pgm(path)
     assert np.array_equal(back.pixels, img.pixels)
+
+
+@pytest.mark.parametrize("size", [(1, 1), (10, 100), (1000, 3)])
+def test_saved_header_numbers_read_back(tmp_path, rng, size):
+    # the header save_pgm writes is what the digits-only reader takes
+    img = rand_image(rng, *size)
+    path = tmp_path / "img.pgm"
+    save_pgm(img, path)
+    assert np.array_equal(load_pgm(path).pixels, img.pixels)
+
+
+@pytest.mark.parametrize("header, token", [
+    (b"P5 1_0 +2 0255\n", b"1_0"),  # int() alone reads this as a 10x2 frame
+    (b"P5 +2 2 255\n", b"+2"),
+    (b"P5 2 1_0 255\n", b"1_0"),
+    (b"P5 2 2 +255\n", b"+255"),
+    (b"P5 \xd9\xa3 2 255\n", b"\xd9\xa3"),
+    (b"P5 2 2 2_55\n", b"2_55"),
+    (b"P5 -2 2 255\n", b"-2"),
+])
+def test_header_numbers_are_ascii_digits(header, token):
+    with pytest.raises(PgmError,
+                       match=rf"^expected integer \w+ near byte \d+, got {re.escape(repr(token))}$"):
+        parse_pgm(header + bytes(100))
+
+
+def test_header_numbers_may_have_leading_zeros():
+    # as in the Netpbm format, which reads a number's digits however many lead
+    img = parse_pgm(b"P5 010 02 0255\n" + bytes(range(20)))
+    assert img.pixels.shape == (2, 10) and img.pixels.tolist()[1][9] == 19
 
 
 def test_load_names_file_in_error(tmp_path):
