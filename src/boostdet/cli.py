@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. A count flag out of
 range or not an integer is a usage error naming the flag, raised by its
-``_int_from`` type as argparse parses it, before any file is read.
+``_int_from`` type as argparse parses it, before any file is read. A
+float flag takes a negative value in any form ``repr`` writes
+(``--bias -1e-05``, ``--bias -inf``), not only the ``-1`` and ``-1.5``
+that argparse alone tells from an option.
 
 ``detect`` writes, per frame, the rows NMS keeps in scan order (pyramid
 level, then row, then column): ``nms(..., input_order=True)`` sorts the
@@ -16,8 +19,10 @@ replaces ``--out`` only when every frame is done, so a failed run leaves
 ``--out`` as it was and nothing else behind.
 
 ``eval`` reads the CSV back as one ``Detections`` record per frame, with
-no ``Detection`` per row. Its numbers are read by ``dataset.read_int``
-and ``dataset.read_float``, in the form ``detect`` writes them; any
+no ``Detection`` per row. Its numbers must be in the form ``detect``
+writes them, ``dataset.INT_FORM`` and ``FLOAT_FORM``: one compiled
+pattern checks a row's five at once, and only a row it refuses goes
+through ``dataset.read_int`` and ``read_float``, for the message. Any
 other form, and a box that ``imaging.rect_problem`` rejects, is an error
 naming its file and line. Rows split from the right, so a frame id may
 contain commas.
@@ -28,12 +33,13 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import stat
 import sys
 
 from .boosting import LabeledSample
-from .dataset import (AnnotationError, list_pgm_files, parse_annotations, read_float, read_int,
-                      read_text)
+from .dataset import (FLOAT_FORM, INT_FORM, AnnotationError, list_pgm_files, parse_annotations,
+                      read_float, read_int, read_text)
 from .detector import Detections, ScanConfig, check_iou_threshold, nms, scan
 from .evalkit import auc, pr_curve, roc_curve, write_curves
 from .features import FeatureKind
@@ -52,6 +58,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token starting with "-" is an option unless this matches it;
+        # argparse's own pattern takes "-1" and "-.5" but not "-1e9" or "-inf",
+        # which a float flag such as --bias must also accept
+        self._negative_number_matcher = re.compile(r"-(\d+|\d*\.\d+)(e[-+]?\d+)?$|-inf$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -208,6 +221,10 @@ def cmd_detect(args) -> int:
     return 0
 
 
+# the five numbers after a row's frame id, each in read_int's or read_float's form
+_ROW_NUMBERS = re.compile(",".join([f"(?:{INT_FORM})"] * 4 + [f"(?:{FLOAT_FORM})"]))
+
+
 def parse_detections_csv(path) -> dict[str, Detections]:
     """Read a detect-command CSV back into one ``Detections`` per frame.
 
@@ -227,11 +244,15 @@ def parse_detections_csv(path) -> dict[str, Detections]:
         parts = line.rsplit(",", 5)
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        try:
-            box = [read_int(p) for p in parts[1:5]]
-            margin = read_float(parts[5])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if _ROW_NUMBERS.fullmatch(line, len(parts[0]) + 1) is None:
+            try:  # the reader of the first field out of form names it
+                for p in parts[1:5]:
+                    read_int(p)
+                read_float(parts[5])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        box = [int(p) for p in parts[1:5]]
+        margin = float(parts[5])
         problem = rect_problem(*box)
         if problem is not None:
             raise ValueError(f"{path}:{lineno}: {problem}, got {','.join(parts[1:5])}")

@@ -6,7 +6,9 @@ A number is read only in the form the package writes it: an integer as
 ``str`` writes one, in ASCII ``0|-?[1-9][0-9]*``, and a float as
 ``repr`` writes one, so ``032``, ``-0``, ``+1``, ``1_0``, ``.5``,
 ``1E5`` and non-ASCII digits are refused, while ``inf`` and ``nan`` are
-read, for the caller's own check.
+read, for the caller's own check. ``INT_FORM`` and ``FLOAT_FORM`` are
+those two forms as regular expressions, for a reader that checks several
+numbers with one pattern.
 
 Annotation grammar, one box per line, '#' starts a comment:
 
@@ -59,8 +61,10 @@ def _number(form: str, convert, name: str):
 
 # str's form of an int; repr's of a float ("-0.5", "1e-05", "inf", "nan"),
 # whose fraction and exponent may be left out
-read_int = _number(r"0|-?[1-9][0-9]*", int, "an integer")
-read_float = _number(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?(e[-+][0-9]+)?|-?inf|nan", float, "a float")
+INT_FORM = r"0|-?[1-9][0-9]*"
+FLOAT_FORM = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:e[-+][0-9]+)?|-?inf|nan"
+read_int = _number(INT_FORM, int, "an integer")
+read_float = _number(FLOAT_FORM, float, "a float")
 
 
 def parse_annotations(path) -> list[GroundTruthFrame]:

@@ -3,20 +3,26 @@
 A mu+lambda loop: keep the best quarter of the population, refill with
 mutated elites plus a trickle of fresh random genomes, stop on stall or
 generation budget. Every genome is drawn from its own RNG stream derived
-from (seed, candidate index). A genome is a feature's constructor fields
-(``features.field_values``). A fresh one is drawn by ``random_feature``,
-which builds and checks a ``Feature``; a mutated child takes its moves on
-its parent's fields, each proposal checked by the one field rule it
-changes (``features.FIELD_RULES``), and is never built. The initial
-population and each generation's offspring are scored by one
-``FeatureBatch(family, genomes)`` on the calling thread, read straight
-from the genomes, into plain ``(epsilon, id, genome, polarity)`` rows. Each
-candidate's two errors are summed over consecutive slices of one masked
-weight array, which hold the same values in the same order as the
-candidate's own row, so they round as a one-feature evaluation does. Only
-the winner becomes a ``Feature`` (with the constructor's full check), a
-``WeakClassifier`` and a ``Candidate``. ``mutate`` is the same moves on a
-``Feature``. The symmetric moves read their field indices from ``features.FIELDS``.
+from (seed, candidate index): one ``random.Random`` per search, reseeded
+for each candidate, which gives the state a new ``Random`` of that seed
+starts in. The draws call ``getrandbits`` and ``random`` directly, as
+CPython's ``randint``, ``randrange``, ``choice`` and ``uniform`` do, so
+they read the stream those methods read. A genome is a feature's
+constructor fields (``features.field_values``). A fresh one is drawn by
+``random_feature``, which builds and checks a ``Feature``; a mutated
+child takes its moves on its parent's fields, each proposal checked by
+the one field rule it changes (``features.FIELD_RULES``), and is never
+built. The initial population and each generation's offspring are scored
+by one ``FeatureBatch(family, genomes)`` on the calling thread, read
+straight from the genomes, into plain ``(epsilon, id, genome, polarity)``
+rows. One stable partition per generation puts each candidate's wrong
+weights before its right ones, each part in window order, so its two
+errors are sums of two slices that hold the same values in the same
+order as its own masked row, and they round as a one-feature evaluation
+does. Only the winner becomes a ``Feature`` (with the constructor's full
+check), a ``WeakClassifier`` and a ``Candidate``. ``mutate`` is the same
+moves on a ``Feature``. The symmetric moves read their field indices
+from ``features.FIELDS``.
 
 ``search_best`` takes only what the search reads: the distribution, the
 window stack with its labels (built once by ``boosting.train``) and the
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -120,22 +126,52 @@ class Candidate:
 
 
 # ---------------------------------------------------------------------------
+# direct draws
+# ---------------------------------------------------------------------------
+
+# CPython's ``Random.randrange(n)``, ``randint(a, b)``, ``choice(seq)`` and
+# ``uniform(a, b)``: the same ``getrandbits`` and ``random`` calls in the
+# same order (``_randbelow_with_getrandbits``: k = n.bit_length() bits,
+# redrawn while r >= n), without the Python frames in between
+
+
+def _randbelow(rng: random.Random, n: int) -> int:
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    return a + _randbelow(rng, b - a + 1)
+
+
+def _choice(rng: random.Random, seq: Sequence):
+    return seq[_randbelow(rng, len(seq))]
+
+
+def _uniform(rng: random.Random, a: float, b: float) -> float:
+    return a + (b - a) * rng.random()
+
+
+# ---------------------------------------------------------------------------
 # random genomes
 # ---------------------------------------------------------------------------
 
 def _random_rect(rng: random.Random, max_w: int = CANONICAL_W) -> Rect:
-    w = rng.randint(1, max_w)
-    h = rng.randint(1, CANONICAL_H)
-    return Rect(x=rng.randint(0, max_w - w), y=rng.randint(0, CANONICAL_H - h), w=w, h=h)
+    w = _randint(rng, 1, max_w)
+    h = _randint(rng, 1, CANONICAL_H)
+    return Rect(x=_randint(rng, 0, max_w - w), y=_randint(rng, 0, CANONICAL_H - h), w=w, h=h)
 
 
 def _random_mid_rect(rng: random.Random) -> Rect:
     # center within 1px of the axis: CANONICAL_W - 2 <= 2x + w <= CANONICAL_W + 2
-    w = rng.randint(1, CANONICAL_W)
+    w = _randint(rng, 1, CANONICAL_W)
     lo = max(0, -(-(CANONICAL_W - 2 - w) // 2))
     hi = min(CANONICAL_W - w, (CANONICAL_W + 2 - w) // 2)
-    h = rng.randint(1, CANONICAL_H)
-    return Rect(x=rng.randint(lo, hi), y=rng.randint(0, CANONICAL_H - h), w=w, h=h)
+    h = _randint(rng, 1, CANONICAL_H)
+    return Rect(x=_randint(rng, lo, hi), y=_randint(rng, 0, CANONICAL_H - h), w=w, h=h)
 
 
 def _random_points(rng: random.Random, count: int) -> tuple[tuple[int, int], ...]:
@@ -144,10 +180,10 @@ def _random_points(rng: random.Random, count: int) -> tuple[tuple[int, int], ...
 
 
 def _random_chain(rng: random.Random) -> ChainFeature:
-    length = rng.randint(MIN_CHAIN_LEN, MAX_CHAIN_LEN)
+    length = _randint(rng, MIN_CHAIN_LEN, MAX_CHAIN_LEN)
     for _ in range(100):
-        x = rng.randint(0, CANONICAL_W - 1)
-        y = rng.randint(0, CANONICAL_H - 1)
+        x = _randint(rng, 0, CANONICAL_W - 1)
+        y = _randint(rng, 0, CANONICAL_H - 1)
         pts = [(x, y)]
         while len(pts) < length:
             cx, cy = pts[-1]
@@ -156,13 +192,13 @@ def _random_chain(rng: random.Random) -> ChainFeature:
                        and (cx + dx, cy + dy) not in pts]
             if not options:
                 break
-            pts.append(rng.choice(options))
+            pts.append(_choice(rng, options))
         if len(pts) == length:
             tags = [rng.random() < 0.5 for _ in pts]
             if all(tags) or not any(tags):
-                tags[rng.randrange(length)] = not tags[0]
+                tags[_randbelow(rng, length)] = not tags[0]
             return ChainFeature(chain=tuple((px, py, t) for (px, py), t in zip(pts, tags)),
-                                separation=rng.randint(1, SEPARATION_MAX))
+                                separation=_randint(rng, 1, SEPARATION_MAX))
     raise RuntimeError("could not grow a chain (should not happen on a 32x24 grid)")
 
 
@@ -170,24 +206,24 @@ def random_feature(family: FeatureKind, rng: random.Random) -> Feature:
     """Draw a feature satisfying all invariants of ``family``."""
     if family is FeatureKind.HAAR:
         return HaarFeature(rect_a=_random_rect(rng), rect_b=_random_rect(rng),
-                           threshold=rng.uniform(0.0, HAAR_THRESHOLD_MAX))
+                           threshold=_uniform(rng, 0.0, HAAR_THRESHOLD_MAX))
     if family is FeatureKind.CONTROL_POINTS:
         return ControlPointsFeature(
-            pos_points=_random_points(rng, rng.randint(1, MAX_CLASS_POINTS)),
-            neg_points=_random_points(rng, rng.randint(1, MAX_CLASS_POINTS)),
-            separation=rng.randint(1, SEPARATION_MAX))
+            pos_points=_random_points(rng, _randint(rng, 1, MAX_CLASS_POINTS)),
+            neg_points=_random_points(rng, _randint(rng, 1, MAX_CLASS_POINTS)),
+            separation=_randint(rng, 1, SEPARATION_MAX))
     if family is FeatureKind.SYMMETRIC_HAAR:
         sym_tol = 0.0
         while sym_tol == 0.0:
-            sym_tol = rng.uniform(0.0, SYM_TOL_MAX)
+            sym_tol = _uniform(rng, 0.0, SYM_TOL_MAX)
         return SymmetricHaarFeature(
             left_a=_random_rect(rng, max_w=CANONICAL_W // 2),
             left_b=_random_rect(rng, max_w=CANONICAL_W // 2),
             mid_a=_random_mid_rect(rng), mid_b=_random_mid_rect(rng),
-            t_left=rng.uniform(0.0, SYM_THRESHOLD_MAX),
-            t_right=rng.uniform(0.0, SYM_THRESHOLD_MAX),
-            t_mid=rng.uniform(0.0, SYM_THRESHOLD_MAX),
-            sym_tol=sym_tol, mid_margin=rng.uniform(0.0, MID_MARGIN_MAX))
+            t_left=_uniform(rng, 0.0, SYM_THRESHOLD_MAX),
+            t_right=_uniform(rng, 0.0, SYM_THRESHOLD_MAX),
+            t_mid=_uniform(rng, 0.0, SYM_THRESHOLD_MAX),
+            sym_tol=sym_tol, mid_margin=_uniform(rng, 0.0, MID_MARGIN_MAX))
     if family is FeatureKind.CHAIN:
         return _random_chain(rng)
     raise ValueError(f"unknown family {family}")
@@ -212,44 +248,44 @@ _SYM_RECTS, _SYM_THRESHOLDS = (tuple(i for i, s in enumerate(FIELDS[SymmetricHaa
 def _nudged_rect(r: Rect | tuple[int, int, int, int],
                  rng: random.Random) -> tuple[int, int, int, int]:
     coords = list(r)
-    coords[rng.choice((0, 1, 2, 3))] += rng.choice((-1, 1))
+    coords[_choice(rng, (0, 1, 2, 3))] += _choice(rng, (-1, 1))
     return tuple(coords)
 
 
 def _nudged_separation(sep: int, rng: random.Random) -> int:
-    return min(255, max(1, sep + rng.choice((-1, 1)) * rng.randint(1, 8)))
+    return min(255, max(1, sep + _choice(rng, (-1, 1)) * _randint(rng, 1, 8)))
 
 
 def _move_haar(g: list, rng: random.Random) -> tuple[int, Any]:
-    move = rng.randrange(3)  # nudge rect_a, nudge rect_b or scale the threshold
+    move = _randbelow(rng, 3)  # nudge rect_a, nudge rect_b or scale the threshold
     if move < 2:
         return move, _nudged_rect(g[move], rng)
-    return 2, g[2] * rng.choice((0.9, 1.1))
+    return 2, g[2] * _choice(rng, (0.9, 1.1))
 
 
 def _move_control_points(g: list, rng: random.Random) -> tuple[int, Any]:
-    move = rng.randrange(4)
-    side = rng.choice((0, 1))  # the pos or the neg class
+    move = _randbelow(rng, 4)
+    side = _choice(rng, (0, 1))  # the pos or the neg class
     points = list(g[side])
     if move == 0:
-        i = rng.randrange(len(points))
-        dx, dy = rng.choice(_NEIGHBORS)
+        i = _randbelow(rng, len(points))
+        dx, dy = _choice(rng, _NEIGHBORS)
         points[i] = (points[i][0] + dx, points[i][1] + dy)
     elif move == 1:
-        points.append((rng.randint(0, CANONICAL_W - 1), rng.randint(0, CANONICAL_H - 1)))
+        points.append((_randint(rng, 0, CANONICAL_W - 1), _randint(rng, 0, CANONICAL_H - 1)))
     elif move == 2:
-        points.pop(rng.randrange(len(points)))
+        points.pop(_randbelow(rng, len(points)))
     else:
         return 2, _nudged_separation(g[2], rng)
     return side, tuple(points)
 
 
 def _move_symmetric(g: list, rng: random.Random) -> tuple[int, Any]:
-    if rng.randrange(2) == 0:
-        which = rng.choice(_SYM_RECTS)
+    if _randbelow(rng, 2) == 0:
+        which = _choice(rng, _SYM_RECTS)
         return which, _nudged_rect(g[which], rng)
-    which = rng.choice(_SYM_THRESHOLDS)
-    return which, g[which] * rng.choice((0.9, 1.1))
+    which = _choice(rng, _SYM_THRESHOLDS)
+    return which, g[which] * _choice(rng, (0.9, 1.1))
 
 
 def _free_neighbors(chain: list, entry: tuple) -> list[tuple[int, int]]:
@@ -261,23 +297,23 @@ def _free_neighbors(chain: list, entry: tuple) -> list[tuple[int, int]]:
 
 def _move_chain(g: list, rng: random.Random) -> tuple[int, Any]:
     chain = list(g[0])
-    move = rng.randrange(5)
+    move = _randbelow(rng, 5)
     if move == 0:  # move an endpoint next to its neighbor
-        end = rng.choice((0, len(chain) - 1))
+        end = _choice(rng, (0, len(chain) - 1))
         options = _free_neighbors(chain, chain[1] if end == 0 else chain[-2])
-        nx, ny = rng.choice(options) if options else chain[end][:2]
+        nx, ny = _choice(rng, options) if options else chain[end][:2]
         chain[end] = (nx, ny, chain[end][2])
     elif move == 1:  # extend at an end
-        end = rng.choice((0, len(chain) - 1))
+        end = _choice(rng, (0, len(chain) - 1))
         options = _free_neighbors(chain, chain[end])
         if options:
-            nx, ny = rng.choice(options)
+            nx, ny = _choice(rng, options)
             new_pt = (nx, ny, rng.random() < 0.5)
             chain = [new_pt] + chain if end == 0 else chain + [new_pt]
     elif move == 2:  # shrink at an end
-        chain.pop(rng.choice((0, len(chain) - 1)))
+        chain.pop(_choice(rng, (0, len(chain) - 1)))
     elif move == 3:  # retag one point
-        i = rng.randrange(len(chain))
+        i = _randbelow(rng, len(chain))
         x, y, t = chain[i]
         chain[i] = (x, y, not t)
     else:
@@ -340,24 +376,21 @@ def _score(ids: Sequence[int], family: type, genomes: Sequence[tuple], stack: Wi
             in zip(ids, genomes, _errors(mistakes, weights))]
 
 
-def _errors(mistakes: np.ndarray, weights: np.ndarray) -> Iterator[tuple[float, float]]:
+def _errors(mistakes: np.ndarray, weights: np.ndarray) -> list[tuple[float, float]]:
     """Per row of ``mistakes``, the weight it gets wrong and the weight it
     gets right, each as ``float(weights[row_mask].sum())`` would round it.
 
-    Row k's selected weights are one contiguous slice of one masked
-    array, the same values in the same order as ``weights[row_mask]``, so
-    numpy's pairwise sum adds them the same way; ``np.add.reduceat`` and a
-    matrix product would not.
+    One stable partition orders each row's weights wrong first, then
+    right, each part in window order: row k's first ``m_k`` entries are
+    the same values in the same order as ``weights[row_mask]``, and the
+    rest as ``weights[~row_mask]``, so numpy's pairwise sum adds each
+    contiguous part the same way; ``np.add.reduceat`` and a matrix product
+    would not.
     """
-    every = np.broadcast_to(weights, mistakes.shape)
-    wrong, right = every[mistakes], every[~mistakes]
-    ends = np.cumsum(np.count_nonzero(mistakes, axis=1)).tolist()
-    n = mistakes.shape[1]
+    parted = weights[np.argsort(~mistakes, axis=1, kind="stable")]
     total = np.add.reduce  # what ndarray.sum calls, less its Python wrapper
-    start = 0
-    for k, end in enumerate(ends):
-        yield float(total(wrong[start:end])), float(total(right[k * n - start:(k + 1) * n - end]))
-        start = end
+    return [(float(total(row[:m])), float(total(row[m:])))
+            for row, m in zip(parted, np.count_nonzero(mistakes, axis=1).tolist())]
 
 
 def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray,
@@ -376,9 +409,14 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
     weights = dist.weights
 
     # every candidate gets a unique id; its RNG stream derives from the id,
-    # and ties in epsilon resolve by id, so the search is reproducible
+    # and ties in epsilon resolve by id, so the search is reproducible. One
+    # Random serves every candidate: reseeding it gives the MT state a new
+    # Random(seed) would start from
+    shared = random.Random(0)
+
     def stream(candidate_id: int) -> random.Random:
-        return random.Random(derive_seed(config.seed, candidate_id))
+        shared.seed(derive_seed(config.seed, candidate_id))
+        return shared
 
     size, family = config.population_size, FEATURE_TYPES[config.family]
     initial = [field_values(random_feature(config.family, stream(cid))) for cid in range(size)]
@@ -414,7 +452,7 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
             else:
                 parent = elites[(k - fresh_n) % elite_n][2]
                 offspring.append(_mutated(family, parent, rng,
-                                          rng.randint(*MUTATIONS_PER_CHILD)))
+                                          _randint(rng, *MUTATIONS_PER_CHILD)))
 
         population = elites + _score(ids, family, offspring, stack, weights, labels)
 

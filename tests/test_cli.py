@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boostdet.boosting import LabeledSample
-from boostdet.cli import main, parse_detections_csv
+from boostdet.cli import build_parser, main, parse_detections_csv
 from boostdet.dataset import (AnnotationError, list_pgm_files, parse_annotations, read_float,
                               read_int, write_annotations)
 from boostdet.detector import Detections, ScanConfig, nms, scan
@@ -573,3 +574,43 @@ def test_written_annotations_read_back(tmp_path):
     notes = tmp_path / "ann.txt"
     write_annotations(frames, notes)
     assert parse_annotations(notes) == frames
+
+
+def _float_flags():
+    """(command, flag) for every float-typed flag of ``build_parser``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(command, action.option_strings[-1]) for command, parser in sub.choices.items()
+            for action in parser._actions if action.type is float]
+
+
+_REQUIRED = {"detect": ["--model", "m.txt", "--frames", "f", "--out", "d.csv"],
+             "eval": ["--detections", "d.csv", "--annotations", "a.txt"]}
+
+
+def test_every_float_flag_is_covered():
+    assert set(_float_flags()) == {("detect", "--scale-factor"), ("detect", "--bias"),
+                                   ("detect", "--nms-iou"), ("eval", "--iou")}
+
+
+@pytest.mark.parametrize("text", ["-1e9", "-1e-3", "-1.5e+16", "-1e-05", "-inf", "-2", "-.5"])
+@pytest.mark.parametrize("command, flag", _float_flags())
+def test_float_flags_take_negative_values_as_repr_writes_them(command, flag, text):
+    for argv in ([flag, text], [f"{flag}={text}"]):
+        args = build_parser().parse_args([command, *_REQUIRED[command], *argv])
+        assert getattr(args, flag[2:].replace("-", "_")) == float(text)
+
+
+@pytest.mark.parametrize("bias", ["-1e9", "-1e-3", "-inf"])
+def test_negative_exponent_bias_reaches_the_data_stage(tmp_path, capsys, bias):
+    # argparse alone reads "-1e9" as an unknown option and exits 1
+    assert main(["detect", "--model", str(tmp_path / "missing.txt"), "--frames", str(tmp_path),
+                 "--out", str(tmp_path / "d.csv"), "--bias", bias]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.txt" in err
+
+
+@pytest.mark.parametrize("text", ["-x", "-e9", "-1e", "-infinity", "-nan"])
+def test_a_dash_word_after_bias_stays_a_usage_error(tmp_path, capsys, text):
+    assert main(["detect", "--model", str(tmp_path / "missing.txt"), "--frames", str(tmp_path),
+                 "--out", str(tmp_path / "d.csv"), "--bias", text]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")

@@ -18,6 +18,7 @@ from boostdet.features import (
     HaarFeature,
     SymmetricHaarFeature,
     eval_batch,
+    field_values,
     validate_chain,
 )
 from boostdet.imaging import Rect, WindowStack
@@ -437,3 +438,65 @@ def test_config_validation():
 def test_derive_seed_distinct():
     seeds = {derive_seed(42, n) for n in range(1000)}
     assert len(seeds) == 1000
+
+
+# every width a direct draw takes in the search: randint(a, b) draws below
+# b - a + 1, choice below len(seq) and randrange(n) below n; the widest is
+# randint(1, SEPARATION_MAX)
+_LEARNER_WIDTHS = range(1, learner.SEPARATION_MAX + 1)
+# a power of two is the width whose k-bit draws are rejected half the time
+_POWERS_OF_TWO = [1 << k for k in range(41)]
+
+
+def _same_draws(got, want, method, n, a):
+    """One direct draw on ``got`` and the ``random.Random`` method on ``want``."""
+    if method == "randrange":
+        assert learner._randbelow(got, n) == want.randrange(n)
+    elif method == "randint":
+        assert learner._randint(got, a, a + n - 1) == want.randint(a, a + n - 1)
+    elif method == "choice":
+        assert learner._choice(got, range(a, a + n)) == want.choice(range(a, a + n))
+    else:  # a = 0 with n = 16, 32 and 64 is the search's uniform(0.0, hi), hi = 2, 4 and 8
+        lo, hi = a / 4, a / 4 + n / 8
+        assert learner._uniform(got, lo, hi).hex() == want.uniform(lo, hi).hex()
+    # the same number of bits was read: the streams go on alike
+    assert got.getrandbits(32) == want.getrandbits(32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       draws=st.lists(st.tuples(st.sampled_from(["randrange", "randint", "choice", "uniform"]),
+                                st.sampled_from(_LEARNER_WIDTHS) | st.sampled_from(_POWERS_OF_TWO)
+                                | st.integers(1, 2**62),
+                                st.integers(-(2**40), 2**40)),
+                      min_size=1, max_size=30))
+def test_direct_draws_match_random(seed, draws):
+    got, want = random.Random(seed), random.Random(seed)
+    for method, n, a in draws:
+        _same_draws(got, want, method, n, a)
+
+
+@pytest.mark.parametrize("method", ["randrange", "randint", "choice", "uniform"])
+def test_direct_draws_match_random_at_every_learner_width(method):
+    for n in [*_LEARNER_WIDTHS, *_POWERS_OF_TWO]:
+        for seed in range(4):
+            _same_draws(random.Random(seed), random.Random(seed), method, n, seed - 1)
+
+
+def _winner(best):
+    return repr(field_values(best.weak.feature)), best.epsilon.hex(), best.weak.polarity
+
+
+def test_the_reused_stream_carries_nothing_between_searches(small_set):
+    # each search reseeds its own stream per candidate, so neither a
+    # repeat nor a search of another family and seed in between moves it
+    config = LearnerConfig(family=FeatureKind.CHAIN, population_size=24, generations=5,
+                           seed=37)
+    other = LearnerConfig(family=FeatureKind.HAAR, population_size=16, generations=3, seed=41)
+    dist, (stack, labels) = _uniform(small_set), _stack_labels(small_set)
+    first = _winner(search_best(dist, stack, labels, config))
+    second = _winner(search_best(dist, stack, labels, config))
+    search_best(dist, stack, labels, other)
+    between = _winner(search_best(dist, stack, labels, config))
+    search_best(dist, stack, labels, other)
+    assert first == second == between
