@@ -4,8 +4,10 @@ A mu+lambda loop: keep the best quarter of the population, refill with
 mutated elites plus a trickle of fresh random genomes, stop on stall or
 generation budget. Every genome is drawn from its own RNG stream derived
 from (seed, candidate index): one ``random.Random`` per search, reseeded
-for each candidate, which gives the state a new ``Random`` of that seed
-starts in. The draws call ``getrandbits`` and ``random`` directly, as
+for each candidate by the C ``seed`` that ``Random.seed`` calls after its
+type checks (its ``gauss_next`` reset matters only to ``gauss``, which
+the search never calls), which gives the state a new ``Random`` of that
+seed starts in. The draws call ``getrandbits`` and ``random`` directly, as
 CPython's ``randint``, ``randrange``, ``choice`` and ``uniform`` do, so
 they read the stream those methods read. A genome is a feature's
 constructor fields (``features.field_values``). A fresh one is drawn by
@@ -15,14 +17,15 @@ the one field rule it changes (``features.FIELD_RULES``), and is never
 built. The initial population and each generation's offspring are scored
 by one ``FeatureBatch(family, genomes)`` on the calling thread, read
 straight from the genomes, into plain ``(epsilon, id, genome, polarity)``
-rows. One stable partition per generation puts each candidate's wrong
-weights before its right ones, each part in window order, so its two
-errors are sums of two slices that hold the same values in the same
-order as its own masked row, and they round as a one-feature evaluation
-does. Only the winner becomes a ``Feature`` (with the constructor's full
-check), a ``WeakClassifier`` and a ``Candidate``. ``mutate`` is the same
-moves on a ``Feature``. The symmetric moves read their field indices
-from ``features.FIELDS``.
+rows. One boolean compaction per generation puts each candidate's wrong
+weights before its right ones, each part in window order, and two masked
+reductions sum every candidate's two parts: numpy passes each row's part,
+one contiguous run, whole to the pairwise loop that sums its own masked
+row, so the errors round as a one-feature evaluation does. Only the
+winner becomes a ``Feature`` (with the constructor's full check), a
+``WeakClassifier`` and a ``Candidate``. ``mutate`` is the same moves on a
+``Feature``. The symmetric moves read their field indices from
+``features.FIELDS``.
 
 ``search_best`` takes only what the search reads: the distribution, the
 window stack with its labels (built once by ``boosting.train``) and the
@@ -380,17 +383,26 @@ def _errors(mistakes: np.ndarray, weights: np.ndarray) -> list[tuple[float, floa
     """Per row of ``mistakes``, the weight it gets wrong and the weight it
     gets right, each as ``float(weights[row_mask].sum())`` would round it.
 
-    One stable partition orders each row's weights wrong first, then
-    right, each part in window order: row k's first ``m_k`` entries are
-    the same values in the same order as ``weights[row_mask]``, and the
-    rest as ``weights[~row_mask]``, so numpy's pairwise sum adds each
-    contiguous part the same way; ``np.add.reduceat`` and a matrix product
-    would not.
+    One boolean compaction of the weights under a ``(P, 2, N)`` mask,
+    each row's mistakes then its hits, orders each row's weights wrong
+    first, then right, each part in window order: row k's first ``m_k``
+    entries are the same values in the same order as
+    ``weights[row_mask]``, and the rest as ``weights[~row_mask]``. Two
+    masked reductions, under ``wrong`` (a row's first ``m_k`` entries)
+    and its complement, then sum every row's two parts: numpy's masked
+    loop hands each row's part, one contiguous run, whole to the same
+    pairwise inner loop that ``weights[row_mask].sum()`` runs, from the
+    same 0.0 start. ``np.add.reduceat`` adds a segment sequentially and a
+    matrix product in its own order, so neither would keep the bits.
     """
-    parted = weights[np.argsort(~mistakes, axis=1, kind="stable")]
-    total = np.add.reduce  # what ndarray.sum calls, less its Python wrapper
-    return [(float(total(row[:m])), float(total(row[m:])))
-            for row, m in zip(parted, np.count_nonzero(mistakes, axis=1).tolist())]
+    rows, width = mistakes.shape
+    sides = np.empty((rows, 2, width), bool)
+    sides[:, 0] = mistakes
+    np.logical_not(mistakes, out=sides[:, 1])
+    parted = np.broadcast_to(weights, sides.shape)[sides].reshape(rows, width)
+    wrong = np.arange(width) < np.count_nonzero(mistakes, axis=1)[:, None]
+    return list(zip(np.add.reduce(parted, axis=1, where=wrong).tolist(),
+                    np.add.reduce(parted, axis=1, where=~wrong).tolist()))
 
 
 def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray,
@@ -411,11 +423,13 @@ def search_best(dist: WeightDistribution, stack: WindowStack, labels: np.ndarray
     # every candidate gets a unique id; its RNG stream derives from the id,
     # and ties in epsilon resolve by id, so the search is reproducible. One
     # Random serves every candidate: reseeding it gives the MT state a new
-    # Random(seed) would start from
+    # Random(seed) would start from. ``reseed`` is the C seed that
+    # Random.seed calls after its type checks, without their frame
     shared = random.Random(0)
+    reseed = super(random.Random, shared).seed
 
     def stream(candidate_id: int) -> random.Random:
-        shared.seed(derive_seed(config.seed, candidate_id))
+        reseed(derive_seed(config.seed, candidate_id))
         return shared
 
     size, family = config.population_size, FEATURE_TYPES[config.family]

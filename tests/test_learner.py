@@ -400,6 +400,57 @@ def test_score_errors_are_the_row_sums_bit_for_bit(seed, skew, order):
         (minus.hex(), -1) if minus < plus else (plus.hex(), 1) for plus, minus in want]
 
 
+# the edges of numpy's pairwise sum (blocks of 8, 128 entries unrolled)
+# and of its 8,192-entry buffer, and a row wider than two buffers
+_ERROR_WIDTHS = (1, 7, 8, 9, 127, 128, 129, 255, 256, 257, 8191, 8192, 8193, 20000)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("width", _ERROR_WIDTHS)
+def test_errors_are_each_rows_masked_sums_bit_for_bit(width, layout):
+    # F is a transposed array, as ``FeatureBatch.fired`` hands ``_score``
+    # its masks. Rows: all wrong, all right, one wrong, one right, and
+    # random densities; weights over ~35 orders of magnitude, a third of
+    # them exact zeros in the second half, as ``literal_zero_update`` leaves
+    rng = np.random.default_rng(width)
+    weights = np.exp(rng.normal(0.0, 20.0, width))
+    weights[width // 2:][rng.random(width - width // 2) < 1 / 3] = 0.0
+    dense = rng.random((8, width)) < rng.random((8, 1))
+    masks = np.concatenate([np.ones((1, width), bool), np.zeros((1, width), bool),
+                            np.arange(width)[None, :] == rng.integers(width, size=(2, 1)),
+                            np.arange(width)[None, :] != rng.integers(width, size=(2, 1)),
+                            dense])
+    if layout == "F":
+        masks = np.ascontiguousarray(masks.T).T
+    want = [(float(weights[m].sum()).hex(), float(weights[~m].sum()).hex()) for m in masks]
+    assert [(wrong.hex(), right.hex())
+            for wrong, right in learner._errors(masks, weights)] == want
+
+
+@pytest.mark.parametrize("seed, cid, key", [
+    (0, 0, 0),
+    (learner._GAMMA ^ (2**32 - 1), 1, 2**32 - 1),  # the widest one-word MT key
+    (learner._GAMMA ^ 2**32, 1, 2**32),  # the narrowest two-word key
+    (3, 2, derive_seed(3, 2)),
+])
+def test_each_candidate_draws_from_a_fresh_randoms_state(small_set, seed, cid, key):
+    # the search reseeds its one Random without Random.seed's frame: each
+    # initial genome is still drawn from the whole state, gauss_next
+    # included, that Random(derive_seed(seed, cid)) starts in
+    assert derive_seed(seed, cid) == key
+    states = []
+
+    def drawing(family, rng):
+        states.append(rng.getstate())
+        return random_feature(family, rng)
+
+    config = LearnerConfig(family=FeatureKind.HAAR, population_size=4, generations=1, seed=seed)
+    with mock.patch.object(learner, "random_feature", drawing):
+        search_best(_uniform(small_set), *_stack_labels(small_set), config)
+    assert states[cid] == random.Random(key).getstate()
+    assert states[:4] == [random.Random(derive_seed(seed, i)).getstate() for i in range(4)]
+
+
 def test_search_rejects_mismatched_lengths(small_set):
     config = LearnerConfig(family=FeatureKind.HAAR, population_size=4, generations=1)
     stack, labels = _stack_labels(small_set)
