@@ -244,15 +244,18 @@ def parse_detections_csv(path) -> dict[str, Detections]:
         parts = line.rsplit(",", 5)
         if len(parts) != 6:
             raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        if _ROW_NUMBERS.fullmatch(line, len(parts[0]) + 1) is None:
-            try:  # the reader of the first field out of form names it
+        try:
+            if _ROW_NUMBERS.fullmatch(line, len(parts[0]) + 1) is None:
+                # the reader of the first field out of form names it
                 for p in parts[1:5]:
                     read_int(p)
                 read_float(parts[5])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-        box = [int(p) for p in parts[1:5]]
-        margin = float(parts[5])
+            # int() of a number in form still refuses more digits than
+            # sys.get_int_max_str_digits()
+            box = [int(p) for p in parts[1:5]]
+            margin = float(parts[5])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         problem = rect_problem(*box)
         if problem is not None:
             raise ValueError(f"{path}:{lineno}: {problem}, got {','.join(parts[1:5])}")

@@ -59,6 +59,7 @@ def fuzz_dir(tmp_path_factory):
 @example(data=VALID_CSV)
 @example(data=VALID_CSV + b"f2.pgm,1,2,3,4,\xff\n")
 @example(data=b"\xfe" + VALID_CSV)
+@example(data=VALID_CSV.replace(b"f0.pgm,1,", b"f0.pgm," + b"9" * 5000 + b",", 1))
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_parse_detections_csv_fuzz_names_path_and_line(fuzz_dir, data):
