@@ -12,7 +12,17 @@ output, the JSON object ``run.py`` prints. The runs are added to the
 a claim written by hand, are kept), and its ``summary`` is recomputed for
 every workload and seed it holds: per end-to-end metric the medians, the
 inclusive quartiles, the median change and the number of pairs in which
-the change was better.
+the change was better, and the checks against the metric's ``bound`` in
+``BENCHMARK.json`` (read, never written):
+
+- ``worse_than_parent_by``: how far the change's median is worse than the
+  parent's, as a share of the parent's (negative when it is better);
+- ``bound`` and ``within_bound``: that share is at most the bound;
+- ``parent_quartile_spread``: the distance between the parent's
+  quartiles, as a share of its median, and ``spread_wider_than_bound``;
+- for ``units_per_s``, ``gain_holds``: the change is better in at least
+  nine tenths of the pairs, and its median is better than the parent's by
+  more than the distance between the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -27,6 +38,15 @@ import sys
 
 # (metric, better) for each end-to-end metric of BENCHMARK.json
 METRICS = (("units_per_s", "higher"), ("setup_s", "lower"), ("peak_rss_mb", "lower"))
+# the metric whose gain a change may claim
+CLAIMED = "units_per_s"
+BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def read_bounds(path: pathlib.Path = BENCHMARK) -> dict[str, float]:
+    """Each end-to-end metric's ``bound`` in the benchmark declaration at ``path``."""
+    with open(path, encoding="utf-8") as f:
+        return {m["name"]: m["bound"] for m in json.load(f)["end_to_end"]}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -48,8 +68,12 @@ def summary_key(workload: str, seed: int) -> str:
     return workload if seed == 0 else f"{workload}_seed{seed}"
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per workload and seed: pairs, per-metric medians, quartiles and wins."""
+def summarize(runs: list[dict], bounds: dict[str, float] | None = None) -> dict:
+    """Per workload and seed: pairs, per-metric medians, quartiles, wins and
+    the checks against each metric's share in ``bounds`` (by default
+    ``BENCHMARK.json``'s)."""
+    if bounds is None:
+        bounds = read_bounds()
     groups: dict[str, dict[int, dict[str, dict]]] = {}
     for r in runs:
         pairs = groups.setdefault(summary_key(r["workload"], r["seed"]), {})
@@ -64,14 +88,27 @@ def summarize(runs: list[dict]) -> dict:
             wins = sum((c > p) if better == "higher" else (c < p)
                        for p, c in zip(parent, change))
             medians = statistics.median(parent), statistics.median(change)
+            low, high = _quartiles(parent)
+            # the median's change toward worse, and the parent's own spread,
+            # both as shares of the parent's median
+            worse = (medians[1] - medians[0]) / medians[0] * (-1 if better == "higher" else 1)
+            spread = (high - low) / medians[0]
             entry[name] = {
                 "parent_median": round(medians[0], 6),
                 "change_median": round(medians[1], 6),
-                "parent_quartiles": _quartiles(parent),
+                "parent_quartiles": [low, high],
                 "change_quartiles": _quartiles(change),
                 "change_vs_parent": f"{medians[1] / medians[0] - 1:+.1%}",
                 "change_better_in_pairs": wins,
+                "worse_than_parent_by": f"{worse:+.1%}",
+                "bound": f"{bounds[name]:.0%}",
+                "within_bound": worse <= bounds[name],
+                "parent_quartile_spread": f"{spread:.1%}",
+                "spread_wider_than_bound": spread > bounds[name],
             }
+            if name == CLAIMED:
+                entry[name]["gain_holds"] = (10 * wins >= 9 * len(whole)
+                                             and -worse > spread)
         entry["all_correct"] = all(r["correct"] and r["failed"] == 0
                                    for p in whole for r in p.values())
         summary[key] = entry

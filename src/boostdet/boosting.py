@@ -26,10 +26,14 @@ a plan by window count: the whole runs when the stack's windows times
 the model's longest run are at most VOTE_BUDGET stage-window
 evaluations, the chunks otherwise, so a small pyramid level or a single
 window costs one call per run and no call evaluates more pairs than a
-chunk on a 2,048-window level. Either way it selects a batch's stage
-votes in one ``np.where`` and adds their rows to the margins one stage
-at a time (the pairwise order of ``sum`` or ``np.add.reduce`` moves
-bits), so both plans give the same margins, bit for bit.
+chunk on a 2,048-window level. Either way it turns a batch's fired
+booleans into signs, +1 where a stage fires and -1 elsewhere, in place
+on their own bytes, multiplies them by the stages' alpha*polarity, and
+adds the rows to the margins one stage at a time (the pairwise order of
+``sum`` or ``np.add.reduce`` moves bits), so both plans give the same
+margins, bit for bit. The select is exact: +-1.0 times a float is that
+float or its negation, the same bits ``np.where(fired, a, -a)`` picks,
+for every alpha, where ``fired * 2a - a`` would overflow once 2a does.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ VOTE_CHUNK = 16
 # most stage-window evaluations of a whole-run call: a chunk on 2,048 windows
 VOTE_BUDGET = VOTE_CHUNK * 2048
 
-# a vote plan: (batch, +alpha*polarity, -alpha*polarity) per batch, in stage order
-VotePlan = tuple[tuple[FeatureBatch, np.ndarray, np.ndarray], ...]
+# a vote plan: (batch, alpha*polarity per stage, the stages) per batch, in stage order
+VotePlan = tuple[tuple[FeatureBatch, np.ndarray, tuple["Stage", ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ class StrongClassifier:
             for chunk in (run[i:i + size] for i in range(0, len(run), size)):
                 fired_vote = np.array([st.alpha * st.weak.polarity for st in chunk])
                 batch = FeatureBatch(family, [field_values(st.weak.feature) for st in chunk])
-                plan.append((batch, fired_vote, -fired_vote))
+                plan.append((batch, fired_vote, chunk))
         return tuple(plan)
 
     @functools.cached_property
@@ -174,16 +178,21 @@ def vote(model: StrongClassifier, stack: WindowStack) -> np.ndarray:
 
     A stack whose windows times the model's longest run are at most
     ``VOTE_BUDGET`` is voted one same-family run per batch, a larger one
-    ``VOTE_CHUNK`` stages per batch. Each batch's K stage votes are
-    selected in one ``np.where`` into a ``(K, *lead)`` array, whose rows
-    are then added one stage at a time.
+    ``VOTE_CHUNK`` stages per batch. Each batch's K stage votes are its
+    fired booleans made +-1 in place, times alpha*polarity, a
+    ``(K, *lead)`` array whose rows are then added one stage at a time.
     """
     margins = np.zeros(stack.sigma.shape)
     per_stage = (-1,) + (1,) * margins.ndim
     whole_runs = margins.size * model._longest_run <= VOTE_BUDGET
-    for batch, fired_vote, quiet_vote in (model._run_plan if whole_runs else model._plan):
-        votes = np.where(batch.fired(stack), fired_vote.reshape(per_stage),
-                         quiet_vote.reshape(per_stage))
+    for batch, fired_vote, _ in (model._run_plan if whole_runs else model._plan):
+        # +1 where a stage fires and -1 elsewhere, made in the booleans' own
+        # bytes (True is 1); times alpha*polarity each is exact
+        signs = batch.fired(stack).view(np.int8)
+        signs += signs
+        signs -= 1
+        votes = signs * fired_vote.reshape(per_stage)
+        del signs
         for row in votes:
             margins += row
         del votes, row  # the last row keeps the chunk's votes alive

@@ -8,7 +8,12 @@ per stack and kept there, so the models scanned through one caller's
 stack share its views and ``sigma``. Its margins come from
 ``boosting.vote``, which also scores a single window
 (``WindowStack.window``). The model keeps its vote plan and each level's
-scaled geometry, so frames of one size scale it once.
+scaled geometry, so frames of one size scale it once. ``scan`` votes a
+level of stride 2 to ``PHASE_MAX_STRIDE`` through phase copies of the
+frame's sums and pixels (``imaging``), whose gathers read contiguous
+rows: it copies each such stride once per call, holds one stride's copies
+at a time (level strides never fall) and drops them when it returns, so
+the caller's stack and its kept levels hold nothing new.
 
 Detections leave ``scan`` as one ``Detections`` record: an int64
 ``(n, 4)`` array of ``(x, y, w, h)`` boxes and a float64 ``(n,)`` array
@@ -47,6 +52,11 @@ from .imaging import MAX_COORD, GrayImage, Rect, WindowStack, build_integral, re
 # live boxes ``nms`` resolves against each other at once: of 4 to 32, the
 # fastest on all-pass scans of 128x96 frames and near it at bias -1
 NMS_BLOCK = 8
+# largest level stride whose windows ``scan`` gathers from phase copies of
+# the frame's sums and pixels: on a 128x96 frame, voting a stride's levels
+# through copies made for the call read 4-13% faster than the level views
+# at stride 2, -1% to +6% at 3, and 16-164% slower at 4 to 8
+PHASE_MAX_STRIDE = 3
 
 
 @dataclass(frozen=True)
@@ -238,8 +248,15 @@ def scan(model: StrongClassifier, frame: GrayImage, cfg: ScanConfig = ScanConfig
         raise ValueError("integral image is of other pixels than the frame")
     boxes = [np.empty((0, 4), dtype=np.int64)]
     margins = [np.empty(0)]
+    copied, copies = 1, None  # the stride of the phase copies held, and the copies
     for win_w, win_h, stride in pyramid_levels(frame.width, frame.height, cfg):
-        level = vote(model, ii.level(win_w, win_h, stride))
+        if 2 <= stride <= PHASE_MAX_STRIDE:
+            if stride != copied:  # strides never fall: drop the last copies, then copy
+                copies = None
+                copied, copies = stride, ii._phase_copies(stride)
+            level = vote(model, ii._phase_level(win_w, win_h, stride, copies))
+        else:
+            level = vote(model, ii.level(win_w, win_h, stride))
         iy, ix = np.nonzero(level > cfg.bias)
         rows = np.empty((len(ix), 4), dtype=np.int64)
         np.multiply(ix, stride, out=rows[:, 0])

@@ -14,7 +14,11 @@ frame's stack, or a single window sliced out of one. Area families read
 the tables and point families the pixels of the same stack, all P at a
 time. Geometry is scaled once per window size (``GEOMETRY_MEMO``) and
 kept in the form the evaluator reads: each rect's corners and area, each
-point's column and row.
+point's row and column. Every gather reads the stack's ``imaging`` grids
+at each cell's index, one fancy index per corner or point class; on a
+phase level, which ``detector.scan`` votes through phase copies of the
+frame, that index is split by the level's stride, so such geometry is kept
+per window size and stride.
 A batch is built one way, ``FeatureBatch(family, genomes)``, from each
 feature's constructor fields: the learner's genomes, a model's stages
 through ``field_values``, or one feature. ``eval_batch(f, stack)`` is the
@@ -46,7 +50,7 @@ from typing import (Any, Callable, ClassVar, Iterable, NamedTuple, Sequence, Uni
 
 import numpy as np
 
-from .imaging import BoundsError, Rect, WindowStack, corner_sum, integers, rect_problem, rect_rows
+from .imaging import BoundsError, Rect, WindowStack, integers, rect_problem, rect_rows
 
 CANONICAL_W = 32
 CANONICAL_H = 24
@@ -294,9 +298,11 @@ def field_values(feature: Feature) -> tuple:
 # geometry scaling: canonical coordinates -> a concrete window
 # ---------------------------------------------------------------------------
 
-def _local_rects(coords: np.ndarray, win_w: int, win_h: int) -> tuple[np.ndarray, ...]:
+def _local_rects(coords: np.ndarray, win_w: int, win_h: int, grids) -> tuple[np.ndarray, ...]:
     # (n, 4) canonical rows -> corner arrays x0, y0, x1, y1 and float64
-    # areas: offsets scale with floor rounding, extents clamp to >= 1
+    # areas: offsets scale with floor rounding, extents clamp to >= 1. On
+    # phase ``grids``, the ``index`` arrays of the corners bottom right,
+    # top right, bottom left and top left take the place of x0..y1
     x, y, w, h = coords.T
     x0, y0 = x * win_w // CANONICAL_W, y * win_h // CANONICAL_H
     w = np.maximum(w * win_w // CANONICAL_W, 1)
@@ -306,14 +312,17 @@ def _local_rects(coords: np.ndarray, win_w: int, win_h: int) -> tuple[np.ndarray
     if leaks.any():
         raise BoundsError(f"{Rect(*coords[leaks.argmax()].tolist())} scaled to "
                           f"{win_w}x{win_h} window leaks out of bounds")
-    return x0, y0, x1, y1, (w * h).astype(np.float64)
+    area = (w * h).astype(np.float64)
+    if grids.stride == 1:
+        return x0, y0, x1, y1, area
+    return (*itertools.chain.from_iterable(grids.index(cy, cx) for cy, cx in
+                                           ((y1, x1), (y0, x1), (y1, x0), (y0, x0))), area)
 
 
-def _local_points(points: np.ndarray, win_w: int,
-                  win_h: int) -> tuple[np.ndarray, np.ndarray]:
-    # (columns, rows) of an (..., 2) array of points, floor-scaled
-    return (points[..., 0] * win_w // CANONICAL_W,
-            points[..., 1] * win_h // CANONICAL_H)
+def _local_points(points: np.ndarray, win_w: int, win_h: int, grids) -> tuple[np.ndarray, ...]:
+    # the ``grids.index`` arrays of an (..., 2) array of points, floor-scaled
+    return grids.index(points[..., 1] * win_h // CANONICAL_H,
+                       points[..., 0] * win_w // CANONICAL_W)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +334,10 @@ GEOMETRY_MEMO = 32  # window sizes a FeatureBatch keeps geometry for, oldest out
 # the dtype each scalar slot is read into
 _LIMIT_DTYPES = {float: np.float64, int: np.int16}
 
-# by ndim, the axes that move an array's last axis first (``np.moveaxis(a, -1, 0)``)
+# by ndim, the axes that move an array's last axis first (``np.moveaxis(a, -1, 0)``),
+# and its first axis last
 _LAST_AXIS_FIRST = {n: (n - 1, *range(n - 1)) for n in range(1, 65)}
+_FIRST_AXIS_LAST = {n: (*range(1, n), 0) for n in range(1, 65)}
 
 
 def _rect_pair(genomes: Sequence[tuple], a: int, b: int) -> np.ndarray:
@@ -344,23 +355,32 @@ def _padded(classes: list[Points]) -> np.ndarray:
                        count=2 * longest * len(classes)).reshape(len(classes), longest, 2)
 
 
-def _normed_diffs(stack: WindowStack, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray,
-                  y1: np.ndarray, area: np.ndarray) -> np.ndarray:
+def _normed_diffs(grids, sigma: np.ndarray, geometry: tuple[np.ndarray, ...]) -> np.ndarray:
     # |mean(a[k]) - mean(b[k])| / sigma, (*lead, P), from 2P rects a then
-    # b; sums and areas are integers exact in float64, so dividing by the
-    # float64 areas gives the quotients of the integers
-    mean, p = corner_sum(stack.sums, x0, y0, x1, y1) / area, len(area) // 2
+    # b, whose corners and areas ``_local_rects`` gives for ``grids``; sums
+    # and areas are integers exact in float64, so dividing by the float64
+    # areas gives the quotients of the integers
+    if grids.stride == 1:
+        x0, y0, x1, y1, area = geometry
+        corners = ((y1, x1), (y0, x1), (y1, x0), (y0, x0))
+    else:  # each corner's phase, row offset and column offset
+        area, corners = geometry[-1], tuple(geometry[i:i + 3] for i in range(0, 12, 3))
+    total = grids.corner_sums(corners)
+    mean, p = total.transpose(_FIRST_AXIS_LAST[total.ndim]) / area, len(area) // 2
+    del total
     diff = mean[..., :p] - mean[..., p:]
     del mean
     np.abs(diff, out=diff)
-    diff /= stack.sigma[..., None]
+    diff /= sigma[..., None]
     return diff
 
 
-def _point_extremes(stack: WindowStack, cols: np.ndarray, rows: np.ndarray) -> tuple:
-    # min and max pixel of each of P point classes, both (*lead, P)
-    values = stack.pixels[..., rows, cols]
-    return values.min(axis=-1), values.max(axis=-1)
+def _point_extremes(grids, index: tuple[np.ndarray, ...]) -> tuple:
+    # min and max pixel of each of P point classes, both (*lead, P), whose
+    # points are at the ``_local_points`` index into ``grids``
+    values = grids.pixels[index]
+    last = _FIRST_AXIS_LAST[values.ndim - 1]
+    return values.min(axis=1).transpose(last), values.max(axis=1).transpose(last)
 
 
 class FeatureBatch:
@@ -370,9 +390,9 @@ class FeatureBatch:
     genomes. ``FeatureBatch(family, genomes)`` takes each feature as its
     constructor fields (``field_values``) that passed their ``FIELD_RULES``,
     so no ``Feature`` is built; a rect field may be a Rect or an
-    (x, y, w, h) tuple. Geometry scaled to a window size is kept,
-    read-only, for the last ``GEOMETRY_MEMO`` sizes, but not a size it
-    leaks out of (BoundsError).
+    (x, y, w, h) tuple. Geometry scaled to a window size (and, for a
+    phase level, split by its stride) is kept, read-only, for the last
+    ``GEOMETRY_MEMO`` sizes, but not a size it leaks out of (BoundsError).
     """
 
     def __init__(self, family: type, genomes: Sequence[tuple]):
@@ -394,23 +414,26 @@ class FeatureBatch:
         self._limits = tuple(
             np.fromiter((g[i] for g in genomes), _LIMIT_DTYPES[spec.slot], count=len(genomes))
             for i, spec in enumerate(FIELDS[family]) if spec.slot in _LIMIT_DTYPES)
-        self._scaled: dict[tuple[int, int], tuple] = {}
+        self._scaled: dict[tuple[int, ...], tuple] = {}
 
     def responses(self, stack: WindowStack) -> Iterable:
         """Per rect pair |mean(a) - mean(b)| / sigma, per point class (min,
         max) pixel, each ``(*lead, P)`` and gathered only when drawn."""
         point = self.family in (ControlPointsFeature, ChainFeature)
-        key = (stack.w, stack.h)
+        grids = stack._gather_grids()
+        # a phase level's geometry is split by its stride
+        key = (stack.w, stack.h) if grids.stride == 1 else (stack.w, stack.h, grids.stride)
         if key not in self._scaled:
             scale = _local_points if point else _local_rects
-            scaled = tuple(scale(group, *key) for group in self._groups)
+            scaled = tuple(scale(group, stack.w, stack.h, grids) for group in self._groups)
             for a in itertools.chain.from_iterable(scaled):
                 a.setflags(write=False)
             if len(self._scaled) >= GEOMETRY_MEMO:
                 del self._scaled[next(iter(self._scaled))]
             self._scaled[key] = scaled
-        read = _point_extremes if point else _normed_diffs
-        return (read(stack, *geometry) for geometry in self._scaled[key])
+        if point:
+            return (_point_extremes(grids, index) for index in self._scaled[key])
+        return (_normed_diffs(grids, stack.sigma, geometry) for geometry in self._scaled[key])
 
     def fired(self, stack: WindowStack) -> np.ndarray:
         """Booleans shaped ``(P, *lead)``: row k says where feature k fires."""

@@ -26,14 +26,29 @@ not a copy, and a pyramid level (``WindowStack.level``) or a single window
 area families always read the same image. A frame's stack keeps the first
 LEVEL_MEMO levels it built, so the models scanned through one stack build
 each of those levels, and its ``sigma``, once.
+
+The features gather a stack's windows from its ``_Grids``: arrays that
+hold cell (y, x) of every window as one block, the windows' axes last.
+For a plain stack they are its own tables with the window axes moved
+first, so on a level of stride s each block is read every s-th entry.
+A phase level (``_phase_level``) reads a phase copy of the frame instead:
+its s*s sub-grids ``table[py::s, px::s]``, stacked as
+``(s*s, ceil(H/s), ceil(W/s))`` and read through one read-only
+``as_strided`` grid, where cell (y, x) is the block at
+``[(y % s) * s + x % s, y // s, x // s]`` and each block's rows are
+contiguous. It holds the same entries, so every sum is bit-equal. The
+caller that makes the copies (``detector.scan``, one stride at a time)
+owns them: the phase level is a new object, which holds them only while
+the caller keeps it, and the frame's stack and its kept levels never do.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -182,14 +197,21 @@ def corner_sum(table: np.ndarray, x0: int | np.ndarray, y0: int | np.ndarray,
     subtractions wrap mod 2**32, which leaves every sum of a frame of at
     most ``MAX_PIXELS`` pixels exact.
     """
-    # the first gather is updated in place, so at most two are alive: a
-    # fancy gather is already fresh, an int lookup is a view and is copied
-    total = table[..., y1, x1]
-    if not isinstance(x1, np.ndarray):
+    return _corner_total(table, ((..., y1, x1), (..., y0, x1), (..., y1, x0), (..., y0, x0)))
+
+
+def _corner_total(table: np.ndarray, keys: tuple[tuple, ...]) -> np.ndarray:
+    # ``corner_sum`` of the corners whose index tuples into ``table`` are
+    # ``keys``: bottom right, top right, bottom left, top left. The first
+    # gather is updated in place, so at most two are alive: a fancy gather
+    # is already fresh, an int lookup is a view and is copied
+    bottom_right, top_right, bottom_left, top_left = keys
+    total = table[bottom_right]
+    if not isinstance(bottom_right[-1], np.ndarray):
         total = np.array(total)
-    total -= table[..., y0, x1]
-    total -= table[..., y1, x0]
-    total += table[..., y0, x0]
+    total -= table[top_right]
+    total -= table[bottom_left]
+    total += table[top_left]
     return total
 
 
@@ -223,6 +245,56 @@ def window_grid(table: np.ndarray, h: int, w: int, stride: int) -> np.ndarray:
                       writeable=False)
 
 
+def _phase_copy(table: np.ndarray, stride: int) -> np.ndarray:
+    # the 2-d ``table`` as its stride**2 sub-grids table[py::stride, px::stride],
+    # phase py * stride + px first, each zero-padded at its far edges to
+    # (ceil(rows / stride), ceil(cols / stride)); no window reads the padding
+    rows, cols = table.shape
+    phases = np.zeros((stride * stride, -(-rows // stride), -(-cols // stride)), table.dtype)
+    for py, px in itertools.product(range(stride), repeat=2):
+        sub = table[py::stride, px::stride]
+        phases[py * stride + px, :sub.shape[0], :sub.shape[1]] = sub
+    return phases
+
+
+def _phase_grid(phases: np.ndarray, stride: int, h: int, w: int, rows: int,
+                cols: int) -> np.ndarray:
+    # read-only view (stride**2, ceil(h / stride), ceil(w / stride), rows,
+    # cols) of a ``_phase_copy``: cell (y, x) of every ``h`` x ``w`` window
+    # of a ``rows`` x ``cols`` level on a ``stride`` grid is the block at
+    # ``_Grids.index(y, x)``, whose rows are contiguous
+    phase_step, row_step, col_step = phases.strides
+    return as_strided(phases, (stride * stride, -(-h // stride), -(-w // stride), rows, cols),
+                      (phase_step, row_step, col_step, row_step, col_step), writeable=False)
+
+
+# by ndim, the axes that move a stack's two window axes first
+_WINDOW_AXES_FIRST = {n: (n - 2, n - 1, *range(n - 2)) for n in range(2, 65)}
+
+
+class _Grids(NamedTuple):
+    """The arrays the features gather a stack's windows from: each holds
+    cell (y, x) of every window, the windows' axes last, at ``index(y, x)``.
+    With ``stride`` 1 they are the stack's own tables with their window
+    axes moved first; otherwise they are a level's phase grids."""
+
+    stride: int
+    sums: np.ndarray
+    pixels: np.ndarray
+
+    def index(self, y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The index of cells (y, x): (y, x), or the phase and the offset in it."""
+        s = self.stride
+        if s == 1:
+            return y, x
+        return (y % s) * s + x % s, y // s, x // s
+
+    def corner_sums(self, corners: tuple[tuple[np.ndarray, ...], ...]) -> np.ndarray:
+        """``corner_sum`` of the rects whose corners are at the ``index`` tuples
+        ``corners``, in its order: bottom right, top right, bottom left, top left."""
+        return _corner_total(self.sums, corners)
+
+
 @dataclass(frozen=True)
 class WindowStack:
     """Same-size windows, each with views of its own integral tables.
@@ -244,6 +316,8 @@ class WindowStack:
     sigma: np.ndarray = field(init=False)
     w: int = field(init=False)
     h: int = field(init=False)
+    # the phase grids of a level that ``_phase_level`` made
+    _phases = None
 
     def __post_init__(self):
         lead, (h, w) = self.pixels.shape[:-2], self.pixels.shape[-2:]
@@ -296,6 +370,31 @@ class WindowStack:
                                 window_grid(self.squared_sums, win_h + 1, win_w + 1, stride))
             if len(self._levels) < LEVEL_MEMO:
                 self._levels[key] = level
+        return level
+
+    def _gather_grids(self) -> _Grids:
+        """The grids the features gather this stack's windows from."""
+        if self._phases is not None:
+            return self._phases
+        axes = _WINDOW_AXES_FIRST[self.pixels.ndim]
+        return _Grids(1, self.sums.transpose(axes), self.pixels.transpose(axes))
+
+    def _phase_copies(self, stride: int) -> tuple[np.ndarray, np.ndarray]:
+        """The phase copies of this frame's sums and pixels for ``stride`` >= 2."""
+        return _phase_copy(self.sums, stride), _phase_copy(self.pixels, stride)
+
+    def _phase_level(self, win_w: int, win_h: int, stride: int,
+                     copies: tuple[np.ndarray, np.ndarray]) -> "WindowStack":
+        """``level(win_w, win_h, stride)``, gathered from ``copies``, this
+        frame's ``_phase_copies(stride)``: a new object, which holds the
+        copies for as long as the caller keeps it; the level kept on this
+        stack does not change."""
+        level = copy.copy(self.level(win_w, win_h, stride))
+        rows, cols = level.sigma.shape
+        sums, pixels = copies
+        object.__setattr__(level, "_phases", _Grids(
+            stride, _phase_grid(sums, stride, win_h + 1, win_w + 1, rows, cols),
+            _phase_grid(pixels, stride, win_h, win_w, rows, cols)))
         return level
 
     def window(self, win: Rect) -> "WindowStack":

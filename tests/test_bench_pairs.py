@@ -1,7 +1,10 @@
 """The summary of scripts/bench_pairs.py on made-up runs; no benchmark process starts."""
 
 import importlib.util
+import json
 import pathlib
+
+import pytest
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
@@ -49,3 +52,65 @@ def test_summary_gives_medians_quartiles_and_wins_per_workload_and_seed():
     assert roc["pairs"] == 1 and roc["all_correct"] is False
     assert roc["units_per_s"]["parent_quartiles"] == [50.0, 50.0]
     assert roc["units_per_s"]["change_better_in_pairs"] == 1
+
+
+def _pairs(workload, parent_units, change_units):
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent_units, change_units), start=1):
+        runs += [_run(workload, 0, pair, "parent", p),
+                 _run(workload, 0, pair, "change", c, rss=46.5)]
+    return runs
+
+
+BOUNDS = {"units_per_s": 0.24, "setup_s": 0.25, "peak_rss_mb": 0.15}
+
+
+def test_summary_checks_each_metric_against_its_bound():
+    script = _load_script()
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.1, 9.9, 9.9, 10.1]
+    # better in 9 of 10 pairs, by far more than the parent's spread
+    gain = script.summarize(_pairs("scan", parent, [11.0] * 9 + [9.0]), BOUNDS)["scan"]
+    units = gain["units_per_s"]
+    assert units["worse_than_parent_by"] == "-10.0%" and units["bound"] == "24%"
+    assert units["within_bound"] is True and units["gain_holds"] is True
+    # parent quartiles 9.9 and 10.1: a spread of 2.0% of the median 10.0
+    assert units["parent_quartile_spread"] == "2.0%"
+    assert units["spread_wider_than_bound"] is False
+    assert "gain_holds" not in gain["setup_s"] and "gain_holds" not in gain["peak_rss_mb"]
+    # lower is better: the change's 46.5 MB against 46.0 MB is 1.1% worse
+    assert gain["peak_rss_mb"]["worse_than_parent_by"] == "+1.1%"
+    assert gain["peak_rss_mb"]["bound"] == "15%" and gain["peak_rss_mb"]["within_bound"]
+
+    # better in only 8 of 10 pairs: no gain, however large the medians' gap
+    eight = script.summarize(_pairs("scan", parent, [11.0] * 8 + [9.0] * 2), BOUNDS)
+    assert eight["scan"]["units_per_s"]["gain_holds"] is False
+    # better in every pair, by less than the parent's quartile spread
+    small = script.summarize(_pairs("scan", parent, [p + 0.1 for p in parent]), BOUNDS)
+    assert small["scan"]["units_per_s"]["change_better_in_pairs"] == 10
+    assert small["scan"]["units_per_s"]["gain_holds"] is False
+    # 30% slower, past the 24% bound, with a parent spread wider than the bound
+    wide = [5.0, 15.0, 5.0, 15.0, 10.0, 10.0]
+    slow = script.summarize(_pairs("scan", wide, [7.0] * 6), BOUNDS)["scan"]["units_per_s"]
+    assert slow["worse_than_parent_by"] == "+30.0%" and slow["within_bound"] is False
+    assert slow["spread_wider_than_bound"] is True and slow["gain_holds"] is False
+
+
+def test_bounds_are_read_from_the_benchmark_declaration():
+    script = _load_script()
+    before = script.BENCHMARK.read_bytes()
+    assert script.read_bounds() == BOUNDS
+    runs = _pairs("train", [9.0, 10.0], [10.0, 11.0])
+    assert script.summarize(runs) == script.summarize(runs, BOUNDS)
+    assert script.BENCHMARK.read_bytes() == before
+
+
+@pytest.mark.parametrize("name", ["BENCH_27_vote_budget.json", "BENCH_30_masked_reductions.json"])
+def test_summary_of_an_old_bench_file_gives_its_checks_written_by_hand(name):
+    # the checks these files carry as ``bound_checks`` were computed by
+    # hand; the script's summary of their runs gives the same values
+    report = json.loads((SCRIPT.parents[1] / name).read_text(encoding="utf-8"))
+    summary = _load_script().summarize(report["runs"])
+    for key, metrics in report["bound_checks"].items():
+        for metric, checks in metrics.items():
+            assert {check: summary[key][metric][check] for check in checks} == checks, \
+                (key, metric)

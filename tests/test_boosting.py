@@ -426,6 +426,41 @@ def test_vote_plan_matches_stage_by_stage_sum(model):
         assert np.array_equal(got, _stage_by_stage(model, stack)), name
 
 
+@st.composite
+def _extreme_models(draw):
+    # runs longer than VOTE_CHUNK, with the smallest subnormal, tiny and
+    # huge alphas, so margins lose low bits and overflow to +-inf
+    runs = draw(st.lists(st.tuples(st.sampled_from(list(FeatureKind)),
+                                   st.integers(VOTE_CHUNK + 1, 2 * VOTE_CHUNK + 3)),
+                         min_size=1, max_size=2))
+    kinds = [kind for kind, n in runs for _ in range(n)]
+    py = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n = len(kinds)
+    alphas = draw(st.lists(st.sampled_from((5e-324, 1e-300, 1e306, 1.7e308)),
+                           min_size=n, max_size=n))
+    polarities = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    return StrongClassifier(stages=tuple(
+        Stage(alpha=a, weak=WeakClassifier(random_feature(kind, py), p))
+        for kind, a, p in zip(kinds, alphas, polarities)))
+
+
+@given(model=_extreme_models())
+@settings(max_examples=30, deadline=None)
+def test_vote_at_extreme_alphas_matches_stage_by_stage_sum_to_the_byte(model):
+    # +alpha and -alpha are selected by exact signs: every margin keeps its
+    # bits, compared as bytes, so infinities, a NaN or a signed zero count;
+    # a level voted through phase copies votes as the plain level
+    ii = build_integral(rand_image(np.random.default_rng(53), 96, 72))
+    level = ii.level(45, 34, 3)
+    stacks = {**_VOTE_STACKS, "phase level": ii._phase_level(45, 34, 3, ii._phase_copies(3))}
+    for budget in (0, VOTE_BUDGET):  # the chunk plan, then the run plan
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(boosting, "VOTE_BUDGET", budget)
+            for name, stack in stacks.items():
+                want = _stage_by_stage(model, level if name == "phase level" else stack)
+                assert vote(model, stack).tobytes() == want.tobytes(), (name, budget)
+
+
 @given(model=_models())
 @settings(max_examples=20, deadline=None)
 def test_vote_at_the_budget_edge_matches_stage_by_stage_sum(model):

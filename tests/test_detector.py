@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boostdet import boosting, imaging
+from boostdet import boosting, detector, imaging
 from boostdet.boosting import Stage, StrongClassifier, WeakClassifier, vote
 from boostdet.detector import (
     NMS_BLOCK,
@@ -798,6 +798,32 @@ def test_scan_does_not_depend_on_the_vote_budget(monkeypatch, family):
             results.append([(dets.boxes.tobytes(), dets.margins.tobytes())
                             for dets in (scan(model, frame, ScanConfig(bias=bias))
                                          for frame in frames)])
+        assert results[0] == results[1] == results[2], bias
+        assert results[0][0][0], bias  # some window passes
+
+
+@pytest.mark.parametrize("family", ["haar", "cp", "symhaar", "nconnex"])
+def test_scan_does_not_depend_on_the_phase_copies(monkeypatch, family):
+    # no level, the default strides and every stride above 1 voted through
+    # phase copies give the same boxes and margins, byte for byte
+    model = parse_model(fixture_model_text(family))
+    frames = [frame for frame, _ in frame_sequence(2, seed=99)]
+    copied = []
+    real = imaging.WindowStack._phase_copies
+    monkeypatch.setattr(imaging.WindowStack, "_phase_copies",
+                        lambda stack, stride: copied.append(stride) or real(stack, stride))
+    strides = sorted({s for _, _, s in pyramid_levels(frames[0].width, frames[0].height,
+                                                      ScanConfig())})
+    for bias in (-1.0, -math.inf):
+        results = []
+        for max_stride in (1, detector.PHASE_MAX_STRIDE, 10 ** 9):
+            monkeypatch.setattr(detector, "PHASE_MAX_STRIDE", max_stride)
+            copied.clear()
+            results.append([(dets.boxes.tobytes(), dets.margins.tobytes())
+                            for dets in (scan(model, frame, ScanConfig(bias=bias))
+                                         for frame in frames)])
+            # each frame copies each selected stride once
+            assert copied == [s for s in strides if 2 <= s <= max_stride] * len(frames)
         assert results[0] == results[1] == results[2], bias
         assert results[0][0][0], bias  # some window passes
 

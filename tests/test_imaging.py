@@ -290,6 +290,38 @@ def test_level_views_are_sliding_window_views(data):
     assert level.sigma.shape == level.pixels.shape[:2]
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_phase_grids_hold_every_cell_of_every_window(data):
+    # frame sizes that are not multiples of the stride, and levels of one
+    # row or one column, among them: the grids a level's features gather
+    # from, plain or phase, hold cell (y, x) of every window at the index
+    # (y, x), or (phase (y % s) * s + x % s, offset y // s, x // s)
+    frame_w, frame_h = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 30))
+    win_w, win_h = data.draw(st.integers(1, frame_w)), data.draw(st.integers(1, frame_h))
+    s = data.draw(st.integers(1, 12))
+    ii = build_integral(rand_image(np.random.default_rng(frame_w * 31 + frame_h), frame_w,
+                                   frame_h))
+    levels = [ii.level(win_w, win_h, s)]
+    if s > 1:
+        levels.append(ii._phase_level(win_w, win_h, s, ii._phase_copies(s)))
+    for level in levels:
+        grids = level._gather_grids()
+        phased = grids.stride > 1
+        assert grids.stride == (s if phased else 1)
+        for name, h, w in (("sums", win_h + 1, win_w + 1), ("pixels", win_h, win_w)):
+            want = window_grid(getattr(ii, name), h, w, s)
+            grid = getattr(grids, name)
+            assert not grid.flags.writeable, name
+            ys, xs = np.divmod(np.arange(h * w), w)
+            # every cell at once, through the index the features read
+            got = grid[grids.index(ys, xs)]
+            assert np.array_equal(got, np.moveaxis(want[..., ys, xs], -1, 0)), name
+            for y, x in zip(ys.tolist(), xs.tolist()):
+                at = (((y % s) * s + x % s, y // s, x // s) if phased else (y, x))
+                assert np.array_equal(grid[at], want[..., y, x]), (name, y, x)
+
+
 def test_a_level_window_larger_than_the_frame_or_a_stride_below_1_is_refused(rng):
     ii = build_integral(rand_image(rng, 40, 30))
     ii.level(40, 30, 1)
